@@ -3,8 +3,10 @@
  * Core simulation-speed bench and event-driven determinism gate.
  *
  * Runs the full 14-service sweep under every design point (CPU, SMT-8,
- * RPU, GPU-like) twice -- once with the per-cycle reference loop, once
- * with the event-driven cycle-skipping loop -- and
+ * RPU, GPU-like) and the three Sec. V-A1 RPU variants (32 full-width
+ * lanes, atomics in the L1, lane-0 branch prediction) twice -- once
+ * with the per-cycle reference loop, once with the event-driven
+ * cycle-skipping loop -- and
  *
  *  1. gates that every reported statistic of every cell is bit-identical
  *     between the two modes (cycles, IPC inputs, the full latency
@@ -20,7 +22,7 @@
  *
  * `--verify` runs the gate alone at a reduced request count (the tier-1
  * ctest entry `core_event_driven_gate`): no timing, no JSON, just the
- * 14 x 4 x 2 equivalence check.
+ * 14 x 7 x 2 equivalence check.
  */
 
 #include <chrono>
@@ -128,9 +130,22 @@ main(int argc, char **argv)
         opt.requests = 128;
     opt.seed = scale.seed;
 
+    // The four design points, then the Sec. V-A1 core-side RPU
+    // variants (full-width lanes, atomics in the L1, lane-0 branch
+    // prediction), whose paths the stock configs never take.
+    core::CoreConfig lanes32 = core::makeRpuConfig();
+    lanes32.name = "rpu-lanes32";
+    lanes32.lanes = 32;
+    core::CoreConfig atomics_l1 = core::makeRpuConfig();
+    atomics_l1.name = "rpu-atomics-l1";
+    atomics_l1.mem.atomicsAtL3 = false;
+    core::CoreConfig lane0_bp = core::makeRpuConfig();
+    lane0_bp.name = "rpu-lane0-bp";
+    lane0_bp.majorityVoteBp = false;
     std::vector<core::CoreConfig> cfgs = {
         core::makeCpuConfig(), core::makeSmt8Config(),
         core::makeRpuConfig(), core::makeGpuConfig(),
+        lanes32, atomics_l1, lane0_bp,
     };
 
     std::vector<ConfigRow> rows;
@@ -143,7 +158,7 @@ main(int argc, char **argv)
 
     if (verify_only) {
         for (const auto &r : rows) {
-            std::printf("%-10s %s", r.name.c_str(),
+            std::printf("%-14s %s", r.name.c_str(),
                         r.identical ? "identical" : "DIVERGED:");
             for (const auto &s : r.diverged)
                 std::printf(" %s", s.c_str());

@@ -101,6 +101,16 @@ struct CoreConfig
     /** Chip-level context (for throughput/energy scaling). */
     int chipCores = 98;
     double chipStaticWatts = 49.0;
+
+    /**
+     * Panic on a pipeline the timing core cannot run: a zero-latency
+     * op (the issue stage settles readiness once per cycle, which
+     * needs an op issued at cycle c to complete after c), zero SIMT
+     * lanes, a scheduling window outside [1, robEntries], a zero
+     * fetch/issue/commit width, or an SMT degree the ROB cannot
+     * partition. Called at TimingCore construction.
+     */
+    void validate() const;
 };
 
 /** @name Table IV configurations */

@@ -1,5 +1,9 @@
 #include "core/config.h"
 
+#include <cstdint>
+
+#include "common/logging.h"
+
 namespace simr::core
 {
 
@@ -20,6 +24,33 @@ cacheCfg(const char *name, uint64_t kb, uint32_t assoc, uint32_t banks)
 }
 
 } // namespace
+
+void
+CoreConfig::validate() const
+{
+    simr_assert(smtThreads >= 1 && smtThreads <= UINT16_MAX,
+                "bad SMT degree");
+    simr_assert(robEntries >= smtThreads, "ROB too small");
+    // Per-stream completion state is a ring of 8192 ops (the
+    // dependence horizon, see TimingCore::kMaxDepDistance); a
+    // partition may not outgrow it.
+    simr_assert(robEntries / smtThreads <= 8192,
+                "ROB partition larger than the dependence horizon");
+    simr_assert(schedWindow >= 1 && schedWindow <= robEntries,
+                "scheduling window must be in [1, robEntries]");
+    simr_assert(fetchWidth >= 1, "fetch width must be >= 1");
+    simr_assert(issueWidth >= 1, "issue width must be >= 1");
+    simr_assert(commitWidth >= 1, "commit width must be >= 1");
+    simr_assert(lanes >= 1, "need at least one SIMT lane");
+    simr_assert(aluLat >= 1 && complexAluLat >= 1 && mulLat >= 1 &&
+                divLat >= 1 && faluLat >= 1 && simdLat >= 1 &&
+                branchLat >= 1 && syscallLat >= 1,
+                "every op latency must be >= 1");
+    // A memory op completes no sooner than an L1 hit, or, for an
+    // atomic executed at the L3, than an L3 hit.
+    simr_assert(mem.l1HitLatency >= 1 && mem.l3HitLatency >= 1,
+                "every op latency must be >= 1");
+}
 
 CoreConfig
 makeCpuConfig()

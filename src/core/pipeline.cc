@@ -49,7 +49,88 @@ constexpr const char *kHotNames[] = {
     ctr::kRobCommit,        // kHotRobCommit
 };
 
+/** Set bits of x; SWAR, as the portable build has no POPCNT. */
+inline uint64_t
+popcount64(uint64_t x)
+{
+    x = x - ((x >> 1) & 0x5555555555555555ULL);
+    x = (x & 0x3333333333333333ULL) + ((x >> 2) & 0x3333333333333333ULL);
+    x = (x + (x >> 4)) & 0x0f0f0f0f0f0f0f0fULL;
+    return (x * 0x0101010101010101ULL) >> 56;
+}
+
+/** Bits of word `wi` that fall in [lo, hi); lo < hi. */
+inline uint64_t
+rangeBits(size_t wi, size_t lo, size_t hi)
+{
+    uint64_t m = ~0ULL;
+    if (wi == lo >> 6)
+        m &= ~0ULL << (lo & 63);
+    if (wi == (hi - 1) >> 6 && (hi & 63) != 0)
+        m &= (1ULL << (hi & 63)) - 1;
+    return m;
+}
+
+/** Position of the n-th (n >= 1) set bit of x, which has at least n. */
+inline size_t
+selectBit(uint64_t x, uint64_t n)
+{
+    size_t pos = 0;
+    for (unsigned half = 32; half > 0; half >>= 1) {
+        uint64_t low = x & ((1ULL << half) - 1);
+        uint64_t c = popcount64(low);
+        if (n > c) {
+            n -= c;
+            x >>= half;
+            pos += half;
+        } else {
+            x = low;
+        }
+    }
+    return pos;
+}
+
 } // namespace
+
+void
+TimingCore::SlotMask::takeFrom(SlotMask &o)
+{
+    for (size_t i = 0; i < w_.size(); ++i) {
+        w_[i] |= o.w_[i];
+        o.w_[i] = 0;
+    }
+}
+
+uint64_t
+TimingCore::SlotMask::count(size_t lo, size_t hi) const
+{
+    uint64_t n = 0;
+    for (size_t wi = lo >> 6; lo < hi && (wi << 6) < hi; ++wi)
+        n += popcount64(w_[wi] & rangeBits(wi, lo, hi));
+    return n;
+}
+
+uint64_t
+TimingCore::SlotMask::countAndNot(const SlotMask &o, size_t lo,
+                                  size_t hi) const
+{
+    uint64_t n = 0;
+    for (size_t wi = lo >> 6; lo < hi && (wi << 6) < hi; ++wi)
+        n += popcount64(w_[wi] & ~o.w_[wi] & rangeBits(wi, lo, hi));
+    return n;
+}
+
+size_t
+TimingCore::SlotMask::select(size_t lo, uint64_t n) const
+{
+    size_t wi = lo >> 6;
+    uint64_t x = w_[wi] & (~0ULL << (lo & 63));
+    for (uint64_t c = popcount64(x); n > c; c = popcount64(x)) {
+        n -= c;
+        x = w_[++wi];
+    }
+    return (wi << 6) + selectBit(x, n);
+}
 
 TimingCore::TimingCore(const CoreConfig &cfg)
     : cfg_(cfg),
@@ -57,9 +138,19 @@ TimingCore::TimingCore(const CoreConfig &cfg)
       mcu_(map_, cfg.mem.l1.lineBytes),
       hier_(cfg.mem, map_)
 {
-    simr_assert(cfg_.smtThreads >= 1, "bad SMT degree");
-    simr_assert(cfg_.robEntries >= cfg_.smtThreads, "ROB too small");
+    static_assert(sizeof(RobEntry) == 64,
+                  "the ROB header should fill exactly one cache line");
+    cfg_.validate();
     rob_.resize(static_cast<size_t>(cfg_.robEntries));
+    payload_.resize(rob_.size());
+    size_t ring = 1;
+    while (ring < rob_.size())
+        ring *= 2;
+    seqMask_ = ring - 1;
+    waiting_.init(rob_.size());
+    ready_.init(rob_.size());
+    nextReady_.init(rob_.size());
+    inOrderNext_.init(rob_.size());
     intPorts_.assign(static_cast<size_t>(cfg_.intAluPorts), 0);
     mulPorts_.assign(static_cast<size_t>(cfg_.mulDivPorts), 0);
     simdPorts_.assign(static_cast<size_t>(cfg_.simdPorts), 0);
@@ -81,16 +172,16 @@ TimingCore::allDrained() const
     if (robCount_ != 0)
         return false;
     for (const auto &s : streams_)
-        if (!s.exhausted || s.hasPending)
+        if (!s.exhausted)
             return false;
     return true;
 }
 
 bool
-TimingCore::claimPort(uint64_t cycle, const DynOp &op, uint32_t occupancy)
+TimingCore::claimPort(uint64_t cycle, isa::FuClass fu, uint32_t occupancy)
 {
     std::vector<uint64_t> *ports = nullptr;
-    switch (isa::opInfo(op.si->op).fu) {
+    switch (fu) {
       case isa::FuClass::IntAlu: ports = &intPorts_; break;
       case isa::FuClass::IntMul:
       case isa::FuClass::IntDiv: ports = &mulPorts_; break;
@@ -116,29 +207,27 @@ TimingCore::claimPort(uint64_t cycle, const DynOp &op, uint32_t occupancy)
 }
 
 void
-TimingCore::hot(int k, uint64_t n)
+TimingCore::stallRef(StallKind k, uint64_t n)
 {
-    if (cfg_.eventDriven)
-        hotCtrs_[k] += n;
-    else
-        res_.counters.add(kHotNames[k], n);
+    res_.counters.add(kStallNames[k], n);
+}
+
+void
+TimingCore::hotRef(HotCtr k, uint64_t n)
+{
+    res_.counters.add(kHotNames[k], n);
 }
 
 uint32_t
-TimingCore::executeAt(uint64_t cycle, RobEntry &e)
+TimingCore::executeAt(uint64_t cycle, const RobEntry &e, size_t slot)
 {
-    const DynOp &op = e.op;
-    uint64_t active =
-        static_cast<uint64_t>(std::max(op.activeLanes(), 1));
+    const uint64_t active = e.active;
 
-    switch (op.si->op) {
-      case isa::Op::IAlu: {
+    switch (e.op) {
+      case isa::Op::IAlu:
         hot(kHotIntOps, active);
-        bool complex = op.si->alu == isa::AluKind::Mix ||
-            op.si->alu == isa::AluKind::ModImm;
-        return static_cast<uint32_t>(complex ? cfg_.complexAluLat
-                                             : cfg_.aluLat);
-      }
+        return static_cast<uint32_t>(e.complexAlu ? cfg_.complexAluLat
+                                                  : cfg_.aluLat);
       case isa::Op::IMul:
         hot(kHotMulOps, active);
         return static_cast<uint32_t>(cfg_.mulLat);
@@ -168,10 +257,11 @@ TimingCore::executeAt(uint64_t cycle, RobEntry &e)
       case isa::Op::Atomic: {
         hot(kHotLsqInsert);
         hot(kHotMcuInsts);
-        mem::CoalesceKind kind = mcu_.coalesce(op, scratchAccesses_);
+        mem::CoalesceKind kind =
+            mcu_.coalesce(payload_[slot], scratchAccesses_);
         uint32_t lat = hier_.accessGroup(cycle, scratchAccesses_, kind);
         memInFlight_.push(cycle + lat);
-        if (op.si->op == isa::Op::Store) {
+        if (e.op == isa::Op::Store) {
             // Stores retire through the store buffer; latency is hidden
             // from the dependence chain.
             return 1;
@@ -183,12 +273,82 @@ TimingCore::executeAt(uint64_t cycle, RobEntry &e)
     }
 }
 
+void
+TimingCore::schedule(size_t slot, uint64_t ready_at, uint64_t cycle)
+{
+    if (ready_at <= cycle + 1) {
+        nextReady_.set(slot);
+        ++nextReadyCount_;
+    } else {
+        wakeups_.push({ready_at, static_cast<uint32_t>(slot)});
+    }
+}
+
+bool
+TimingCore::ringDepReady(const StreamCtx &s, uint64_t seq, uint16_t dep,
+                         uint64_t cycle) const
+{
+    if (!hasDep(seq, dep))
+        return true;
+    // The latest fetched op of the producer's residue. In flight spans
+    // at most one partition <= kMaxDepDistance ops, so it is the
+    // producer or the one op a horizon younger.
+    uint64_t p = seq - dep;
+    if (s.fetchedSeq - p >= kMaxDepDistance)
+        p += kMaxDepDistance;
+    if (p <= s.committedSeq)
+        return true;  // retired, so complete before this cycle
+    return rob_[s.slotOf[p & seqMask_]].doneCycle <= cycle;
+}
+
+void
+TimingCore::linkProducers(const DynOp &op, size_t slot, StreamCtx &s,
+                          uint64_t cycle)
+{
+    RobEntry &e = rob_[slot];
+    e.readyAt = 0;
+    e.pending = 0;
+    const uint16_t deps[2] = {op.dep1, op.dep2};
+    for (int k = 0; k < 2; ++k) {
+        const uint16_t dep = deps[k];
+        e.wakeNext[k] = -1;
+        if (!hasDep(e.seq, dep))
+            continue;
+        const uint64_t pseq = e.seq - dep;
+        if (pseq <= s.committedSeq)
+            continue;  // retired, so complete before this cycle
+        RobEntry &p = rob_[s.slotOf[pseq & seqMask_]];
+        if (p.doneCycle != kNotIssued) {
+            e.readyAt = std::max(e.readyAt, p.doneCycle);
+            continue;
+        }
+        e.wakeNext[k] = p.wakeHead;
+        p.wakeHead = static_cast<int32_t>(slot * 2 + static_cast<size_t>(k));
+        ++e.pending;
+    }
+    if (e.pending == 0)
+        schedule(slot, e.readyAt, cycle);
+}
+
+void
+TimingCore::wakeWaiters(RobEntry &p, uint64_t cycle)
+{
+    for (int32_t node = p.wakeHead; node >= 0;) {
+        const size_t slot = static_cast<size_t>(node >> 1);
+        RobEntry &d = rob_[slot];
+        node = d.wakeNext[node & 1];
+        d.readyAt = std::max(d.readyAt, p.doneCycle);
+        if (--d.pending == 0)
+            schedule(slot, d.readyAt, cycle);
+    }
+    p.wakeHead = -1;
+}
+
 int
 TimingCore::fetch(uint64_t cycle)
 {
     int budget = cfg_.fetchWidth;
     int n = static_cast<int>(streams_.size());
-    int partition = cfg_.robEntries / static_cast<int>(streams_.size());
     // SMT partitions the frontend: each hardware thread gets its slice
     // of the fetch bandwidth per cycle (Table IV: 1-wide per thread at
     // SMT-8), which is what costs SMT its single-thread latency.
@@ -196,38 +356,28 @@ TimingCore::fetch(uint64_t cycle)
     int fetched = 0;
 
     for (int i = 0; i < n && budget > 0; ++i) {
-        int si = (rrCursor_ + i) % n;
+        int si = rrCursor_ + i;
+        if (si >= n)
+            si -= n;
         StreamCtx &s = streams_[static_cast<size_t>(si)];
         int stream_budget = std::min(budget, per_stream);
         while (stream_budget > 0) {
-            if (s.exhausted && !s.hasPending)
+            if (s.exhausted)
                 break;
             if (s.waitingBranch || cycle < s.stallUntil) {
-                StallKind k = s.waitingBranch ? kStallFeBranch
-                                              : kStallFeRefill;
-                if (cfg_.eventDriven)
-                    ++cycleStalls_[k];
-                else
-                    res_.counters.add(kStallNames[k]);
+                stall(s.waitingBranch ? kStallFeBranch : kStallFeRefill);
                 break;
             }
-            if (robCount_ >= rob_.size() || s.inFlight >= partition) {
-                if (cfg_.eventDriven)
-                    ++cycleStalls_[kStallRobFull];
-                else
-                    res_.counters.add(kStallNames[kStallRobFull]);
+            if (robCount_ >= rob_.size() || s.inFlight() >= partition_) {
+                stall(kStallRobFull);
                 break;
-            }
-
-            if (!s.hasPending) {
-                if (!s.stream->next(s.pending)) {
-                    s.exhausted = true;
-                    break;
-                }
-                s.hasPending = true;
             }
 
             DynOp &op = s.pending;
+            if (!s.stream->next(op)) {
+                s.exhausted = true;
+                break;
+            }
             if (op.batchStart)
                 s.reqStart = cycle;
 
@@ -270,17 +420,28 @@ TimingCore::fetch(uint64_t cycle)
             if (slot >= rob_.size())
                 slot -= rob_.size();
             RobEntry &e = rob_[slot];
-            e.op.copyFrom(op);
-            e.stream = si;
             e.seq = ++s.fetchedSeq;
-            e.doneCycle = 0;
+            e.doneCycle = kNotIssued;
             e.reqStart = s.reqStart;
-            e.issued = false;
+            e.op = op.si->op;
+            e.complexAlu = op.si->alu == isa::AluKind::Mix ||
+                op.si->alu == isa::AluKind::ModImm;
+            e.endMask = op.endMask;
+            e.stream = static_cast<uint16_t>(si);
+            e.active = static_cast<uint8_t>(std::max(op.activeLanes(), 1));
             e.mispredicted = blocks_fetch;
-            s.doneAt[e.seq % kDoneRing] = UINT64_MAX;
+            e.wakeHead = -1;
+            e.polled = isFarDep(e.seq, op.dep1) || isFarDep(e.seq, op.dep2);
+            if (e.polled || isa::opInfo(e.op).isMem)
+                payload_[slot].copyFrom(op);
+            s.slotOf[e.seq & seqMask_] = static_cast<uint32_t>(slot);
+            waiting_.set(slot);
+            ++waitingCount_;
+            if (e.polled)
+                polled_.push_back(slot);
+            else
+                linkProducers(op, slot, s, cycle);
             ++robCount_;
-            ++s.inFlight;
-            s.hasPending = false;
             --budget;
             --stream_budget;
             ++fetched;
@@ -293,7 +454,8 @@ TimingCore::fetch(uint64_t cycle)
             }
         }
     }
-    rrCursor_ = (rrCursor_ + 1) % n;
+    if (++rrCursor_ == n)
+        rrCursor_ = 0;
     return fetched;
 }
 
@@ -304,117 +466,180 @@ TimingCore::issue(uint64_t cycle)
     while (!memInFlight_.empty() && memInFlight_.top() <= cycle)
         memInFlight_.pop();
 
+    // Readiness is settled before the walk: every latency is at least
+    // one cycle (CoreConfig::validate), so nothing issued this cycle
+    // completes this cycle and no op turns ready mid-walk.
+    if (nextReadyCount_ > 0) {
+        ready_.takeFrom(nextReady_);
+        readyCount_ += nextReadyCount_;
+        nextReadyCount_ = 0;
+    }
+    while (!wakeups_.empty() && wakeups_.top().at <= cycle) {
+        ready_.set(wakeups_.top().slot);
+        ++readyCount_;
+        wakeups_.pop();
+    }
+    for (size_t slot : polled_) {
+        const RobEntry &e = rob_[slot];
+        const StreamCtx &s = streams_[e.stream];
+        const DynOp &op = payload_[slot];
+        const bool now = ringDepReady(s, e.seq, op.dep1, cycle) &&
+            ringDepReady(s, e.seq, op.dep2, cycle);
+        if (now != ready_.test(slot)) {
+            if (now) {
+                ready_.set(slot);
+                ++readyCount_;
+            } else {
+                ready_.clear(slot);
+                --readyCount_;
+            }
+        }
+    }
+
+    size_t lo[2], hi[2];
+
+    // The scheduling window: the schedWindow oldest un-issued entries,
+    // i.e. ages up to just past the schedWindow-th waiting one.
+    const size_t window = static_cast<size_t>(cfg_.schedWindow);
+    size_t limit = robCount_;
+    if (waitingCount_ > window) {
+        uint64_t need = window;
+        const int nr = ringRanges(robCount_, lo, hi);
+        for (int r = 0; r < nr; ++r) {
+            const uint64_t c = waiting_.count(lo[r], hi[r]);
+            if (need <= c) {
+                limit = ageOf(waiting_.select(lo[r], need)) + 1;
+                break;
+            }
+            need -= c;
+        }
+    }
+
+    // Out of order, the walk visits only the ready entries; in order,
+    // only each stream's next op, whose successor joins once it issues.
+    // Either way it visits them oldest first, exactly as a scan of the
+    // whole window would reach them.
+    if (cfg_.inOrder) {
+        inOrderNext_.reset();
+        for (const StreamCtx &s : streams_) {
+            if (s.issuedSeq == s.fetchedSeq)
+                continue;
+            const size_t slot = s.slotOf[(s.issuedSeq + 1) & seqMask_];
+            if (ageOf(slot) < limit)
+                inOrderNext_.set(slot);
+        }
+    }
+    const SlotMask &visit = cfg_.inOrder ? inOrderNext_ : ready_;
+
     int budget = cfg_.issueWidth;
     int issued = 0;
-    size_t examined = 0;
-    // Start past the all-issued prefix (those entries would only be
-    // skipped) and keep the ring index incrementally: no div/mod on
-    // the hottest loop in the simulator.
-    const size_t rob_sz = rob_.size();
-    size_t slot = robHead_ + issuedPrefix_;
-    if (slot >= rob_sz)
-        slot -= rob_sz;
-    for (size_t i = issuedPrefix_; i < robCount_ && budget > 0 &&
-             examined < static_cast<size_t>(cfg_.schedWindow); ++i) {
-        RobEntry &e = rob_[slot];
-        if (++slot == rob_sz)
-            slot = 0;
-        if (e.issued) {
-            if (i == issuedPrefix_)
-                ++issuedPrefix_;
-            continue;
+    size_t end = limit;  // ages the scan examined
+    const int nr = ringRanges(limit, lo, hi);
+    for (int r = 0; r < nr && budget > 0; ++r) {
+        for (size_t slot = visit.next(lo[r], hi[r]); slot < hi[r];
+             slot = visit.next(slot + 1, hi[r])) {
+            RobEntry &e = rob_[slot];
+            StreamCtx &s = streams_[e.stream];
+
+            if (cfg_.inOrder && !ready_.test(slot)) {
+                stall(kStallDep);  // a stream's blocked next op
+                continue;
+            }
+
+            const isa::OpInfo &info = isa::opInfo(e.op);
+            if (info.isMem && memInFlight_.size() >=
+                    static_cast<size_t>(cfg_.lsqEntries)) {
+                stall(kStallLsq);
+                continue;
+            }
+
+            // Sub-batch interleaving: a per-lane computation occupies
+            // its FU for ceil(active / lanes) issue slots; inactive
+            // lanes are skipped (Fig. 8a). Pure control transfers
+            // (handled by the convergence optimizer), fences and memory
+            // ops take one slot: the LSQ allocates a single 8-wide row
+            // per batch instruction (Fig. 9) and the banked L1 models
+            // any access serialization.
+            uint32_t occupancy = 1;
+            switch (e.op) {
+              case isa::Op::IAlu:
+              case isa::Op::IMul:
+              case isa::Op::IDiv:
+              case isa::Op::FAlu:
+              case isa::Op::Simd:
+              case isa::Op::Branch:
+                occupancy = static_cast<uint32_t>(
+                    (e.active + cfg_.lanes - 1) / cfg_.lanes);
+                break;
+              default:
+                break;
+            }
+            if (!claimPort(cycle, info.fu, occupancy)) {
+                stall(kStallPort);
+                continue;
+            }
+
+            uint32_t lat = executeAt(cycle, e, slot);
+            e.doneCycle = cycle + occupancy - 1 + lat;
+            // A completion at cycle+1 can never bound a skip: the
+            // earliest possible no-progress cycle is already cycle+1
+            // (this cycle issued something), where that completion is
+            // in the past. So single-cycle ops -- the bulk of the mix
+            // -- skip the heap.
+            if (cfg_.eventDriven && e.doneCycle > cycle + 1)
+                completions_.push(e.doneCycle);
+            waiting_.clear(slot);
+            ready_.clear(slot);
+            --waitingCount_;
+            --readyCount_;
+            if (e.polled) {
+                auto it = std::find(polled_.begin(), polled_.end(), slot);
+                *it = polled_.back();
+                polled_.pop_back();
+            }
+            wakeWaiters(e, cycle);
+            if (cfg_.inOrder) {
+                s.issuedSeq = e.seq;
+                if (e.seq != s.fetchedSeq) {
+                    const size_t next = s.slotOf[(e.seq + 1) & seqMask_];
+                    if (ageOf(next) < limit)
+                        inOrderNext_.set(next);
+                }
+            }
+            ++issued;
+            hot(kHotIqWakeup);
+
+            // Register file activity (per active lane).
+            hot(kHotRegRead, 2 * static_cast<uint64_t>(e.active));
+            if (info.writesReg)
+                hot(kHotRegWrite, e.active);
+
+            if (e.mispredicted) {
+                // Fetch resumes after resolution plus the refill depth.
+                s.stallUntil = e.doneCycle +
+                    static_cast<uint64_t>(cfg_.frontendDepth);
+                s.waitingBranch = false;
+            }
+
+            if (--budget == 0) {
+                end = ageOf(slot) + 1;
+                break;
+            }
         }
-        ++examined;
+    }
 
-        StreamCtx &s = streams_[static_cast<size_t>(e.stream)];
-        if (cfg_.inOrder && e.seq != s.issuedSeq + 1)
-            continue;
-
-        // Dependence check via the per-stream completion ring.
-        auto ready = [&](uint16_t dep) {
-            if (dep == 0 || dep >= kDoneRing || e.seq <= dep)
-                return true;
-            uint64_t pseq = e.seq - dep;
-            return s.doneAt[pseq % kDoneRing] <= cycle;
-        };
-        if (!ready(e.op.dep1) || !ready(e.op.dep2)) {
-            if (cfg_.eventDriven)
-                ++cycleStalls_[kStallDep];
-            else
-                res_.counters.add(kStallNames[kStallDep]);
-            continue;
+    // Out of order, every un-issued entry the scan reached and found
+    // not ready is a dependence stall, counted in bulk. (In order the
+    // scan skips all but each stream's next op; those counted above.)
+    if (!cfg_.inOrder) {
+        uint64_t not_ready = waitingCount_ - readyCount_;
+        if (end != robCount_) {
+            not_ready = 0;
+            const int ne = ringRanges(end, lo, hi);
+            for (int r = 0; r < ne; ++r)
+                not_ready += waiting_.countAndNot(ready_, lo[r], hi[r]);
         }
-
-        if (e.op.isMem() &&
-            memInFlight_.size() >=
-                static_cast<size_t>(cfg_.lsqEntries)) {
-            if (cfg_.eventDriven)
-                ++cycleStalls_[kStallLsq];
-            else
-                res_.counters.add(kStallNames[kStallLsq]);
-            continue;
-        }
-
-        // Sub-batch interleaving: a per-lane computation occupies its FU
-        // for ceil(active / lanes) issue slots; inactive lanes are
-        // skipped (Fig. 8a). Pure control transfers (handled by the
-        // convergence optimizer), fences and memory ops take one slot:
-        // the LSQ allocates a single 8-wide row per batch instruction
-        // (Fig. 9) and the banked L1 models any access serialization.
-        uint32_t occupancy = 1;
-        switch (e.op.si->op) {
-          case isa::Op::IAlu:
-          case isa::Op::IMul:
-          case isa::Op::IDiv:
-          case isa::Op::FAlu:
-          case isa::Op::Simd:
-          case isa::Op::Branch:
-            occupancy = static_cast<uint32_t>(
-                (std::max(e.op.activeLanes(), 1) + cfg_.lanes - 1) /
-                cfg_.lanes);
-            break;
-          default:
-            break;
-        }
-        if (!claimPort(cycle, e.op, occupancy)) {
-            if (cfg_.eventDriven)
-                ++cycleStalls_[kStallPort];
-            else
-                res_.counters.add(kStallNames[kStallPort]);
-            continue;
-        }
-
-        uint32_t lat = executeAt(cycle, e);
-        e.doneCycle = cycle + occupancy - 1 + lat;
-        // A completion at cycle+1 can never bound a skip: the earliest
-        // possible no-progress cycle is already cycle+1 (this cycle
-        // issued something), where that completion is in the past. So
-        // single-cycle ops -- the bulk of the mix -- skip the heap.
-        if (cfg_.eventDriven && e.doneCycle > cycle + 1)
-            completions_.push(e.doneCycle);
-        e.issued = true;
-        if (i == issuedPrefix_)
-            ++issuedPrefix_;
-        s.doneAt[e.seq % kDoneRing] = e.doneCycle;
-        if (cfg_.inOrder)
-            s.issuedSeq = e.seq;
-        --budget;
-        ++issued;
-        hot(kHotIqWakeup);
-
-        // Register file activity (per active lane).
-        uint64_t active =
-            static_cast<uint64_t>(std::max(e.op.activeLanes(), 1));
-        hot(kHotRegRead, 2 * active);
-        if (isa::opInfo(e.op.si->op).writesReg)
-            hot(kHotRegWrite, active);
-
-        if (e.mispredicted) {
-            // Fetch resumes after resolution plus the refill depth.
-            s.stallUntil = e.doneCycle +
-                static_cast<uint64_t>(cfg_.frontendDepth);
-            s.waitingBranch = false;
-        }
+        stall(kStallDep, not_ready);
     }
     return issued;
 }
@@ -426,28 +651,25 @@ TimingCore::commit(uint64_t cycle)
     int committed = 0;
     while (robCount_ > 0 && budget > 0) {
         RobEntry &e = rob_[robHead_];
-        if (!e.issued || e.doneCycle > cycle)
-            break;
-        StreamCtx &s = streams_[static_cast<size_t>(e.stream)];
+        if (e.doneCycle > cycle)
+            break;  // not issued (kNotIssued) or still executing
+        StreamCtx &s = streams_[e.stream];
 
         hot(kHotRobCommit);
         ++res_.batchOps;
-        res_.scalarInsts +=
-            static_cast<uint64_t>(std::max(e.op.activeLanes(), 1));
+        res_.scalarInsts += e.active;
 
-        if (e.op.endMask) {
-            int ended = trace::popcount(e.op.endMask);
+        if (e.endMask) {
+            int ended = trace::popcount(e.endMask);
             res_.reqLatency.addN(static_cast<double>(cycle - e.reqStart),
                                  static_cast<uint64_t>(ended));
             res_.requests += static_cast<uint64_t>(ended);
         }
 
+        s.committedSeq = e.seq;
         if (++robHead_ == rob_.size())
             robHead_ = 0;
         --robCount_;
-        if (issuedPrefix_ > 0)
-            --issuedPrefix_;
-        --s.inFlight;
         --budget;
         ++committed;
     }
@@ -510,12 +732,24 @@ TimingCore::run(const std::vector<trace::DynStream *> &streams,
         streams_[i].stream = streams[i];
         streams_[i].bpred =
             std::make_unique<BatchBpred>(cfg_.majorityVoteBp);
-        streams_[i].doneAt.assign(kDoneRing, 0);
+        streams_[i].slotOf.assign(seqMask_ + 1, 0);
     }
     robHead_ = 0;
     robCount_ = 0;
-    issuedPrefix_ = 0;
     rrCursor_ = 0;
+    waiting_.reset();
+    ready_.reset();
+    nextReady_.reset();
+    waitingCount_ = 0;
+    readyCount_ = 0;
+    nextReadyCount_ = 0;
+    polled_.clear();
+    while (!wakeups_.empty())
+        wakeups_.pop();
+    partition_ = static_cast<uint64_t>(cfg_.robEntries) / streams_.size();
+    // A dependence can alias a younger in-flight op when the producer's
+    // horizon twin fits in one ROB partition (see kMaxDepDistance).
+    farDep_ = static_cast<uint16_t>(kMaxDepDistance + 1 - partition_);
     {
         // Same expression the per-op path used to evaluate, hoisted:
         // the accumulator step is a run constant.
@@ -540,10 +774,9 @@ TimingCore::run(const std::vector<trace::DynStream *> &streams,
     uint64_t cycle = 0;
     if (!cfg_.eventDriven) {
         // The per-cycle reference loop: tick every simulated cycle,
-        // stall counters recorded per occurrence straight into the
-        // CounterSet (the original accounting). The determinism gate
-        // compares the event-driven loop below against this, so it
-        // stays deliberately plain.
+        // stall counters recorded straight into the CounterSet as they
+        // occur. The determinism gate compares the event-driven loop
+        // below against this, so it stays deliberately plain.
         for (; cycle < max_cycles && !allDrained(); ++cycle) {
             commit(cycle);
             issue(cycle);
@@ -589,8 +822,11 @@ TimingCore::run(const std::vector<trace::DynStream *> &streams,
             } else {
                 ++cycle;
             }
-            for (int k = 0; k < kNumStallKinds; ++k)
-                stallTotals_[k] += cycleStalls_[k] * span;
+            // stall() already counted this cycle once; replay its
+            // pattern over the skipped ones.
+            if (span > 1)
+                for (int k = 0; k < kNumStallKinds; ++k)
+                    stallTotals_[k] += cycleStalls_[k] * (span - 1);
         }
     }
     if (!allDrained())

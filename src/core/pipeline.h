@@ -24,6 +24,7 @@
 #ifndef SIMR_CORE_PIPELINE_H
 #define SIMR_CORE_PIPELINE_H
 
+#include <algorithm>
 #include <memory>
 #include <queue>
 #include <vector>
@@ -134,15 +135,104 @@ class TimingCore
     const CoreConfig &config() const { return cfg_; }
 
   private:
-    struct RobEntry
+    /** doneCycle of an entry that has not issued yet. */
+    static constexpr uint64_t kNotIssued = UINT64_MAX;
+
+    /**
+     * The dependence horizon: each stream's completion state is a ring
+     * of this many ops indexed by seq, so a distance at or beyond it is
+     * treated as satisfied, and the slot of seq - dep holds the latest
+     * fetched op of that residue -- for a distance within one ROB
+     * partition of the horizon, a younger op still in flight rather
+     * than the long-retired producer. Ops with such "far" dependences
+     * are polled against that rule each cycle (see ringDepReady);
+     * every other op is woken by its producers.
+     */
+    static constexpr uint16_t kMaxDepDistance = 8192;
+
+    /**
+     * The hot header of one ROB entry: everything fetch, issue and
+     * commit touch, in one cache line. A memory op's lane addresses
+     * live in `payload_` at the same slot and are copied only for
+     * memory ops.
+     */
+    struct alignas(64) RobEntry
     {
-        trace::DynOp op;
-        int stream = 0;
-        uint64_t seq = 0;
-        uint64_t doneCycle = 0;
-        uint64_t reqStart = 0;   ///< latency clock of this op's request
-        bool issued = false;
+        uint64_t seq = 0;            ///< per-stream sequence number
+        uint64_t doneCycle = 0;      ///< kNotIssued until issue
+        /**
+         * Latest doneCycle among the producers that have issued; final
+         * (the cycle the op can issue at) once `pending` reaches 0.
+         */
+        uint64_t readyAt = 0;
+        uint64_t reqStart = 0;       ///< latency clock of this op's request
+        trace::Mask endMask = 0;     ///< requests ending at commit
+        /** Waiter list of this op as producer: node = slot * 2 + k. */
+        int32_t wakeHead = -1;
+        /** Next node in the list of this op's k-th producer. */
+        int32_t wakeNext[2] = {-1, -1};
+        uint16_t stream = 0;
+        isa::Op op = isa::Op::Nop;
+        bool complexAlu = false;     ///< hash/modulo IAlu (complexAluLat)
+        uint8_t active = 1;          ///< active lanes, at least 1
+        uint8_t pending = 0;         ///< producers not yet issued
         bool mispredicted = false;
+        bool polled = false;         ///< has a far dependence
+    };
+
+    /**
+     * One bit per ROB slot. Issue walks entries by age; ages [0, n)
+     * are at most two slot ranges of the ring (see ringRanges).
+     */
+    class SlotMask
+    {
+      public:
+        void init(size_t bits) { w_.assign((bits + 63) / 64, 0); }
+        void reset() { std::fill(w_.begin(), w_.end(), 0); }
+        void set(size_t i) { w_[i >> 6] |= 1ULL << (i & 63); }
+        void clear(size_t i) { w_[i >> 6] &= ~(1ULL << (i & 63)); }
+        bool test(size_t i) const { return (w_[i >> 6] >> (i & 63)) & 1; }
+
+        /** First set bit in [i, end), or `end` if there is none. */
+        size_t
+        next(size_t i, size_t end) const
+        {
+            if (i >= end)
+                return end;
+            size_t wi = i >> 6;
+            uint64_t word = w_[wi] & (~0ULL << (i & 63));
+            while (word == 0) {
+                if ((++wi << 6) >= end)
+                    return end;
+                word = w_[wi];
+            }
+            size_t at = (wi << 6) + static_cast<size_t>(__builtin_ctzll(word));
+            return at < end ? at : end;
+        }
+
+        /** this |= o, then o = 0. */
+        void takeFrom(SlotMask &o);
+
+        /** Set bits in [lo, hi). */
+        uint64_t count(size_t lo, size_t hi) const;
+
+        /** Set bits of (this & ~o) in [lo, hi). */
+        uint64_t countAndNot(const SlotMask &o, size_t lo, size_t hi) const;
+
+        /** The n-th (n >= 1) set bit at or after `lo`; there must be one. */
+        size_t select(size_t lo, uint64_t n) const;
+
+      private:
+        std::vector<uint64_t> w_;
+    };
+
+    /** A dependent whose operands complete at `at`, in ROB `slot`. */
+    struct Wakeup
+    {
+        uint64_t at;
+        uint32_t slot;
+
+        bool operator>(const Wakeup &o) const { return at > o.at; }
     };
 
     struct StreamCtx
@@ -151,15 +241,17 @@ class TimingCore
         std::unique_ptr<BatchBpred> bpred;
         uint64_t fetchedSeq = 0;      ///< ops fetched so far
         uint64_t issuedSeq = 0;       ///< in-order issue cursor
-        std::vector<uint64_t> doneAt; ///< doneCycle ring, by seq
+        uint64_t committedSeq = 0;    ///< ops retired so far
+        std::vector<uint32_t> slotOf; ///< ROB slot by seq, for in-flight ops
         bool exhausted = false;
         bool waitingBranch = false;   ///< unresolved blocking branch
         uint64_t stallUntil = 0;
-        int inFlight = 0;             ///< ROB partition occupancy
         uint64_t reqStart = 0;
         uint64_t icacheAccum = 0;     ///< scaled i-miss accumulator
-        trace::DynOp pending;
-        bool hasPending = false;
+        trace::DynOp pending;         ///< the op being fetched
+
+        /** ROB partition occupancy. */
+        uint64_t inFlight() const { return fetchedSeq - committedSeq; }
     };
 
     bool allDrained() const;
@@ -172,23 +264,83 @@ class TimingCore
     /// @}
 
     /** Compute execution latency and perform side effects at issue. */
-    uint32_t executeAt(uint64_t cycle, RobEntry &e);
+    uint32_t executeAt(uint64_t cycle, const RobEntry &e, size_t slot);
 
-    /** Claim an FU port of the op's class; false if none this cycle. */
-    bool claimPort(uint64_t cycle, const trace::DynOp &op,
-                   uint32_t occupancy);
-
-    /** Count a HotCtr event: flat array (event mode) or map (ref). */
-    void hot(int k, uint64_t n = 1);
+    /** Claim an FU port of class `fu`; false if none this cycle. */
+    bool claimPort(uint64_t cycle, isa::FuClass fu, uint32_t occupancy);
 
     /**
-     * Stall-counter kinds. In event-driven mode these are recorded per
-     * cycle into a scratch array so a no-progress cycle's pattern can be
-     * replayed N times in O(1) when the loop skips N identical cycles
-     * (and so the hot loop never touches the CounterSet map; totals land
-     * in `res_.counters` once, at the end of run()). The per-cycle
-     * reference loop keeps the original per-occurrence
-     * `res_.counters.add` accounting -- same final counts, seed cost.
+     * Register the op in `slot` (just fetched at `cycle`) as a waiter
+     * on its producers that have not issued; fold the doneCycles of
+     * those that have into its readyAt.
+     */
+    void linkProducers(const trace::DynOp &op, size_t slot,
+                       StreamCtx &s, uint64_t cycle);
+
+    /** The producer in `slot` issued at `cycle`: wake its waiters. */
+    void wakeWaiters(RobEntry &p, uint64_t cycle);
+
+    /**
+     * Whether dependence `dep` of op `seq` is complete at `cycle`
+     * under the completion-ring rule (see kMaxDepDistance).
+     */
+    bool ringDepReady(const StreamCtx &s, uint64_t seq, uint16_t dep,
+                      uint64_t cycle) const;
+
+    /** Whether `dep` names a producer of op `seq` within the horizon. */
+    static bool
+    hasDep(uint64_t seq, uint16_t dep)
+    {
+        return dep != 0 && dep < kMaxDepDistance && seq > dep;
+    }
+
+    /** Whether `dep` of op `seq` can alias a younger op in flight. */
+    bool
+    isFarDep(uint64_t seq, uint16_t dep) const
+    {
+        return hasDep(seq, dep) && dep >= farDep_;
+    }
+
+    /**
+     * The op in `slot` can issue from `ready_at` on; schedule its
+     * ready bit. Called during `cycle`'s issue or fetch, so the next
+     * issue is at cycle + 1 at the earliest.
+     */
+    void schedule(size_t slot, uint64_t ready_at, uint64_t cycle);
+
+    size_t
+    ageOf(size_t slot) const
+    {
+        return slot >= robHead_ ? slot - robHead_
+                                : slot + rob_.size() - robHead_;
+    }
+
+    /**
+     * The ROB slots of ages [0, n) as `lo[r], hi[r]` ranges, oldest
+     * first; returns their number (1, or 2 when the span wraps).
+     */
+    int
+    ringRanges(size_t n, size_t lo[2], size_t hi[2]) const
+    {
+        lo[0] = robHead_;
+        if (robHead_ + n <= rob_.size()) {
+            hi[0] = robHead_ + n;
+            return 1;
+        }
+        hi[0] = rob_.size();
+        lo[1] = 0;
+        hi[1] = robHead_ + n - rob_.size();
+        return 2;
+    }
+
+    /**
+     * Stall-counter kinds. In event-driven mode these add into flat
+     * whole-run totals and into a per-cycle scratch array, so a
+     * no-progress cycle's pattern can be replayed N times in O(1) when
+     * the loop skips N identical cycles (and the hot loop never touches
+     * the CounterSet map; totals land in `res_.counters` once, at the
+     * end of run()). The per-cycle reference loop adds straight into
+     * the CounterSet -- same final counts.
      */
     enum StallKind {
         kStallDep = 0,   ///< operand not complete
@@ -221,6 +373,34 @@ class TimingCore
         kNumHotCtrs,
     };
 
+    /** Count `n` stall events of kind `k` (n may be 0). */
+    void
+    stall(StallKind k, uint64_t n = 1)
+    {
+        if (cfg_.eventDriven) {
+            cycleStalls_[k] += n;
+            stallTotals_[k] += n;
+        } else if (n > 0) {
+            stallRef(k, n);
+        }
+    }
+
+    /** Count a HotCtr event: flat array (event mode) or map (ref). */
+    void
+    hot(HotCtr k, uint64_t n = 1)
+    {
+        if (cfg_.eventDriven)
+            hotCtrs_[k] += n;
+        else
+            hotRef(k, n);
+    }
+
+    /** @name The reference mode's CounterSet adds. */
+    /// @{
+    void stallRef(StallKind k, uint64_t n);
+    void hotRef(HotCtr k, uint64_t n);
+    /// @}
+
     /**
      * First cycle after `cycle` at which a stalled core can change
      * state: the earliest completion among issued in-flight ops (from
@@ -233,28 +413,36 @@ class TimingCore
      */
     uint64_t nextEventCycle(uint64_t cycle);
 
-    static constexpr size_t kDoneRing = 8192;
-
     CoreConfig cfg_;
     mem::AddressMap map_;
     mem::Mcu mcu_;
     mem::MemoryHierarchy hier_;
 
     std::vector<StreamCtx> streams_;
-    std::vector<RobEntry> rob_;      ///< ring buffer
+    std::vector<RobEntry> rob_;        ///< ring buffer of hot headers
+    std::vector<trace::DynOp> payload_; ///< lane addresses, memory ops only
     size_t robHead_ = 0;
     size_t robCount_ = 0;
-    /**
-     * Length of the longest known all-issued prefix of the ROB (from
-     * robHead_). The issue scan starts past it -- in memory-bound
-     * phases most unretired entries are issued ops parked at the head
-     * waiting on a long-latency load, and rescanning them every cycle
-     * is the single hottest loop in the simulator. Grows when the entry
-     * at its boundary issues, shrinks by one per retirement.
-     */
-    size_t issuedPrefix_ = 0;
+    size_t seqMask_ = 0;               ///< StreamCtx::slotOf ring mask
     int rrCursor_ = 0;
     uint64_t icacheStep_ = 0;  ///< per-op i-miss accumulator increment
+
+    /** @name Issue bookkeeping, by ROB slot. */
+    /// @{
+    SlotMask waiting_;     ///< fetched, not yet issued
+    SlotMask ready_;       ///< waiting, operands complete by this cycle
+    SlotMask nextReady_;   ///< operands complete by the next issue
+    SlotMask inOrderNext_; ///< in-order: each stream's next op to issue
+    size_t waitingCount_ = 0;    ///< bits set in waiting_
+    size_t readyCount_ = 0;      ///< bits set in ready_
+    size_t nextReadyCount_ = 0;  ///< bits set in nextReady_
+    std::vector<size_t> polled_;  ///< slots of un-issued far-dep ops
+    uint64_t partition_ = 0;      ///< ROB entries per stream
+    uint16_t farDep_ = 0;         ///< smallest far dependence distance
+    /** Waiters whose operands complete after the next issue. */
+    std::priority_queue<Wakeup, std::vector<Wakeup>,
+                        std::greater<Wakeup>> wakeups_;
+    /// @}
 
     std::vector<uint64_t> intPorts_, mulPorts_, simdPorts_, memPorts_,
         brPorts_, fpPorts_;

@@ -15,7 +15,10 @@
 #ifndef SIMR_ISA_ISA_H
 #define SIMR_ISA_ISA_H
 
+#include <cstddef>
 #include <cstdint>
+
+#include "common/logging.h"
 
 namespace simr::isa
 {
@@ -109,8 +112,45 @@ struct OpInfo
     bool writesReg;
 };
 
-/** Look up metadata for an opcode. */
-const OpInfo &opInfo(Op op);
+namespace detail
+{
+
+constexpr OpInfo kOpTable[] = {
+    // name       fu                   mem    ctrl   writes
+    {"ialu",      FuClass::IntAlu,     false, false, true},
+    {"imul",      FuClass::IntMul,     false, false, true},
+    {"idiv",      FuClass::IntDiv,     false, false, true},
+    {"falu",      FuClass::FpAlu,      false, false, true},
+    {"simd",      FuClass::SimdUnit,   false, false, true},
+    {"load",      FuClass::LoadStore,  true,  false, true},
+    {"store",     FuClass::LoadStore,  true,  false, false},
+    {"atomic",    FuClass::LoadStore,  true,  false, true},
+    {"branch",    FuClass::BranchUnit, false, true,  false},
+    {"jump",      FuClass::BranchUnit, false, true,  false},
+    {"call",      FuClass::BranchUnit, false, true,  false},
+    {"ret",       FuClass::BranchUnit, false, true,  false},
+    {"syscall",   FuClass::SysUnit,    false, false, true},
+    {"fence",     FuClass::LoadStore,  false, false, false},
+    {"nop",       FuClass::IntAlu,     false, false, false},
+};
+
+static_assert(sizeof(kOpTable) / sizeof(kOpTable[0]) ==
+              static_cast<size_t>(Op::NumOps),
+              "op table out of sync with Op enum");
+
+} // namespace detail
+
+/**
+ * Look up metadata for an opcode. Inline: the timing core asks for it
+ * several times per simulated instruction.
+ */
+inline const OpInfo &
+opInfo(Op op)
+{
+    auto idx = static_cast<size_t>(op);
+    simr_assert(idx < static_cast<size_t>(Op::NumOps), "bad opcode");
+    return detail::kOpTable[idx];
+}
 
 /** Short printable name for an opcode. */
 inline const char *opName(Op op) { return opInfo(op).name; }

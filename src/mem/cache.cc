@@ -1,5 +1,8 @@
 #include "mem/cache.h"
 
+#include <cstring>
+#include <type_traits>
+
 #include "common/logging.h"
 
 namespace simr::mem
@@ -25,46 +28,42 @@ Cache::Cache(CacheConfig cfg)
     numSets_ = static_cast<uint32_t>(num_lines / cfg_.assoc);
     simr_assert((numSets_ & (numSets_ - 1)) == 0,
                 "cache set count must be a power of two");
-    lines_.resize(static_cast<size_t>(numSets_) * cfg_.assoc);
-    mruWay_.assign(numSets_, 0);
+    lineShift_ = static_cast<unsigned>(__builtin_ctz(cfg_.lineBytes));
+    setShift_ = static_cast<unsigned>(__builtin_ctz(numSets_));
+    auto pow2 = [](uint32_t v) { return (v & (v - 1)) == 0; };
+    if (pow2(cfg_.bankInterleave) && pow2(cfg_.banks))
+        bankShift_ = __builtin_ctz(cfg_.bankInterleave);
+    lines_ = zeroArray<Line>(static_cast<size_t>(numSets_) * cfg_.assoc);
+    mruWay_ = zeroArray<uint32_t>(numSets_);
+}
+
+template <typename T>
+Cache::ZeroArray<T>
+Cache::zeroArray(size_t n)
+{
+    static_assert(std::is_trivially_copyable_v<T>,
+                  "calloc'd storage must be valid as all-zero bytes");
+    ZeroArray<T> a(static_cast<T *>(std::calloc(n, sizeof(T))));
+    simr_assert(a != nullptr, "cache tag array allocation failed");
+    return a;
 }
 
 uint32_t
 Cache::setOf(Addr paddr) const
 {
-    return static_cast<uint32_t>((paddr / cfg_.lineBytes) & (numSets_ - 1));
+    return static_cast<uint32_t>((paddr >> lineShift_) & (numSets_ - 1));
 }
 
 Addr
 Cache::tagOf(Addr paddr) const
 {
-    return paddr / cfg_.lineBytes / numSets_;
+    return paddr >> lineShift_ >> setShift_;
 }
 
 bool
-Cache::access(Addr paddr, bool is_store)
+Cache::accessScan(uint32_t set, Addr tag, bool is_store)
 {
-    ++stats_.accesses;
-    if (is_store)
-        ++stats_.storeAccesses;
-    ++tick_;
-
-    // Set/tag share one line-number division; the MRU way hint resolves
-    // the common repeat-hit case without scanning the set. Both are
-    // stats-neutral: hit/miss/writeback counts and the LRU victim are
-    // exactly what the full scan computes.
-    Addr line_num = paddr / cfg_.lineBytes;
-    uint32_t set = static_cast<uint32_t>(line_num & (numSets_ - 1));
-    Addr tag = line_num / numSets_;
     Line *base = &lines_[static_cast<size_t>(set) * cfg_.assoc];
-
-    Line &hinted = base[mruWay_[set]];
-    if (hinted.valid && hinted.tag == tag) {
-        hinted.lru = tick_;
-        hinted.dirty = hinted.dirty || is_store;
-        return true;
-    }
-
     Line *victim = base;
     for (uint32_t w = 0; w < cfg_.assoc; ++w) {
         Line &l = base[w];
@@ -107,9 +106,15 @@ Cache::probe(Addr paddr) const
 void
 Cache::reset()
 {
-    for (auto &l : lines_)
-        l = Line();
-    mruWay_.assign(numSets_, 0);
+    // tick_ counts accesses since construction or the last reset, and
+    // only access() writes the tag arrays: an untouched cache -- a new
+    // core's, reset at the start of its first run -- is already clean.
+    if (tick_ != 0) {
+        const size_t lines = static_cast<size_t>(numSets_) * cfg_.assoc;
+        std::memset(static_cast<void *>(lines_.get()), 0,
+                    lines * sizeof(Line));
+        std::memset(mruWay_.get(), 0, numSets_ * sizeof(uint32_t));
+    }
     tick_ = 0;
     stats_ = CacheStats();
 }

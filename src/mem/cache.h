@@ -9,8 +9,9 @@
 #define SIMR_MEM_CACHE_H
 
 #include <cstdint>
+#include <cstdlib>
+#include <memory>
 #include <string>
-#include <vector>
 
 #include "mem/address_space.h"
 
@@ -64,7 +65,31 @@ class Cache
      * @param is_store marks the line dirty on hit/fill
      * @return true on hit
      */
-    bool access(Addr paddr, bool is_store);
+    bool
+    access(Addr paddr, bool is_store)
+    {
+        ++stats_.accesses;
+        if (is_store)
+            ++stats_.storeAccesses;
+        ++tick_;
+
+        // Set/tag share one line-number shift (line size and set count
+        // are powers of two); the MRU way hint resolves the common
+        // repeat hit without scanning the set. Both are stats-neutral:
+        // hit/miss/writeback counts and the LRU victim are exactly what
+        // the full scan computes.
+        Addr line_num = paddr >> lineShift_;
+        uint32_t set = static_cast<uint32_t>(line_num & (numSets_ - 1));
+        Addr tag = line_num >> setShift_;
+        Line &hinted = lines_[static_cast<size_t>(set) * cfg_.assoc +
+                              mruWay_[set]];
+        if (hinted.valid && hinted.tag == tag) {
+            hinted.lru = tick_;
+            hinted.dirty = hinted.dirty || is_store;
+            return true;
+        }
+        return accessScan(set, tag, is_store);
+    }
 
     /** Non-mutating lookup. */
     bool probe(Addr paddr) const;
@@ -76,6 +101,11 @@ class Cache
     uint32_t
     bankOf(Addr paddr) const
     {
+        // Shift and mask when the geometry is a power of two (every
+        // Table IV cache), saving two divisions per access.
+        if (bankShift_ >= 0)
+            return static_cast<uint32_t>((paddr >> bankShift_) &
+                                         (cfg_.banks - 1));
         return static_cast<uint32_t>(
             (paddr / cfg_.bankInterleave) % cfg_.banks);
     }
@@ -87,6 +117,7 @@ class Cache
     uint32_t numSets() const { return numSets_; }
 
   private:
+    /** A tag entry; all-zero bytes are the invalid, clean line. */
     struct Line
     {
         Addr tag = 0;
@@ -95,13 +126,35 @@ class Cache
         bool dirty = false;
     };
 
+    struct FreeDeleter
+    {
+        void operator()(void *p) const { std::free(p); }
+    };
+
+    /**
+     * A zero-filled array from calloc. A large one comes straight from
+     * fresh pages the kernel zeroes on first touch, so the sets a run
+     * never touches cost nothing.
+     */
+    template <typename T>
+    using ZeroArray = std::unique_ptr<T[], FreeDeleter>;
+
+    template <typename T>
+    static ZeroArray<T> zeroArray(size_t n);
+
+    /** Miss on the MRU way: scan the set, fill the LRU victim. */
+    bool accessScan(uint32_t set, Addr tag, bool is_store);
+
     uint32_t setOf(Addr paddr) const;
     Addr tagOf(Addr paddr) const;
 
     CacheConfig cfg_;
     uint32_t numSets_;
-    std::vector<Line> lines_;  ///< numSets_ x assoc, row-major
-    std::vector<uint32_t> mruWay_;  ///< per-set MRU way hint
+    unsigned lineShift_;       ///< log2(lineBytes)
+    unsigned setShift_;        ///< log2(numSets_)
+    int bankShift_ = -1;       ///< log2(bankInterleave), -1: divide
+    ZeroArray<Line> lines_;    ///< numSets_ x assoc, row-major
+    ZeroArray<uint32_t> mruWay_;  ///< per-set MRU way hint
     uint64_t tick_ = 0;
     CacheStats stats_;
 };

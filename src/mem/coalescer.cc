@@ -22,25 +22,21 @@ Mcu::coalesce(const trace::DynOp &op, std::vector<MemAccess> &out)
     ++stats_.batchMemInsts;
     stats_.laneAccesses += static_cast<uint64_t>(n);
 
-    auto line_of = [this](Addr a) { return a - (a % lineBytes_); };
+    auto line_of = [this](Addr a) { return a & ~(Addr{lineBytes_} - 1); };
 
-    auto emit_unique_lines = [&](auto get_addr, int count,
-                                 uint32_t bytes_per) {
-        // Collect the distinct physical lines covered by all accesses.
-        // count * words is at most 64, so a small vector + sort is fast.
-        std::vector<Addr> lines;
-        lines.reserve(static_cast<size_t>(count) * 2);
-        for (int i = 0; i < count; ++i) {
-            Addr pa = get_addr(i);
-            Addr first = line_of(pa);
-            Addr last = line_of(pa + bytes_per - 1);
-            for (Addr l = first; l <= last; l += lineBytes_)
-                lines.push_back(l);
-        }
-        std::sort(lines.begin(), lines.end());
-        lines.erase(std::unique(lines.begin(), lines.end()), lines.end());
-        for (Addr l : lines)
-            out.push_back({l, is_store, is_atomic});
+    // Sort the lines pushed to `out` and drop repeats. They are built
+    // in `out` itself, whose capacity the caller keeps across ops, so
+    // coalescing allocates nothing once it is warm.
+    auto dedup_lines = [&out]() {
+        std::sort(out.begin(), out.end(),
+                  [](const MemAccess &a, const MemAccess &b) {
+                      return a.paddr < b.paddr;
+                  });
+        out.erase(std::unique(out.begin(), out.end(),
+                              [](const MemAccess &a, const MemAccess &b) {
+                                  return a.paddr == b.paddr;
+                              }),
+                  out.end());
     };
 
     // Scalar op: nothing to coalesce.
@@ -84,19 +80,13 @@ Mcu::coalesce(const trace::DynOp &op, std::vector<MemAccess> &out)
     if (all_stack && map_.interleavesStacks()) {
         // The 4-byte interleave splits a multi-word access into
         // non-contiguous physical words: map every word separately.
-        std::vector<Addr> lines;
-        lines.reserve(static_cast<size_t>(n) * (size / 4 + 1));
         for (int i = 0; i < n; ++i) {
             for (uint32_t w = 0; w < size; w += 4) {
                 Addr pa = map_.toPhysical(op.addr[i] + w);
-                lines.push_back(line_of(pa));
+                out.push_back({line_of(pa), is_store, is_atomic});
             }
         }
-        std::sort(lines.begin(), lines.end());
-        lines.erase(std::unique(lines.begin(), lines.end()),
-                    lines.end());
-        for (Addr l : lines)
-            out.push_back({l, is_store, is_atomic});
+        dedup_lines();
         ++stats_.stackCoalesced;
         stats_.generatedAccesses += out.size();
         return CoalesceKind::Stack;
@@ -112,8 +102,14 @@ Mcu::coalesce(const trace::DynOp &op, std::vector<MemAccess> &out)
         }
     }
     if (consecutive) {
-        emit_unique_lines(
-            [&](int i) { return map_.toPhysical(op.addr[i]); }, n, size);
+        // Every line each lane's access covers.
+        for (int i = 0; i < n; ++i) {
+            Addr pa = map_.toPhysical(op.addr[i]);
+            Addr last = line_of(pa + size - 1);
+            for (Addr l = line_of(pa); l <= last; l += lineBytes_)
+                out.push_back({l, is_store, is_atomic});
+        }
+        dedup_lines();
         ++stats_.consecutive;
         stats_.generatedAccesses += out.size();
         return CoalesceKind::Consecutive;

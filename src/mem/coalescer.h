@@ -19,6 +19,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/logging.h"
 #include "mem/address_space.h"
 #include "trace/dynop.h"
 
@@ -68,12 +69,16 @@ class Mcu
   public:
     Mcu(const AddressMap &map, uint32_t line_bytes = 32)
         : map_(map), lineBytes_(line_bytes)
-    {}
+    {
+        simr_assert(line_bytes > 0 && (line_bytes & (line_bytes - 1)) == 0,
+                    "MCU line size must be a power of two");
+    }
 
     /**
      * Coalesce one (possibly batched) memory DynOp into line accesses.
      * @param op the memory instruction (addrCount lane addresses)
-     * @param out cleared and filled with generated accesses
+     * @param out cleared and filled with generated accesses; keeping
+     *        it across calls makes coalescing allocation-free
      * @return the pattern that matched
      */
     CoalesceKind coalesce(const trace::DynOp &op,

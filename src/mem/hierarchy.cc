@@ -19,55 +19,78 @@ MemPathConfig::validate() const
 MshrTable::MshrTable(uint32_t entries)
 {
     simr_assert(entries >= 1, "need at least one MSHR");
-    slots_.resize(entries);
+    minCapacity_ = 4;
+    while (minCapacity_ < 4 * static_cast<size_t>(entries))
+        minCapacity_ *= 2;
+    resize(minCapacity_);
+}
+
+void
+MshrTable::resize(size_t capacity)
+{
+    slots_.assign(capacity, Slot());
+    mask_ = capacity - 1;
+    shift_ = 64 - static_cast<unsigned>(__builtin_ctzll(capacity));
+    used_ = 0;
+}
+
+void
+MshrTable::rebuild(size_t capacity)
+{
+    std::vector<Slot> old = std::move(slots_);
+    resize(capacity);
+    for (const Slot &s : old) {
+        if (s.line == kNoLine || s.ready <= now_)
+            continue;
+        size_t i = home(s.line);
+        while (slots_[i].line != kNoLine)
+            i = (i + 1) & mask_;
+        slots_[i] = s;
+        ++used_;
+    }
 }
 
 void
 MshrTable::insert(Addr line, uint64_t ready, uint64_t now)
 {
-    // Prefer, in order: the line's existing slot (refresh, exactly like
-    // map[line] = ready), a dead slot (fill already completed -- it can
-    // never merge again, so recycling it in place is invisible), and
-    // only then growth of the overflow list. Dropping nothing live
-    // keeps the table merge-for-merge identical to the unbounded map.
+    now_ = now;
+    // Refresh the line's own slot if present (exactly like
+    // map[line] = ready), else take the first dead slot on its probe
+    // path, else the empty slot that ended the probe. Dead slots stay
+    // occupied until a rebuild, so no other line's probe chain breaks.
     Slot *dead = nullptr;
-    for (auto &s : slots_) {
+    size_t i = home(line);
+    for (;; i = (i + 1) & mask_) {
+        Slot &s = slots_[i];
         if (s.line == line) {
             s.ready = ready;
             return;
         }
-        if (dead == nullptr && (s.line == kNoLine || s.ready <= now))
+        if (s.line == kNoLine)
+            break;
+        if (dead == nullptr && s.ready <= now)
             dead = &s;
     }
-    // The overflow scan doubles as compaction: dead spill entries are
-    // swap-removed in passing (they can never merge, so dropping them
-    // is invisible), keeping the spill list near its live size.
-    for (size_t i = 0; i < overflow_.size();) {
-        if (overflow_[i].line == line) {
-            overflow_[i].ready = ready;
-            return;
-        }
-        if (overflow_[i].ready <= now) {
-            overflow_[i] = overflow_.back();
-            overflow_.pop_back();
-        } else {
-            ++i;
-        }
-    }
     if (dead != nullptr) {
-        dead->line = line;
-        dead->ready = ready;
+        *dead = Slot{line, ready};
         return;
     }
-    overflow_.push_back(Slot{line, ready});
+    slots_[i] = Slot{line, ready};
+    if (2 * ++used_ > slots_.size()) {
+        size_t live = liveFills(now);
+        size_t capacity = minCapacity_;
+        while (capacity < 4 * live)
+            capacity *= 2;
+        rebuild(capacity);
+    }
 }
 
 void
 MshrTable::clear()
 {
-    for (auto &s : slots_)
-        s = Slot();
-    overflow_.clear();
+    now_ = 0;
+    if (used_ != 0 || slots_.size() != minCapacity_)
+        resize(minCapacity_);
 }
 
 size_t
@@ -76,9 +99,6 @@ MshrTable::liveFills(uint64_t now) const
     size_t n = 0;
     for (const auto &s : slots_)
         if (s.line != kNoLine && s.ready > now)
-            ++n;
-    for (const auto &s : overflow_)
-        if (s.ready > now)
             ++n;
     return n;
 }
@@ -151,7 +171,7 @@ MemoryHierarchy::accessPath(uint64_t cycle, const MemAccess &acc,
     // MSHR merge window: a line with an in-flight fill serves new
     // requests at the fill's completion, whether or not the (eager)
     // functional fill already installed it.
-    Addr line = acc.paddr - (acc.paddr % cfg_.l1.lineBytes);
+    Addr line = acc.paddr & ~(Addr{cfg_.l1.lineBytes} - 1);
     uint64_t fill_ready = mshrs_.lookup(line);
     if (fill_ready > start) {
         ++stats_.mshrMerges;

@@ -10,24 +10,25 @@ Tlb::Tlb(TlbConfig cfg)
 {
     simr_assert(cfg_.banks > 0 && cfg_.entries >= cfg_.banks,
                 "bad TLB geometry");
+    simr_assert(cfg_.pageBytes > 0 &&
+                (cfg_.pageBytes & (cfg_.pageBytes - 1)) == 0,
+                "TLB page size must be a power of two");
     entriesPerBank_ = cfg_.entries / cfg_.banks;
+    pageShift_ = static_cast<unsigned>(__builtin_ctz(cfg_.pageBytes));
     entries_.resize(static_cast<size_t>(cfg_.banks) * entriesPerBank_);
+    mru_.assign(cfg_.banks, 0);
 }
 
 bool
-Tlb::lookup(Addr paddr, uint32_t bank)
+Tlb::lookupScan(Addr page, uint32_t bank)
 {
-    ++stats_.lookups;
-    ++tick_;
-    bank %= cfg_.banks;
-    Addr page = paddr / cfg_.pageBytes;
     Entry *base = &entries_[static_cast<size_t>(bank) * entriesPerBank_];
-
     Entry *victim = base;
     for (uint32_t i = 0; i < entriesPerBank_; ++i) {
         Entry &e = base[i];
         if (e.valid && e.page == page) {
             e.lru = tick_;
+            mru_[bank] = i;
             return true;
         }
         if (!e.valid) {
@@ -41,13 +42,14 @@ Tlb::lookup(Addr paddr, uint32_t bank)
     victim->valid = true;
     victim->page = page;
     victim->lru = tick_;
+    mru_[bank] = static_cast<uint32_t>(victim - base);
     return false;
 }
 
 void
 Tlb::invalidatePage(Addr vaddr)
 {
-    Addr page = vaddr / cfg_.pageBytes;
+    Addr page = vaddr >> pageShift_;
     for (auto &e : entries_)
         if (e.valid && e.page == page)
             e.valid = false;
@@ -58,6 +60,7 @@ Tlb::reset()
 {
     for (auto &e : entries_)
         e = Entry();
+    mru_.assign(cfg_.banks, 0);
     tick_ = 0;
     stats_ = TlbStats();
 }

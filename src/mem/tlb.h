@@ -10,6 +10,7 @@
 #ifndef SIMR_MEM_TLB_H
 #define SIMR_MEM_TLB_H
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -47,7 +48,12 @@ struct TlbStats
     }
 };
 
-/** Fully-associative-per-bank LRU TLB. */
+/**
+ * Fully-associative-per-bank LRU TLB. Each bank keeps a hint to its
+ * most recently used entry, so the common repeat hit skips the bank
+ * scan; misses scan as before, so hit/miss counts and LRU victims are
+ * exactly those of the plain scan.
+ */
 class Tlb
 {
   public:
@@ -59,7 +65,22 @@ class Tlb
      * @param bank L1 bank performing the access (selects the TLB bank)
      * @return true on hit
      */
-    bool lookup(Addr paddr, uint32_t bank);
+    bool
+    lookup(Addr paddr, uint32_t bank)
+    {
+        ++stats_.lookups;
+        ++tick_;
+        if (bank >= cfg_.banks)
+            bank %= cfg_.banks;
+        Addr page = paddr >> pageShift_;
+        Entry &hinted =
+            entries_[static_cast<size_t>(bank) * entriesPerBank_ + mru_[bank]];
+        if (hinted.valid && hinted.page == page) {
+            hinted.lru = tick_;
+            return true;
+        }
+        return lookupScan(page, bank);
+    }
 
     /** Invalidate a page in every bank (INVLPG semantics). */
     void invalidatePage(Addr vaddr);
@@ -77,9 +98,14 @@ class Tlb
         bool valid = false;
     };
 
+    /** Miss on the MRU entry: scan the bank, fill the LRU victim. */
+    bool lookupScan(Addr page, uint32_t bank);
+
     TlbConfig cfg_;
     uint32_t entriesPerBank_;
+    unsigned pageShift_;          ///< log2(cfg_.pageBytes)
     std::vector<Entry> entries_;  ///< banks x entriesPerBank_
+    std::vector<uint32_t> mru_;   ///< per-bank MRU entry hint
     uint64_t tick_ = 0;
     TlbStats stats_;
 };

@@ -278,6 +278,38 @@ TEST(TimingCore, SubBatchLaneSweepMonotone)
     }
 }
 
+TEST(CoreConfigValidation, RejectsUnrunnablePipelines)
+{
+    // Each config would otherwise divide by zero, never issue, or break
+    // the issue stage's premise that an op completes after the cycle
+    // it issues in; TimingCore construction must refuse it.
+    auto dies = [](void (*edit)(CoreConfig &), const char *what) {
+        CoreConfig c = makeRpuConfig();
+        edit(c);
+        EXPECT_DEATH(TimingCore{c}, what);
+    };
+    dies([](CoreConfig &c) { c.lanes = 0; }, "lanes >= 1");
+    dies([](CoreConfig &c) { c.schedWindow = 0; }, "schedWindow >= 1");
+    dies([](CoreConfig &c) { c.schedWindow = c.robEntries + 1; },
+         "schedWindow <= robEntries");
+    dies([](CoreConfig &c) { c.fetchWidth = 0; }, "fetchWidth >= 1");
+    dies([](CoreConfig &c) { c.issueWidth = 0; }, "issueWidth >= 1");
+    dies([](CoreConfig &c) { c.commitWidth = 0; }, "commitWidth >= 1");
+    dies([](CoreConfig &c) { c.aluLat = 0; }, "op latency must be >= 1");
+    dies([](CoreConfig &c) { c.divLat = 0; }, "op latency must be >= 1");
+    dies([](CoreConfig &c) { c.syscallLat = 0; },
+         "op latency must be >= 1");
+    dies([](CoreConfig &c) { c.mem.l1HitLatency = 0; },
+         "op latency must be >= 1");
+    dies([](CoreConfig &c) { c.mem.l3HitLatency = 0; },
+         "op latency must be >= 1");
+    dies([](CoreConfig &c) { c.smtThreads = 0; }, "smtThreads >= 1");
+    dies([](CoreConfig &c) { c.smtThreads = c.robEntries + 1; },
+         "robEntries >= smtThreads");
+    dies([](CoreConfig &c) { c.robEntries = 8193; },
+         "robEntries / smtThreads <= 8192");
+}
+
 class ConfigSmokeTest
     : public ::testing::TestWithParam<std::string>
 {
@@ -310,10 +342,18 @@ INSTANTIATE_TEST_SUITE_P(AllServices, ConfigSmokeTest,
 TEST(EventDriven, MatchesReferenceLoop)
 {
     // Fast in-tree spot check of the determinism gate (the full
-    // 14 x 4 sweep runs as the ctest entry core_event_driven_gate via
+    // 14 x 7 sweep runs as the ctest entry core_event_driven_gate via
     // bench_core_speed --verify): the cycle-skipping loop must
     // reproduce the per-cycle reference bit for bit, and the reference
-    // must never skip.
+    // must never skip. Besides the four design points, the Sec. V-A1
+    // RPU variants cover the full-width lane, L1-atomics and lane-0
+    // predictor paths.
+    CoreConfig lanes32 = makeRpuConfig();
+    lanes32.lanes = 32;
+    CoreConfig atomics_l1 = makeRpuConfig();
+    atomics_l1.mem.atomicsAtL3 = false;
+    CoreConfig lane0_bp = makeRpuConfig();
+    lane0_bp.majorityVoteBp = false;
     const auto &names = svc::serviceNames();
     std::vector<std::string> picks = {names.front(), names.back()};
     for (const auto &name : picks) {
@@ -321,7 +361,8 @@ TEST(EventDriven, MatchesReferenceLoop)
         TimingOptions opt;
         opt.requests = 32;
         for (auto cfg : {makeCpuConfig(), makeSmt8Config(),
-                         makeRpuConfig(), makeGpuConfig()}) {
+                         makeRpuConfig(), makeGpuConfig(), lanes32,
+                         atomics_l1, lane0_bp}) {
             cfg.eventDriven = false;
             auto ref = runTiming(*svc, cfg, opt);
             cfg.eventDriven = true;

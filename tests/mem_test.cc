@@ -7,7 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <random>
 #include <set>
+#include <vector>
 
 #include "isa/isa.h"
 #include "mem/allocator.h"
@@ -142,6 +146,54 @@ TEST(Tlb, InvalidatePageHitsAllBanks)
     t.invalidatePage(0x1234);
     EXPECT_FALSE(t.lookup(0x1000, 0));
     EXPECT_FALSE(t.lookup(0x1000, 1));
+}
+
+TEST(Tlb, MatchesReferenceLruPerBank)
+{
+    // Differential check of the MRU-hinted TLB against a plain per-bank
+    // LRU list: every lookup's hit/miss (and so every victim choice,
+    // which decides later hits) must agree, including after
+    // invalidating the page the hint points at.
+    constexpr uint32_t kBanks = 4;
+    constexpr uint32_t kPerBank = 4;
+    constexpr Addr kPage = 4096;
+    Tlb t({kBanks * kPerBank, kBanks, kPage});
+    std::vector<std::vector<Addr>> ref(kBanks);  // LRU first, MRU last
+    auto ref_lookup = [&](Addr page, uint32_t bank) {
+        auto &b = ref[bank % kBanks];
+        auto it = std::find(b.begin(), b.end(), page);
+        bool hit = it != b.end();
+        if (hit)
+            b.erase(it);
+        else if (b.size() == kPerBank)
+            b.erase(b.begin());
+        b.push_back(page);
+        return hit;
+    };
+
+    std::mt19937_64 rng(7);
+    uint64_t misses = 0;
+    Addr last_page = 0;
+    const int kOps = 100000;
+    for (int i = 0; i < kOps; ++i) {
+        if (rng() % 16 == 0) {
+            // Half the time the page just looked up: the hinted entry.
+            Addr page = rng() % 2 ? last_page : rng() % 10;
+            t.invalidatePage(page * kPage + rng() % kPage);
+            for (auto &b : ref)
+                b.erase(std::remove(b.begin(), b.end(), page), b.end());
+            continue;
+        }
+        Addr page = rng() % 10;
+        uint32_t bank = static_cast<uint32_t>(rng() % (2 * kBanks));
+        bool want = ref_lookup(page, bank);
+        misses += want ? 0 : 1;
+        ASSERT_EQ(t.lookup(page * kPage + rng() % kPage, bank), want)
+            << "op " << i;
+        last_page = page;
+    }
+    EXPECT_EQ(t.stats().misses, misses);
+    EXPECT_GT(misses, 1000u) << "the sequence should force evictions";
 }
 
 TEST(AddressMap, IdentityWithoutInterleave)
@@ -489,6 +541,48 @@ TEST(MshrTable, RecyclesDeadSlots)
     EXPECT_EQ(t.liveFills(20), 1u);
     EXPECT_EQ(t.lookup(0x4000), 30u);
     EXPECT_EQ(t.lookup(0x1000), 0u) << "dead entry recycled";
+}
+
+TEST(MshrTable, MatchesReferenceMapOverRandomTraffic)
+{
+    // Differential check against the unbounded line -> ready map the
+    // table stands in for, in which a fill is absent once it completed
+    // by the latest insert's `now`. The clock is monotone, lines are
+    // refreshed often, and live fills run well past the table's
+    // nominal capacity, forcing growth and rebuilds.
+    constexpr uint32_t kEntries = 8;
+    MshrTable t(kEntries);
+    std::map<Addr, uint64_t> ref;
+    std::mt19937_64 rng(42);
+    uint64_t now = 0;
+    size_t max_live = 0;
+    auto expected = [&](Addr line) {
+        auto it = ref.find(line);
+        return it != ref.end() && it->second > now ? it->second : 0;
+    };
+    const int kOps = 200000;
+    for (int i = 0; i < kOps; ++i) {
+        Addr line = (rng() % 512) * 32;
+        if (rng() % 3 != 0) {
+            now += rng() % 3;
+            // Mostly future fills; a few already complete on arrival.
+            uint64_t ready = rng() % 32 == 0 ? now - std::min(now, rng() % 4)
+                                             : now + 1 + rng() % 300;
+            t.insert(line, ready, now);
+            ref[line] = ready;
+        }
+        ASSERT_EQ(t.lookup(line), expected(line)) << "op " << i;
+        Addr other = (rng() % 512) * 32;
+        ASSERT_EQ(t.lookup(other), expected(other)) << "op " << i;
+        if (i % 4096 == 0) {
+            size_t live = 0;
+            for (const auto &[l, ready] : ref)
+                live += ready > now ? 1 : 0;
+            ASSERT_EQ(t.liveFills(now), live) << "op " << i;
+            max_live = std::max(max_live, live);
+        }
+    }
+    EXPECT_GT(max_live, 4u * kEntries);
 }
 
 TEST(Hierarchy, MshrMergesPreservedOverCapacity)
