@@ -3,57 +3,58 @@
  * Trace-replay determinism gate and trace-cache speedup bench.
  *
  * The trace caches must be invisible in everything but wall-clock
- * time: a request replayed from a CapturedTrace -- and a whole cell
- * replayed from a cached StreamTrace -- must drive the timing core
- * through exactly the dynamic stream live execution would have
- * produced. This binary checks and measures that claim over the full
- * 14-service x 4-config sweep:
+ * time: a request replayed from a CapturedTrace -- per lane, or
+ * lane-major through the batch kernel -- and a whole cell replayed from
+ * a cached StreamTrace, densely or through its compiled kernel, must
+ * drive the timing core through exactly the dynamic stream live
+ * execution would have produced. This binary checks and measures that
+ * claim over the full 14-service x 4-config sweep:
  *
  *  - `--verify` (the tier-1 ctest entry `trace_replay_gate`): at 128
  *    requests, for harness widths 1 and 4, every (service, config) cell
- *    is run three ways -- live (caches bypassed), cold (caches cleared,
- *    so the run captures and dedup-replays), and warm (everything
- *    replays, the timing runs entirely from cached streams) -- and
- *    every reported statistic (full CoreResult including the latency
- *    histogram and counter map, plus SimtStats) must be bit-identical
- *    across all three. The front-end sweep (runFrontEnd) is verified
- *    the same way: live vs warm SimtStats / op counts / request counts
- *    must match exactly.
+ *    is run three ways and every reported statistic (full CoreResult
+ *    including the latency histogram and counter map, plus SimtStats)
+ *    must be bit-identical across all of them:
+ *      live     caches bypassed;
+ *      cold     caches cleared: the run captures, replays dedup hits
+ *               per lane, and runs uniform all-replay batches through
+ *               the lane-major batch kernel (AVX2 relocation on AVX2
+ *               hosts);
+ *      warm     every cell from the stream cache's dense columns.
+ *    A front-end sweep (runFrontEnd) then checks live vs warm SimtStats,
+ *    op counts and request counts. The gate also fails unless the
+ *    batch kernel and (on AVX2 hosts) SIMD relocation engaged.
  *
  *  - `--verify-compile` (the tier-1 ctest entry `replay_compile_gate`):
- *    the superop-kernel matrix. For harness widths {1, 4} and SIMD
- *    relocation {on, off}, every cell is run live, then cold +
- *    warm-cursor with compilation disabled (no kernels anywhere), then
- *    from a second cold start with compilation on: cold-kernels
- *    (request-level kernels compile mid-run on dedup second hits and
- *    replay per-lane and lane-major), warm-prime, warm-compile (stream
- *    kernels built mid-lookup) and warm-compiled (superop replay only)
- *    -- all bit-identical to live, plus a live vs warm-compiled
- *    front-end sweep.
+ *    the stream kernels. For harness widths 1 and 4, every cell is run
+ *    live; then, from cleared caches, two front-end sweeps insert every
+ *    stream and give it its first hit, so that
+ *      warm-compile   compiles each stream at lookup (its second hit)
+ *                     and replays through the stream kernel;
+ *      warm-compiled  replays compiled stream kernels only;
+ *    both bit-identical to live, plus a live vs compiled front-end
+ *    sweep draining the kernels in O(1). The gate also fails unless
+ *    every warm lookup hit and every kernel was built at warm-compile's
+ *    lookups.
  *
  *  - bench mode: measures two sweeps live vs cold vs warm and emits
- *    BENCH_trace.json. The cold tier is measured twice -- with the
- *    static-tier admission fast path (proof-driven capture, the
- *    default) and with SIMR_STATIC_TIER=0 (every capture pays the
- *    per-op dynamic taint walk) -- both bit-identical to live; a
- *    micro interpret+capture comparison isolates the per-op saving. The headline is the *front-end* sweep -- the
+ *    BENCH_trace.json. The headline is the *front-end* sweep -- the
  *    functional half of the simulator (request generation, batching,
  *    interpretation, lockstep grouping), which is what the caches
  *    remove; a warm re-run serves every cell straight from the stream
- *    cache. The warm tier is split in two: warm-cursor (record-at-a-
- *    time replay) and warm-compiled (superop kernels), with a
- *    per-service speedup and compile-cost amortization table and a
- *    ns/op micro-comparison of every executor tier. The full timing
- *    sweep is reported alongside: its warm speedup is bounded by the
- *    timing core's share of the run (reported transparently), while
- *    its bit-identity across live / cold / warm is what proves replay
- *    exact. Also reports the per-service dedup ratio (requests served
- *    by a trace captured from a *different* request). Exits nonzero
- *    if any cell diverges.
+ *    cache, first from the dense columns, then through the compiled
+ *    stream kernels (with a per-service speedup and compile-cost
+ *    amortization table). A ns/op micro table compares every replay
+ *    executor, and a capture micro table the static-proof capture path
+ *    against the dynamic taint walk. The full timing sweep is reported
+ *    alongside: its warm speedup is bounded by the timing core's share
+ *    of the run, while its bit-identity across live / cold / warm is
+ *    what proves replay exact. Also reports the per-service dedup ratio
+ *    (requests served by a trace captured from a *different* request).
+ *    Exits nonzero if any cell diverges.
  */
 
 #include <chrono>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -222,17 +223,14 @@ timedSweep(const std::vector<Cell> &cells, int threads, int reps,
 }
 
 /**
- * Per-op step cost of every executor tier over one memc request and
- * one 64-request scalar stream: live interpretation, record-at-a-time
- * cursors, and the compiled superop kernels. Pins the satellite claim
- * that hoisting the ReplayCursor bounds checks (and collapsing
- * straight-line runs into superop records) lowers the per-op cost.
+ * Per-op step cost of every replay executor over one memc request and
+ * one 64-request scalar stream: live interpretation, the request
+ * cursor, and the dense and compiled stream executors.
  */
 struct MicroCosts
 {
     double liveNs = 0;       ///< ThreadState::step
     double cursorNs = 0;     ///< ReplayCursor::step
-    double compiledNs = 0;   ///< CompiledCursor::step
     double streamNs = 0;     ///< ReplayStream::next
     double cstreamNs = 0;    ///< CompiledStreamCursor::next
 };
@@ -250,7 +248,7 @@ microStepCosts(uint64_t seed)
     trace::ThreadInit init =
         svc::makeThreadInit(*svcp, reqs[0], 0, 0, alloc);
 
-    // One captured request plus its compiled form.
+    // One captured request.
     trace::ThreadState live(pi.program());
     trace::CaptureBuilder builder(pi);
     live.reset(init);
@@ -261,7 +259,6 @@ microStepCosts(uint64_t seed)
         builder.onStep(r);
     }
     auto t = builder.finish();
-    auto kt = trace::compileTrace(t);
     const uint64_t n = t->opCount();
     const int reps = static_cast<int>(
         std::max<uint64_t>(1, 4'000'000 / std::max<uint64_t>(n, 1)));
@@ -290,16 +287,6 @@ microStepCosts(uint64_t seed)
         uint64_t acc = 0;
         while (!cursor.done()) {
             cursor.step(r);
-            acc += r.pc + r.addr;
-        }
-        sink = sink + acc;
-    });
-    trace::CompiledCursor compiled(pi);
-    m.compiledNs = time_ns([&] {
-        compiled.start(kt, init);
-        uint64_t acc = 0;
-        while (!compiled.done()) {
-            compiled.step(r);
             acc += r.pc + r.addr;
         }
         sink = sink + acc;
@@ -422,110 +409,21 @@ microCaptureCosts(uint64_t seed)
     return c;
 }
 
-/**
- * The superop-kernel bit-identity matrix: {live, cold, warm-cursor,
- * prime, warm-compiled} x threads {1, 4} x SIMD {on, off}, everything
- * compared against the live sweep, plus a front-end live vs
- * warm-compiled pass.
- */
-int
-runVerifyCompile(TimingOptions opt)
+/** Print one gate line: the pass's verdict plus any diverged cells. */
+bool
+report(const char *label, bool ok, const std::vector<std::string> &diverged)
 {
-    if (opt.requests > 128)
-        opt.requests = 128;
-
-    TimingOptions live_opt = opt;
-    live_opt.useTraceCache = false;
-    TimingOptions cached_opt = opt;
-    cached_opt.useTraceCache = true;
-
-    bool all_identical = true;
-    for (int threads : {1, 4}) {
-        auto live = runCells(sweepCells(live_opt), threads);
-        for (int simd : {1, 0}) {
-            trace::setSimdEnabled(simd != 0);
-            auto cells = sweepCells(cached_opt);
-
-            // Cursor tier: capture, then replay with compilation off,
-            // so no kernel exists anywhere.
-            trace::setCompileEnabled(false);
-            clearCaches();
-            auto cold = runCells(cells, threads);
-            auto warm_cursor = runCells(cells, threads);
-
-            // Compiled tier, from a fresh cold start with compilation
-            // on. The cold pass itself exercises the request-level
-            // kernels: popular dedup keys reach their second hit
-            // mid-run, compile, and the rest of the sweep replays them
-            // per lane (CompiledCursor) and lane-major in uniform
-            // batches (TraceBatchKernel, the SIMD relocation path).
-            // The two warm passes then walk the stream entries to
-            // their second hit -- warm-compile builds the stream
-            // kernels mid-lookup and replays through them, and
-            // warm-compiled replays compiled-only.
-            trace::setCompileEnabled(true);
-            clearCaches();
-            auto cold_kernels = runCells(cells, threads);
-            auto warm_prime = runCells(cells, threads);
-            auto warm_compile = runCells(cells, threads);
-            auto warm_compiled = runCells(cells, threads);
-
-            std::vector<std::string> diverged;
-            bool ok =
-                sameSweep(cells, live, cold, "cold", &diverged) &
-                sameSweep(cells, live, warm_cursor, "warm-cursor",
-                          &diverged) &
-                sameSweep(cells, live, cold_kernels, "cold-kernels",
-                          &diverged) &
-                sameSweep(cells, live, warm_prime, "warm-prime",
-                          &diverged) &
-                sameSweep(cells, live, warm_compile, "warm-compile",
-                          &diverged) &
-                sameSweep(cells, live, warm_compiled, "warm-compiled",
-                          &diverged);
-            std::printf("threads=%d simd=%s %s", threads,
-                        simd ? "on" : "off",
-                        ok ? "identical" : "DIVERGED:");
-            for (const auto &s : diverged)
-                std::printf(" %s", s.c_str());
-            std::printf("\n");
-            all_identical = all_identical && ok;
-        }
-    }
-    trace::setSimdEnabled(true);
-
-    // Front-end sweep: live vs warm-compiled. The loops above left the
-    // stream cache fully populated and compiled, so every unit drains
-    // through its CompiledStream aggregates.
-    {
-        double secs = 0;
-        auto fe_live = frontEndSweep(sweepCells(live_opt), &secs);
-        auto fe_warm = frontEndSweep(sweepCells(cached_opt), &secs);
-        std::vector<std::string> diverged;
-        bool ok = sameFrontEndSweep(sweepCells(cached_opt), fe_live,
-                                    fe_warm, "front-end", &diverged);
-        std::printf("front-end %s", ok ? "identical" : "DIVERGED:");
-        for (const auto &s : diverged)
-            std::printf(" %s", s.c_str());
-        std::printf("\n");
-        all_identical = all_identical && ok;
-    }
-
-    const trace::CompileCounters cc = trace::compileCounters();
-    std::printf("replay_compile_gate: %s (14 services x 4 configs x "
-                "{live, cold, warm-cursor, cold-kernels, warm-prime, "
-                "warm-compile, warm-compiled} x "
-                "threads {1,4} x simd {on,off}, %d requests; "
-                "%llu trace + %llu stream kernels, simd %s)\n",
-                all_identical ? "PASS" : "FAIL", opt.requests,
-                static_cast<unsigned long long>(cc.compiledTraces),
-                static_cast<unsigned long long>(cc.compiledStreams),
-                trace::simdAvailable() ? "available" :
-                trace::simdCompiledIn() ? "compiled in, no AVX2 cpu"
-                                        : "not compiled in");
-    return all_identical ? 0 : 1;
+    std::printf("%s %s", label, ok ? "identical" : "DIVERGED:");
+    for (const auto &s : diverged)
+        std::printf(" %s", s.c_str());
+    std::printf("\n");
+    return ok;
 }
 
+/**
+ * The request-trace gate: {live, cold, warm} x threads {1, 4}, every
+ * pass compared against live, plus a live vs warm front-end sweep.
+ */
 int
 runVerify(TimingOptions opt)
 {
@@ -537,51 +435,149 @@ runVerify(TimingOptions opt)
     live_opt.useTraceCache = false;
     TimingOptions cached_opt = opt;
     cached_opt.useTraceCache = true;
+    const auto live_cells = sweepCells(live_opt);
+    const auto cells = sweepCells(cached_opt);
 
+    const trace::CompileCounters c0 = trace::compileCounters();
+    uint64_t batch_kernel_ops = 0;
     bool all_identical = true;
     for (int threads : {1, 4}) {
-        auto live_cells = sweepCells(live_opt);
-        auto cached_cells = sweepCells(cached_opt);
         auto live = runCells(live_cells, threads);
 
+        // Cold: every stream key is looked up once (a miss), so no
+        // stream kernel exists yet and every kernel op credited here
+        // comes from the lane-major batch kernel.
         clearCaches();
-        auto cold = runCells(cached_cells, threads);
-        auto warm = runCells(cached_cells, threads);
+        const uint64_t ops0 = trace::compileCounters().compiledOps;
+        auto cold = runCells(cells, threads);
+        batch_kernel_ops += trace::compileCounters().compiledOps - ops0;
+
+        // Warm: every cell's first stream-cache hit, replayed from the
+        // dense columns.
+        auto warm = runCells(cells, threads);
 
         std::vector<std::string> diverged;
-        bool ok =
-            sameSweep(cached_cells, live, cold, "cold", &diverged) &
-            sameSweep(cached_cells, live, warm, "warm", &diverged);
-        std::printf("threads=%d %s", threads,
-                    ok ? "identical" : "DIVERGED:");
-        for (const auto &s : diverged)
-            std::printf(" %s", s.c_str());
-        std::printf("\n");
-        all_identical = all_identical && ok;
+        bool ok = sameSweep(cells, live, cold, "cold", &diverged) &
+            sameSweep(cells, live, warm, "warm", &diverged);
+        const std::string label = "threads=" + std::to_string(threads);
+        all_identical = report(label.c_str(), ok, diverged) && all_identical;
     }
 
-    // Front-end sweep: live vs warm (the timing sweeps above left the
-    // stream cache fully populated, so this warm pass replays every
-    // cell). Checks the functional half the headline bench measures.
     {
         double secs = 0;
-        auto fe_live = frontEndSweep(sweepCells(live_opt), &secs);
-        auto fe_warm = frontEndSweep(sweepCells(cached_opt), &secs);
+        auto fe_live = frontEndSweep(live_cells, &secs);
+        auto fe_warm = frontEndSweep(cells, &secs);
         std::vector<std::string> diverged;
-        bool ok = sameFrontEndSweep(sweepCells(cached_opt), fe_live,
-                                    fe_warm, "front-end", &diverged);
-        std::printf("front-end %s", ok ? "identical" : "DIVERGED:");
-        for (const auto &s : diverged)
-            std::printf(" %s", s.c_str());
-        std::printf("\n");
-        all_identical = all_identical && ok;
+        bool ok = sameFrontEndSweep(cells, fe_live, fe_warm, "front-end",
+                                    &diverged);
+        all_identical = report("front-end", ok, diverged) && all_identical;
     }
 
+    // A gate whose fast paths never ran proves nothing about them.
+    const uint64_t simd_lanes =
+        trace::compileCounters().simdLanes - c0.simdLanes;
+    const bool engaged = batch_kernel_ops > 0 &&
+        (simd_lanes > 0 || !trace::simdAvailable());
+    const bool pass = cache != nullptr && all_identical && engaged;
     std::printf("trace_replay_gate: %s (14 services x 4 configs x "
-                "{live, cold, warm}, %d requests, cache %s)\n",
-                all_identical ? "PASS" : "FAIL", opt.requests,
-                cache ? "enabled" : "DISABLED (SIMR_TRACE_CACHE=0)");
-    return all_identical ? 0 : 1;
+                "{live, cold, warm} x threads {1,4} + front end, %d "
+                "requests; %llu batch-kernel ops, %llu simd lanes "
+                "(%s)%s)\n",
+                pass ? "PASS" : "FAIL", opt.requests,
+                static_cast<unsigned long long>(batch_kernel_ops),
+                static_cast<unsigned long long>(simd_lanes),
+                trace::simdAvailable() ? "AVX2" :
+                trace::simdCompiledIn() ? "compiled in, no AVX2 cpu"
+                                        : "not compiled in",
+                cache == nullptr ? "; cache DISABLED (SIMR_TRACE_CACHE=0)"
+                : engaged        ? ""
+                                 : "; a fast path never engaged");
+    return pass ? 0 : 1;
+}
+
+/**
+ * The stream-kernel gate: per width, live, then from cleared caches
+ * two front-end sweeps give every stream its insert and first hit, so
+ * warm-compile builds each stream kernel at lookup and warm-compiled
+ * replays kernels only -- both compared against live -- plus a live vs
+ * compiled front-end sweep.
+ */
+int
+runVerifyCompile(TimingOptions opt)
+{
+    StreamCache *scache = StreamCache::process();
+    if (opt.requests > 128)
+        opt.requests = 128;
+
+    TimingOptions live_opt = opt;
+    live_opt.useTraceCache = false;
+    TimingOptions cached_opt = opt;
+    cached_opt.useTraceCache = true;
+    const auto live_cells = sweepCells(live_opt);
+    const auto cells = sweepCells(cached_opt);
+
+    uint64_t built_at_lookup = 0;
+    uint64_t built_later = 0;
+    uint64_t warm_misses = 0;
+    bool all_identical = true;
+    for (int threads : {1, 4}) {
+        auto live = runCells(live_cells, threads);
+
+        // The front-end sweep shares stream keys with the timing
+        // sweep and skips the timing core, so it is the cheap way to
+        // walk every stream to its second hit.
+        clearCaches();
+        double secs = 0;
+        frontEndSweep(cells, &secs);
+        frontEndSweep(cells, &secs);
+
+        const uint64_t m0 = scache != nullptr ? scache->misses() : 0;
+        const uint64_t s0 = trace::compileCounters().compiledStreams;
+        auto warm_compile = runCells(cells, threads);
+        const uint64_t s1 = trace::compileCounters().compiledStreams;
+        auto warm_compiled = runCells(cells, threads);
+        built_at_lookup += s1 - s0;
+        built_later += trace::compileCounters().compiledStreams - s1;
+        if (scache != nullptr)
+            warm_misses += scache->misses() - m0;
+
+        std::vector<std::string> diverged;
+        bool ok = sameSweep(cells, live, warm_compile, "warm-compile",
+                            &diverged) &
+            sameSweep(cells, live, warm_compiled, "warm-compiled",
+                      &diverged);
+        const std::string label = "threads=" + std::to_string(threads);
+        all_identical = report(label.c_str(), ok, diverged) && all_identical;
+    }
+
+    {
+        double secs = 0;
+        auto fe_live = frontEndSweep(live_cells, &secs);
+        auto fe_warm = frontEndSweep(cells, &secs);
+        std::vector<std::string> diverged;
+        bool ok = sameFrontEndSweep(cells, fe_live, fe_warm, "front-end",
+                                    &diverged);
+        all_identical = report("front-end", ok, diverged) && all_identical;
+    }
+
+    // Every warm lookup must hit, and every kernel must come from
+    // warm-compile's lookups: a miss means the priming missed a key,
+    // a kernel built later means warm-compiled was not compiled-only.
+    const bool engaged =
+        built_at_lookup > 0 && built_later == 0 && warm_misses == 0;
+    const bool pass = scache != nullptr && all_identical && engaged;
+    std::printf("replay_compile_gate: %s (14 services x 4 configs x "
+                "{live, warm-compile, warm-compiled} x threads {1,4} + "
+                "front end, %d requests; %llu stream kernels built at "
+                "lookup, %llu later, %llu warm misses%s)\n",
+                pass ? "PASS" : "FAIL", opt.requests,
+                static_cast<unsigned long long>(built_at_lookup),
+                static_cast<unsigned long long>(built_later),
+                static_cast<unsigned long long>(warm_misses),
+                scache == nullptr ? "; cache DISABLED (SIMR_TRACE_CACHE=0)"
+                : engaged         ? ""
+                                  : "; stream kernels did not engage");
+    return pass ? 0 : 1;
 }
 
 int
@@ -598,71 +594,63 @@ runBench(const TimingOptions &opt)
     auto cached_cells = sweepCells(cached_opt);
 
     // Front-end sweep (the headline): the functional half of every
-    // cell, which a warm stream cache serves without executing. The
-    // warm tier is measured twice: cursor replay (compilation off) and
-    // compiled replay (superop kernels, built by an untimed priming
-    // pass so the warm numbers never carry one-time compile cost).
+    // cell, which a warm stream cache serves without executing.
     double fe_live_secs = 0, fe_cold_secs = 0;
-    double fe_cold_dyn_secs = 0;
-    double fe_cursor_secs = 0, fe_warm_secs = 0;
     auto fe_live = timedFrontEndSweep(live_cells, 2, &fe_live_secs);
-    trace::setCompileEnabled(false);
 
     // A cold pass can only be repeated by clearing the caches first;
     // min-of-2 with a clear before each rep filters the first-touch
-    // page faults of the arena allocations (which would otherwise bias
-    // whichever cold variant runs first).
-    auto coldSweep = [&](double *secs) {
-        std::vector<FrontEndRun> runs;
-        *secs = 0;
-        for (int r = 0; r < 2; ++r) {
-            clearCaches();
-            double s = 0;
-            runs = frontEndSweep(cached_cells, &s);
-            if (r == 0 || s < *secs)
-                *secs = s;
-        }
-        return runs;
-    };
-    auto fe_cold = coldSweep(&fe_cold_secs);
-
-    // The same cold sweep with the static-tier admission fast path off:
-    // SIMR_STATIC_TIER=0 makes every capture pay the per-op dynamic
-    // taint walk even on proven-tier-1 programs. The captured traces
-    // are bit-identical either way (checked below), so the delta is
-    // pure capture cost the proof removes.
+    // page faults of the arena allocations.
+    std::vector<FrontEndRun> fe_cold;
+    for (int r = 0; r < 2; ++r) {
+        clearCaches();
+        double s = 0;
+        fe_cold = frontEndSweep(cached_cells, &s);
+        if (r == 0 || s < fe_cold_secs)
+            fe_cold_secs = s;
+    }
     uint64_t static_captures = 0;
     for (const auto &run : fe_cold)
         static_captures += run.reuse.staticCaptures;
-    setenv("SIMR_STATIC_TIER", "0", 1);
-    auto fe_cold_dyn = coldSweep(&fe_cold_dyn_secs);
-    setenv("SIMR_STATIC_TIER", "1", 1);
 
-    auto fe_cursor = timedFrontEndSweep(cached_cells, 2, &fe_cursor_secs);
-
-    // Per-service compiled-vs-cursor split, while no kernels exist yet:
-    // cursor timings first (compilation off), then per-service priming
-    // (attributing compile time to the service it lowers) and compiled
-    // timings.
-    const auto &names = svc::serviceNames();
-    std::vector<double> svc_cursor(names.size(), 0.0);
-    std::vector<double> svc_compiled(names.size(), 0.0);
-    std::vector<double> svc_compile(names.size(), 0.0);
-    for (size_t i = 0; i < names.size(); ++i)
-        timedFrontEndSweep(serviceCells(names[i], cached_opt), 2,
-                           &svc_cursor[i]);
-    trace::setCompileEnabled(true);
-    for (size_t i = 0; i < names.size(); ++i) {
-        auto cells_i = serviceCells(names[i], cached_opt);
+    // The stream cache compiles an entry on its second hit: the first
+    // warm pass replays the dense columns, an untimed second pass
+    // compiles (its cost is the compile-time counter's delta), and
+    // later passes replay through the stream kernels only.
+    struct WarmTiers
+    {
+        double dense = 0, compile = 0, compiled = 0;
+    };
+    auto warmTiers = [&](const std::vector<Cell> &cells,
+                         std::vector<FrontEndRun> *dense,
+                         std::vector<FrontEndRun> *compiled) {
+        WarmTiers w;
+        *dense = frontEndSweep(cells, &w.dense);
         const uint64_t us0 = trace::compileCounters().compileUs;
         double prime_secs = 0;
-        frontEndSweep(cells_i, &prime_secs);
-        svc_compile[i] =
-            static_cast<double>(trace::compileCounters().compileUs -
-                                us0) * 1e-6;
-        timedFrontEndSweep(cells_i, 2, &svc_compiled[i]);
+        frontEndSweep(cells, &prime_secs);
+        w.compile = static_cast<double>(
+                        trace::compileCounters().compileUs - us0) * 1e-6;
+        *compiled = timedFrontEndSweep(cells, 2, &w.compiled);
+        return w;
+    };
+    std::vector<FrontEndRun> fe_dense, fe_warm;
+    const WarmTiers fe_tiers = warmTiers(cached_cells, &fe_dense, &fe_warm);
+    const double fe_dense_secs = fe_tiers.dense;
+    const double fe_warm_secs = fe_tiers.compiled;
+
+    // Per-service split from a fresh cold start, so each service's
+    // streams walk the same three tiers.
+    const auto &names = svc::serviceNames();
+    std::vector<WarmTiers> svc_tiers(names.size());
+    clearCaches();
+    for (size_t i = 0; i < names.size(); ++i) {
+        auto cells_i = serviceCells(names[i], cached_opt);
+        double fill_secs = 0;
+        frontEndSweep(cells_i, &fill_secs);
+        std::vector<FrontEndRun> unused_dense, unused_compiled;
+        svc_tiers[i] = warmTiers(cells_i, &unused_dense, &unused_compiled);
     }
-    auto fe_warm = timedFrontEndSweep(cached_cells, 2, &fe_warm_secs);
 
     // Full timing sweep, measured from its own cold start.
     double live_secs = 0, cold_secs = 0, warm_secs = 0;
@@ -680,9 +668,7 @@ runBench(const TimingOptions &opt)
         sameSweep(cached_cells, live, warm, "warm", &diverged) &
         sameFrontEndSweep(cached_cells, fe_live, fe_cold, "fe-cold",
                           &diverged) &
-        sameFrontEndSweep(cached_cells, fe_live, fe_cold_dyn,
-                          "fe-cold-dynamic-taint", &diverged) &
-        sameFrontEndSweep(cached_cells, fe_live, fe_cursor, "fe-cursor",
+        sameFrontEndSweep(cached_cells, fe_live, fe_dense, "fe-dense",
                           &diverged) &
         sameFrontEndSweep(cached_cells, fe_live, fe_warm, "fe-warm",
                           &diverged);
@@ -708,33 +694,30 @@ runBench(const TimingOptions &opt)
     f.header({"sweep", "seconds", "speedup"});
     f.row({"live (no cache)", Table::num(fe_live_secs, 2),
            Table::mult(1.0)});
-    f.row({"cold (capture, static tier)", Table::num(fe_cold_secs, 2),
+    f.row({"cold (capture)", Table::num(fe_cold_secs, 2),
            Table::mult(fe_live_secs / fe_cold_secs)});
-    f.row({"cold (capture, dynamic taint)",
-           Table::num(fe_cold_dyn_secs, 2),
-           Table::mult(fe_live_secs / fe_cold_dyn_secs)});
-    f.row({"warm-cursor (replay)", Table::num(fe_cursor_secs, 2),
-           Table::mult(fe_live_secs / fe_cursor_secs)});
-    f.row({"warm-compiled (superop)", Table::num(fe_warm_secs, 2),
+    f.row({"warm-dense (stream replay)", Table::num(fe_dense_secs, 2),
+           Table::mult(fe_live_secs / fe_dense_secs)});
+    f.row({"warm-compiled (stream kernels)", Table::num(fe_warm_secs, 2),
            Table::mult(fe_live_secs / fe_warm_secs)});
     f.print();
 
-    // Per-service compiled-vs-cursor: the warm speedup the superop
-    // kernels add on top of cursor replay, and how many warm re-runs
-    // amortize the one-time compile cost.
-    Table c("Superop kernels: warm-compiled vs warm-cursor per service "
+    // Per-service compiled-vs-dense: the warm speedup the stream
+    // kernels add on top of dense stream replay, and how many warm
+    // re-runs amortize the one-time compile cost.
+    Table c("Stream kernels: warm-compiled vs warm-dense per service "
             "(4 configs each; amortize = warm re-runs to repay compile)");
-    c.header({"service", "cursor s", "compiled s", "speedup",
+    c.header({"service", "dense s", "compiled s", "speedup",
               "compile s", "amortize"});
     for (size_t i = 0; i < names.size(); ++i) {
-        double saved = svc_cursor[i] - svc_compiled[i];
+        const WarmTiers &w = svc_tiers[i];
+        double saved = w.dense - w.compiled;
         std::string amort = saved > 1e-9 ?
-            Table::num(svc_compile[i] / saved, 1) : "-";
-        c.row({names[i], Table::num(svc_cursor[i], 4),
-               Table::num(svc_compiled[i], 4),
-               Table::mult(svc_compiled[i] > 0 ?
-                           svc_cursor[i] / svc_compiled[i] : 0.0),
-               Table::num(svc_compile[i], 4), amort});
+            Table::num(w.compile / saved, 1) : "-";
+        c.row({names[i], Table::num(w.dense, 4),
+               Table::num(w.compiled, 4),
+               Table::mult(w.compiled > 0 ? w.dense / w.compiled : 0.0),
+               Table::num(w.compile, 4), amort});
     }
     c.print();
 
@@ -744,7 +727,6 @@ runBench(const TimingOptions &opt)
     u.header({"executor", "ns/op"});
     u.row({"interpreter (live)", Table::num(micro.liveNs, 2)});
     u.row({"ReplayCursor", Table::num(micro.cursorNs, 2)});
-    u.row({"CompiledCursor", Table::num(micro.compiledNs, 2)});
     u.row({"ReplayStream", Table::num(micro.streamNs, 2)});
     u.row({"CompiledStreamCursor", Table::num(micro.cstreamNs, 2)});
     u.print();
@@ -796,64 +778,57 @@ runBench(const TimingOptions &opt)
         "\"configs\": 4, \"requests\": " + std::to_string(opt.requests) +
         ", \"live_seconds\": " + std::to_string(fe_live_secs) +
         ", \"cold_seconds\": " + std::to_string(fe_cold_secs) +
-        ", \"cold_dynamic_taint_seconds\": " +
-        std::to_string(fe_cold_dyn_secs) +
-        ", \"warm_cursor_seconds\": " + std::to_string(fe_cursor_secs) +
+        ", \"warm_dense_seconds\": " + std::to_string(fe_dense_secs) +
         ", \"warm_seconds\": " + std::to_string(fe_warm_secs) +
+        ", \"stream_compile_seconds\": " +
+        std::to_string(fe_tiers.compile) +
         ", \"timing_live_seconds\": " + std::to_string(live_secs) +
         ", \"timing_cold_seconds\": " + std::to_string(cold_secs) +
         ", \"timing_warm_seconds\": " + std::to_string(warm_secs);
     char buf[256];
     std::snprintf(buf, sizeof(buf),
                   ", \"speedup_cold\": %.2f, "
-                  "\"speedup_warm_cursor\": %.2f, "
+                  "\"speedup_warm_dense\": %.2f, "
                   "\"speedup_warm\": %.2f, "
-                  "\"compiled_vs_cursor\": %.2f, "
+                  "\"compiled_vs_dense\": %.2f, "
                   "\"timing_speedup_cold\": %.2f, "
                   "\"timing_speedup_warm\": %.2f, "
                   "\"max_dedup_ratio\": %.4f",
                   fe_live_secs / fe_cold_secs,
-                  fe_live_secs / fe_cursor_secs,
+                  fe_live_secs / fe_dense_secs,
                   fe_live_secs / fe_warm_secs,
-                  fe_warm_secs > 0 ? fe_cursor_secs / fe_warm_secs : 0.0,
+                  fe_warm_secs > 0 ? fe_dense_secs / fe_warm_secs : 0.0,
                   live_secs / cold_secs, live_secs / warm_secs,
                   max_dedup);
     json += buf;
     std::snprintf(buf, sizeof(buf),
                   ", \"micro_ns_per_op\": {\"live\": %.2f, "
-                  "\"replay_cursor\": %.2f, \"compiled_cursor\": %.2f, "
+                  "\"replay_cursor\": %.2f, "
                   "\"replay_stream\": %.2f, \"compiled_stream\": %.2f}",
-                  micro.liveNs, micro.cursorNs, micro.compiledNs,
-                  micro.streamNs, micro.cstreamNs);
+                  micro.liveNs, micro.cursorNs, micro.streamNs,
+                  micro.cstreamNs);
     json += buf;
     std::snprintf(buf, sizeof(buf),
-                  ", \"static_tier\": {\"cold_seconds\": %.4f, "
-                  "\"cold_dynamic_taint_seconds\": %.4f, "
-                  "\"capture_speedup\": %.2f, "
-                  "\"static_captures\": %llu, "
+                  ", \"static_tier\": {\"static_captures\": %llu, "
                   "\"micro_capture_dynamic_ns\": %.2f, "
                   "\"micro_capture_static_ns\": %.2f, "
                   "\"micro_engaged\": %s}",
-                  fe_cold_secs, fe_cold_dyn_secs,
-                  fe_cold_secs > 0 ? fe_cold_dyn_secs / fe_cold_secs
-                                   : 0.0,
                   static_cast<unsigned long long>(static_captures),
                   cap.dynNs, cap.staticNs,
                   cap.engaged ? "true" : "false");
     json += buf;
     json += ", \"per_service_compiled\": [";
     for (size_t i = 0; i < names.size(); ++i) {
-        double saved = svc_cursor[i] - svc_compiled[i];
+        const WarmTiers &w = svc_tiers[i];
+        double saved = w.dense - w.compiled;
         std::snprintf(buf, sizeof(buf), "{\"name\": \"%s\", "
-                      "\"cursor_seconds\": %.4f, "
+                      "\"dense_seconds\": %.4f, "
                       "\"compiled_seconds\": %.4f, "
                       "\"speedup\": %.2f, \"compile_seconds\": %.4f, "
                       "\"amortize_reps\": %.1f}", names[i].c_str(),
-                      svc_cursor[i], svc_compiled[i],
-                      svc_compiled[i] > 0 ?
-                          svc_cursor[i] / svc_compiled[i] : 0.0,
-                      svc_compile[i],
-                      saved > 1e-9 ? svc_compile[i] / saved : -1.0);
+                      w.dense, w.compiled,
+                      w.compiled > 0 ? w.dense / w.compiled : 0.0,
+                      w.compile, saved > 1e-9 ? w.compile / saved : -1.0);
         json += (i ? ", " : "") + std::string(buf);
     }
     json += "], \"per_service_dedup\": [";
@@ -867,7 +842,6 @@ runBench(const TimingOptions &opt)
         ", \"cache_bytes\": " + std::to_string(bytes) +
         ", \"stream_entries\": " + std::to_string(stream_entries) +
         ", \"stream_bytes\": " + std::to_string(stream_bytes) +
-        ", \"compiled_traces\": " + std::to_string(cc.compiledTraces) +
         ", \"compiled_streams\": " + std::to_string(cc.compiledStreams) +
         ", \"compiled_ops\": " + std::to_string(cc.compiledOps) +
         ", \"simd_lanes\": " + std::to_string(cc.simdLanes) +

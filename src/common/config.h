@@ -9,13 +9,20 @@
 #define SIMR_COMMON_CONFIG_H
 
 #include <cstdint>
+#include <limits>
 #include <string>
 
 namespace simr
 {
 
-/** Read an integer environment variable, falling back to a default. */
-int64_t envInt(const char *name, int64_t fallback);
+/**
+ * Read an integer environment variable, falling back to a default when
+ * it is unset or empty. Anything but a whole base-10 integer, or a
+ * value below `min`, is a fatal error naming the variable and value:
+ * a typo must not silently select some other behaviour.
+ */
+int64_t envInt(const char *name, int64_t fallback,
+               int64_t min = std::numeric_limits<int64_t>::min());
 
 /** Read a double environment variable, falling back to a default. */
 double envDouble(const char *name, double fallback);

@@ -26,7 +26,7 @@ defaultThreads()
     int override = g_thread_override.load(std::memory_order_relaxed);
     if (override > 0)
         return override;
-    int64_t env = envInt("SIMR_THREADS", 0);
+    int64_t env = envInt("SIMR_THREADS", 0, 0);
     if (env > 0)
         return static_cast<int>(env);
     return hardwareThreads();

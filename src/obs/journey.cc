@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "common/logging.h"
 #include "common/rng.h"
 
 namespace simr::obs
@@ -28,7 +29,7 @@ JourneyMode
 journeyModeFromEnv(JourneyMode fallback)
 {
     const char *v = std::getenv("SIMR_JOURNEYS");
-    if (!v)
+    if (!v || !*v)
         return fallback;
     if (std::strcmp(v, "off") == 0 || std::strcmp(v, "0") == 0)
         return JourneyMode::Off;
@@ -36,7 +37,7 @@ journeyModeFromEnv(JourneyMode fallback)
         return JourneyMode::All;
     if (std::strcmp(v, "sampled") == 0)
         return JourneyMode::Sampled;
-    return fallback;
+    simr_fatal("SIMR_JOURNEYS=%s: expected off|sampled|all", v);
 }
 
 const char *

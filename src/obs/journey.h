@@ -60,7 +60,10 @@ enum class JourneyMode : uint8_t {
     All,      ///< full capture of every request (debug drill-downs)
 };
 
-/** Parse SIMR_JOURNEYS; unset or unknown values mean `fallback`. */
+/**
+ * Parse SIMR_JOURNEYS (unset or empty means `fallback`; "0" is an
+ * alias for off). Any other value is fatal.
+ */
 JourneyMode journeyModeFromEnv(JourneyMode fallback = JourneyMode::Sampled);
 
 const char *journeyModeName(JourneyMode m);

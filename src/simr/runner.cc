@@ -508,10 +508,6 @@ recordTraceCacheStats()
             static_cast<double>(cache->entries()));
         reg->gauge("trace.evictions")->set(
             static_cast<double>(cache->evictions()));
-        reg->gauge("trace.compiled_entries")->set(
-            static_cast<double>(cache->compiledEntries()));
-        reg->gauge("trace.compiled_bytes")->set(
-            static_cast<double>(cache->compiledBytes()));
     }
     if (StreamCache *scache = StreamCache::process()) {
         reg->counter("trace.stream_hits")->inc(scache->hits());
@@ -528,7 +524,6 @@ recordTraceCacheStats()
             static_cast<double>(scache->compiledBytes()));
     }
     const trace::CompileCounters cc = trace::compileCounters();
-    reg->counter("trace.compiled_traces")->inc(cc.compiledTraces);
     reg->counter("trace.compiled_streams")->inc(cc.compiledStreams);
     reg->counter("trace.compile_us")->inc(cc.compileUs);
     reg->counter("trace.compiled_ops")->inc(cc.compiledOps);

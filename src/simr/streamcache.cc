@@ -27,12 +27,11 @@ StreamCache::lookup(const std::string &key, StreamEntry *out)
     touch(e);
     ++hits_;
     ++e.hits;
-    // Compile on the second hit, mirroring TraceCache: the first hit
-    // proved the cell re-runs, so the lowering cost amortizes. The
+    // Compile on the second hit: the first hit proved the cell
+    // re-runs, so the lowering cost amortizes. The
     // entry was just touched to the LRU back, so eviction below can
     // never free it.
-    if (e.payload.compiled == nullptr && e.hits >= 2 &&
-        trace::compileEnabled()) {
+    if (e.payload.compiled == nullptr && e.hits >= 2) {
         e.payload.compiled = trace::compileStream(e.payload.trace);
         bytes_ += e.payload.compiled->byteSize();
         compiledBytes_ += e.payload.compiled->byteSize();
@@ -166,7 +165,7 @@ StreamCache::process()
             return nullptr;
         size_t mb = static_cast<size_t>(
             envInt("SIMR_STREAM_CACHE_MB",
-                   static_cast<int64_t>(kDefaultBudget >> 20)));
+                   static_cast<int64_t>(kDefaultBudget >> 20), 0));
         return new StreamCache(mb << 20);
     }();
     return cache;

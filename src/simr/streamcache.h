@@ -43,10 +43,7 @@ namespace simr
 struct StreamEntry
 {
     std::shared_ptr<const trace::StreamTrace> trace;
-    /**
-     * Superop kernel over `trace`, built on the entry's second hit
-     * (null until then, or when compilation is disabled).
-     */
+    /** Superop kernel over `trace`, built on the entry's second hit. */
     std::shared_ptr<const trace::CompiledStream> compiled;
     /** Engine stats at capture (zero-valued for scalar/SMT streams). */
     simt::SimtStats stats{};

@@ -150,51 +150,48 @@ LockstepEngine::launchNext()
     boostLeft_ = 0;
     prevActive_ = 0;
 
-    // Lane-major superop eligibility: a fully-live batch whose lanes all
-    // replay shape-equal compiled traces can never diverge (the shape
-    // fingerprint covers the op sequence, branch outcomes and dependence
-    // columns), so the whole batch is handed to the batch kernel and the
-    // per-op grouping below it is skipped.
+    // Lane-major eligibility: a fully-live batch whose lanes all replay
+    // shape-equal traces can never diverge (the shape fingerprint
+    // covers the op sequence, branch outcomes and dependence columns),
+    // so the whole batch is handed to the batch kernel and the per-op
+    // grouping below it is skipped.
     kernelBatch_ = false;
-    if (trace::compileEnabled()) {
-        const Mask full = batchSize_ == trace::kMaxBatch ?
-            ~Mask{0} : ((Mask{1} << batchSize_) - 1);
+    const Mask full = batchSize_ == trace::kMaxBatch ?
+        ~Mask{0} : ((Mask{1} << batchSize_) - 1);
+    if (liveMask_ == full) {
         // Static relaxation: in an (api, argLen)-uniform batch of a
         // program whose every branch is proven at least per-batch
         // uniform, shape-equal traces are implied (same control path,
         // same taken bits), so only the op counts are compared.
         const bool hinted = proofApplies_ && proof_->allUniformPerBatch &&
             batchApiArgUniform_;
-        if (liveMask_ == full) {
-            const trace::CompiledTrace *rep = nullptr;
-            bool ok = true;
-            bool compared = false;
-            trace::TraceBatchKernel::LaneSrc srcs[trace::kMaxBatch];
-            for (int i = 0; i < batchSize_; ++i) {
-                const auto &l = *lanes_[static_cast<size_t>(i)];
-                if (!l.compiledReplaying()) {
-                    ok = false;
-                    break;
-                }
-                const trace::CompiledTrace *k = l.compiledCursor().kernel();
-                if (rep == nullptr) {
-                    rep = k;
-                } else if (k != rep) {
-                    compared = true;
-                    if (k->opCount() != rep->opCount() ||
-                        (!hinted && k->shapeFingerprint() !=
-                             rep->shapeFingerprint()))
-                        ok = false;
-                }
-                srcs[i] = {l.compiledCursor().addrCol(),
-                           l.compiledCursor().shifts()};
+        const trace::CapturedTrace *rep = nullptr;
+        bool ok = true;
+        bool compared = false;
+        trace::TraceBatchKernel::LaneSrc srcs[trace::kMaxBatch];
+        for (int i = 0; i < batchSize_ && ok; ++i) {
+            const auto &l = *lanes_[static_cast<size_t>(i)];
+            if (!l.replaying()) {
+                ok = false;
+                break;
             }
-            if (ok && rep != nullptr && rep->opCount() > 0) {
-                bkernel_.start(rep, srcs, batchSize_, pi_);
-                kernelBatch_ = true;
-                if (hinted && compared)
-                    ++stats_.hintedKernelBatches;
+            const trace::ReplayCursor &c = l.replayCursor();
+            const trace::CapturedTrace *t = &c.trace();
+            if (rep == nullptr) {
+                rep = t;
+            } else if (t != rep) {
+                compared = true;
+                ok = t->opCount() == rep->opCount() &&
+                    (hinted ||
+                     t->shapeFingerprint() == rep->shapeFingerprint());
             }
+            srcs[i] = {c.addrCol(), c.shifts()};
+        }
+        if (ok && rep != nullptr && rep->opCount() > 0) {
+            bkernel_.start(rep, srcs, batchSize_, pi_);
+            kernelBatch_ = true;
+            if (hinted && compared)
+                ++stats_.hintedKernelBatches;
         }
     }
     return true;
@@ -288,7 +285,7 @@ LockstepEngine::next(DynOp &op)
         fresh = true;
     }
     if (kernelBatch_) {
-        // Uniform batch on the superop fast path: the kernel emits the
+        // Uniform batch on the lane-major fast path: the kernel emits the
         // op; the engine keeps its usual duties (stats, observer, lane
         // retirement) in the exact order execGroup performs them.
         bkernel_.step(op);

@@ -31,6 +31,7 @@
 
 #include "trace/dynop.h"
 #include "trace/interp.h"
+#include "trace/kernels.h"
 #include "trace/replay.h"
 #include "trace/stream.h"
 
@@ -253,10 +254,10 @@ class LockstepEngine : public trace::DynStream
     // Stack-IPDOM state.
     std::vector<StackEntry> stack_;
 
-    // Lane-major superop replay: when every lane of a fresh batch
-    // replays a shape-equal compiled trace, the batch can never
-    // diverge, so the whole grouping/divergence machinery below is
-    // bypassed and the batch kernel emits the ops directly.
+    // Lane-major replay: when every lane of a fresh batch replays a
+    // shape-equal trace, the batch can never diverge, so the whole
+    // grouping/divergence machinery below is bypassed and the batch
+    // kernel emits the ops directly.
     trace::TraceBatchKernel bkernel_;
     bool kernelBatch_ = false;
 

@@ -693,7 +693,7 @@ runCluster(const ClusterConfig &cfg)
 {
     int shards = cfg.shards;
     if (shards <= 0)
-        shards = static_cast<int>(envInt("SIMR_SYS_SHARDS", 0));
+        shards = static_cast<int>(envInt("SIMR_SYS_SHARDS", 0, 0));
     if (shards <= 0)
         shards = defaultThreads();
     int threads = cfg.threads > 0 ? cfg.threads : defaultThreads();

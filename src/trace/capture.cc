@@ -1,10 +1,11 @@
 #include "trace/capture.h"
 
+#include <new>
+
 #include "common/config.h"
 #include "common/logging.h"
 #include "common/rng.h"
 #include "isa/builder.h"
-#include "trace/compile.h"
 
 namespace simr::trace
 {
@@ -245,6 +246,50 @@ TaintTracker::step(const StaticInst &si, const StepResult &r)
 }
 
 // ---------------------------------------------------------------------------
+// CapturedTrace
+
+namespace
+{
+
+/** FNV-1a over one column's raw bytes. */
+template <typename T>
+uint64_t
+fnv1a(uint64_t h, const T *data, size_t n)
+{
+    const auto *p = reinterpret_cast<const uint8_t *>(data);
+    for (size_t i = 0; i < n * sizeof(T); ++i) {
+        h ^= p[i];
+        h *= 0x100000001b3ull;
+    }
+    return h;
+}
+
+template <typename T>
+uint64_t
+fnv1a(uint64_t h, const std::vector<T> &col)
+{
+    return fnv1a(h, col.data(), col.size());
+}
+
+} // namespace
+
+uint64_t
+CapturedTrace::shapeFingerprint() const
+{
+    std::call_once(shapeOnce_, [this] {
+        const uint64_t n = opCount();
+        uint64_t h = fnv1a(0xcbf29ce484222325ull, &n, 1);
+        h = fnv1a(h, staticIdx_);
+        h = fnv1a(h, flags_);
+        h = fnv1a(h, dep1_);
+        h = fnv1a(h, dep2_);
+        h = fnv1a(h, callDepth_);
+        shapeFp_ = h;
+    });
+    return shapeFp_;
+}
+
+// ---------------------------------------------------------------------------
 // CaptureBuilder
 
 void
@@ -258,11 +303,8 @@ CaptureBuilder::reset(const ThreadInit &init)
     // identity/frame event can occur), so capture reads kinds from the
     // proof table instead of interpreting the lattice per op.
     static_ = proof_ != nullptr && proof_->tier1() &&
-        proof_->fingerprint == pi_->fingerprint() &&
-        envInt("SIMR_STATIC_TIER", 1) != 0;
+        proof_->fingerprint == pi_->fingerprint();
     taint_.reset();
-    for (auto &p : prevAddr_)
-        p = 0;
 }
 
 void
@@ -282,11 +324,6 @@ CaptureBuilder::onStep(const StepResult &r)
         flags |= CapturedTrace::kMemBit;
         flags |= static_cast<uint8_t>(
             static_cast<uint8_t>(kind) << CapturedTrace::kAddrKindShift);
-        int k = static_cast<int>(kind);
-        detail::putVarint(out_->addrArena_,
-                          detail::zigzag(static_cast<int64_t>(
-                              r.addr - prevAddr_[k])));
-        prevAddr_[k] = r.addr;
         out_->addr_.push_back(r.addr);
     }
     out_->staticIdx_.push_back(flat);
@@ -305,7 +342,6 @@ CaptureBuilder::finish()
     out_->frameDep_ = static_ ? false : taint_.frameDependent();
     out_->staticIdx_.shrink_to_fit();
     out_->flags_.shrink_to_fit();
-    out_->addrArena_.shrink_to_fit();
     out_->dep1_.shrink_to_fit();
     out_->dep2_.shrink_to_fit();
     out_->callDepth_.shrink_to_fit();
@@ -373,7 +409,7 @@ TraceCache::~TraceCache() = default;
 
 std::shared_ptr<const CapturedTrace>
 TraceCache::lookup(uint64_t fingerprint, const ThreadInit &init,
-                   bool *dedup, std::shared_ptr<const CompiledTrace> *compiled)
+                   bool *dedup)
 {
     std::lock_guard<std::mutex> lock(mu_);
     for (int tier = 1; tier <= 3; ++tier) {
@@ -383,36 +419,16 @@ TraceCache::lookup(uint64_t fingerprint, const ThreadInit &init,
         Entry &e = it->second;
         touch(e);
         ++hits_;
-        ++e.hits;
         bool d = e.trace->frame().reqId != init.reqId;
         if (d)
             ++dedupHits_;
         if (dedup)
             *dedup = d;
-        if (compiled != nullptr) {
-            // Compile on the second hit: the first hit proved reuse, so
-            // the one-time lowering cost amortizes, while single-hit
-            // traces never pay it. The entry was just touched to the
-            // LRU back, so eviction below can free other entries but
-            // never this one.
-            if (e.compiled == nullptr && e.hits >= 2 && compileEnabled()) {
-                e.compiled = compileTrace(e.trace);
-                bytes_ += e.compiled->byteSize();
-                compiledBytes_ += e.compiled->byteSize();
-                ++compiledEntries_;
-                evictOverBudget();
-            }
-            // Honour the runtime toggle even for entries compiled
-            // earlier: a disabled process must replay via the cursor.
-            *compiled = compileEnabled() ? e.compiled : nullptr;
-        }
         return e.trace;
     }
     ++misses_;
     if (dedup)
         *dedup = false;
-    if (compiled != nullptr)
-        *compiled = nullptr;
     return nullptr;
 }
 
@@ -432,7 +448,7 @@ TraceCache::insert(uint64_t fingerprint, const ThreadInit &init,
         return;
     }
     lru_.push_back(k);
-    Entry e{std::move(trace), nullptr, 0, std::prev(lru_.end())};
+    Entry e{std::move(trace), std::prev(lru_.end())};
     bytes_ += e.trace->byteSize();
     map_.emplace(std::move(k), std::move(e));
     evictOverBudget();
@@ -453,11 +469,6 @@ TraceCache::evictOverBudget()
         auto it = map_.find(lru_.front());
         simr_assert(it != map_.end(), "LRU entry missing from the map");
         bytes_ -= it->second.trace->byteSize();
-        if (it->second.compiled != nullptr) {
-            bytes_ -= it->second.compiled->byteSize();
-            compiledBytes_ -= it->second.compiled->byteSize();
-            --compiledEntries_;
-        }
         map_.erase(it);
         lru_.pop_front();
         ++evictions_;
@@ -471,8 +482,6 @@ TraceCache::clear()
     map_.clear();
     lru_.clear();
     bytes_ = 0;
-    compiledEntries_ = 0;
-    compiledBytes_ = 0;
 }
 
 uint64_t
@@ -494,20 +503,6 @@ TraceCache::evictions() const
 {
     std::lock_guard<std::mutex> lock(mu_);
     return evictions_;
-}
-
-uint64_t
-TraceCache::compiledEntries() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return compiledEntries_;
-}
-
-uint64_t
-TraceCache::compiledBytes() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return compiledBytes_;
 }
 
 uint64_t
@@ -534,16 +529,19 @@ TraceCache::dedupRequests() const
 TraceCache *
 TraceCache::process()
 {
-    // Leaked singleton: streams may consult the cache from worker
-    // threads torn down after main exits; never destruct underneath
-    // them. SIMR_TRACE_CACHE=0 disables reuse process-wide.
+    // Never destructed: streams may consult the cache from worker
+    // threads torn down after main exits. Built in static storage
+    // rather than leaked from `new`, which gcc -fanalyzer (tools/lint.sh)
+    // reports as a possibly-null argument and a leak.
+    // SIMR_TRACE_CACHE=0 disables reuse process-wide.
     static TraceCache *cache = []() -> TraceCache * {
         if (envInt("SIMR_TRACE_CACHE", 1) == 0)
             return nullptr;
         size_t mb = static_cast<size_t>(
             envInt("SIMR_TRACE_CACHE_MB",
-                   static_cast<int64_t>(kDefaultBudget >> 20)));
-        return new TraceCache(mb << 20);
+                   static_cast<int64_t>(kDefaultBudget >> 20), 0));
+        alignas(TraceCache) static unsigned char storage[sizeof(TraceCache)];
+        return ::new (storage) TraceCache(mb << 20);
     }();
     return cache;
 }

@@ -5,11 +5,12 @@
  * The paper's SIMTec flow traces each request binary once and
  * post-processes the same trace under many timing configurations. This
  * module gives the repo the same trace-once/replay-many structure: a
- * CapturedTrace stores one request's full dynamic stream in compact
- * columnar (SoA) form -- flat static-PC indices, a packed flags byte
- * (branch outcome + address-relocation kind) and delta/varint-encoded
- * memory addresses in a byte arena -- captured in the frame the request
- * first ran in and *relocated* on replay to any other hardware slot.
+ * CapturedTrace stores one request's full dynamic stream in columnar
+ * (SoA) form -- flat static-PC indices, a packed flags byte (branch
+ * outcome + address-relocation kind), dependence distances, call
+ * depths and canonical memory addresses -- captured in the frame the
+ * request first ran in and *relocated* on replay to any other hardware
+ * slot.
  *
  * Relocation is not assumed, it is proved. While a request is being
  * captured, a TaintTracker runs an abstract interpretation next to the
@@ -63,53 +64,6 @@
 
 namespace simr::trace
 {
-
-class CompiledTrace;
-
-namespace detail
-{
-
-/** Zigzag-map a signed delta so small magnitudes encode short. */
-inline uint64_t
-zigzag(int64_t v)
-{
-    return (static_cast<uint64_t>(v) << 1) ^
-        static_cast<uint64_t>(v >> 63);
-}
-
-inline int64_t
-unzigzag(uint64_t u)
-{
-    return static_cast<int64_t>(u >> 1) ^ -static_cast<int64_t>(u & 1);
-}
-
-/** LEB128 append. */
-inline void
-putVarint(std::vector<uint8_t> &out, uint64_t v)
-{
-    while (v >= 0x80) {
-        out.push_back(static_cast<uint8_t>(v) | 0x80);
-        v >>= 7;
-    }
-    out.push_back(static_cast<uint8_t>(v));
-}
-
-/** LEB128 read; advances `pos`. */
-inline uint64_t
-getVarint(const uint8_t *p, size_t &pos)
-{
-    uint64_t v = 0;
-    int shift = 0;
-    uint8_t b;
-    do {
-        b = p[pos++];
-        v |= static_cast<uint64_t>(b & 0x7f) << shift;
-        shift += 7;
-    } while (b & 0x80);
-    return v;
-}
-
-} // namespace detail
 
 /**
  * Flat static-instruction index over one laid-out Program instance.
@@ -172,20 +126,17 @@ enum class AddrKind : uint8_t {
 };
 
 /**
- * One request's dynamic stream in compact columnar form. Immutable
- * once finished; shared (refcounted) between every consumer replaying
- * it.
+ * One request's dynamic stream in columnar form. Immutable once
+ * finished; shared (refcounted) between every consumer replaying it.
  *
- * Two representations live side by side. The *compact* columns
- * (staticIdx, flags, varint arena) are the canonical interchange form
- * the tentpole describes: ~5-7 bytes per dynamic op, delta-encoded
- * addresses. On top of them finish() materializes *replay-ready*
- * columns -- dependence distances, call depth, and decoded canonical
+ * The columns are replay-ready: besides what the op sequence *is*
+ * (static index, flags byte) they hold what replay would otherwise
+ * have to recompute -- dependence distances, call depth and canonical
  * addresses -- so ReplayCursor::step is a handful of sequential array
- * reads with no per-op varint decode or lastWriter mirroring (measured
- * ~4x cheaper than a live interpreter step; decode-per-replay would
- * cost as much as interpreting). The extra ~14 bytes/op count against
- * the cache budget like everything else.
+ * reads with no lastWriter mirroring (measured ~4x cheaper than a live
+ * interpreter step). The same columns feed the lane-major
+ * TraceBatchKernel, which takes a uniform batch's op sequence from one
+ * representative trace and each lane's addresses from its own.
  */
 class CapturedTrace
 {
@@ -217,7 +168,7 @@ class CapturedTrace
     {
         return sizeof(*this) +
             staticIdx_.capacity() * sizeof(uint32_t) +
-            flags_.capacity() + addrArena_.capacity() +
+            flags_.capacity() +
             dep1_.capacity() * sizeof(uint16_t) +
             dep2_.capacity() * sizeof(uint16_t) +
             callDepth_.capacity() +
@@ -226,16 +177,22 @@ class CapturedTrace
 
     const std::vector<uint32_t> &staticIdx() const { return staticIdx_; }
     const std::vector<uint8_t> &flags() const { return flags_; }
-    const std::vector<uint8_t> &addrArena() const { return addrArena_; }
-
-    /** @name Replay-ready columns (derived, see the class comment). */
-    /// @{
     const std::vector<uint16_t> &dep1() const { return dep1_; }
     const std::vector<uint16_t> &dep2() const { return dep2_; }
     const std::vector<uint8_t> &callDepth() const { return callDepth_; }
     /** Canonical-frame absolute addresses, one entry per memory op. */
     const std::vector<uint64_t> &memAddr() const { return addr_; }
-    /// @}
+
+    /**
+     * Hash of the trace's *shape*: op count, static indices, flags
+     * (branch outcomes, memory markers, relocation kinds), dependence
+     * distances and call depths -- every column except the addresses.
+     * Lanes replaying shape-equal traces never diverge in lockstep,
+     * which is what makes the lane-major batch kernel sound. Computed
+     * on first use (once, thread-safely): only batches mixing distinct
+     * traces ever need it, so capture never pays for it.
+     */
+    uint64_t shapeFingerprint() const;
 
   private:
     friend class CaptureBuilder;
@@ -245,23 +202,18 @@ class CapturedTrace
     bool idDep_ = false;
     bool frameDep_ = false;
 
-    // Compact columnar (SoA) payload, one entry per dynamic op: the
-    // flat static-PC index, a flags byte, and -- for memory ops only --
-    // a zigzag-varint delta against the previous address of the same
-    // AddrKind appended to the arena.
+    // One entry per dynamic op. addr_ holds canonical-frame absolute
+    // addresses (memory ops only, in stream order); replay adds the
+    // per-AddrKind relocation shift.
     std::vector<uint32_t> staticIdx_;
     std::vector<uint8_t> flags_;
-    std::vector<uint8_t> addrArena_;
-
-    // Replay-ready columns: the StepResult fields that are pure
-    // functions of the op sequence, precomputed so the cursor never
-    // mirrors interpreter bookkeeping. addr_ holds canonical-frame
-    // absolute addresses (memory ops only, in stream order); the
-    // cursor adds the per-AddrKind relocation shift.
     std::vector<uint16_t> dep1_;
     std::vector<uint16_t> dep2_;
     std::vector<uint8_t> callDepth_;
     std::vector<uint64_t> addr_;
+
+    mutable std::once_flag shapeOnce_;
+    mutable uint64_t shapeFp_ = 0;
 };
 
 /**
@@ -344,7 +296,6 @@ class CaptureBuilder
     std::shared_ptr<const StaticProof> proof_;
     bool static_ = false;
     std::unique_ptr<CapturedTrace> out_;
-    uint64_t prevAddr_[3] = {};
 };
 
 /** Per-stream trace-reuse statistics (deterministic per cell). */
@@ -401,18 +352,9 @@ class TraceCache
      * Tries the canonical tier first, then per-frame, then exact.
      * Sets `*dedup` when the hit was captured from a different request
      * than `init` describes.
-     *
-     * When `compiled` is non-null, the caller wants the entry's superop
-     * kernel as well: an entry is compiled (under the cache lock, once)
-     * on its second hit -- the first hit proves reuse, so compile time
-     * is never spent on single-use traces and a cold sweep's first pass
-     * is unaffected. The kernel's bytes count against the budget and
-     * are evicted with the entry. `*compiled` stays null on the first
-     * hit or when compilation is disabled.
      */
     std::shared_ptr<const CapturedTrace>
-    lookup(uint64_t fingerprint, const ThreadInit &init, bool *dedup,
-           std::shared_ptr<const CompiledTrace> *compiled = nullptr);
+    lookup(uint64_t fingerprint, const ThreadInit &init, bool *dedup);
 
     /**
      * Insert a finished capture under the strongest tier its taint
@@ -430,12 +372,6 @@ class TraceCache
     uint64_t entries() const;
     size_t budgetBytes() const { return budget_; }
     uint64_t evictions() const;
-
-    /** @name Superop-kernel residency (subset of the totals above). */
-    /// @{
-    uint64_t compiledEntries() const;
-    uint64_t compiledBytes() const;
-    /// @}
 
     /** @name Whole-cache reuse totals (every lookup ever made). */
     /// @{
@@ -480,9 +416,6 @@ class TraceCache
     struct Entry
     {
         std::shared_ptr<const CapturedTrace> trace;
-        /** Superop kernel, built on the entry's second hit. */
-        std::shared_ptr<const CompiledTrace> compiled;
-        uint32_t hits = 0;
         std::list<Key>::iterator lru;
     };
 
@@ -500,8 +433,6 @@ class TraceCache
     uint64_t hits_ = 0;
     uint64_t misses_ = 0;
     uint64_t dedupHits_ = 0;
-    uint64_t compiledEntries_ = 0;
-    uint64_t compiledBytes_ = 0;
 };
 
 } // namespace simr::trace

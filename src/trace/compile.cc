@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <cstdlib>
 
 #include "common/logging.h"
 #include "trace/replay.h"
@@ -11,26 +10,13 @@ namespace simr::trace
 {
 
 // ---------------------------------------------------------------------------
-// Runtime toggles and counters
+// SIMD availability and counters
 
 namespace
 {
 
-bool
-envFlag(const char *name, bool dflt)
-{
-    const char *v = std::getenv(name);
-    if (v == nullptr || *v == '\0')
-        return dflt;
-    return !(v[0] == '0' && v[1] == '\0');
-}
-
-std::atomic<bool> gCompileEnabled{envFlag("SIMR_TRACE_COMPILE", true)};
-std::atomic<bool> gSimdEnabled{envFlag("SIMR_SIMD", true)};
-
 struct Counters
 {
-    std::atomic<uint64_t> compiledTraces{0};
     std::atomic<uint64_t> compiledStreams{0};
     std::atomic<uint64_t> compileUs{0};
     std::atomic<uint64_t> compiledOps{0};
@@ -50,34 +36,7 @@ usSince(Clock::time_point t0)
             .count());
 }
 
-/** FNV-1a over a raw byte range. */
-uint64_t
-fnv1a(uint64_t h, const void *data, size_t bytes)
-{
-    const auto *p = static_cast<const uint8_t *>(data);
-    for (size_t i = 0; i < bytes; ++i) {
-        h ^= p[i];
-        h *= 0x100000001b3ull;
-    }
-    return h;
-}
-
-template <typename T>
-uint64_t
-fnv1aCol(uint64_t h, const std::vector<T> &col)
-{
-    return fnv1a(h, col.data(), col.size() * sizeof(T));
-}
-
 } // namespace
-
-bool compileEnabled() { return gCompileEnabled.load(std::memory_order_relaxed); }
-
-void
-setCompileEnabled(bool on)
-{
-    gCompileEnabled.store(on, std::memory_order_relaxed);
-}
 
 bool
 simdCompiledIn()
@@ -100,23 +59,10 @@ simdAvailable()
 #endif
 }
 
-bool
-simdEnabled()
-{
-    return simdAvailable() && gSimdEnabled.load(std::memory_order_relaxed);
-}
-
-void
-setSimdEnabled(bool on)
-{
-    gSimdEnabled.store(on, std::memory_order_relaxed);
-}
-
 CompileCounters
 compileCounters()
 {
     CompileCounters c;
-    c.compiledTraces = gCounters.compiledTraces.load(std::memory_order_relaxed);
     c.compiledStreams =
         gCounters.compiledStreams.load(std::memory_order_relaxed);
     c.compileUs = gCounters.compileUs.load(std::memory_order_relaxed);
@@ -135,78 +81,6 @@ void
 addSimdLanes(uint64_t n)
 {
     gCounters.simdLanes.fetch_add(n, std::memory_order_relaxed);
-}
-
-// ---------------------------------------------------------------------------
-// Request-level lowering
-
-std::shared_ptr<const CompiledTrace>
-compileTrace(std::shared_ptr<const CapturedTrace> t)
-{
-    simr_assert(t != nullptr, "compiling a null trace");
-    const auto t0 = Clock::now();
-
-    auto out = std::make_shared<CompiledTrace>();
-    out->src_ = std::move(t);
-    const CapturedTrace &src = *out->src_;
-    const uint64_t n = src.opCount();
-    out->ops_ = n;
-
-    const uint32_t *idx = src.staticIdx().data();
-    const uint8_t *flg = src.flags().data();
-    const uint8_t *depth = src.callDepth().data();
-
-    // Records average ~1.5-2 ops each on the real services; reserve for
-    // the worst case seen in practice to avoid rehash-like growth.
-    out->recs_.reserve(static_cast<size_t>(n / 2 + 4));
-
-    CompiledTrace::Rec *cur = nullptr;
-    uint32_t prevFlat = 0;
-    for (uint64_t pos = 0; pos < n; ++pos) {
-        const uint32_t flat = idx[pos];
-        const uint8_t flags = flg[pos];
-        const uint8_t d = depth[pos];
-        const bool contiguous = cur != nullptr &&
-            cur->tail == CompiledTrace::kTailNone && flat == prevFlat + 1 &&
-            d == cur->depth && cur->count < 0xffff;
-        if (contiguous) {
-            ++cur->count;
-        } else {
-            out->recs_.push_back({flat, 1, CompiledTrace::kTailNone, d});
-            cur = &out->recs_.back();
-        }
-        // A memory access or a taken branch seals the record: its
-        // payload / control transfer belongs to the run's last op.
-        // (Not-taken branches fall through to flat+1 and stay inside.)
-        if (flags & CapturedTrace::kMemBit) {
-            const uint8_t kind = (flags >> CapturedTrace::kAddrKindShift) &
-                CapturedTrace::kAddrKindMask;
-            cur->tail = static_cast<uint8_t>(
-                CompiledTrace::kTailMem |
-                (kind << CompiledTrace::kAddrKindShift));
-        } else if (flags & CapturedTrace::kTakenBit) {
-            cur->tail = CompiledTrace::kTailTaken;
-        }
-        prevFlat = flat;
-    }
-    out->recs_.shrink_to_fit();
-
-    // Shape = every column except the per-lane addresses. Shape-equal
-    // lanes execute identical op sequences (same static indices, branch
-    // outcomes, dependence gates, call depths, address-relocation
-    // kinds), so a lockstep batch of them never splits.
-    uint64_t h = 0xcbf29ce484222325ull;
-    h = fnv1a(h, &n, sizeof(n));
-    h = fnv1aCol(h, src.staticIdx());
-    h = fnv1aCol(h, src.flags());
-    h = fnv1aCol(h, src.dep1());
-    h = fnv1aCol(h, src.dep2());
-    h = fnv1aCol(h, src.callDepth());
-    out->shapeFp_ = h;
-
-    gCounters.compiledTraces.fetch_add(1, std::memory_order_relaxed);
-    gCounters.compileUs.fetch_add(usSince(t0), std::memory_order_relaxed);
-    return out;
 }
 
 // ---------------------------------------------------------------------------

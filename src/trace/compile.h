@@ -1,52 +1,41 @@
 /**
  * @file
- * Trace compiler: lower captured traces into threaded superop kernels.
+ * Stream compiler: lower a captured front-end stream into threaded
+ * superop records.
  *
- * The replay cursors in replay.h removed the interpreter from a warm
- * run but still dispatch one op at a time off a per-op flags byte and
- * stream ~14 dense bytes per op out of DRAM (the warm drain is
- * bandwidth-bound, not compute-bound). This module compiles a finished
- * capture -- once, on its second cache hit -- into a *superop* form the
- * kernels in kernels.h execute with a threaded dispatch loop:
+ * A warm StreamTrace replay (ReplayStream) dispatches one op at a time
+ * off a per-op flags byte and streams ~14 dense bytes per op. This
+ * module compiles a finished stream -- once, on its second stream-cache
+ * hit -- into the form CompiledStreamCursor (kernels.h) executes with a
+ * threaded dispatch loop:
  *
  *  - straight-line runs between control/memory events collapse into
- *    one pre-resolved record {first flat index, op count, tail kind},
- *    so the executor decodes no per-op flags and touches ~0.25-7 bytes
- *    of record data per op instead of the full dense columns;
+ *    one pre-resolved record {first flat index, mask, op count, kind},
+ *    so the executor decodes no per-op flags;
  *
- *  - everything that is a pure function of the op sequence
- *    (dependence distances, interpreter lastWriter bookkeeping) is
- *    *recomputed* from a tiny L1-resident register table rather than
- *    streamed from 4-byte-per-op columns -- the StaticInst the
- *    executor must load anyway carries the registers;
+ *  - dependence distances are *recomputed* in batch-op space from the
+ *    StaticInst stream rather than streamed from 4-byte-per-op
+ *    columns; only a 2-bit/op gate survives;
  *
- *  - payload arenas (canonical addresses, lane masks) are *shared*
- *    with the refcounted parent trace, so a compiled kernel adds only
- *    its records (and, for streams, a 2-bit/op dependence gate) to the
- *    cache budget;
+ *  - payload arenas (taken/end masks, lane/address lists) are *shared*
+ *    with the refcounted parent stream, so a kernel adds only its
+ *    records and gates to the cache budget;
  *
  *  - aggregate totals (op count, completed requests) are precomputed,
  *    so consumers that only need counts (runFrontEnd's warm sweep)
  *    drain a compiled stream in O(1).
  *
- * Two kernel kinds mirror the two cache levels. A CompiledTrace lowers
- * one request's CapturedTrace for per-lane replay (LaneExec) and the
- * lane-major batch kernel (all lanes of a uniform lockstep batch in
- * one pass, AVX2 address relocation). A CompiledStream lowers a whole
- * front-end unit's StreamTrace for stream-level replay (ReplayStream).
- *
- * Compilation and the SIMD paths are runtime-toggleable so one process
- * can verify {warm-cursor, warm-compiled} x {scalar, AVX2} tiers
- * bit-identical (the replay_compile_gate matrix).
+ * Request traces have no compiled form: CapturedTrace's columns feed
+ * both the per-lane ReplayCursor and the lane-major TraceBatchKernel
+ * directly.
  */
 
-#ifndef SIMR_TRACE_COMPILE_H
-#define SIMR_TRACE_COMPILE_H
+#ifndef SIMR_TRACE_STREAM_COMPILER_H
+#define SIMR_TRACE_STREAM_COMPILER_H
 
 #include <memory>
 #include <vector>
 
-#include "trace/capture.h"
 #include "trace/dynop.h"
 
 namespace simr::trace
@@ -55,32 +44,24 @@ namespace simr::trace
 class StreamTrace;
 
 // ---------------------------------------------------------------------------
-// Runtime toggles and process-wide compile counters
-
-/** Trace compilation master switch (env SIMR_TRACE_COMPILE, default on). */
-bool compileEnabled();
-void setCompileEnabled(bool on);
-
-/**
- * AVX2 lane-major paths: compiled in (-DSIMR_SIMD=ON), supported by
- * this CPU, and not disabled via env SIMR_SIMD=0 or setSimdEnabled.
- */
-bool simdEnabled();
-void setSimdEnabled(bool on);
+// SIMD availability and process-wide kernel counters
 
 /** AVX2 kernels compiled into this binary (-DSIMR_SIMD=ON). */
 bool simdCompiledIn();
 
-/** AVX2 compiled in *and* supported by the executing CPU. */
+/**
+ * AVX2 compiled in *and* supported by the executing CPU: the batch
+ * kernel's lane relocation then runs 4 lanes at a time.
+ */
 bool simdAvailable();
 
 /** Monotonic process-wide compile/replay counters (relaxed atomics). */
 struct CompileCounters
 {
-    uint64_t compiledTraces = 0;  ///< request kernels built
     uint64_t compiledStreams = 0; ///< stream kernels built
     uint64_t compileUs = 0;       ///< microseconds spent compiling
-    uint64_t compiledOps = 0;     ///< dynamic ops served by kernels
+    uint64_t compiledOps = 0;     ///< ops served by the batch kernel and
+                                  ///  by compiled streams
     uint64_t simdLanes = 0;       ///< lane-addresses through AVX2 paths
 };
 
@@ -91,81 +72,6 @@ CompileCounters compileCounters();
 void addCompiledOps(uint64_t n);
 void addSimdLanes(uint64_t n);
 /// @}
-
-// ---------------------------------------------------------------------------
-// Request-level kernel
-
-/**
- * One CapturedTrace lowered into superop records. Immutable; shares
- * the parent trace's canonical-address column (refcounted), adding
- * only 8 bytes per record (~1.5-2 ops each) to the cache budget.
- *
- * A record covers `count` ops at contiguous flat indices
- * [flat, flat+count), all at one call depth; per-op state the cursor
- * recomputes (dependence distances) or derives (PC, StaticInst). The
- * record's tail op optionally carries the one event that terminated
- * the run: a memory access (address from the shared parent column,
- * relocated by AddrKind) or a taken branch. Records with kTailNone
- * were cut by a control-flow discontinuity, a call-depth change, or
- * the 16-bit count cap.
- */
-class CompiledTrace
-{
-  public:
-    static constexpr uint8_t kTailNone = 0;
-    static constexpr uint8_t kTailMem = 1;
-    static constexpr uint8_t kTailTaken = 2;
-    static constexpr uint8_t kTailKindMask = 0x3;
-    static constexpr uint8_t kAddrKindShift = 2;  ///< kTailMem records
-
-    struct Rec
-    {
-        uint32_t flat;   ///< flat static index of the record's first op
-        uint16_t count;  ///< ops covered (>= 1)
-        uint8_t tail;    ///< kTail* | (AddrKind << kAddrKindShift)
-        uint8_t depth;   ///< call depth of every op in the record
-    };
-    static_assert(sizeof(Rec) == 8, "superop record must stay 8 bytes");
-
-    const std::vector<Rec> &recs() const { return recs_; }
-    uint64_t opCount() const { return ops_; }
-
-    /**
-     * Hash of the trace's *shape*: static indices, flags (branch
-     * outcomes, memory markers), dependence distances and call depths
-     * -- everything except the per-lane addresses. Lanes replaying
-     * shape-equal traces never diverge in lockstep, which is what
-     * makes the lane-major batch kernel sound.
-     */
-    uint64_t shapeFingerprint() const { return shapeFp_; }
-
-    /** The parent capture (payload arenas, relocation frame). */
-    const CapturedTrace &src() const { return *src_; }
-    const std::shared_ptr<const CapturedTrace> &srcPtr() const
-    {
-        return src_;
-    }
-
-    /** Bytes this kernel *adds* to the cache (records only). */
-    size_t
-    byteSize() const
-    {
-        return sizeof(*this) + recs_.capacity() * sizeof(Rec);
-    }
-
-  private:
-    friend std::shared_ptr<const CompiledTrace>
-    compileTrace(std::shared_ptr<const CapturedTrace> t);
-
-    std::shared_ptr<const CapturedTrace> src_;
-    std::vector<Rec> recs_;
-    uint64_t ops_ = 0;
-    uint64_t shapeFp_ = 0;
-};
-
-/** Lower one finished capture (counts compile time and kernels). */
-std::shared_ptr<const CompiledTrace>
-compileTrace(std::shared_ptr<const CapturedTrace> t);
 
 // ---------------------------------------------------------------------------
 // Stream-level kernel
@@ -245,4 +151,4 @@ compileStream(std::shared_ptr<const StreamTrace> t);
 
 } // namespace simr::trace
 
-#endif // SIMR_TRACE_COMPILE_H
+#endif // SIMR_TRACE_STREAM_COMPILER_H

@@ -17,42 +17,54 @@ namespace simr::trace
 using isa::StaticInst;
 
 // ---------------------------------------------------------------------------
-// AVX2 address relocation
+// Lane relocation
 //
-// The vector paths only change *how* the per-lane canonical addresses
+// The vector path only changes *how* the per-lane canonical addresses
 // are computed: 64-bit lane-wise adds wrap mod 2^64 exactly like the
 // scalar uint64_t add, so the results are bit-identical by
-// construction. Runtime dispatch (simdEnabled() checks CPU support)
-// keeps the build portable: nothing outside these `target("avx2")`
-// functions emits AVX2 instructions.
+// construction. Runtime dispatch (simdAvailable() checks CPU support)
+// keeps the build portable: nothing outside the `target("avx2")`
+// function emits AVX2 instructions.
+
+namespace detail
+{
+
+void
+relocScalar(uint64_t *dst, const uint64_t *const *cols, uint64_t row,
+            const uint64_t *shifts, int n, bool shared)
+{
+    if (shared) {
+        const uint64_t a = cols[0][row];
+        for (int i = 0; i < n; ++i)
+            dst[i] = a + shifts[i];
+    } else {
+        for (int i = 0; i < n; ++i)
+            dst[i] = cols[i][row] + shifts[i];
+    }
+}
 
 #if defined(SIMR_SIMD_BUILD) && defined(__GNUC__)
 
-namespace
-{
-
-/** All lanes share one column (dedup batch): broadcast + shift add. */
-__attribute__((target("avx2"))) void
-relocAvx2Shared(uint64_t *dst, uint64_t a, const uint64_t *shifts, int n)
-{
-    const __m256i av = _mm256_set1_epi64x(static_cast<long long>(a));
-    int i = 0;
-    for (; i + 4 <= n; i += 4) {
-        const __m256i sv = _mm256_load_si256(
-            reinterpret_cast<const __m256i *>(shifts + i));
-        _mm256_storeu_si256(reinterpret_cast<__m256i *>(dst + i),
-                            _mm256_add_epi64(av, sv));
-    }
-    for (; i < n; ++i)
-        dst[i] = a + shifts[i];
-}
-
-/** Distinct columns, one shared row index: pack 4 lanes + shift add. */
 __attribute__((target("avx2"))) void
 relocAvx2(uint64_t *dst, const uint64_t *const *cols, uint64_t row,
-          const uint64_t *shifts, int n)
+          const uint64_t *shifts, int n, bool shared)
 {
     int i = 0;
+    if (shared) {
+        // Dedup batch: broadcast the one address, add 4 shifts at once.
+        const uint64_t a = cols[0][row];
+        const __m256i av = _mm256_set1_epi64x(static_cast<long long>(a));
+        for (; i + 4 <= n; i += 4) {
+            const __m256i sv = _mm256_load_si256(
+                reinterpret_cast<const __m256i *>(shifts + i));
+            _mm256_storeu_si256(reinterpret_cast<__m256i *>(dst + i),
+                                _mm256_add_epi64(av, sv));
+        }
+        for (; i < n; ++i)
+            dst[i] = a + shifts[i];
+        return;
+    }
+    // Distinct columns, one shared row index: pack 4 lanes + shift add.
     for (; i + 4 <= n; i += 4) {
         const __m256i av = _mm256_set_epi64x(
             static_cast<long long>(cols[i + 3][row]),
@@ -68,140 +80,39 @@ relocAvx2(uint64_t *dst, const uint64_t *const *cols, uint64_t row,
         dst[i] = cols[i][row] + shifts[i];
 }
 
-} // namespace
+#else
 
-#define SIMR_HAVE_AVX2_KERNELS 1
+void
+relocAvx2(uint64_t *, const uint64_t *const *, uint64_t, const uint64_t *,
+          int, bool)
+{
+    simr_panic("AVX2 relocation is not compiled in (-DSIMR_SIMD=OFF)");
+}
+
 #endif // SIMR_SIMD_BUILD && __GNUC__
 
-// ---------------------------------------------------------------------------
-// CompiledCursor
-
-void
-CompiledCursor::start(std::shared_ptr<const CompiledTrace> k,
-                      const ThreadInit &init)
-{
-    simr_assert(k != nullptr, "replaying a null compiled trace");
-    const CapturedTrace &src = k->src();
-    simr_assert(src.fingerprint() == pi_->fingerprint(),
-                "compiled trace replayed against a different program");
-    k_ = std::move(k);
-    recs_ = k_->recs().data();
-    nRecs_ = k_->recs().size();
-    recPos_ = 0;
-    inRec_ = 0;
-    opPos_ = 0;
-    n_ = k_->opCount();
-    memPos_ = 0;
-    const ThreadInit &from = src.frame();
-    shift_[static_cast<int>(AddrKind::Invariant)] = 0;
-    shift_[static_cast<int>(AddrKind::StackRel)] =
-        init.stackTop - from.stackTop;
-    shift_[static_cast<int>(AddrKind::HeapRel)] =
-        init.heapBase - from.heapBase;
-    addrCol_ = src.memAddr().data();
-    insts_ = pi_->instTable();
-    codeBase_ = pi_->codeBase();
-    std::memset(lastWriter_, 0, sizeof(lastWriter_));
-}
-
-void
-CompiledCursor::step(StepResult &out)
-{
-    simr_dassert(opPos_ < n_, "step on a finished compiled replay");
-    const CompiledTrace::Rec &r = recs_[recPos_];
-    const uint32_t flat = r.flat + inRec_;
-    const StaticInst *si = insts_[flat];
-    const uint64_t dyn = opPos_ + 1;
-
-    out.si = si;
-    out.pc = codeBase_ + static_cast<isa::Pc>(flat) * isa::kInstBytes;
-    out.callDepth = r.depth;
-    out.taken = false;
-    out.addr = 0;
-    out.accessSize = 0;
-
-    // Interpreter-replica dependence distances (ThreadState::step's
-    // dep_of, with dynCount == dyn at this op).
-    auto depOf = [this, dyn](isa::RegId reg) -> uint16_t {
-        if (reg == isa::R_ZERO || lastWriter_[reg] == 0)
-            return 0;
-        const uint64_t d = dyn - lastWriter_[reg];
-        return static_cast<uint16_t>(std::min<uint64_t>(d, 0xffff));
-    };
-    out.dep1 = depOf(si->src1);
-    out.dep2 = depOf(si->src2);
-    if (isa::opInfo(si->op).writesReg && si->dst != isa::R_ZERO)
-        lastWriter_[si->dst] = dyn;
-
-    opPos_ = dyn;
-    if (inRec_ + 1 < r.count) {
-        // Interior op of a straight-line run: nothing else to resolve.
-        ++inRec_;
-        return;
-    }
-
-    // Tail op: threaded dispatch on the record's pre-resolved event.
-#if defined(__GNUC__)
-    {
-        static const void *const tails[3] = {&&tail_none, &&tail_mem,
-                                             &&tail_taken};
-        goto *tails[r.tail & CompiledTrace::kTailKindMask];
-    tail_mem:
-        out.addr = addrCol_[memPos_++] +
-            shift_[r.tail >> CompiledTrace::kAddrKindShift];
-        out.accessSize = si->accessSize;
-        goto sealed;
-    tail_taken:
-        out.taken = true;
-    tail_none:
-    sealed:;
-    }
-#else
-    switch (r.tail & CompiledTrace::kTailKindMask) {
-      case CompiledTrace::kTailMem:
-        out.addr = addrCol_[memPos_++] +
-            shift_[r.tail >> CompiledTrace::kAddrKindShift];
-        out.accessSize = si->accessSize;
-        break;
-      case CompiledTrace::kTailTaken:
-        out.taken = true;
-        break;
-      default:
-        break;
-    }
-#endif
-    ++recPos_;
-    inRec_ = 0;
-    if (opPos_ == n_)
-        addCompiledOps(n_);
-}
-
-void
-CompiledCursor::skipToEnd()
-{
-    // The batch kernel already credited its ops; just retire the cursor.
-    opPos_ = n_;
-    recPos_ = nRecs_;
-    inRec_ = 0;
-}
+} // namespace detail
 
 // ---------------------------------------------------------------------------
 // TraceBatchKernel
 
 void
-TraceBatchKernel::start(const CompiledTrace *rep, const LaneSrc *lanes,
+TraceBatchKernel::start(const CapturedTrace *rep, const LaneSrc *lanes,
                         int n, const ProgramIndex &pi)
 {
     simr_assert(rep != nullptr && n >= 1 && n <= kMaxBatch,
                 "bad batch kernel inputs");
-    recs_ = rep->recs().data();
-    recPos_ = 0;
-    inRec_ = 0;
-    opPos_ = 0;
+    pos_ = 0;
     n_ = rep->opCount();
     memPos_ = 0;
     nLanes_ = n;
     fullMask_ = n == kMaxBatch ? ~Mask{0} : ((Mask{1} << n) - 1);
+    simd_ = simdAvailable();
+    idx_ = rep->staticIdx().data();
+    flg_ = rep->flags().data();
+    dep1Col_ = rep->dep1().data();
+    dep2Col_ = rep->dep2().data();
+    depthCol_ = rep->callDepth().data();
     insts_ = pi.instTable();
     codeBase_ = pi.codeBase();
     sharedCol_ = true;
@@ -212,23 +123,24 @@ TraceBatchKernel::start(const CompiledTrace *rep, const LaneSrc *lanes,
             shiftsByKind_[k][i] = lanes[i].shift[k];
     }
     simdLanes_ = 0;
-    std::memset(lastWriter_, 0, sizeof(lastWriter_));
 }
 
 void
 TraceBatchKernel::step(DynOp &op)
 {
-    simr_dassert(opPos_ < n_, "step on a finished batch kernel");
-    const CompiledTrace::Rec &r = recs_[recPos_];
-    const uint32_t flat = r.flat + inRec_;
+    simr_dassert(pos_ < n_, "step on a finished batch kernel");
+    const uint64_t pos = pos_;
+    const uint32_t flat = idx_[pos];
+    const uint8_t flags = flg_[pos];
     const StaticInst *si = insts_[flat];
-    const uint64_t dyn = opPos_ + 1;
 
     op.si = si;
     op.pc = codeBase_ + static_cast<isa::Pc>(flat) * isa::kInstBytes;
     op.mask = fullMask_;
-    op.callDepth = r.depth;
-    op.takenMask = 0;
+    op.callDepth = depthCol_[pos];
+    op.dep1 = dep1Col_[pos];
+    op.dep2 = dep2Col_[pos];
+    op.takenMask = (flags & CapturedTrace::kTakenBit) ? fullMask_ : 0;
     op.endMask = 0;
     op.addrCount = 0;
     op.accessSize = 0;
@@ -236,88 +148,25 @@ TraceBatchKernel::step(DynOp &op)
     // op.batchStart is deliberately untouched: the engine stamps it
     // after this step, exactly as it does after execGroup.
 
-    // In a uniform batch the engine's batch-op space coincides with the
-    // lane's dynamic-op space, so the interpreter-replica distances are
-    // the engine's rewritten distances (see compile.h).
-    auto depOf = [this, dyn](isa::RegId reg) -> uint16_t {
-        if (reg == isa::R_ZERO || lastWriter_[reg] == 0)
-            return 0;
-        const uint64_t d = dyn - lastWriter_[reg];
-        return static_cast<uint16_t>(std::min<uint64_t>(d, 0xffff));
-    };
-    op.dep1 = depOf(si->src1);
-    op.dep2 = depOf(si->src2);
-    if (isa::opInfo(si->op).writesReg && si->dst != isa::R_ZERO)
-        lastWriter_[si->dst] = dyn;
-
-    opPos_ = dyn;
-    if (inRec_ + 1 < r.count) {
-        ++inRec_;
-        return;
-    }
-
-#if defined(__GNUC__)
-    {
-        static const void *const tails[3] = {&&tail_none, &&tail_mem,
-                                             &&tail_taken};
-        goto *tails[r.tail & CompiledTrace::kTailKindMask];
-    tail_mem: {
-        const int kind = r.tail >> CompiledTrace::kAddrKindShift;
+    if (flags & CapturedTrace::kMemBit) {
+        const int kind = (flags >> CapturedTrace::kAddrKindShift) &
+            CapturedTrace::kAddrKindMask;
         op.addrCount = static_cast<uint8_t>(nLanes_);
         op.accessSize = si->accessSize;
         for (int i = 0; i < nLanes_; ++i)
             op.lane[i] = static_cast<uint8_t>(i);
-        const uint64_t *shifts = shiftsByKind_[kind];
-#ifdef SIMR_HAVE_AVX2_KERNELS
-        if (simdEnabled()) {
-            if (sharedCol_)
-                relocAvx2Shared(op.addr, laneAddrCol_[0][memPos_], shifts,
-                                nLanes_);
-            else
-                relocAvx2(op.addr, laneAddrCol_, memPos_, shifts, nLanes_);
+        if (simd_) {
+            detail::relocAvx2(op.addr, laneAddrCol_, memPos_,
+                              shiftsByKind_[kind], nLanes_, sharedCol_);
             simdLanes_ += static_cast<uint64_t>(nLanes_);
-        } else
-#endif
-        if (sharedCol_) {
-            const uint64_t a = laneAddrCol_[0][memPos_];
-            for (int i = 0; i < nLanes_; ++i)
-                op.addr[i] = a + shifts[i];
         } else {
-            for (int i = 0; i < nLanes_; ++i)
-                op.addr[i] = laneAddrCol_[i][memPos_] + shifts[i];
+            detail::relocScalar(op.addr, laneAddrCol_, memPos_,
+                                shiftsByKind_[kind], nLanes_, sharedCol_);
         }
         ++memPos_;
-        goto sealed;
     }
-    tail_taken:
-        op.takenMask = fullMask_;
-    tail_none:
-    sealed:;
-    }
-#else
-    switch (r.tail & CompiledTrace::kTailKindMask) {
-      case CompiledTrace::kTailMem: {
-        const int kind = r.tail >> CompiledTrace::kAddrKindShift;
-        op.addrCount = static_cast<uint8_t>(nLanes_);
-        op.accessSize = si->accessSize;
-        const uint64_t *shifts = shiftsByKind_[kind];
-        for (int i = 0; i < nLanes_; ++i) {
-            op.lane[i] = static_cast<uint8_t>(i);
-            op.addr[i] = laneAddrCol_[i][memPos_] + shifts[i];
-        }
-        ++memPos_;
-        break;
-      }
-      case CompiledTrace::kTailTaken:
-        op.takenMask = fullMask_;
-        break;
-      default:
-        break;
-    }
-#endif
-    ++recPos_;
-    inRec_ = 0;
-    if (opPos_ == n_)
+    pos_ = pos + 1;
+    if (pos_ == n_)
         op.endMask = fullMask_;
 }
 

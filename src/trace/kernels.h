@@ -1,21 +1,12 @@
 /**
  * @file
- * Superop kernel executors: threaded-code replay of compiled traces.
- *
- * Three executors consume the record forms compile.h produces, each a
- * drop-in for an existing replay path and proved bit-identical to it
- * by the replay_compile_gate:
- *
- *  - CompiledCursor: per-lane replay of one CompiledTrace, the
- *    StepResult surface of ReplayCursor. Dependence distances and the
- *    interpreter's lastWriter bookkeeping are recomputed from a
- *    32-entry register table instead of streamed from dense columns.
+ * Kernel executors: the two replay paths that beat the replay cursors.
  *
  *  - TraceBatchKernel: lane-major replay of one uniform lockstep
  *    batch. When every lane of a batch replays a shape-equal
- *    CompiledTrace the batch can never diverge, so the lockstep
+ *    CapturedTrace the batch can never diverge, so the lockstep
  *    engine's grouping, divergence and dependence machinery is skipped
- *    entirely: one pass over the representative lane's records
+ *    entirely: one pass over the representative lane's columns
  *    produces the batch DynOps, and the per-lane memory addresses are
  *    relocated 4 lanes at a time with AVX2 (runtime-dispatched; the
  *    scalar path is bit-identical).
@@ -25,102 +16,51 @@
  *    flat-index increment; tail ops jump through a computed-goto
  *    dispatch table indexed by the record's pre-resolved event kind.
  *
- * This header is included by replay.h (LaneExec embeds a
- * CompiledCursor), so it must not include replay.h itself; the
- * StreamTrace-facing pieces live in kernels.cc.
+ * Both are proved bit-identical to live interpretation by the
+ * trace_replay_gate. The StreamTrace-facing pieces live in kernels.cc.
  */
 
 #ifndef SIMR_TRACE_KERNELS_H
 #define SIMR_TRACE_KERNELS_H
 
+#include "trace/capture.h"
 #include "trace/compile.h"
 #include "trace/dynop.h"
-#include "trace/interp.h"
 
 namespace simr::trace
 {
 
-/**
- * Per-lane replay of one CompiledTrace: ReplayCursor's exact surface
- * and StepResult sequence, driven by superop records.
- */
-class CompiledCursor
+namespace detail
 {
-  public:
-    explicit CompiledCursor(const ProgramIndex &pi) : pi_(&pi) {}
 
-    /** Begin replaying `k` as the request described by `init`. */
-    void start(std::shared_ptr<const CompiledTrace> k,
-               const ThreadInit &init);
+/**
+ * Lane relocation: dst[i] = cols[i][row] + shifts[i] (mod 2^64) for
+ * lanes [0, n); with `shared`, every lane reads cols[0] (a dedup batch
+ * replaying one trace). `shifts` must be 32-byte aligned.
+ */
+void relocScalar(uint64_t *dst, const uint64_t *const *cols, uint64_t row,
+                 const uint64_t *shifts, int n, bool shared);
 
-    bool done() const { return opPos_ >= n_; }
+/**
+ * The same relocation 4 lanes at a time with AVX2. Bit-identical to
+ * relocScalar by construction (lane-wise 64-bit adds wrap exactly like
+ * the scalar ones); call only when simdAvailable().
+ */
+void relocAvx2(uint64_t *dst, const uint64_t *const *cols, uint64_t row,
+               const uint64_t *shifts, int n, bool shared);
 
-    /** Position of the next op (valid while !done()), post-normalize. */
-    int curBlock() const { return pi_->blockOf(headFlat()); }
-    size_t curIdx() const { return pi_->idxInBlock(headFlat()); }
-    isa::Pc curPc() const { return pi_->pcOf(headFlat()); }
-
-    int
-    callDepth() const
-    {
-        return opPos_ < n_ ? recs_[recPos_].depth : 0;
-    }
-
-    uint64_t dynCount() const { return opPos_; }
-
-    /** Materialize the next op (valid while !done()). */
-    void step(StepResult &out);
-
-    /** The kernel being replayed (null before start). */
-    const CompiledTrace *kernel() const { return k_.get(); }
-
-    /** @name Batch-kernel inputs (valid after start). */
-    /// @{
-    const uint64_t *addrCol() const { return addrCol_; }
-    const uint64_t *shifts() const { return shift_; }
-    /// @}
-
-    /**
-     * Mark the whole trace consumed (the batch kernel replayed it
-     * lane-major); flushes this cursor's share of the compiled-op
-     * counter exactly as step()-ing to the end would have.
-     */
-    void skipToEnd();
-
-  private:
-    uint32_t
-    headFlat() const
-    {
-        return recs_[recPos_].flat + inRec_;
-    }
-
-    const ProgramIndex *pi_;
-    std::shared_ptr<const CompiledTrace> k_;
-    const CompiledTrace::Rec *recs_ = nullptr;
-    size_t nRecs_ = 0;
-    size_t recPos_ = 0;
-    uint32_t inRec_ = 0;
-    uint64_t opPos_ = 0;
-    uint64_t n_ = 0;
-    uint64_t memPos_ = 0;      ///< index into the canonical-address column
-    uint64_t shift_[3] = {};   ///< per-AddrKind relocation (mod 2^64)
-    const uint64_t *addrCol_ = nullptr;
-    const isa::StaticInst *const *insts_ = nullptr;
-    isa::Pc codeBase_ = 0;
-    // Interpreter-replica dependence state: lastWriter indices in
-    // dynamic-op space, reset per request (dep distances are a pure
-    // function of the op sequence, so they need no storage).
-    uint64_t lastWriter_[isa::kNumRegs] = {};
-};
+} // namespace detail
 
 /**
  * Lane-major replay of one uniform lockstep batch: every lane holds a
- * CompiledCursor over a shape-equal kernel positioned at op 0. One
- * pass over the representative records emits the exact DynOp sequence
- * LockstepEngine would have produced (full mask throughout, zero
- * divergence), with per-lane addresses relocated by AVX2 when
- * available. The caller (the engine) remains responsible for stats
- * accounting, observer callbacks and lane retirement.
+ * ReplayCursor over a shape-equal trace positioned at op 0. One pass
+ * over the representative trace's columns emits the exact DynOp
+ * sequence LockstepEngine would have produced (full mask throughout,
+ * zero divergence): in a batch that never diverges the engine's
+ * batch-op dependence distances coincide with the lanes' captured ones.
+ * Per-lane addresses are relocated by AVX2 when available. The caller
+ * (the engine) remains responsible for stats accounting, observer
+ * callbacks and lane retirement.
  */
 class TraceBatchKernel
 {
@@ -136,10 +76,10 @@ class TraceBatchKernel
      * Arm the kernel for one batch of `n` lanes over the shared
      * representative `rep`. Caller guarantees shape equality.
      */
-    void start(const CompiledTrace *rep, const LaneSrc *lanes, int n,
+    void start(const CapturedTrace *rep, const LaneSrc *lanes, int n,
                const ProgramIndex &pi);
 
-    bool done() const { return opPos_ >= n_; }
+    bool done() const { return pos_ >= n_; }
 
     /**
      * Produce the next batch op. Does not touch op.batchStart (the
@@ -151,20 +91,23 @@ class TraceBatchKernel
     void finish();
 
   private:
-    const CompiledTrace::Rec *recs_ = nullptr;
-    size_t recPos_ = 0;
-    uint32_t inRec_ = 0;
-    uint64_t opPos_ = 0;
+    uint64_t pos_ = 0;
     uint64_t n_ = 0;
     uint64_t memPos_ = 0;
     int nLanes_ = 0;
     Mask fullMask_ = 0;
+    bool simd_ = false;
+    // The representative trace's columns (shape shared by every lane).
+    const uint32_t *idx_ = nullptr;
+    const uint8_t *flg_ = nullptr;
+    const uint16_t *dep1Col_ = nullptr;
+    const uint16_t *dep2Col_ = nullptr;
+    const uint8_t *depthCol_ = nullptr;
     const isa::StaticInst *const *insts_ = nullptr;
     isa::Pc codeBase_ = 0;
     const uint64_t *laneAddrCol_[kMaxBatch] = {};
     bool sharedCol_ = false;   ///< all lanes read one column (dedup hit)
     uint64_t simdLanes_ = 0;   ///< local accumulator, flushed in finish()
-    uint64_t lastWriter_[isa::kNumRegs] = {};
     /** Per-AddrKind, per-lane shifts, laid out for 4-wide vector loads. */
     alignas(32) uint64_t shiftsByKind_[3][kMaxBatch] = {};
 };

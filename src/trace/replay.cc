@@ -141,7 +141,7 @@ ReplayStream::ReplayStream(const isa::Program &prog,
     simr_assert(trace_->fingerprint() == pi_.fingerprint(),
                 "stream trace replayed against a different program");
     n_ = trace_->opCount();
-    if (compiled != nullptr && compileEnabled()) {
+    if (compiled != nullptr) {
         simr_assert(compiled->srcPtr().get() == trace_.get(),
                     "compiled stream does not match its source trace");
         cursor_.start(std::move(compiled), pi_);
@@ -198,19 +198,11 @@ LaneExec::reset(const ThreadInit &init)
 {
     init_ = init;
     replaying_ = false;
-    usingCompiled_ = false;
     capturing_ = false;
     if (cache_ != nullptr) {
         bool dedup = false;
-        std::shared_ptr<const CompiledTrace> kernel;
-        if (auto t = cache_->lookup(pi_->fingerprint(), init, &dedup,
-                                    &kernel)) {
-            if (kernel != nullptr) {
-                compiled_.start(std::move(kernel), init);
-                usingCompiled_ = true;
-            } else {
-                replay_.start(std::move(t), init);
-            }
+        if (auto t = cache_->lookup(pi_->fingerprint(), init, &dedup)) {
+            replay_.start(std::move(t), init);
             replaying_ = true;
             ++stats_.hits;
             if (dedup)
@@ -230,10 +222,7 @@ void
 LaneExec::step(StepResult &out)
 {
     if (replaying_) {
-        if (usingCompiled_)
-            compiled_.step(out);
-        else
-            replay_.step(out);
+        replay_.step(out);
         ++stats_.replayedOps;
         return;
     }

@@ -11,19 +11,18 @@
  *    the ProgramIndex of the *local* Program instance (so StaticInst
  *    pointers compare equal with live lanes of the same engine);
  *  - branch outcomes from the flags byte;
- *  - memory addresses from the trace's decoded canonical-address
- *    column, shifting StackRel / HeapRel addresses by (replay frame
- *    base - captured frame base);
- *  - dependence distances and call depth from the replay-ready columns
- *    CaptureBuilder::finish() precomputed (both are pure functions of
- *    the op sequence, recorded once at capture).
+ *  - memory addresses from the trace's canonical-address column,
+ *    shifting StackRel / HeapRel addresses by (replay frame base -
+ *    captured frame base);
+ *  - dependence distances and call depth from the columns capture
+ *    recorded (both are pure functions of the op sequence).
  *
- * The cursor therefore does no per-op varint decode and mirrors no
- * interpreter bookkeeping: a step is a handful of sequential column
- * reads, ~4x cheaper than a live ThreadState::step. One caveat is
- * inherited from StepResult: call depth is clamped at 255, so the
- * callDepth() accessor diverges from a live lane beyond that depth
- * (no service comes near it; the replay gate would catch one).
+ * The cursor therefore mirrors no interpreter bookkeeping: a step is a
+ * handful of sequential column reads, ~4x cheaper than a live
+ * ThreadState::step. One caveat is inherited from StepResult: call
+ * depth is clamped at 255, so the callDepth() accessor diverges from a
+ * live lane beyond that depth (no service comes near it; the replay
+ * gate would catch one).
  *
  * A LaneExec wraps one hardware lane and presents the exact surface the
  * lockstep engine and the scalar stream consume from ThreadState
@@ -33,7 +32,8 @@
  * or interpret live with no capture when the cache is disabled. Live
  * and replayed lanes interleave freely inside one batch -- lanes are
  * independent ThreadStates, so per-lane replay is sound under any
- * scheduling.
+ * scheduling. A batch whose lanes all replay shape-equal traces goes
+ * to the lane-major TraceBatchKernel instead (see simt/lockstep.h).
  */
 
 #ifndef SIMR_TRACE_REPLAY_H
@@ -70,6 +70,16 @@ class ReplayCursor
     /** Materialize the next op (valid while !done()). */
     void step(StepResult &out);
 
+    /** @name Batch-kernel inputs (valid after start). */
+    /// @{
+    const CapturedTrace &trace() const { return *trace_; }
+    const uint64_t *addrCol() const { return addrCol_; }
+    const uint64_t *shifts() const { return shift_; }
+    /// @}
+
+    /** Mark the whole trace consumed (the batch kernel replayed it). */
+    void skipToEnd() { pos_ = n_; }
+
   private:
     uint32_t
     headFlat() const
@@ -100,18 +110,13 @@ class ReplayCursor
  * One hardware lane: ThreadState's stepping surface with a TraceCache
  * bolted underneath. With a null cache (or one disabled via
  * SIMR_TRACE_CACHE=0) it degenerates to plain live interpretation.
- *
- * Per request the lane runs in one of three modes: compiled replay
- * (the cache returned a superop kernel), cursor replay (trace hit, no
- * kernel yet), or live interpretation (miss, capturing when a cache is
- * attached). Modes interleave freely across the lanes of one batch.
  */
 class LaneExec
 {
   public:
     LaneExec(const ProgramIndex &pi, TraceCache *cache)
         : pi_(&pi), cache_(cache), live_(pi.program()), replay_(pi),
-          compiled_(pi), builder_(pi)
+          builder_(pi)
     {}
 
     /** Static proof for capture's tier-1 fast path (may be null). */
@@ -123,62 +128,45 @@ class LaneExec
     /** Start the next request; decides replay vs capture vs plain. */
     void reset(const ThreadInit &init);
 
-    bool
-    done() const
-    {
-        return replaying_
-            ? (usingCompiled_ ? compiled_.done() : replay_.done())
-            : live_.done();
-    }
+    bool done() const { return replaying_ ? replay_.done() : live_.done(); }
 
     int
     curBlock() const
     {
-        return replaying_
-            ? (usingCompiled_ ? compiled_.curBlock() : replay_.curBlock())
-            : live_.curBlock();
+        return replaying_ ? replay_.curBlock() : live_.curBlock();
     }
 
     size_t
     curIdx() const
     {
-        return replaying_
-            ? (usingCompiled_ ? compiled_.curIdx() : replay_.curIdx())
-            : live_.curIdx();
+        return replaying_ ? replay_.curIdx() : live_.curIdx();
     }
 
     isa::Pc
     curPc() const
     {
-        return replaying_
-            ? (usingCompiled_ ? compiled_.curPc() : replay_.curPc())
-            : live_.curPc();
+        return replaying_ ? replay_.curPc() : live_.curPc();
     }
 
     int
     callDepth() const
     {
-        return replaying_
-            ? (usingCompiled_ ? compiled_.callDepth()
-                              : replay_.callDepth())
-            : live_.callDepth();
+        return replaying_ ? replay_.callDepth() : live_.callDepth();
     }
 
     uint64_t
     dynCount() const
     {
-        return replaying_
-            ? (usingCompiled_ ? compiled_.dynCount() : replay_.dynCount())
-            : live_.dynCount();
+        return replaying_ ? replay_.dynCount() : live_.dynCount();
     }
 
     void step(StepResult &out);
 
-    /** This request replays through a compiled superop kernel. */
-    bool compiledReplaying() const { return replaying_ && usingCompiled_; }
+    /** This request replays a cached trace. */
+    bool replaying() const { return replaying_; }
 
-    /** The armed compiled cursor (valid while compiledReplaying()). */
-    const CompiledCursor &compiledCursor() const { return compiled_; }
+    /** The armed replay cursor (valid while replaying()). */
+    const ReplayCursor &replayCursor() const { return replay_; }
 
     /**
      * The batch kernel replayed this lane's whole request lane-major;
@@ -187,9 +175,9 @@ class LaneExec
     void
     finishBatchReplay()
     {
-        stats_.replayedOps += compiled_.kernel()->opCount() -
-            compiled_.dynCount();
-        compiled_.skipToEnd();
+        stats_.replayedOps += replay_.trace().opCount() -
+            replay_.dynCount();
+        replay_.skipToEnd();
     }
 
     /** Reuse accounting since construction (deterministic per lane). */
@@ -200,10 +188,8 @@ class LaneExec
     TraceCache *cache_;
     ThreadState live_;
     ReplayCursor replay_;
-    CompiledCursor compiled_;
     CaptureBuilder builder_;
     bool replaying_ = false;
-    bool usingCompiled_ = false;
     bool capturing_ = false;
     ThreadInit init_{};
     ReuseStats stats_;
@@ -321,10 +307,10 @@ class StreamCaptureBuilder
  * Serves a captured DynOp stream back through the DynStream interface.
  * Owns its ProgramIndex over the consumer's local Program instance, so
  * the StaticInst pointers it emits belong to that instance. When the
- * stream cache also supplies a compiled superop kernel (and compiling
- * is enabled), ops come from a CompiledStreamCursor instead of the
- * dense columns, and consumers that only need counts can drain the
- * whole stream in O(1) via drainCompiled().
+ * stream cache also supplies a compiled superop kernel, ops come from
+ * a CompiledStreamCursor instead of the dense columns, and consumers
+ * that only need counts can drain the whole stream in O(1) via
+ * drainCompiled().
  */
 class ReplayStream : public DynStream
 {

@@ -10,9 +10,13 @@
 #include <set>
 
 #include "common/config.h"
+#include "common/parallel.h"
 #include "common/rng.h"
 #include "common/stats.h"
 #include "common/table.h"
+#include "simr/streamcache.h"
+#include "sys/cluster.h"
+#include "trace/capture.h"
 
 using namespace simr;
 
@@ -317,6 +321,87 @@ TEST(Config, EnvFallbacks)
 
     EXPECT_DOUBLE_EQ(envDouble("SIMR_TEST_DBL", 1.5), 1.5);
     EXPECT_EQ(envStr("SIMR_TEST_STR", "dflt"), "dflt");
+}
+
+// A mistyped SIMR_* value must stop the run, naming the variable and
+// the value, instead of silently selecting some other behaviour.
+TEST(ConfigDeath, EnvIntRejectsAnythingButAWholeInteger)
+{
+    for (const char *bad : {"on", "4x", "x4", " 4", "4 ", "0x10", "1e3",
+                            "99999999999999999999"}) {
+        setenv("SIMR_TEST_INT", bad, 1);
+        EXPECT_EXIT(envInt("SIMR_TEST_INT", 42),
+                    ::testing::ExitedWithCode(1),
+                    "SIMR_TEST_INT=.*: expected a base-10 integer")
+            << "value '" << bad << "'";
+    }
+    setenv("SIMR_TEST_INT", "on", 1);
+    EXPECT_EXIT(envInt("SIMR_TEST_INT", 42), ::testing::ExitedWithCode(1),
+                "SIMR_TEST_INT=on");
+
+    // Whole integers, signed or not, still parse; empty means unset.
+    setenv("SIMR_TEST_INT", "-17", 1);
+    EXPECT_EQ(envInt("SIMR_TEST_INT", 42), -17);
+    setenv("SIMR_TEST_INT", "", 1);
+    EXPECT_EQ(envInt("SIMR_TEST_INT", 42), 42);
+    unsetenv("SIMR_TEST_INT");
+}
+
+TEST(ConfigDeath, EnvIntRejectsValuesBelowMin)
+{
+    setenv("SIMR_TEST_INT", "-1", 1);
+    EXPECT_EXIT(envInt("SIMR_TEST_INT", 42, 0), ::testing::ExitedWithCode(1),
+                "SIMR_TEST_INT=-1: must be >= 0");
+    setenv("SIMR_TEST_INT", "0", 1);
+    EXPECT_EQ(envInt("SIMR_TEST_INT", 42, 0), 0);
+    unsetenv("SIMR_TEST_INT");
+}
+
+TEST(ConfigDeath, ThreadCountMustBeAWholeNonNegativeInteger)
+{
+    setenv("SIMR_THREADS", "4x", 1);
+    EXPECT_EXIT(defaultThreads(), ::testing::ExitedWithCode(1),
+                "SIMR_THREADS=4x: expected a base-10 integer");
+    setenv("SIMR_THREADS", "-1", 1);
+    EXPECT_EXIT(defaultThreads(), ::testing::ExitedWithCode(1),
+                "SIMR_THREADS=-1: must be >= 0");
+    // 0 still means one worker per hardware thread.
+    setenv("SIMR_THREADS", "0", 1);
+    EXPECT_EQ(defaultThreads(), hardwareThreads());
+    unsetenv("SIMR_THREADS");
+}
+
+TEST(ConfigDeath, TraceCachesRejectTyposAndNegativeBudgets)
+{
+    // The caches read their environment once, in a process-wide
+    // singleton: re-execute for each death test so every child starts
+    // with the singletons unbuilt.
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    setenv("SIMR_TRACE_CACHE", "on", 1);
+    EXPECT_EXIT(trace::TraceCache::process(), ::testing::ExitedWithCode(1),
+                "SIMR_TRACE_CACHE=on: expected a base-10 integer");
+    EXPECT_EXIT(StreamCache::process(), ::testing::ExitedWithCode(1),
+                "SIMR_TRACE_CACHE=on: expected a base-10 integer");
+    unsetenv("SIMR_TRACE_CACHE");
+
+    setenv("SIMR_TRACE_CACHE_MB", "-1", 1);
+    EXPECT_EXIT(trace::TraceCache::process(), ::testing::ExitedWithCode(1),
+                "SIMR_TRACE_CACHE_MB=-1: must be >= 0");
+    unsetenv("SIMR_TRACE_CACHE_MB");
+
+    setenv("SIMR_STREAM_CACHE_MB", "-1", 1);
+    EXPECT_EXIT(StreamCache::process(), ::testing::ExitedWithCode(1),
+                "SIMR_STREAM_CACHE_MB=-1: must be >= 0");
+    unsetenv("SIMR_STREAM_CACHE_MB");
+}
+
+TEST(ConfigDeath, ClusterShardCountMustBeNonNegative)
+{
+    setenv("SIMR_SYS_SHARDS", "-2", 1);
+    sys::ClusterConfig cfg;
+    EXPECT_EXIT(sys::runCluster(cfg), ::testing::ExitedWithCode(1),
+                "SIMR_SYS_SHARDS=-2: must be >= 0");
+    unsetenv("SIMR_SYS_SHARDS");
 }
 
 TEST(Config, RunScaleFromEnv)

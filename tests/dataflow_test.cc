@@ -375,7 +375,6 @@ TEST(DataflowCapture, StaticFastPathCaptureBitIdentical)
         EXPECT_EQ(a->frameDependent(), b->frameDependent());
         EXPECT_EQ(a->staticIdx(), b->staticIdx());
         EXPECT_EQ(a->flags(), b->flags());
-        EXPECT_EQ(a->addrArena(), b->addrArena());
         EXPECT_EQ(a->memAddr(), b->memAddr());
         EXPECT_EQ(a->dep1(), b->dep1());
         EXPECT_EQ(a->dep2(), b->dep2());

@@ -599,6 +599,40 @@ TEST(JourneyRecorder, OffDeclinesAllCapturesEverything)
         EXPECT_EQ(snap[i].reqId, i);       // sorted by reqId
 }
 
+TEST(JourneyRecorder, ModeFromEnvParsesTheThreeModes)
+{
+    const auto dflt = obs::JourneyMode::Sampled;
+    unsetenv("SIMR_JOURNEYS");
+    EXPECT_EQ(obs::journeyModeFromEnv(dflt), dflt);
+    setenv("SIMR_JOURNEYS", "", 1);
+    EXPECT_EQ(obs::journeyModeFromEnv(dflt), dflt);
+    setenv("SIMR_JOURNEYS", "off", 1);
+    EXPECT_EQ(obs::journeyModeFromEnv(dflt), obs::JourneyMode::Off);
+    setenv("SIMR_JOURNEYS", "0", 1);
+    EXPECT_EQ(obs::journeyModeFromEnv(dflt), obs::JourneyMode::Off);
+    setenv("SIMR_JOURNEYS", "all", 1);
+    EXPECT_EQ(obs::journeyModeFromEnv(dflt), obs::JourneyMode::All);
+    setenv("SIMR_JOURNEYS", "sampled", 1);
+    EXPECT_EQ(obs::journeyModeFromEnv(obs::JourneyMode::Off),
+              obs::JourneyMode::Sampled);
+    unsetenv("SIMR_JOURNEYS");
+}
+
+TEST(JourneyRecorderDeath, UnknownModeFromEnvIsFatal)
+{
+    // A typo must not silently fall back to the default mode.
+    for (const char *bad : {"al", "ALL", "on", "1"}) {
+        setenv("SIMR_JOURNEYS", bad, 1);
+        EXPECT_EXIT(obs::journeyModeFromEnv(), ::testing::ExitedWithCode(1),
+                    "SIMR_JOURNEYS=.*: expected off\\|sampled\\|all")
+            << "value '" << bad << "'";
+    }
+    setenv("SIMR_JOURNEYS", "al", 1);
+    EXPECT_EXIT(obs::JourneyRecorder(), ::testing::ExitedWithCode(1),
+                "SIMR_JOURNEYS=al");
+    unsetenv("SIMR_JOURNEYS");
+}
+
 namespace
 {
 

@@ -1,8 +1,9 @@
 /**
  * @file
  * Trace capture/replay unit tests: relocation across hardware slots,
- * taint-tier classification, cache thread-safety and eviction, and
- * stream-level (whole front end) round-trips.
+ * taint-tier classification, cache thread-safety and eviction, the
+ * lane-major batch kernel, and stream-level (whole front end)
+ * round-trips.
  *
  * The tier-1 trace_replay_gate proves replay bit-identical end to end;
  * these tests pin down the mechanisms underneath it -- in particular
@@ -11,15 +12,19 @@
  * allocator policies.
  */
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
-#include <limits>
+#include <iterator>
+#include <map>
 #include <memory>
+#include <set>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
 #include "mem/allocator.h"
 #include "services/service.h"
 #include "simr/runner.h"
@@ -358,151 +363,11 @@ TEST(StreamCacheTest, LruEvictionKeepsHottest)
 }
 
 // ---------------------------------------------------------------------------
-// Varint/zigzag boundary coverage: the address-arena encoding must
-// round-trip every signed 64-bit delta, including the values whose
-// zigzag image needs the maximal 10-byte LEB128 form.
-
-TEST(VarintZigzag, SignBoundariesMapAsDocumented)
-{
-    using trace::detail::unzigzag;
-    using trace::detail::zigzag;
-
-    // Small magnitudes interleave around zero...
-    EXPECT_EQ(zigzag(0), 0u);
-    EXPECT_EQ(zigzag(-1), 1u);
-    EXPECT_EQ(zigzag(1), 2u);
-    EXPECT_EQ(zigzag(-2), 3u);
-    // ...and INT64_MIN (the one value with no positive counterpart)
-    // maps to the all-ones code.
-    EXPECT_EQ(zigzag(std::numeric_limits<int64_t>::min()),
-              ~uint64_t{0});
-    EXPECT_EQ(zigzag(std::numeric_limits<int64_t>::max()),
-              ~uint64_t{0} - 1);
-}
-
-TEST(VarintZigzag, BoundaryDeltasRoundTrip)
-{
-    using trace::detail::getVarint;
-    using trace::detail::putVarint;
-    using trace::detail::unzigzag;
-    using trace::detail::zigzag;
-
-    // Alternating signs, 7-bit group boundaries, and the extremes that
-    // exercise the 9- and 10-byte encodings (deltas > 2^56 after
-    // zigzag doubling).
-    std::vector<int64_t> deltas = {
-        0, 1, -1, 2, -2, 63, -64, 64, -65,
-        (int64_t{1} << 35) - 1, -(int64_t{1} << 35),
-        (int64_t{1} << 56), -(int64_t{1} << 56) - 1,
-        std::numeric_limits<int64_t>::max(),
-        std::numeric_limits<int64_t>::min() + 1,
-        std::numeric_limits<int64_t>::min(),
-    };
-    // A long alternating-sign ramp on top, so consecutive encodings of
-    // different lengths sit back to back in one arena.
-    for (int i = 0; i < 64; ++i) {
-        const int64_t mag = int64_t{1} << (i % 63);
-        deltas.push_back((i & 1) ? -mag : mag);
-    }
-
-    std::vector<uint8_t> arena;
-    std::vector<size_t> lens;
-    for (int64_t d : deltas) {
-        const size_t before = arena.size();
-        putVarint(arena, zigzag(d));
-        lens.push_back(arena.size() - before);
-    }
-
-    size_t pos = 0;
-    for (size_t i = 0; i < deltas.size(); ++i) {
-        const size_t before = pos;
-        EXPECT_EQ(unzigzag(getVarint(arena.data(), pos)), deltas[i])
-            << "delta " << i;
-        EXPECT_EQ(pos - before, lens[i]) << "delta " << i;
-    }
-    EXPECT_EQ(pos, arena.size());
-}
-
-TEST(VarintZigzag, EveryEncodingLengthRoundTrips)
-{
-    using trace::detail::getVarint;
-    using trace::detail::putVarint;
-
-    // Both sides of every 7-bit length boundary, through the 10-byte
-    // maximum (64 payload bits need ceil(64/7) = 10 groups).
-    std::vector<uint64_t> vals = {0};
-    std::vector<size_t> wantLen = {1};
-    for (int k = 1; k <= 9; ++k) {
-        vals.push_back((uint64_t{1} << (7 * k)) - 1);
-        wantLen.push_back(static_cast<size_t>(k));
-        vals.push_back(uint64_t{1} << (7 * k));
-        wantLen.push_back(static_cast<size_t>(k) + 1);
-    }
-    vals.push_back(~uint64_t{0});
-    wantLen.push_back(10);
-
-    std::vector<uint8_t> arena;
-    for (size_t i = 0; i < vals.size(); ++i) {
-        const size_t before = arena.size();
-        putVarint(arena, vals[i]);
-        EXPECT_EQ(arena.size() - before, wantLen[i]) << "val " << i;
-    }
-    size_t pos = 0;
-    for (size_t i = 0; i < vals.size(); ++i)
-        EXPECT_EQ(getVarint(arena.data(), pos), vals[i]) << "val " << i;
-    EXPECT_EQ(pos, arena.size());
-}
-
-// ---------------------------------------------------------------------------
-// Superop kernels: compiled replay must be indistinguishable from the
-// cursor (and therefore from live interpretation) at every surface.
+// Lane-major batch kernel: a uniform all-replay batch must emit exactly
+// what the lockstep engine produces live, from the first replay hit on.
 
 namespace
 {
-
-/**
- * Compile `t` and replay it side by side with a ReplayCursor relocated
- * to the same `init`: every StepResult field and every position
- * accessor must agree at every op. Fatal on first divergence.
- */
-void
-expectCompiledMatchesCursor(const trace::ProgramIndex &pi,
-                            std::shared_ptr<const trace::CapturedTrace> t,
-                            const trace::ThreadInit &init)
-{
-    auto k = trace::compileTrace(t);
-    ASSERT_NE(k, nullptr);
-    ASSERT_EQ(k->opCount(), t->opCount());
-    ASSERT_EQ(&k->src(), t.get());
-
-    trace::ReplayCursor cursor(pi);
-    cursor.start(t, init);
-    trace::CompiledCursor comp(pi);
-    comp.start(k, init);
-
-    trace::StepResult a, b;
-    uint64_t op = 0;
-    while (!cursor.done()) {
-        ASSERT_FALSE(comp.done()) << "compiled short at op " << op;
-        ASSERT_EQ(comp.curPc(), cursor.curPc()) << "op " << op;
-        ASSERT_EQ(comp.curBlock(), cursor.curBlock()) << "op " << op;
-        ASSERT_EQ(comp.curIdx(), cursor.curIdx()) << "op " << op;
-        ASSERT_EQ(comp.callDepth(), cursor.callDepth()) << "op " << op;
-        cursor.step(a);
-        comp.step(b);
-        ASSERT_EQ(a.si, b.si) << "op " << op;
-        ASSERT_EQ(a.pc, b.pc) << "op " << op;
-        ASSERT_EQ(a.taken, b.taken) << "op " << op;
-        ASSERT_EQ(a.addr, b.addr) << "op " << op;
-        ASSERT_EQ(a.accessSize, b.accessSize) << "op " << op;
-        ASSERT_EQ(a.callDepth, b.callDepth) << "op " << op;
-        ASSERT_EQ(a.dep1, b.dep1) << "op " << op;
-        ASSERT_EQ(a.dep2, b.dep2) << "op " << op;
-        ++op;
-    }
-    ASSERT_TRUE(comp.done());
-    ASSERT_EQ(comp.dynCount(), cursor.dynCount());
-}
 
 /** Engine over one batch of explicit thread contexts. */
 simt::LockstepEngine::BatchProvider
@@ -537,48 +402,8 @@ drainEngine(simt::LockstepEngine &e, std::vector<trace::DynOp> *ops)
 
 } // namespace
 
-TEST(CompiledTraceKernel, MatchesCursorAcrossTiersAndSlots)
-{
-    trace::setCompileEnabled(true);
-    mem::HeapAllocator alloc(mem::AllocPolicy::SimrAware);
-    int clean = 0, tainted = 0;
-    for (const auto &name : svc::serviceNames()) {
-        auto svc = svc::buildService(name);
-        ASSERT_NE(svc, nullptr);
-        trace::ProgramIndex pi(svc->program());
-        auto reqs = genRequests(*svc, 8, 17);
-        for (const auto &req : reqs) {
-            trace::ThreadInit init0 =
-                svc::makeThreadInit(*svc, req, 0, 0, alloc);
-            auto t = captureRequest(pi, init0);
-
-            // Every trace, any taint tier: the kernel must replay in
-            // the capture frame exactly as the cursor does.
-            expectCompiledMatchesCursor(pi, t, init0);
-            ASSERT_FALSE(::testing::Test::HasFatalFailure());
-
-            if (t->identityDependent() || t->frameDependent()) {
-                ++tainted;
-                continue;
-            }
-            ++clean;
-            // Clean traces also replay *relocated*; the kernel's
-            // per-AddrKind shifts must match the cursor's.
-            trace::ThreadInit init5 =
-                svc::makeThreadInit(*svc, req, 5, 5, alloc);
-            ASSERT_NE(init5.stackTop, init0.stackTop);
-            expectCompiledMatchesCursor(pi, t, init5);
-            ASSERT_FALSE(::testing::Test::HasFatalFailure());
-        }
-    }
-    // The scan is vacuous unless both tiers actually occurred.
-    EXPECT_GT(clean, 0);
-    EXPECT_GT(tainted, 0);
-}
-
 TEST(CompiledBatch, UniformBatchEngagesKernelBitIdentical)
 {
-    trace::setCompileEnabled(true);
     auto svc = svc::buildService("memc");
     ASSERT_NE(svc, nullptr);
     trace::ProgramIndex pi(svc->program());
@@ -624,58 +449,69 @@ TEST(CompiledBatch, UniformBatchEngagesKernelBitIdentical)
                                simt::SpinEscapeConfig(), &cache);
         drainEngine(e, ops);
         EXPECT_EQ(e.requestsCompleted(), 4u);
+        return e.reuseStats();
     };
 
-    // Run 1 captures (4 misses on one key, first insert wins). Run 2 is
-    // the mixed batch -- the dedup entry reaches its second hit while
-    // the batch launches, so cursor and compiled lanes coexist and the
-    // batch kernel must decline.
+    // Run 1 captures (4 misses on one key, first insert wins).
     runCached(nullptr);
-    std::vector<trace::DynOp> mixed;
-    runCached(&mixed);
-    ASSERT_EQ(mixed.size(), want.size());
-    for (size_t i = 0; i < want.size(); ++i)
-        ASSERT_TRUE(sameDynOp(want[i], mixed[i])) << "mixed op " << i;
+    ASSERT_EQ(cache.hits(), 0u);
 
-    // Run 3: every lane replays the (now compiled) kernel, so the
-    // lane-major batch kernel takes the whole batch. compiledOps grows
-    // by exactly the batch-op count -- the engagement signature; the
-    // declined path above would have credited one share per lane.
+    // Run 2: every lane takes its *first* replay hit on that entry, and
+    // the lane-major batch kernel takes the whole batch. compiledOps
+    // grows by exactly the batch-op count -- the engagement signature
+    // (per-lane cursor replay credits no kernel ops at all).
     const trace::CompileCounters before = trace::compileCounters();
-    std::vector<trace::DynOp> compiled;
-    runCached(&compiled);
+    std::vector<trace::DynOp> got;
+    const trace::ReuseStats reuse = runCached(&got);
     const trace::CompileCounters after = trace::compileCounters();
 
-    ASSERT_EQ(compiled.size(), want.size());
+    EXPECT_EQ(cache.hits(), 4u);
+    EXPECT_EQ(reuse.hits, 4u);
+    EXPECT_EQ(reuse.replayedOps, 4 * ct->opCount());
+    ASSERT_EQ(got.size(), want.size());
     for (size_t i = 0; i < want.size(); ++i)
-        ASSERT_TRUE(sameDynOp(want[i], compiled[i])) << "kernel op " << i;
+        ASSERT_TRUE(sameDynOp(want[i], got[i])) << "kernel op " << i;
     EXPECT_EQ(after.compiledOps - before.compiledOps, ct->opCount());
 
     // With AVX2 live, every memory op relocated all 4 lanes vectorized.
     const uint64_t memOps = ct->memAddr().size();
-    if (trace::simdEnabled() && memOps > 0) {
+    ASSERT_GT(memOps, 0u);
+    if (trace::simdAvailable()) {
         EXPECT_EQ(after.simdLanes - before.simdLanes, 4 * memOps);
     }
-
-    EXPECT_EQ(cache.compiledEntries(), 1u);
-    EXPECT_GT(cache.compiledBytes(), 0u);
 }
 
 TEST(CompiledBatch, MixedShapeBatchFallsBackBitIdentical)
 {
-    trace::setCompileEnabled(true);
     auto svc = svc::buildService("memc");
     ASSERT_NE(svc, nullptr);
+    trace::ProgramIndex pi(svc->program());
     mem::HeapAllocator alloc(mem::AllocPolicy::SimrAware);
-    auto reqs = genRequests(*svc, 4, 21);
-    ASSERT_EQ(reqs.size(), 4u);
+    auto reqs = genRequests(*svc, 64, 21);
+
+    // Two requests whose traces have equal op counts but different
+    // shapes: only the shape fingerprint keeps the kernel off them.
+    const svc::Request *a = nullptr, *b = nullptr;
+    std::map<uint64_t, std::pair<uint64_t, const svc::Request *>> byCount;
+    for (const auto &req : reqs) {
+        auto t = captureRequest(
+            pi, svc::makeThreadInit(*svc, req, 0, 0, alloc));
+        auto [it, fresh] = byCount.try_emplace(
+            t->opCount(), t->shapeFingerprint(), &req);
+        if (!fresh && it->second.first != t->shapeFingerprint()) {
+            a = it->second.second;
+            b = &req;
+            break;
+        }
+    }
+    ASSERT_NE(b, nullptr);
 
     auto inits4 = [&]() {
         std::vector<trace::ThreadInit> v;
         for (int l = 0; l < 4; ++l)
             v.push_back(svc::makeThreadInit(
-                *svc, reqs[static_cast<size_t>(l)], l,
-                static_cast<uint64_t>(l), alloc));
+                *svc, l % 2 == 0 ? *a : *b, l, static_cast<uint64_t>(l),
+                alloc));
         return v;
     };
 
@@ -687,18 +523,20 @@ TEST(CompiledBatch, MixedShapeBatchFallsBackBitIdentical)
         drainEngine(ref, &want);
         ASSERT_FALSE(want.empty());
 
-        // Three cached runs: capture, cursor replay, compiled replay.
-        // Distinct requests give distinct (likely shape-unequal)
-        // kernels, so the batch kernel declines and the per-lane
-        // compiled cursors run through the full grouping/divergence
+        // Three cached runs: capture, then two all-replay batches
+        // mixing the two shapes, so the batch kernel declines and the
+        // per-lane cursors run through the full grouping/divergence
         // machinery -- which must stay bit-identical throughout.
         trace::TraceCache cache(64 << 20);
         for (int run = 0; run < 3; ++run) {
             simt::LockstepEngine e(svc->program(), policy, 4,
                                    oneBatchOf(inits4()),
                                    simt::SpinEscapeConfig(), &cache);
+            const uint64_t ops0 = trace::compileCounters().compiledOps;
             std::vector<trace::DynOp> got;
             drainEngine(e, &got);
+            EXPECT_EQ(trace::compileCounters().compiledOps, ops0)
+                << "run " << run << ": the kernel took a mixed batch";
             ASSERT_EQ(got.size(), want.size()) << "run " << run;
             for (size_t i = 0; i < want.size(); ++i)
                 ASSERT_TRUE(sameDynOp(want[i], got[i]))
@@ -707,127 +545,122 @@ TEST(CompiledBatch, MixedShapeBatchFallsBackBitIdentical)
     }
 }
 
-TEST(TraceCache, CompiledKernelsEvictUnderThrashingBudget)
+TEST(ShapeFingerprint, ConcurrentFirstUseAgreesAcrossWorkers)
 {
-    trace::setCompileEnabled(true);
     auto svc = svc::buildService("urlshort");
     ASSERT_NE(svc, nullptr);
     trace::ProgramIndex pi(svc->program());
     mem::HeapAllocator alloc(mem::AllocPolicy::SimrAware);
-    auto reqs = genRequests(*svc, 48, 13);
+    auto reqs = genRequests(*svc, 16, 3);
 
-    // Budget far below the working set: kernels are built on second
-    // hits and must be evicted *with* their entries, never leaking the
-    // compiled-byte accounting.
-    trace::TraceCache cache(64 << 10);
-    uint64_t kernels = 0;
+    // Two independent captures of every request: `shared` is raced by
+    // four workers on first use, `solo` is hashed by one thread after.
+    std::vector<std::shared_ptr<const trace::CapturedTrace>> shared, solo;
     for (const auto &req : reqs) {
-        trace::ThreadInit init =
-            svc::makeThreadInit(*svc, req, 0, 0, alloc);
-        bool dedup = false;
-        std::shared_ptr<const trace::CompiledTrace> k;
-        auto t = cache.lookup(pi.fingerprint(), init, &dedup, &k);
-        if (t == nullptr) {
-            cache.insert(pi.fingerprint(), init, captureRequest(pi, init));
-            t = cache.lookup(pi.fingerprint(), init, &dedup, &k);
-            ASSERT_NE(t, nullptr);  // just inserted, hottest entry
-        }
-        // Second hit on the (still resident) entry: compiles.
-        t = cache.lookup(pi.fingerprint(), init, &dedup, &k);
-        ASSERT_NE(t, nullptr);
-        ASSERT_NE(k, nullptr);
-        EXPECT_EQ(k->opCount(), t->opCount());
-        ++kernels;
-
-        // The kernel must replay the full request in this frame.
-        trace::CompiledCursor c(pi);
-        c.start(k, init);
-        trace::StepResult r;
-        while (!c.done())
-            c.step(r);
-        EXPECT_EQ(c.dynCount(), t->opCount());
-
-        // Accounting invariants hold at every step of the thrash.
-        EXPECT_LE(cache.compiledEntries(), cache.entries());
-        EXPECT_LE(cache.compiledBytes(), cache.bytesResident());
-        EXPECT_LE(cache.bytesResident(),
-                  cache.budgetBytes() + (64 << 10) * 16);
+        auto init = svc::makeThreadInit(*svc, req, 0, 0, alloc);
+        shared.push_back(captureRequest(pi, init));
+        solo.push_back(captureRequest(pi, init));
     }
-    EXPECT_GT(kernels, 0u);
-    EXPECT_GT(cache.evictions(), 0u);
 
-    cache.clear();
-    EXPECT_EQ(cache.entries(), 0u);
-    EXPECT_EQ(cache.bytesResident(), 0u);
-    EXPECT_EQ(cache.compiledEntries(), 0u);
-    EXPECT_EQ(cache.compiledBytes(), 0u);
-}
-
-TEST(TraceCache, ConcurrentCompileAndReplay)
-{
-    trace::setCompileEnabled(true);
-    auto svc = svc::buildService("urlshort");
-    ASSERT_NE(svc, nullptr);
-    trace::ProgramIndex pi(svc->program());
-    mem::HeapAllocator alloc(mem::AllocPolicy::SimrAware);
-    auto reqs = genRequests(*svc, 48, 3);
-
-    // Generous budget: this test is about the compile-under-lock path
-    // racing replay, not eviction. Every worker sweeps the full request
-    // list three times, so shared entries cross the second-hit
-    // threshold while other workers replay them.
-    trace::TraceCache cache(256 << 20);
-    std::atomic<uint64_t> kernelOps{0};
-    std::atomic<uint64_t> cursorOps{0};
+    const size_t n = shared.size();
+    std::vector<std::vector<uint64_t>> seen(4, std::vector<uint64_t>(n));
     std::vector<std::thread> workers;
-    for (int w = 0; w < 4; ++w) {
+    for (size_t w = 0; w < 4; ++w) {
         workers.emplace_back([&, w]() {
-            for (int pass = 0; pass < 3; ++pass) {
-                for (const auto &req : reqs) {
-                    trace::ThreadInit init = svc::makeThreadInit(
-                        *svc, req, 0, static_cast<uint64_t>(w), alloc);
-                    bool dedup = false;
-                    std::shared_ptr<const trace::CompiledTrace> k;
-                    auto t = cache.lookup(pi.fingerprint(), init,
-                                          &dedup, &k);
-                    if (t == nullptr) {
-                        cache.insert(pi.fingerprint(), init,
-                                     captureRequest(pi, init));
-                        continue;
-                    }
-                    if (k != nullptr) {
-                        trace::CompiledCursor c(pi);
-                        c.start(k, init);
-                        trace::StepResult r;
-                        while (!c.done())
-                            c.step(r);
-                        kernelOps.fetch_add(c.dynCount());
-                    } else {
-                        trace::ReplayCursor c(pi);
-                        c.start(t, init);
-                        trace::StepResult r;
-                        while (!c.done())
-                            c.step(r);
-                        cursorOps.fetch_add(c.dynCount());
-                    }
-                }
+            // Each worker starts at a different offset, so first uses
+            // collide on every trace.
+            for (size_t k = 0; k < n; ++k) {
+                const size_t i = (k + w * 3) % n;
+                seen[w][i] = shared[i]->shapeFingerprint();
             }
         });
     }
     for (auto &t : workers)
         t.join();
 
-    // Pass 1 misses/captures, pass 2 replays (second hits compile), so
-    // pass 3 must have replayed through kernels.
-    EXPECT_GT(kernelOps.load(), 0u);
-    EXPECT_GT(cache.compiledEntries(), 0u);
-    EXPECT_LE(cache.compiledEntries(), cache.entries());
-    EXPECT_LE(cache.compiledBytes(), cache.bytesResident());
+    std::set<uint64_t> distinct;
+    for (size_t i = 0; i < n; ++i) {
+        const uint64_t fp = solo[i]->shapeFingerprint();
+        distinct.insert(fp);
+        for (size_t w = 0; w < 4; ++w)
+            EXPECT_EQ(seen[w][i], fp) << "worker " << w << " trace " << i;
+    }
+    // The hash tells distinct op sequences apart.
+    EXPECT_GT(distinct.size(), 1u);
+
+    // Shape excludes addresses: the same canonical-tier request captured
+    // in another frame has other addresses but the same shape.
+    for (const auto &req : reqs) {
+        auto t0 = captureRequest(pi, svc::makeThreadInit(*svc, req, 0, 0,
+                                                         alloc));
+        if (t0->identityDependent() || t0->frameDependent())
+            continue;
+        auto t5 = captureRequest(pi, svc::makeThreadInit(*svc, req, 5, 5,
+                                                         alloc));
+        ASSERT_FALSE(t0->memAddr().empty());
+        EXPECT_NE(t0->memAddr(), t5->memAddr());
+        EXPECT_EQ(t0->shapeFingerprint(), t5->shapeFingerprint());
+        break;
+    }
+}
+
+TEST(LaneRelocation, Avx2MatchesScalar)
+{
+    if (!trace::simdAvailable())
+        GTEST_SKIP() << "AVX2 relocation unavailable ("
+                     << (trace::simdCompiledIn() ? "no AVX2 CPU"
+                                                 : "-DSIMR_SIMD=OFF")
+                     << "); only the scalar path runs on this host";
+
+    // Addresses and shifts from the whole 64-bit range, so most lane
+    // sums wrap mod 2^64; row 0 pins one explicit wrap per lane.
+    constexpr int kRows = 8;
+    Rng rng(0x5eed);
+    std::vector<std::vector<uint64_t>> cols(
+        trace::kMaxBatch, std::vector<uint64_t>(kRows));
+    const uint64_t *ptrs[trace::kMaxBatch];
+    const uint64_t *sharedPtrs[trace::kMaxBatch];
+    alignas(32) uint64_t shifts[trace::kMaxBatch];
+    for (int i = 0; i < trace::kMaxBatch; ++i) {
+        auto &col = cols[static_cast<size_t>(i)];
+        col[0] = ~uint64_t{0} - static_cast<uint64_t>(i);
+        for (int r = 1; r < kRows; ++r)
+            col[static_cast<size_t>(r)] = rng.next();
+        shifts[i] = rng.next() | (uint64_t{1} << 63);
+        ptrs[i] = col.data();
+        sharedPtrs[i] = cols[0].data();
+    }
+
+    int wraps = 0;
+    for (int n = 1; n <= trace::kMaxBatch; ++n) {
+        for (bool shared : {false, true}) {
+            const uint64_t *const *src = shared ? sharedPtrs : ptrs;
+            for (uint64_t row = 0; row < kRows; ++row) {
+                uint64_t want[trace::kMaxBatch], got[trace::kMaxBatch];
+                std::fill(std::begin(want), std::end(want), 0xabab);
+                std::fill(std::begin(got), std::end(got), 0xabab);
+                trace::detail::relocScalar(want, src, row, shifts, n,
+                                           shared);
+                trace::detail::relocAvx2(got, src, row, shifts, n, shared);
+                for (int i = 0; i < trace::kMaxBatch; ++i) {
+                    ASSERT_EQ(got[i], want[i])
+                        << "n " << n << " shared " << shared << " row "
+                        << row << " lane " << i;
+                    if (i < n) {
+                        ASSERT_EQ(want[i], src[i][row] + shifts[i]);
+                        wraps += want[i] < src[i][row] ? 1 : 0;
+                    } else {
+                        ASSERT_EQ(want[i], 0xababu) << "wrote past n";
+                    }
+                }
+            }
+        }
+    }
+    EXPECT_GT(wraps, 0);
 }
 
 TEST(StreamTrace, CompiledStreamMatchesDenseReplayScalar)
 {
-    trace::setCompileEnabled(true);
     auto svc = svc::buildService("memc");
     ASSERT_NE(svc, nullptr);
     auto reqs = genRequests(*svc, 32, 5);
@@ -880,7 +713,6 @@ TEST(StreamTrace, CompiledStreamMatchesDenseReplayScalar)
 
 TEST(StreamTrace, CompiledStreamMatchesDenseReplayDivergent)
 {
-    trace::setCompileEnabled(true);
     auto svc = svc::buildService("memc");
     ASSERT_NE(svc, nullptr);
     mem::HeapAllocator alloc(mem::AllocPolicy::SimrAware);
