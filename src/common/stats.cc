@@ -5,6 +5,17 @@
 namespace simr
 {
 
+const std::vector<double> &
+Histogram::sorted() const
+{
+    std::lock_guard<std::mutex> lock(sortMu_);
+    if (!sorted_) {
+        std::sort(samples_.begin(), samples_.end());
+        sorted_ = true;
+    }
+    return samples_;
+}
+
 double
 Histogram::percentile(double p) const
 {
@@ -12,13 +23,7 @@ Histogram::percentile(double p) const
         return 0.0;
     if (samples_.size() == 1)
         return samples_.front();
-    {
-        std::lock_guard<std::mutex> lock(sortMu_);
-        if (!sorted_) {
-            std::sort(samples_.begin(), samples_.end());
-            sorted_ = true;
-        }
-    }
+    sorted();
     // NaN comparisons are false, so a NaN p falls through the <= 0
     // guard and must be pinned explicitly (to the lower bound).
     if (std::isnan(p) || p <= 0.0)

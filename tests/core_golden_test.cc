@@ -16,12 +16,10 @@
 #include <gtest/gtest.h>
 
 #include <cinttypes>
-#include <cmath>
 #include <cstdio>
-#include <cstring>
-#include <string>
 #include <vector>
 
+#include "golden_hash.h"
 #include "simr/runner.h"
 
 using namespace simr;
@@ -32,72 +30,7 @@ namespace
 
 constexpr int kRequests = 16;
 
-/** FNV-1a over the exact bit patterns of what it is fed. */
-class Fnv
-{
-  public:
-    void
-    add(uint64_t v)
-    {
-        for (int i = 0; i < 8; ++i) {
-            h_ ^= (v >> (8 * i)) & 0xff;
-            h_ *= 0x100000001b3ULL;
-        }
-    }
-
-    void
-    add(double v)
-    {
-        uint64_t bits = 0;
-        std::memcpy(&bits, &v, sizeof bits);
-        add(bits);
-    }
-
-    void
-    add(const std::string &s)
-    {
-        for (unsigned char c : s) {
-            h_ ^= c;
-            h_ *= 0x100000001b3ULL;
-        }
-        add(static_cast<uint64_t>(s.size()));
-    }
-
-    uint64_t value() const { return h_; }
-
-  private:
-    uint64_t h_ = 0xcbf29ce484222325ULL;
-};
-
-/**
- * The histogram's samples in sorted order, read exactly through
- * percentile(): at a p whose position p * (n - 1) is the integer k,
- * the interpolation weight is zero and the k-th sorted sample comes
- * back bit for bit.
- */
-std::vector<double>
-sortedSamples(const Histogram &h)
-{
-    const uint64_t n = h.count();
-    std::vector<double> out;
-    if (n == 0)
-        return out;
-    if (n == 1)
-        return {h.percentile(0.5)};
-    const double last = static_cast<double>(n - 1);
-    out.push_back(h.percentile(0.0));
-    for (uint64_t k = 1; k + 1 < n; ++k) {
-        const double want = static_cast<double>(k);
-        double p = want / last;
-        // Nudge p by ulps until its position lands exactly on k.
-        for (int step = 0; step < 8 && p * last != want; ++step)
-            p = std::nextafter(p, p * last < want ? 1.0 : 0.0);
-        EXPECT_EQ(p * last, want) << "no exact position for sample " << k;
-        out.push_back(h.percentile(p));
-    }
-    out.push_back(h.percentile(1.0));
-    return out;
-}
+using golden::Fnv;
 
 /** Hash of every modelled field; skip counters are loop diagnostics. */
 uint64_t
@@ -109,7 +42,7 @@ hashResult(const CoreResult &r)
     for (uint64_t v : {r.cycles, r.batchOps, r.scalarInsts, r.requests})
         f.add(v);
     f.add(r.reqLatency.count());
-    for (double s : sortedSamples(r.reqLatency))
+    for (double s : r.reqLatency.sorted())
         f.add(s);
     for (const auto &[name, count] : r.counters.all()) {
         f.add(name);
