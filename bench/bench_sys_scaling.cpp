@@ -297,9 +297,11 @@ runScaling(uint64_t seed)
     t.row({"pdes 16sh x 8t", Table::num(par_s, 2),
            Table::mult(speedup), same ? "yes" : "NO"});
     t.print();
-    std::printf("cluster: %llu batches, %llu windows, %llu mailbox "
-                "sends (%llu spills), p99 %.0f us\n",
+    std::printf("cluster: %llu batches, peak queue %llu events, %llu "
+                "windows, %llu mailbox sends (%llu spills), p99 %.0f "
+                "us\n",
                 static_cast<unsigned long long>(seq.batches),
+                static_cast<unsigned long long>(seq.pdes.peakQueued),
                 static_cast<unsigned long long>(par.pdes.windows),
                 static_cast<unsigned long long>(par.pdes.mailboxSends),
                 static_cast<unsigned long long>(
@@ -318,7 +320,9 @@ runScaling(uint64_t seed)
         std::to_string(cfg.requests) + ", \"qps\": " +
         std::to_string(static_cast<long long>(cfg.qps)) +
         ", \"hw_threads\": " + std::to_string(hw) +
-        ", \"shards\": " + std::to_string(par_shards);
+        ", \"shards\": " + std::to_string(par_shards) +
+        ", \"batches\": " + std::to_string(seq.batches) +
+        ", \"peak_queued\": " + std::to_string(seq.pdes.peakQueued);
     std::snprintf(buf, sizeof(buf), "%.3f", seq_s);
     json += ", \"seq_seconds\": " + std::string(buf);
     std::snprintf(buf, sizeof(buf), "%.3f", par_s);

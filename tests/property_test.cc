@@ -18,6 +18,7 @@
 #include "mem/coalescer.h"
 #include "mem/dram.h"
 #include "simr/runner.h"
+#include "sys/station.h"
 
 using namespace simr;
 using namespace simr::mem;
@@ -193,6 +194,45 @@ TEST_P(SeededTest, LockstepEfficiencyBoundedForRandomMixes)
     EXPECT_GT(eff.efficiency(), 0.0);
     EXPECT_LE(eff.efficiency(), 1.0 + 1e-12);
     EXPECT_EQ(eff.stats.width, width);
+}
+
+TEST_P(SeededTest, BatchWindowsTileArrivalsAndEmitInOrder)
+{
+    // The cluster engine schedules a web server's next batch from its
+    // current one, which is exact only because formed batches tile the
+    // server's time-sorted arrivals and their emit times never
+    // decrease. Arrivals mix bursts, ties and long gaps.
+    for (int bsize : {1, 4, 32}) {
+        for (double timeout : {0.0, 100.0}) {
+            SCOPED_TRACE("bsize " + std::to_string(bsize) + ", timeout " +
+                         std::to_string(timeout));
+            const size_t n = static_cast<size_t>(rng_.range(1, 3000));
+            std::vector<double> times(n);
+            double now = rng_.uniform() * 1000;
+            for (double &t : times) {
+                if (!rng_.chance(0.1))
+                    now += rng_.exponential(rng_.chance(0.5) ? 4 : 300);
+                t = now;
+            }
+            const auto wins =
+                sys::formBatchWindows(times.data(), n, bsize, timeout);
+            ASSERT_FALSE(wins.empty());
+            EXPECT_EQ(wins.front().begin, 0u);
+            EXPECT_EQ(wins.back().end, n);
+            for (size_t i = 0; i < wins.size(); ++i) {
+                const sys::BatchWindow &w = wins[i];
+                ASSERT_LT(w.begin, w.end);
+                EXPECT_LE(w.end - w.begin, static_cast<size_t>(bsize));
+                // A batch never leaves before its last request arrives.
+                EXPECT_GE(w.emitTime, times[w.end - 1]);
+                if (i == 0)
+                    continue;
+                EXPECT_EQ(w.begin, wins[i - 1].end);
+                EXPECT_LE(wins[i - 1].emitTime, w.emitTime)
+                    << "batch " << i;
+            }
+        }
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SeededTest,
