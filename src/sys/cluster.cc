@@ -95,14 +95,16 @@ class ClusterModel : public Model
 
     void apply(const Event &ev, EventSink &sink, int shard) override;
 
+    /** Each web server's first batch. The offered load is streamed,
+     *  not preloaded: every web-tier arrival schedules its server's
+     *  next batch (apply), so the queues hold in-flight work only. */
     std::vector<Event>
     initialEvents() const
     {
         std::vector<Event> out;
-        out.reserve(nBatches_);
         for (uint64_t b = 0; b < nBatches_; ++b)
-            out.push_back({emit_[b], b * kKeyStride, webOfBatch_[b],
-                           kTierWeb, b, 0});
+            if (b == 0 || webOfBatch_[b] != webOfBatch_[b - 1])
+                out.push_back(webArrival(b));
         return out;
     }
 
@@ -148,6 +150,13 @@ class ClusterModel : public Model
                        (mix64(missSalt_ ^ rid) >> 11) + 1) *
                    0x1.0p-53;
         return u > cfg_.base.memcHitRate;
+    }
+
+    /** Batch b reaching its home web server at its emit time. */
+    Event
+    webArrival(uint64_t b) const
+    {
+        return {emit_[b], b * kKeyStride, webOfBatch_[b], kTierWeb, b, 0};
     }
 
     /** Destination node of a batch at a tier: its home web server at
@@ -439,6 +448,16 @@ ClusterModel::apply(const Event &ev, EventSink &sink, int shard)
             fl->sstart = start;
             fl->sdone = done;
         }
+    }
+
+    if (tier == kTierWeb && b + 1 < nBatches_ &&
+        webOfBatch_[b + 1] == ev.node) {
+        // Stream the server's next batch. Batch ids are server-major
+        // and a server's emit times never decrease, so (time, key)
+        // puts every later batch after this one: scheduling it now
+        // changes no event's place in any node's order. Same node,
+        // so it never crosses a shard.
+        sink.emit(webArrival(b + 1));
     }
 
     if (tier < 3) {
