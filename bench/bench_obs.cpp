@@ -35,7 +35,14 @@
  * harness thread counts 1 and 4, and the sampled journey set itself
  * must not depend on the thread count.
  *
- * Emits BENCH_obs.json (stdout line + file). Exit code 1 on a
+ * All three lockstep modes run the engine live: measureEfficiency
+ * would serve an unobserved repeat from the process stream cache,
+ * which observed runs bypass, and the sink overhead would then compare
+ * replay with live execution.
+ *
+ * Emits BENCH_obs.json (stdout line + file) with `deterministic` (every
+ * no-perturbation check passed) and `within_budget` (the sampled
+ * journey overhead is under 2%) as separate fields. Exit code 1 on a
  * determinism failure or a blown journey overhead budget; the lockstep
  * sink overhead figures are reported, not gated (wall-clock on shared
  * CI boxes is noisy).
@@ -49,6 +56,7 @@
 #include <string>
 #include <vector>
 
+#include "analysis/cache.h"
 #include "bench_common.h"
 #include "obs/divergence.h"
 #include "obs/journey.h"
@@ -104,6 +112,32 @@ sameSysResult(const sys::SysResult &a, const sys::SysResult &b)
             return false;
     }
     return true;
+}
+
+/**
+ * One live lockstep pass of the sink table's cell: per-API+arg
+ * batching, MinSP-PC reconvergence, 32 wide, with an optional
+ * observer. The same path measureEfficiency takes for observed runs,
+ * but without its stream cache for unobserved ones.
+ */
+simt::SimtStats
+runLockstep(const svc::Service &svc, int requests, uint64_t seed,
+            simt::LockstepObserver *observer)
+{
+    auto ca = analysis::gateAndProve(svc.program());
+    batch::BatchingServer server(batch::Policy::PerApiArgSize, 32);
+    simt::LockstepEngine engine(
+        svc.program(), simt::ReconvPolicy::MinSpPc, 32,
+        makeBatchProvider(
+            svc, server.formBatches(genRequests(svc, requests, seed))));
+    engine.setStaticProof(ca->proof);
+    engine.setObserver(observer);
+    trace::DynOp op;
+    while (engine.next(op)) {
+        // Drain: stats accumulate inside the engine.
+    }
+    obs::recordSimtStats(obs::Scope::registry(), engine.stats());
+    return engine.stats();
 }
 
 /**
@@ -266,17 +300,13 @@ main(int argc, char **argv)
                     mode == 0 ? nullptr :
                     mode == 1 ? static_cast<simt::LockstepObserver *>(
                         &prof) : &tee;
-                auto res = measureEfficiency(
-                    *svc, batch::Policy::PerApiArgSize,
-                    simt::ReconvPolicy::MinSpPc, 32, requests,
-                    scale.seed, o);
-                r.stats = res.stats;
+                r.stats = runLockstep(*svc, requests, scale.seed, o);
                 if (mode != 0 &&
-                    (prof.totalMaskedSlots() != res.stats.maskedSlots ||
+                    (prof.totalMaskedSlots() != r.stats.maskedSlots ||
                      prof.totalDivergeEvents() !=
-                         res.stats.divergeEvents ||
+                         r.stats.divergeEvents ||
                      prof.totalReconvMerges() !=
-                         res.stats.reconvMerges)) {
+                         r.stats.reconvMerges)) {
                     std::fprintf(stderr,
                                  "%s: profiler attribution diverged "
                                  "from engine totals\n", name.c_str());
@@ -393,7 +423,7 @@ main(int argc, char **argv)
         100.0 * (asecs[1] - asecs[0]) / asecs[0] : 0.0;
     double journey_ns =
         (jmed - 1.0) * joff_min * 1e9 / sys_requests;
-    bool journeys_ok = journeys_identical && journey_pct < 2.0;
+    bool within_budget = journey_pct < 2.0;
     std::printf("journey recorder: sampled %+.2f%% (%+.1f ns/request, "
                 "budget < 2%%; %d requests, off %.3fs, median of %d "
                 "ABBA blocks); all %+.2f%% (%d requests); SysResult "
@@ -401,7 +431,7 @@ main(int argc, char **argv)
                 journey_pct, journey_ns, sys_requests, joff_min,
                 sys_reps, journey_all_pct, all_requests,
                 journeys_identical ? "bit-identical" : "PERTURBED");
-    all_ok = all_ok && journeys_ok;
+    bool deterministic = all_ok && journeys_identical;
 
     char buf[64], tbuf[64], jbuf[64], jabuf[64];
     std::snprintf(buf, sizeof(buf), "%.2f", overhead_pct);
@@ -417,11 +447,13 @@ main(int argc, char **argv)
         ", \"journey_all_overhead_pct\": " + jabuf +
         ", \"journeys_identical\": " +
         (journeys_identical ? "true" : "false") +
-        ", \"deterministic\": " + (all_ok ? "true" : "false") + "}";
+        ", \"deterministic\": " + (deterministic ? "true" : "false") +
+        ", \"within_budget\": " + (within_budget ? "true" : "false") +
+        "}";
     std::printf("BENCH_obs.json: %s\n", json.c_str());
     if (FILE *f = std::fopen("BENCH_obs.json", "w")) {
         std::fprintf(f, "%s\n", json.c_str());
         std::fclose(f);
     }
-    return all_ok ? 0 : 1;
+    return deterministic && within_budget ? 0 : 1;
 }
