@@ -17,6 +17,12 @@
  * own Station; every tier-to-tier hop crosses the network, so the
  * minimum network latency is the PDES lookahead.
  *
+ * The offered load is generated up front but streamed into the engine:
+ * each web server has one pending batch arrival at a time, and handling
+ * it schedules the same server's next batch -- the one emit that stays
+ * on its node instead of crossing the network. The event queues thus
+ * hold in-flight work (PdesStats::peakQueued), not the whole run.
+ *
  * Determinism: all randomness is either per-client streams with
  * identity-derived seeds (arrival processes) or stateless hashes of
  * request identity (memcached outcomes, routing), and every
