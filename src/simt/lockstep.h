@@ -15,8 +15,14 @@
  *    keeps its own PC and call depth; every step the scheduler selects
  *    the deepest call level first (MinSP), then the minimum PC, and runs
  *    exactly the threads parked at that position. A spin-escape rule
- *    (k-cycle stagnation + b atomics decoded) temporarily prioritizes a
- *    starving path, mirroring the SIMT-induced-deadlock mitigation.
+ *    (a lane idle for k scheduler steps while b atomics were decoded)
+ *    temporarily prioritizes a starving path, mirroring the
+ *    SIMT-induced-deadlock mitigation.
+ *
+ * Both schemes schedule from one packed position key per lane (see
+ * posKey in lockstep.cc), refreshed only for the lanes that just ran:
+ * the MinSP-PC pick is the smallest key, and stack-IPDOM groups
+ * survivors by equal keys.
  *
  * The engine doubles as the SIMTec efficiency analyzer: SIMT efficiency
  * is simply sum(active lanes) / (batch ops x batch width).
@@ -48,7 +54,7 @@ enum class ReconvPolicy : uint8_t {
 struct SpinEscapeConfig
 {
     bool enabled = true;
-    uint32_t stagnationSteps = 64;  ///< k: steps with no PC progress
+    uint32_t stagnationSteps = 64;  ///< k: scheduler steps a lane sat idle
     uint32_t atomicThreshold = 4;   ///< b: atomics decoded in the window
     uint32_t boostSteps = 32;       ///< t: steps the waiter is prioritized
 };
@@ -213,9 +219,7 @@ class LockstepEngine : public trace::DynStream
   private:
     struct StackEntry
     {
-        int block;            ///< position of this path
-        size_t idx;
-        int depth;            ///< call depth of the path
+        uint64_t key;         ///< position of this path (posKey)
         int reconvBlock;      ///< merge block (-1 for the root entry)
         trace::Mask mask;
     };
@@ -227,7 +231,10 @@ class LockstepEngine : public trace::DynStream
     /** Check an observed divergence against the static hint. */
     void noteDivergence(isa::Pc pc);
 
-    /** Execute `mask` lanes (all at one position) and fill `op`. */
+    /**
+     * Execute `mask` lanes (all at one position), fill `op`, and
+     * refresh the stepped lanes' keys and run stamps.
+     */
     void execGroup(trace::Mask mask, trace::DynOp &op);
 
     const isa::Program &prog_;
@@ -246,6 +253,8 @@ class LockstepEngine : public trace::DynStream
     std::vector<std::unique_ptr<trace::LaneExec>> lanes_;
     std::vector<trace::ThreadInit> inits_;  ///< reused across launches
     trace::Mask liveMask_ = 0;
+    /** Per-lane position key; the largest key for a retired lane. */
+    uint64_t keys_[trace::kMaxBatch] = {};
     int batchSize_ = 0;
     bool batchActive_ = false;
     uint64_t completed_ = 0;
@@ -267,9 +276,9 @@ class LockstepEngine : public trace::DynStream
     uint64_t batchOpIdx_ = 0;
     uint64_t lastWriterB_[isa::kNumRegs] = {};
 
-    // MinSP-PC state.
-    std::vector<uint32_t> stagnation_;   ///< per-lane no-progress steps
-    std::vector<uint64_t> lastPos_;      ///< per-lane position snapshot
+    // MinSP-PC state. A lane has been idle for batchOpIdx_ - ranAt_
+    // steps: ranAt_ is the batch op it last ran at (or was boosted at).
+    uint64_t ranAt_[trace::kMaxBatch] = {};
     uint64_t windowAtomics_ = 0;
     int boostLane_ = -1;
     uint32_t boostLeft_ = 0;

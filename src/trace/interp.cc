@@ -48,13 +48,6 @@ ThreadState::reset(const ThreadInit &init)
     normalize();
 }
 
-isa::Pc
-ThreadState::curPc() const
-{
-    simr_assert(!done_, "curPc on a finished thread");
-    return bbPc_ + static_cast<isa::Pc>(idx_) * isa::kInstBytes;
-}
-
 const isa::StaticInst &
 ThreadState::curInst() const
 {
@@ -153,6 +146,7 @@ ThreadState::step(StepResult &out)
 {
     simr_assert(!done_, "step on a finished thread");
     const isa::BasicBlock &bb = *bb_;
+    const int block = block_;
     const StaticInst &si = bb.insts[idx_];
 
     ++dynCount_;
@@ -264,7 +258,8 @@ ThreadState::step(StepResult &out)
         simr_panic("unhandled op %s", isa::opName(si.op));
     }
 
-    if (!done_)
+    // The position cache holds while the op stays inside its block.
+    if (!done_ && (block_ != block || idx_ >= bb.insts.size()))
         normalize();
 }
 

@@ -19,6 +19,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/logging.h"
 #include "isa/program.h"
 
 namespace simr::trace
@@ -65,7 +66,13 @@ class ThreadState
     bool done() const { return done_; }
 
     /** Current position (valid while !done()). */
-    isa::Pc curPc() const;
+    isa::Pc
+    curPc() const
+    {
+        simr_dassert(!done_, "curPc on a finished thread");
+        return bbPc_ + static_cast<isa::Pc>(idx_) * isa::kInstBytes;
+    }
+
     int curBlock() const { return block_; }
     size_t curIdx() const { return idx_; }
     int callDepth() const { return static_cast<int>(callStack_.size()); }
@@ -109,7 +116,8 @@ class ThreadState
     size_t idx_ = 0;
     // Position cache, refreshed by normalize(): the current basic block
     // and its base PC, so the per-op inner loop avoids the
-    // bounds-checked program lookups. Valid while !done_.
+    // bounds-checked program lookups. Valid while !done_; step() only
+    // refreshes it when an op leaves its block or runs off its end.
     const isa::BasicBlock *bb_ = nullptr;
     isa::Pc bbPc_ = 0;
     bool done_ = true;
