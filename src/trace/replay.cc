@@ -219,22 +219,10 @@ LaneExec::reset(const ThreadInit &init)
 }
 
 void
-LaneExec::step(StepResult &out)
+LaneExec::finishCapture()
 {
-    if (replaying_) {
-        replay_.step(out);
-        ++stats_.replayedOps;
-        return;
-    }
-    live_.step(out);
-    if (capturing_) {
-        builder_.onStep(out);
-        ++stats_.capturedOps;
-        if (live_.done()) {
-            cache_->insert(pi_->fingerprint(), init_, builder_.finish());
-            capturing_ = false;
-        }
-    }
+    cache_->insert(pi_->fingerprint(), init_, builder_.finish());
+    capturing_ = false;
 }
 
 } // namespace simr::trace

@@ -160,7 +160,23 @@ class LaneExec
         return replaying_ ? replay_.dynCount() : live_.dynCount();
     }
 
-    void step(StepResult &out);
+    /** Execute one op (inline: called once per lane per batch op). */
+    void
+    step(StepResult &out)
+    {
+        if (replaying_) {
+            replay_.step(out);
+            ++stats_.replayedOps;
+            return;
+        }
+        live_.step(out);
+        if (capturing_) {
+            builder_.onStep(out);
+            ++stats_.capturedOps;
+            if (live_.done())
+                finishCapture();
+        }
+    }
 
     /** This request replays a cached trace. */
     bool replaying() const { return replaying_; }
@@ -184,6 +200,9 @@ class LaneExec
     const ReuseStats &reuseStats() const { return stats_; }
 
   private:
+    /** Insert the finished live request's trace into the cache. */
+    void finishCapture();
+
     const ProgramIndex *pi_;
     TraceCache *cache_;
     ThreadState live_;
