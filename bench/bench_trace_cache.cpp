@@ -1,57 +1,44 @@
 /**
  * @file
- * Trace-replay determinism gate and trace-cache speedup bench.
+ * Trace-replay determinism gates and trace-cache speedup bench.
  *
  * The trace caches must be invisible in everything but wall-clock
- * time: a request replayed from a CapturedTrace -- per lane, or
- * lane-major through the batch kernel -- and a whole cell replayed from
- * a cached StreamTrace, densely or through its compiled kernel, must
- * drive the timing core through exactly the dynamic stream live
- * execution would have produced. This binary checks and measures that
- * claim over the full 14-service x 4-config sweep:
+ * time: a request replayed from a CapturedTrace (a ReplayCursor inside
+ * its lane) and a whole cell replayed from a cached StreamTrace (a
+ * ReplayStream) must drive the timing core through exactly the dynamic
+ * stream live execution would have produced. This binary checks and
+ * measures that claim over the full 14-service x 4-config sweep, one
+ * gate per cache level. Both gates run at 128 requests and harness
+ * widths 1 and 4, and compare every reported statistic (full
+ * CoreResult including the latency histogram and counter map, plus
+ * SimtStats) against a live pass with the caches bypassed:
  *
- *  - `--verify` (the tier-1 ctest entry `trace_replay_gate`): at 128
- *    requests, for harness widths 1 and 4, every (service, config) cell
- *    is run three ways and every reported statistic (full CoreResult
- *    including the latency histogram and counter map, plus SimtStats)
- *    must be bit-identical across all of them:
- *      live     caches bypassed;
- *      cold     caches cleared: the run captures, replays dedup hits
- *               per lane, and runs uniform all-replay batches through
- *               the lane-major batch kernel (AVX2 relocation on AVX2
- *               hosts);
- *      warm     every cell from the stream cache's dense columns.
- *    A front-end sweep (runFrontEnd) then checks live vs warm SimtStats,
- *    op counts and request counts. The gate also fails unless the
- *    batch kernel and (on AVX2 hosts) SIMD relocation engaged.
+ *  - `--verify` (the tier-1 ctest entry `trace_replay_gate`), the
+ *    request level: a cold pass from cleared caches captures each
+ *    request and replays every later request that hits a captured
+ *    trace. The gate also fails unless the cold passes replayed
+ *    request traces.
  *
- *  - `--verify-compile` (the tier-1 ctest entry `replay_compile_gate`):
- *    the stream kernels. For harness widths 1 and 4, every cell is run
- *    live; then, from cleared caches, two front-end sweeps insert every
- *    stream and give it its first hit, so that
- *      warm-compile   compiles each stream at lookup (its second hit)
- *                     and replays through the stream kernel;
- *      warm-compiled  replays compiled stream kernels only;
- *    both bit-identical to live, plus a live vs compiled front-end
- *    sweep draining the kernels in O(1). The gate also fails unless
- *    every warm lookup hit and every kernel was built at warm-compile's
- *    lookups.
+ *  - `--verify-compile` (the tier-1 ctest entry `replay_compile_gate`),
+ *    the stream level: a front-end sweep from cleared caches fills the
+ *    stream cache, then a warm pass serves every cell from it. A live
+ *    vs warm front-end sweep (runFrontEnd) then checks SimtStats, op
+ *    counts and request counts. The gate also fails unless every warm
+ *    lookup hit.
  *
  *  - bench mode: measures two sweeps live vs cold vs warm and emits
  *    BENCH_trace.json. The headline is the *front-end* sweep -- the
  *    functional half of the simulator (request generation, batching,
  *    interpretation, lockstep grouping), which is what the caches
  *    remove; a warm re-run serves every cell straight from the stream
- *    cache, first from the dense columns, then through the compiled
- *    stream kernels (with a per-service speedup and compile-cost
- *    amortization table). A ns/op micro table compares every replay
- *    executor, and a capture micro table the static-proof capture path
- *    against the dynamic taint walk. The full timing sweep is reported
- *    alongside: its warm speedup is bounded by the timing core's share
- *    of the run, while its bit-identity across live / cold / warm is
- *    what proves replay exact. Also reports the per-service dedup ratio
- *    (requests served by a trace captured from a *different* request).
- *    Exits nonzero if any cell diverges.
+ *    cache. A ns/op micro table compares the replay executors with
+ *    live interpretation, and a capture micro table the static-proof
+ *    capture path against the dynamic taint walk. The full timing
+ *    sweep is reported alongside: its warm speedup is bounded by the
+ *    timing core's share of the run, while its bit-identity across
+ *    live / cold / warm is what proves replay exact. Also reports the
+ *    per-service dedup ratio (requests served by a trace captured from
+ *    a *different* request). Exits nonzero if any cell diverges.
  */
 
 #include <chrono>
@@ -65,7 +52,6 @@
 #include "mem/allocator.h"
 #include "simr/streamcache.h"
 #include "trace/capture.h"
-#include "trace/compile.h"
 #include "trace/replay.h"
 #include "trace/stream.h"
 
@@ -90,16 +76,6 @@ sweepCells(const TimingOptions &opt)
     for (const auto &cfg : gateConfigs())
         for (const auto &name : svc::serviceNames())
             cells.push_back({name, cfg, opt});
-    return cells;
-}
-
-/** One service's cells under every config (per-service timings). */
-std::vector<Cell>
-serviceCells(const std::string &name, const TimingOptions &opt)
-{
-    std::vector<Cell> cells;
-    for (const auto &cfg : gateConfigs())
-        cells.push_back({name, cfg, opt});
     return cells;
 }
 
@@ -223,16 +199,14 @@ timedSweep(const std::vector<Cell> &cells, int threads, int reps,
 }
 
 /**
- * Per-op step cost of every replay executor over one memc request and
- * one 64-request scalar stream: live interpretation, the request
- * cursor, and the dense and compiled stream executors.
+ * Per-op step cost of both replay executors over one memc request and
+ * one 64-request scalar stream, next to live interpretation.
  */
 struct MicroCosts
 {
     double liveNs = 0;       ///< ThreadState::step
     double cursorNs = 0;     ///< ReplayCursor::step
     double streamNs = 0;     ///< ReplayStream::next
-    double cstreamNs = 0;    ///< CompiledStreamCursor::next
 };
 
 MicroCosts
@@ -292,7 +266,7 @@ microStepCosts(uint64_t seed)
         sink = sink + acc;
     });
 
-    // Stream level: one 64-request scalar stream and its compiled form.
+    // Stream level: one 64-request scalar stream.
     trace::ScalarStream sl(
         svcp->program(),
         makeScalarProvider(*svcp, reqs, 0, mem::AllocPolicy::SimrAware),
@@ -304,7 +278,6 @@ microStepCosts(uint64_t seed)
     auto st = cap.take();
     if (st == nullptr)
         return m;
-    auto kst = trace::compileStream(st);
     const uint64_t sn = st->opCount();
     const int sreps = static_cast<int>(
         std::max<uint64_t>(1, 4'000'000 / std::max<uint64_t>(sn, 1)));
@@ -319,14 +292,6 @@ microStepCosts(uint64_t seed)
         trace::ReplayStream rs(svcp->program(), st);
         uint64_t acc = 0;
         while (rs.next(op))
-            acc += op.pc;
-        sink = sink + acc;
-    });
-    m.cstreamNs = time_stream_ns([&] {
-        trace::CompiledStreamCursor cs;
-        cs.start(kst, pi);
-        uint64_t acc = 0;
-        while (cs.next(op))
             acc += op.pc;
         sink = sink + acc;
     });
@@ -421,8 +386,10 @@ report(const char *label, bool ok, const std::vector<std::string> &diverged)
 }
 
 /**
- * The request-trace gate: {live, cold, warm} x threads {1, 4}, every
- * pass compared against live, plus a live vs warm front-end sweep.
+ * The request-level gate: {live, cold} x threads {1, 4}, cold compared
+ * against live. A cold pass starts from cleared caches, so no stream
+ * replays: every request either captures a trace or replays one
+ * through its lane's ReplayCursor.
  */
 int
 runVerify(TimingOptions opt)
@@ -438,69 +405,43 @@ runVerify(TimingOptions opt)
     const auto live_cells = sweepCells(live_opt);
     const auto cells = sweepCells(cached_opt);
 
-    const trace::CompileCounters c0 = trace::compileCounters();
-    uint64_t batch_kernel_ops = 0;
+    uint64_t hits = 0;
+    uint64_t replayed_ops = 0;
     bool all_identical = true;
     for (int threads : {1, 4}) {
         auto live = runCells(live_cells, threads);
-
-        // Cold: every stream key is looked up once (a miss), so no
-        // stream kernel exists yet and every kernel op credited here
-        // comes from the lane-major batch kernel.
         clearCaches();
-        const uint64_t ops0 = trace::compileCounters().compiledOps;
         auto cold = runCells(cells, threads);
-        batch_kernel_ops += trace::compileCounters().compiledOps - ops0;
-
-        // Warm: every cell's first stream-cache hit, replayed from the
-        // dense columns.
-        auto warm = runCells(cells, threads);
+        for (const TimingRun &run : cold) {
+            hits += run.reuse.hits;
+            replayed_ops += run.reuse.replayedOps;
+        }
 
         std::vector<std::string> diverged;
-        bool ok = sameSweep(cells, live, cold, "cold", &diverged) &
-            sameSweep(cells, live, warm, "warm", &diverged);
+        bool ok = sameSweep(cells, live, cold, "cold", &diverged);
         const std::string label = "threads=" + std::to_string(threads);
         all_identical = report(label.c_str(), ok, diverged) && all_identical;
     }
 
-    {
-        double secs = 0;
-        auto fe_live = frontEndSweep(live_cells, &secs);
-        auto fe_warm = frontEndSweep(cells, &secs);
-        std::vector<std::string> diverged;
-        bool ok = sameFrontEndSweep(cells, fe_live, fe_warm, "front-end",
-                                    &diverged);
-        all_identical = report("front-end", ok, diverged) && all_identical;
-    }
-
-    // A gate whose fast paths never ran proves nothing about them.
-    const uint64_t simd_lanes =
-        trace::compileCounters().simdLanes - c0.simdLanes;
-    const bool engaged = batch_kernel_ops > 0 &&
-        (simd_lanes > 0 || !trace::simdAvailable());
+    // A gate whose replay path never ran proves nothing about it.
+    const bool engaged = hits > 0;
     const bool pass = cache != nullptr && all_identical && engaged;
     std::printf("trace_replay_gate: %s (14 services x 4 configs x "
-                "{live, cold, warm} x threads {1,4} + front end, %d "
-                "requests; %llu batch-kernel ops, %llu simd lanes "
-                "(%s)%s)\n",
+                "{live, cold} x threads {1,4}, %d requests; %llu "
+                "request-trace hits, %llu replayed ops%s)\n",
                 pass ? "PASS" : "FAIL", opt.requests,
-                static_cast<unsigned long long>(batch_kernel_ops),
-                static_cast<unsigned long long>(simd_lanes),
-                trace::simdAvailable() ? "AVX2" :
-                trace::simdCompiledIn() ? "compiled in, no AVX2 cpu"
-                                        : "not compiled in",
+                static_cast<unsigned long long>(hits),
+                static_cast<unsigned long long>(replayed_ops),
                 cache == nullptr ? "; cache DISABLED (SIMR_TRACE_CACHE=0)"
                 : engaged        ? ""
-                                 : "; a fast path never engaged");
+                                 : "; no request trace replayed");
     return pass ? 0 : 1;
 }
 
 /**
- * The stream-kernel gate: per width, live, then from cleared caches
- * two front-end sweeps give every stream its insert and first hit, so
- * warm-compile builds each stream kernel at lookup and warm-compiled
- * replays kernels only -- both compared against live -- plus a live vs
- * compiled front-end sweep.
+ * The stream-level gate: per width, live, then a front-end sweep from
+ * cleared caches inserts every stream and a warm pass replays them all,
+ * compared against live; plus a live vs warm front-end sweep.
  */
 int
 runVerifyCompile(TimingOptions opt)
@@ -516,36 +457,34 @@ runVerifyCompile(TimingOptions opt)
     const auto live_cells = sweepCells(live_opt);
     const auto cells = sweepCells(cached_opt);
 
-    uint64_t built_at_lookup = 0;
-    uint64_t built_later = 0;
+    // Stream-cache lookups of the warm passes.
+    uint64_t warm_hits = 0;
     uint64_t warm_misses = 0;
+    auto warmPass = [&](auto &&pass) {
+        const uint64_t h0 = scache != nullptr ? scache->hits() : 0;
+        const uint64_t m0 = scache != nullptr ? scache->misses() : 0;
+        auto runs = pass();
+        if (scache != nullptr) {
+            warm_hits += scache->hits() - h0;
+            warm_misses += scache->misses() - m0;
+        }
+        return runs;
+    };
+
     bool all_identical = true;
     for (int threads : {1, 4}) {
         auto live = runCells(live_cells, threads);
 
         // The front-end sweep shares stream keys with the timing
         // sweep and skips the timing core, so it is the cheap way to
-        // walk every stream to its second hit.
+        // fill the stream cache.
         clearCaches();
         double secs = 0;
         frontEndSweep(cells, &secs);
-        frontEndSweep(cells, &secs);
-
-        const uint64_t m0 = scache != nullptr ? scache->misses() : 0;
-        const uint64_t s0 = trace::compileCounters().compiledStreams;
-        auto warm_compile = runCells(cells, threads);
-        const uint64_t s1 = trace::compileCounters().compiledStreams;
-        auto warm_compiled = runCells(cells, threads);
-        built_at_lookup += s1 - s0;
-        built_later += trace::compileCounters().compiledStreams - s1;
-        if (scache != nullptr)
-            warm_misses += scache->misses() - m0;
+        auto warm = warmPass([&] { return runCells(cells, threads); });
 
         std::vector<std::string> diverged;
-        bool ok = sameSweep(cells, live, warm_compile, "warm-compile",
-                            &diverged) &
-            sameSweep(cells, live, warm_compiled, "warm-compiled",
-                      &diverged);
+        bool ok = sameSweep(cells, live, warm, "warm", &diverged);
         const std::string label = "threads=" + std::to_string(threads);
         all_identical = report(label.c_str(), ok, diverged) && all_identical;
     }
@@ -553,30 +492,26 @@ runVerifyCompile(TimingOptions opt)
     {
         double secs = 0;
         auto fe_live = frontEndSweep(live_cells, &secs);
-        auto fe_warm = frontEndSweep(cells, &secs);
+        auto fe_warm = warmPass([&] { return frontEndSweep(cells, &secs); });
         std::vector<std::string> diverged;
         bool ok = sameFrontEndSweep(cells, fe_live, fe_warm, "front-end",
                                     &diverged);
         all_identical = report("front-end", ok, diverged) && all_identical;
     }
 
-    // Every warm lookup must hit, and every kernel must come from
-    // warm-compile's lookups: a miss means the priming missed a key,
-    // a kernel built later means warm-compiled was not compiled-only.
-    const bool engaged =
-        built_at_lookup > 0 && built_later == 0 && warm_misses == 0;
+    // Every warm lookup must hit: a miss means that cell ran live, so
+    // its identity with live proves nothing about stream replay.
+    const bool engaged = warm_hits > 0 && warm_misses == 0;
     const bool pass = scache != nullptr && all_identical && engaged;
     std::printf("replay_compile_gate: %s (14 services x 4 configs x "
-                "{live, warm-compile, warm-compiled} x threads {1,4} + "
-                "front end, %d requests; %llu stream kernels built at "
-                "lookup, %llu later, %llu warm misses%s)\n",
+                "{live, warm} x threads {1,4} + front end, %d requests; "
+                "%llu warm stream hits, %llu warm misses%s)\n",
                 pass ? "PASS" : "FAIL", opt.requests,
-                static_cast<unsigned long long>(built_at_lookup),
-                static_cast<unsigned long long>(built_later),
+                static_cast<unsigned long long>(warm_hits),
                 static_cast<unsigned long long>(warm_misses),
                 scache == nullptr ? "; cache DISABLED (SIMR_TRACE_CACHE=0)"
                 : engaged         ? ""
-                                  : "; stream kernels did not engage");
+                                  : "; a warm lookup missed");
     return pass ? 0 : 1;
 }
 
@@ -595,7 +530,7 @@ runBench(const TimingOptions &opt)
 
     // Front-end sweep (the headline): the functional half of every
     // cell, which a warm stream cache serves without executing.
-    double fe_live_secs = 0, fe_cold_secs = 0;
+    double fe_live_secs = 0, fe_cold_secs = 0, fe_warm_secs = 0;
     auto fe_live = timedFrontEndSweep(live_cells, 2, &fe_live_secs);
 
     // A cold pass can only be repeated by clearing the caches first;
@@ -613,44 +548,8 @@ runBench(const TimingOptions &opt)
     for (const auto &run : fe_cold)
         static_captures += run.reuse.staticCaptures;
 
-    // The stream cache compiles an entry on its second hit: the first
-    // warm pass replays the dense columns, an untimed second pass
-    // compiles (its cost is the compile-time counter's delta), and
-    // later passes replay through the stream kernels only.
-    struct WarmTiers
-    {
-        double dense = 0, compile = 0, compiled = 0;
-    };
-    auto warmTiers = [&](const std::vector<Cell> &cells,
-                         std::vector<FrontEndRun> *dense,
-                         std::vector<FrontEndRun> *compiled) {
-        WarmTiers w;
-        *dense = frontEndSweep(cells, &w.dense);
-        const uint64_t us0 = trace::compileCounters().compileUs;
-        double prime_secs = 0;
-        frontEndSweep(cells, &prime_secs);
-        w.compile = static_cast<double>(
-                        trace::compileCounters().compileUs - us0) * 1e-6;
-        *compiled = timedFrontEndSweep(cells, 2, &w.compiled);
-        return w;
-    };
-    std::vector<FrontEndRun> fe_dense, fe_warm;
-    const WarmTiers fe_tiers = warmTiers(cached_cells, &fe_dense, &fe_warm);
-    const double fe_dense_secs = fe_tiers.dense;
-    const double fe_warm_secs = fe_tiers.compiled;
-
-    // Per-service split from a fresh cold start, so each service's
-    // streams walk the same three tiers.
-    const auto &names = svc::serviceNames();
-    std::vector<WarmTiers> svc_tiers(names.size());
-    clearCaches();
-    for (size_t i = 0; i < names.size(); ++i) {
-        auto cells_i = serviceCells(names[i], cached_opt);
-        double fill_secs = 0;
-        frontEndSweep(cells_i, &fill_secs);
-        std::vector<FrontEndRun> unused_dense, unused_compiled;
-        svc_tiers[i] = warmTiers(cells_i, &unused_dense, &unused_compiled);
-    }
+    // Warm: every cell from the stream cache the cold pass filled.
+    auto fe_warm = timedFrontEndSweep(cached_cells, 2, &fe_warm_secs);
 
     // Full timing sweep, measured from its own cold start.
     double live_secs = 0, cold_secs = 0, warm_secs = 0;
@@ -668,8 +567,6 @@ runBench(const TimingOptions &opt)
         sameSweep(cached_cells, live, warm, "warm", &diverged) &
         sameFrontEndSweep(cached_cells, fe_live, fe_cold, "fe-cold",
                           &diverged) &
-        sameFrontEndSweep(cached_cells, fe_live, fe_dense, "fe-dense",
-                          &diverged) &
         sameFrontEndSweep(cached_cells, fe_live, fe_warm, "fe-warm",
                           &diverged);
     for (const auto &s : diverged)
@@ -678,6 +575,7 @@ runBench(const TimingOptions &opt)
     // Dedup per service, from the cold sweep: requests served by a
     // trace captured from a different request (zipf key popularity).
     // Cells of all four configs of a service fold into one ratio.
+    const auto &names = svc::serviceNames();
     std::vector<double> dedup(names.size(), 0.0);
     for (size_t i = 0; i < cached_cells.size(); ++i) {
         const auto &r = cold[i].reuse;
@@ -696,30 +594,9 @@ runBench(const TimingOptions &opt)
            Table::mult(1.0)});
     f.row({"cold (capture)", Table::num(fe_cold_secs, 2),
            Table::mult(fe_live_secs / fe_cold_secs)});
-    f.row({"warm-dense (stream replay)", Table::num(fe_dense_secs, 2),
-           Table::mult(fe_live_secs / fe_dense_secs)});
-    f.row({"warm-compiled (stream kernels)", Table::num(fe_warm_secs, 2),
+    f.row({"warm-dense (stream replay)", Table::num(fe_warm_secs, 2),
            Table::mult(fe_live_secs / fe_warm_secs)});
     f.print();
-
-    // Per-service compiled-vs-dense: the warm speedup the stream
-    // kernels add on top of dense stream replay, and how many warm
-    // re-runs amortize the one-time compile cost.
-    Table c("Stream kernels: warm-compiled vs warm-dense per service "
-            "(4 configs each; amortize = warm re-runs to repay compile)");
-    c.header({"service", "dense s", "compiled s", "speedup",
-              "compile s", "amortize"});
-    for (size_t i = 0; i < names.size(); ++i) {
-        const WarmTiers &w = svc_tiers[i];
-        double saved = w.dense - w.compiled;
-        std::string amort = saved > 1e-9 ?
-            Table::num(w.compile / saved, 1) : "-";
-        c.row({names[i], Table::num(w.dense, 4),
-               Table::num(w.compiled, 4),
-               Table::mult(w.compiled > 0 ? w.dense / w.compiled : 0.0),
-               Table::num(w.compile, 4), amort});
-    }
-    c.print();
 
     MicroCosts micro = microStepCosts(opt.seed);
     Table u("Per-op step cost (memc; request tier over one trace, "
@@ -728,7 +605,6 @@ runBench(const TimingOptions &opt)
     u.row({"interpreter (live)", Table::num(micro.liveNs, 2)});
     u.row({"ReplayCursor", Table::num(micro.cursorNs, 2)});
     u.row({"ReplayStream", Table::num(micro.streamNs, 2)});
-    u.row({"CompiledStreamCursor", Table::num(micro.cstreamNs, 2)});
     u.print();
 
     CaptureCosts cap = microCaptureCosts(opt.seed);
@@ -773,15 +649,11 @@ runBench(const TimingOptions &opt)
     // Headline live/cold/warm seconds and speedups are the front-end
     // sweep (what the caches accelerate); timing_* is the full timing
     // sweep alongside.
-    const trace::CompileCounters cc = trace::compileCounters();
     std::string json = "{\"bench\": \"trace_cache\", \"services\": 14, "
         "\"configs\": 4, \"requests\": " + std::to_string(opt.requests) +
         ", \"live_seconds\": " + std::to_string(fe_live_secs) +
         ", \"cold_seconds\": " + std::to_string(fe_cold_secs) +
-        ", \"warm_dense_seconds\": " + std::to_string(fe_dense_secs) +
-        ", \"warm_seconds\": " + std::to_string(fe_warm_secs) +
-        ", \"stream_compile_seconds\": " +
-        std::to_string(fe_tiers.compile) +
+        ", \"warm_dense_seconds\": " + std::to_string(fe_warm_secs) +
         ", \"timing_live_seconds\": " + std::to_string(live_secs) +
         ", \"timing_cold_seconds\": " + std::to_string(cold_secs) +
         ", \"timing_warm_seconds\": " + std::to_string(warm_secs);
@@ -789,24 +661,19 @@ runBench(const TimingOptions &opt)
     std::snprintf(buf, sizeof(buf),
                   ", \"speedup_cold\": %.2f, "
                   "\"speedup_warm_dense\": %.2f, "
-                  "\"speedup_warm\": %.2f, "
-                  "\"compiled_vs_dense\": %.2f, "
                   "\"timing_speedup_cold\": %.2f, "
                   "\"timing_speedup_warm\": %.2f, "
                   "\"max_dedup_ratio\": %.4f",
                   fe_live_secs / fe_cold_secs,
-                  fe_live_secs / fe_dense_secs,
                   fe_live_secs / fe_warm_secs,
-                  fe_warm_secs > 0 ? fe_dense_secs / fe_warm_secs : 0.0,
                   live_secs / cold_secs, live_secs / warm_secs,
                   max_dedup);
     json += buf;
     std::snprintf(buf, sizeof(buf),
                   ", \"micro_ns_per_op\": {\"live\": %.2f, "
                   "\"replay_cursor\": %.2f, "
-                  "\"replay_stream\": %.2f, \"compiled_stream\": %.2f}",
-                  micro.liveNs, micro.cursorNs, micro.streamNs,
-                  micro.cstreamNs);
+                  "\"replay_stream\": %.2f}",
+                  micro.liveNs, micro.cursorNs, micro.streamNs);
     json += buf;
     std::snprintf(buf, sizeof(buf),
                   ", \"static_tier\": {\"static_captures\": %llu, "
@@ -817,21 +684,7 @@ runBench(const TimingOptions &opt)
                   cap.dynNs, cap.staticNs,
                   cap.engaged ? "true" : "false");
     json += buf;
-    json += ", \"per_service_compiled\": [";
-    for (size_t i = 0; i < names.size(); ++i) {
-        const WarmTiers &w = svc_tiers[i];
-        double saved = w.dense - w.compiled;
-        std::snprintf(buf, sizeof(buf), "{\"name\": \"%s\", "
-                      "\"dense_seconds\": %.4f, "
-                      "\"compiled_seconds\": %.4f, "
-                      "\"speedup\": %.2f, \"compile_seconds\": %.4f, "
-                      "\"amortize_reps\": %.1f}", names[i].c_str(),
-                      w.dense, w.compiled,
-                      w.compiled > 0 ? w.dense / w.compiled : 0.0,
-                      w.compile, saved > 1e-9 ? w.compile / saved : -1.0);
-        json += (i ? ", " : "") + std::string(buf);
-    }
-    json += "], \"per_service_dedup\": [";
+    json += ", \"per_service_dedup\": [";
     for (size_t i = 0; i < names.size(); ++i) {
         std::snprintf(buf, sizeof(buf), "{\"name\": \"%s\", "
                       "\"dedup_ratio\": %.4f}", names[i].c_str(),
@@ -842,9 +695,6 @@ runBench(const TimingOptions &opt)
         ", \"cache_bytes\": " + std::to_string(bytes) +
         ", \"stream_entries\": " + std::to_string(stream_entries) +
         ", \"stream_bytes\": " + std::to_string(stream_bytes) +
-        ", \"compiled_streams\": " + std::to_string(cc.compiledStreams) +
-        ", \"compiled_ops\": " + std::to_string(cc.compiledOps) +
-        ", \"simd_lanes\": " + std::to_string(cc.simdLanes) +
         ", \"identical\": ";
     json += identical ? "true" : "false";
     json += "}";

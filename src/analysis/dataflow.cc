@@ -622,7 +622,6 @@ buildStaticProof(const isa::Program &prog, const DataflowInfo &df)
     proof->taintTierBound = df.tierBound;
     proof->mayIdDep = df.mayIdDep;
     proof->mayFrameDep = df.mayFrameDep;
-    proof->allUniformPerBatch = df.allUniformPerBatch;
     proof->memKind.assign(prog.staticInstCount(),
                           trace::StaticProof::kNotMem);
     proof->branchHint.assign(prog.staticInstCount(), 0);

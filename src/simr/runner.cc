@@ -8,7 +8,6 @@
 #include "common/parallel.h"
 #include "obs/divergence.h"
 #include "simr/streamcache.h"
-#include "trace/compile.h"
 #include "trace/replay.h"
 
 namespace simr
@@ -195,7 +194,7 @@ buildFrontEnd(const svc::Service &svc, const core::CoreConfig &cfg,
             StreamEntry ent;
             if (fe.scache != nullptr && fe.scache->lookup(u.key, &ent)) {
                 u.replay = std::make_unique<trace::ReplayStream>(
-                    svc.program(), ent.trace, ent.compiled);
+                    svc.program(), ent.trace);
                 u.cachedStats = ent.stats;
                 u.stream = u.replay.get();
                 continue;
@@ -229,7 +228,7 @@ buildFrontEnd(const svc::Service &svc, const core::CoreConfig &cfg,
             StreamEntry ent;
             if (fe.scache != nullptr && fe.scache->lookup(u.key, &ent)) {
                 u.replay = std::make_unique<trace::ReplayStream>(
-                    svc.program(), ent.trace, ent.compiled);
+                    svc.program(), ent.trace);
                 u.stream = u.replay.get();
             } else {
                 allHit = false;
@@ -405,13 +404,6 @@ runFrontEnd(const svc::Service &svc, const core::CoreConfig &cfg,
     FrontEndRun run;
     trace::DynOp op;
     for (FrontEndUnit &u : fe.units) {
-        // Compiled warm streams are drained in O(1) from the kernel's
-        // precomputed aggregates -- there is no consumer here to feed,
-        // so materializing each op only to count it is pure overhead.
-        if (u.replay != nullptr && u.replay->drainCompiled(&run.dynOps)) {
-            run.requests += u.replay->requestsCompleted();
-            continue;
-        }
         while (u.stream->next(op))
             ++run.dynOps;
         run.requests += u.stream->requestsCompleted();
@@ -518,16 +510,7 @@ recordTraceCacheStats()
             static_cast<double>(scache->entries()));
         reg->gauge("trace.stream_evictions")->set(
             static_cast<double>(scache->evictions()));
-        reg->gauge("trace.stream_compiled_entries")->set(
-            static_cast<double>(scache->compiledEntries()));
-        reg->gauge("trace.stream_compiled_bytes")->set(
-            static_cast<double>(scache->compiledBytes()));
     }
-    const trace::CompileCounters cc = trace::compileCounters();
-    reg->counter("trace.compiled_streams")->inc(cc.compiledStreams);
-    reg->counter("trace.compile_us")->inc(cc.compileUs);
-    reg->counter("trace.compiled_ops")->inc(cc.compiledOps);
-    reg->counter("trace.simd_lanes")->inc(cc.simdLanes);
 }
 
 void

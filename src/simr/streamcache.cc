@@ -2,7 +2,6 @@
 
 #include "common/config.h"
 #include "common/logging.h"
-#include "trace/compile.h"
 
 namespace simr
 {
@@ -26,18 +25,6 @@ StreamCache::lookup(const std::string &key, StreamEntry *out)
     Entry &e = it->second;
     touch(e);
     ++hits_;
-    ++e.hits;
-    // Compile on the second hit: the first hit proved the cell
-    // re-runs, so the lowering cost amortizes. The
-    // entry was just touched to the LRU back, so eviction below can
-    // never free it.
-    if (e.payload.compiled == nullptr && e.hits >= 2) {
-        e.payload.compiled = trace::compileStream(e.payload.trace);
-        bytes_ += e.payload.compiled->byteSize();
-        compiledBytes_ += e.payload.compiled->byteSize();
-        ++compiledEntries_;
-        evictOverBudget();
-    }
     *out = e.payload;
     return true;
 }
@@ -56,13 +43,8 @@ StreamCache::insert(const std::string &key, StreamEntry entry)
         return;
     }
     lru_.push_back(key);
-    Entry e{std::move(entry), 0, std::prev(lru_.end())};
+    Entry e{std::move(entry), std::prev(lru_.end())};
     bytes_ += e.payload.trace->byteSize();
-    if (e.payload.compiled != nullptr) {
-        bytes_ += e.payload.compiled->byteSize();
-        compiledBytes_ += e.payload.compiled->byteSize();
-        ++compiledEntries_;
-    }
     map_.emplace(key, std::move(e));
     evictOverBudget();
 }
@@ -82,11 +64,6 @@ StreamCache::evictOverBudget()
         auto it = map_.find(lru_.front());
         simr_assert(it != map_.end(), "LRU entry missing from the map");
         bytes_ -= it->second.payload.trace->byteSize();
-        if (it->second.payload.compiled != nullptr) {
-            bytes_ -= it->second.payload.compiled->byteSize();
-            compiledBytes_ -= it->second.payload.compiled->byteSize();
-            --compiledEntries_;
-        }
         map_.erase(it);
         lru_.pop_front();
         ++evictions_;
@@ -100,8 +77,6 @@ StreamCache::clear()
     map_.clear();
     lru_.clear();
     bytes_ = 0;
-    compiledEntries_ = 0;
-    compiledBytes_ = 0;
 }
 
 uint64_t
@@ -137,20 +112,6 @@ StreamCache::misses() const
 {
     std::lock_guard<std::mutex> lock(mu_);
     return misses_;
-}
-
-uint64_t
-StreamCache::compiledEntries() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return compiledEntries_;
-}
-
-uint64_t
-StreamCache::compiledBytes() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return compiledBytes_;
 }
 
 StreamCache *

@@ -27,6 +27,7 @@
 #ifndef SIMR_SIMR_STREAMCACHE_H
 #define SIMR_SIMR_STREAMCACHE_H
 
+#include <cstddef>
 #include <list>
 #include <memory>
 #include <mutex>
@@ -43,8 +44,8 @@ namespace simr
 struct StreamEntry
 {
     std::shared_ptr<const trace::StreamTrace> trace;
-    /** Superop kernel over `trace`, built on the entry's second hit. */
-    std::shared_ptr<const trace::CompiledStream> compiled;
+    /** Always null; kept only because perfbench names it. */
+    std::nullptr_t compiled = nullptr;
     /** Engine stats at capture (zero-valued for scalar/SMT streams). */
     simt::SimtStats stats{};
 };
@@ -83,12 +84,6 @@ class StreamCache
     uint64_t hits() const;
     uint64_t misses() const;
 
-    /** @name Superop-kernel residency (subset of the totals above). */
-    /// @{
-    uint64_t compiledEntries() const;
-    uint64_t compiledBytes() const;
-    /// @}
-
     /**
      * The process-wide cache, or nullptr when trace reuse is disabled
      * via SIMR_TRACE_CACHE=0. Budget: SIMR_STREAM_CACHE_MB (default
@@ -102,7 +97,6 @@ class StreamCache
     struct Entry
     {
         StreamEntry payload;
-        uint32_t hits = 0;
         std::list<std::string>::iterator lru;
     };
 
@@ -117,8 +111,6 @@ class StreamCache
     uint64_t evictions_ = 0;
     uint64_t hits_ = 0;
     uint64_t misses_ = 0;
-    uint64_t compiledEntries_ = 0;
-    uint64_t compiledBytes_ = 0;
 };
 
 } // namespace simr

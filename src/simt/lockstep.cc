@@ -194,51 +194,6 @@ LockstepEngine::launchNext()
     boostLane_ = -1;
     boostLeft_ = 0;
     prevActive_ = 0;
-
-    // Lane-major eligibility: a fully-live batch whose lanes all replay
-    // shape-equal traces can never diverge (the shape fingerprint
-    // covers the op sequence, branch outcomes and dependence columns),
-    // so the whole batch is handed to the batch kernel and the per-op
-    // grouping below it is skipped.
-    kernelBatch_ = false;
-    const Mask full = batchSize_ == trace::kMaxBatch ?
-        ~Mask{0} : ((Mask{1} << batchSize_) - 1);
-    if (liveMask_ == full) {
-        // Static relaxation: in an (api, argLen)-uniform batch of a
-        // program whose every branch is proven at least per-batch
-        // uniform, shape-equal traces are implied (same control path,
-        // same taken bits), so only the op counts are compared.
-        const bool hinted = proofApplies_ && proof_->allUniformPerBatch &&
-            batchApiArgUniform_;
-        const trace::CapturedTrace *rep = nullptr;
-        bool ok = true;
-        bool compared = false;
-        trace::TraceBatchKernel::LaneSrc srcs[trace::kMaxBatch];
-        for (int i = 0; i < batchSize_ && ok; ++i) {
-            const auto &l = *lanes_[static_cast<size_t>(i)];
-            if (!l.replaying()) {
-                ok = false;
-                break;
-            }
-            const trace::ReplayCursor &c = l.replayCursor();
-            const trace::CapturedTrace *t = &c.trace();
-            if (rep == nullptr) {
-                rep = t;
-            } else if (t != rep) {
-                compared = true;
-                ok = t->opCount() == rep->opCount() &&
-                    (hinted ||
-                     t->shapeFingerprint() == rep->shapeFingerprint());
-            }
-            srcs[i] = {c.addrCol(), c.shifts()};
-        }
-        if (ok && rep != nullptr && rep->opCount() > 0) {
-            bkernel_.start(rep, srcs, batchSize_, pi_);
-            kernelBatch_ = true;
-            if (hinted && compared)
-                ++stats_.hintedKernelBatches;
-        }
-    }
     return true;
 }
 
@@ -333,34 +288,6 @@ LockstepEngine::next(DynOp &op)
         if (!launchNext())
             return false;
         fresh = true;
-    }
-    if (kernelBatch_) {
-        // Uniform batch on the lane-major fast path: the kernel emits the
-        // op; the engine keeps its usual duties (stats, observer, lane
-        // retirement) in the exact order execGroup performs them.
-        bkernel_.step(op);
-        ++stats_.batchOps;
-        stats_.scalarOps += static_cast<uint64_t>(batchSize_);
-        stats_.maskedSlots += static_cast<uint64_t>(width_ - batchSize_);
-        if (obs_)
-            obs_->onOp(op, width_, stats_.batchOps);
-        if (bkernel_.done()) {
-            bkernel_.finish();
-            for (int i = 0; i < batchSize_; ++i)
-                lanes_[static_cast<size_t>(i)]->finishBatchReplay();
-            completed_ += static_cast<uint64_t>(batchSize_);
-            liveMask_ = 0;
-            if (obs_)
-                for (int i = 0; i < batchSize_; ++i)
-                    obs_->onLaneRetire(i, stats_.batchOps);
-        }
-        op.batchStart = fresh;
-        if (liveMask_ == 0) {
-            batchActive_ = false;
-            if (obs_)
-                obs_->onBatchEnd(stats_.batches - 1, stats_.batchOps);
-        }
-        return true;
     }
     bool produced = policy_ == ReconvPolicy::StackIpdom ?
         stepStack(op) : stepMinSp(op);

@@ -37,7 +37,6 @@
 
 #include "trace/dynop.h"
 #include "trace/interp.h"
-#include "trace/kernels.h"
 #include "trace/replay.h"
 #include "trace/stream.h"
 
@@ -73,15 +72,6 @@ struct SimtStats
     uint64_t batches = 0;
 
     /**
-     * Batches handed to the batch kernel because a static uniformity
-     * proof relaxed the eligibility check (shape fingerprints not
-     * compared). Depends on cache temperature, so it is exposition
-     * only: deliberately excluded from registry recording and from
-     * determinism comparisons.
-     */
-    uint64_t hintedKernelBatches = 0;
-
-    /**
      * Observed divergence at a branch the static proof classified
      * uniform (always, or per-batch within an (api, argLen)-uniform
      * batch). A live soundness tripwire: always 0 unless the dataflow
@@ -114,7 +104,6 @@ struct SimtStats
         reconvMerges += o.reconvMerges;
         pathSwitches += o.pathSwitches;
         spinEscapes += o.spinEscapes;
-        hintedKernelBatches += o.hintedKernelBatches;
         hintViolations += o.hintViolations;
         batches += o.batches;
         if (batches == o.batches)
@@ -209,9 +198,7 @@ class LockstepEngine : public trace::DynStream
 
     /**
      * Attach the program's static dataflow proof (nullptr detaches).
-     * Enables capture's tier-1 fast path on every lane, relaxes
-     * batch-kernel eligibility for (api, argLen)-uniform batches when
-     * every branch is proven at least per-batch-uniform, and arms the
+     * Enables capture's tier-1 fast path on every lane and arms the
      * hint-violation tripwire at the divergence sites.
      */
     void setStaticProof(std::shared_ptr<const trace::StaticProof> proof);
@@ -262,13 +249,6 @@ class LockstepEngine : public trace::DynStream
 
     // Stack-IPDOM state.
     std::vector<StackEntry> stack_;
-
-    // Lane-major replay: when every lane of a fresh batch replays a
-    // shape-equal trace, the batch can never diverge, so the whole
-    // grouping/divergence machinery below is bypassed and the batch
-    // kernel emits the ops directly.
-    trace::TraceBatchKernel bkernel_;
-    bool kernelBatch_ = false;
 
     // Batch-op-space dependence tracking: producer indices per register
     // (the per-thread distances from the interpreter do not survive the

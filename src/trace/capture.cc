@@ -246,50 +246,6 @@ TaintTracker::step(const StaticInst &si, const StepResult &r)
 }
 
 // ---------------------------------------------------------------------------
-// CapturedTrace
-
-namespace
-{
-
-/** FNV-1a over one column's raw bytes. */
-template <typename T>
-uint64_t
-fnv1a(uint64_t h, const T *data, size_t n)
-{
-    const auto *p = reinterpret_cast<const uint8_t *>(data);
-    for (size_t i = 0; i < n * sizeof(T); ++i) {
-        h ^= p[i];
-        h *= 0x100000001b3ull;
-    }
-    return h;
-}
-
-template <typename T>
-uint64_t
-fnv1a(uint64_t h, const std::vector<T> &col)
-{
-    return fnv1a(h, col.data(), col.size());
-}
-
-} // namespace
-
-uint64_t
-CapturedTrace::shapeFingerprint() const
-{
-    std::call_once(shapeOnce_, [this] {
-        const uint64_t n = opCount();
-        uint64_t h = fnv1a(0xcbf29ce484222325ull, &n, 1);
-        h = fnv1a(h, staticIdx_);
-        h = fnv1a(h, flags_);
-        h = fnv1a(h, dep1_);
-        h = fnv1a(h, dep2_);
-        h = fnv1a(h, callDepth_);
-        shapeFp_ = h;
-    });
-    return shapeFp_;
-}
-
-// ---------------------------------------------------------------------------
 // CaptureBuilder
 
 void

@@ -134,9 +134,7 @@ enum class AddrKind : uint8_t {
  * have to recompute -- dependence distances, call depth and canonical
  * addresses -- so ReplayCursor::step is a handful of sequential array
  * reads with no lastWriter mirroring (measured ~4x cheaper than a live
- * interpreter step). The same columns feed the lane-major
- * TraceBatchKernel, which takes a uniform batch's op sequence from one
- * representative trace and each lane's addresses from its own.
+ * interpreter step).
  */
 class CapturedTrace
 {
@@ -183,17 +181,6 @@ class CapturedTrace
     /** Canonical-frame absolute addresses, one entry per memory op. */
     const std::vector<uint64_t> &memAddr() const { return addr_; }
 
-    /**
-     * Hash of the trace's *shape*: op count, static indices, flags
-     * (branch outcomes, memory markers, relocation kinds), dependence
-     * distances and call depths -- every column except the addresses.
-     * Lanes replaying shape-equal traces never diverge in lockstep,
-     * which is what makes the lane-major batch kernel sound. Computed
-     * on first use (once, thread-safely): only batches mixing distinct
-     * traces ever need it, so capture never pays for it.
-     */
-    uint64_t shapeFingerprint() const;
-
   private:
     friend class CaptureBuilder;
 
@@ -211,9 +198,6 @@ class CapturedTrace
     std::vector<uint16_t> dep2_;
     std::vector<uint8_t> callDepth_;
     std::vector<uint64_t> addr_;
-
-    mutable std::once_flag shapeOnce_;
-    mutable uint64_t shapeFp_ = 0;
 };
 
 /**

@@ -13,12 +13,10 @@
  *    every path and no branch or address can be identity- or
  *    frame-tainted.
  *
- *  - LockstepEngine (src/simt): per-branch uniformity hints. A batch
- *    whose lanes share (api, argLen) cannot diverge when every branch
- *    is at least UniformPerBatch, which relaxes the batch-kernel
- *    eligibility check; divergence at a hinted-uniform branch is
- *    counted as a hint violation (a live soundness tripwire, asserted
- *    zero by the dataflow soundness gate).
+ *  - LockstepEngine (src/simt): per-branch uniformity hints.
+ *    Divergence at a hinted-uniform branch is counted as a hint
+ *    violation (a live soundness tripwire, asserted zero by the
+ *    dataflow soundness gate).
  *
  *  - DivergenceProfiler (src/obs): predicted-vs-observed divergence.
  *
@@ -67,9 +65,6 @@ struct StaticProof
 
     /** Some branch outcome or address may depend on frame placement. */
     bool mayFrameDep = true;
-
-    /** Every branch is at least UniformPerBatch. */
-    bool allUniformPerBatch = false;
 
     /**
      * Per flat index: the exact AddrKind (as uint8_t) of each memory

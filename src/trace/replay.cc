@@ -134,26 +134,18 @@ StreamCaptureBuilder::finish()
 
 ReplayStream::ReplayStream(const isa::Program &prog,
                            std::shared_ptr<const StreamTrace> t,
-                           std::shared_ptr<const CompiledStream> compiled)
+                           std::nullptr_t)
     : pi_(prog), trace_(std::move(t))
 {
     simr_assert(trace_ != nullptr, "replaying a null stream trace");
     simr_assert(trace_->fingerprint() == pi_.fingerprint(),
                 "stream trace replayed against a different program");
     n_ = trace_->opCount();
-    if (compiled != nullptr) {
-        simr_assert(compiled->srcPtr().get() == trace_.get(),
-                    "compiled stream does not match its source trace");
-        cursor_.start(std::move(compiled), pi_);
-        useCompiled_ = true;
-    }
 }
 
 bool
 ReplayStream::next(DynOp &op)
 {
-    if (useCompiled_)
-        return cursor_.next(op);
     if (pos_ >= n_)
         return false;
     const StreamTrace &t = *trace_;

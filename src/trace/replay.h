@@ -32,17 +32,17 @@
  * or interpret live with no capture when the cache is disabled. Live
  * and replayed lanes interleave freely inside one batch -- lanes are
  * independent ThreadStates, so per-lane replay is sound under any
- * scheduling. A batch whose lanes all replay shape-equal traces goes
- * to the lane-major TraceBatchKernel instead (see simt/lockstep.h).
+ * scheduling.
  */
 
 #ifndef SIMR_TRACE_REPLAY_H
 #define SIMR_TRACE_REPLAY_H
 
+#include <cstddef>
+
 #include "trace/capture.h"
 #include "trace/dynop.h"
 #include "trace/interp.h"
-#include "trace/kernels.h"
 
 namespace simr::trace
 {
@@ -69,16 +69,6 @@ class ReplayCursor
 
     /** Materialize the next op (valid while !done()). */
     void step(StepResult &out);
-
-    /** @name Batch-kernel inputs (valid after start). */
-    /// @{
-    const CapturedTrace &trace() const { return *trace_; }
-    const uint64_t *addrCol() const { return addrCol_; }
-    const uint64_t *shifts() const { return shift_; }
-    /// @}
-
-    /** Mark the whole trace consumed (the batch kernel replayed it). */
-    void skipToEnd() { pos_ = n_; }
 
   private:
     uint32_t
@@ -178,24 +168,6 @@ class LaneExec
         }
     }
 
-    /** This request replays a cached trace. */
-    bool replaying() const { return replaying_; }
-
-    /** The armed replay cursor (valid while replaying()). */
-    const ReplayCursor &replayCursor() const { return replay_; }
-
-    /**
-     * The batch kernel replayed this lane's whole request lane-major;
-     * retire the cursor and account the ops as replayed.
-     */
-    void
-    finishBatchReplay()
-    {
-        stats_.replayedOps += replay_.trace().opCount() -
-            replay_.dynCount();
-        replay_.skipToEnd();
-    }
-
     /** Reuse accounting since construction (deterministic per lane). */
     const ReuseStats &reuseStats() const { return stats_; }
 
@@ -246,22 +218,6 @@ class StreamTrace
 
     /** Program fingerprint the stream belongs to. */
     uint64_t fingerprint() const { return fingerprint_; }
-
-    /** @name Raw columns (the trace compiler and kernel executors). */
-    /// @{
-    const std::vector<uint32_t> &staticIdx() const { return staticIdx_; }
-    const std::vector<uint8_t> &flags() const { return flags_; }
-    const std::vector<Mask> &maskCol() const { return mask_; }
-    const std::vector<uint8_t> &callDepthCol() const { return callDepth_; }
-    const std::vector<uint16_t> &dep1Col() const { return dep1_; }
-    const std::vector<uint16_t> &dep2Col() const { return dep2_; }
-    const std::vector<Mask> &takenMaskCol() const { return takenMask_; }
-    const std::vector<Mask> &endMaskCol() const { return endMask_; }
-    const std::vector<uint8_t> &addrCountCol() const { return addrCount_; }
-    const std::vector<uint16_t> &accessSizeCol() const { return accessSize_; }
-    const std::vector<uint8_t> &laneCol() const { return lane_; }
-    const std::vector<uint64_t> &addrCol() const { return addr_; }
-    /// @}
 
     /** Resident bytes of the columnar payload (cache accounting). */
     size_t
@@ -325,49 +281,24 @@ class StreamCaptureBuilder
 /**
  * Serves a captured DynOp stream back through the DynStream interface.
  * Owns its ProgramIndex over the consumer's local Program instance, so
- * the StaticInst pointers it emits belong to that instance. When the
- * stream cache also supplies a compiled superop kernel, ops come from
- * a CompiledStreamCursor instead of the dense columns, and consumers
- * that only need counts can drain the whole stream in O(1) via
- * drainCompiled().
+ * the StaticInst pointers it emits belong to that instance.
  */
 class ReplayStream : public DynStream
 {
   public:
+    /** The third parameter is kept only because perfbench passes it. */
     ReplayStream(const isa::Program &prog,
                  std::shared_ptr<const StreamTrace> t,
-                 std::shared_ptr<const CompiledStream> compiled = nullptr);
+                 std::nullptr_t = nullptr);
 
     bool next(DynOp &op) override;
-
-    uint64_t
-    requestsCompleted() const override
-    {
-        return useCompiled_ ? cursor_.completed() : completed_;
-    }
+    uint64_t requestsCompleted() const override { return completed_; }
 
     uint64_t opCount() const { return trace_->opCount(); }
-
-    /**
-     * Consume the rest of the stream in O(1) from the kernel's
-     * precomputed aggregates, adding the skipped ops to `*ops`.
-     * @return false (and does nothing) without a compiled kernel --
-     *         the caller falls back to the per-op drain.
-     */
-    bool
-    drainCompiled(uint64_t *ops)
-    {
-        if (!useCompiled_)
-            return false;
-        *ops += cursor_.drainRemaining();
-        return true;
-    }
 
   private:
     ProgramIndex pi_;
     std::shared_ptr<const StreamTrace> trace_;
-    CompiledStreamCursor cursor_;   ///< armed iff useCompiled_
-    bool useCompiled_ = false;
     uint64_t pos_ = 0;
     uint64_t n_ = 0;
     uint64_t completed_ = 0;

@@ -119,9 +119,8 @@ if [ ! -f "$BUILD/compile_commands.json" ]; then
         || exit 1
 fi
 
-# The find glob picks up every library source automatically, including
-# the trace compiler and superop kernels (src/trace/compile.cc,
-# src/trace/kernels.cc) -- new sources need no registration here.
+# The find glob picks up every library source automatically -- new
+# sources need no registration here.
 FILES=$(find src tests bench examples \
     \( -name '*.cc' -o -name '*.cpp' \) | sort)
 
