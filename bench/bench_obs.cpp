@@ -42,7 +42,9 @@
  *
  * Emits BENCH_obs.json (stdout line + file) with `deterministic` (every
  * no-perturbation check passed) and `within_budget` (the sampled
- * journey overhead is under 2%) as separate fields. Exit code 1 on a
+ * journey overhead is under 2%) as separate fields, and
+ * `journey_aa_pct`, the same ABBA procedure run off against off: the
+ * noise band of `journey_overhead_pct`. Exit code 1 on a
  * determinism failure or a blown journey overhead budget; the lockstep
  * sink overhead figures are reported, not gated (wall-clock on shared
  * CI boxes is noisy).
@@ -358,7 +360,9 @@ main(int argc, char **argv)
     // capture materializes every journey, so it runs at a smaller
     // request count against its own matching baseline and is reported
     // only. SysResult identity across modes is the no-perturbation
-    // invariant.
+    // invariant. The same ABBA procedure with journeys off in both
+    // slots (A/A) is reported next to the gated figure: it is the
+    // noise band that figure must be read against.
     const int sys_requests = 2000000;
     const int sys_reps = 7;
     const int all_requests = 200000;
@@ -366,34 +370,39 @@ main(int argc, char **argv)
     const SysCell jcell{true, true, 20000};
     sys::SysResult jres[2];
     double joff_min = 0;
-    const obs::JourneyMode jmodes[] = {obs::JourneyMode::Off,
-                                       obs::JourneyMode::Sampled};
-    // One measurement round. rep -1 is an untimed warm-up block
-    // (first-touch page faults and clock ramp land there, not in a
-    // measured ratio). Each measured rep is an ABBA block -- off,
-    // sampled, sampled, off -- whose pooled ratio cancels both the
-    // order effect (the later run of a pair is systematically warmer)
-    // and any drift that is linear across the block.
-    auto measureSampled = [&]() {
-        std::vector<double> jratio;
+    // One measurement round of mode B against mode A: the median B/A
+    // time ratio; res gets each mode's last result and *aMin the
+    // fastest A run. rep -1 is an untimed warm-up block (first-touch
+    // page faults and clock ramp land there, not in a measured ratio).
+    // Each measured rep is an ABBA block whose pooled ratio cancels
+    // both the order effect (the later run of a pair is systematically
+    // warmer) and any drift that is linear across the block.
+    auto measureAbba = [&](obs::JourneyMode a, obs::JourneyMode b,
+                           sys::SysResult *res, double *aMin) {
+        const obs::JourneyMode modes[2] = {a, b};
+        std::vector<double> ratio;
         for (int rep = -1; rep < sys_reps; ++rep) {
             const int order[4] = {0, 1, 1, 0};
             double secs[2] = {0, 0};
             for (int i = 0; i < 4; ++i) {
                 int m = order[i];
                 double t0 = threadSeconds();
-                jres[m] = runSysCell(jcell, sys_requests, scale.seed,
-                                     jmodes[m], nullptr);
+                res[m] = runSysCell(jcell, sys_requests, scale.seed,
+                                    modes[m], nullptr);
                 secs[m] += threadSeconds() - t0;
             }
             if (rep < 0)
                 continue;
-            jratio.push_back(secs[1] / secs[0]);
-            double off = secs[0] / 2;
-            joff_min = joff_min == 0 ? off : std::min(joff_min, off);
+            ratio.push_back(secs[1] / secs[0]);
+            double first = secs[0] / 2;
+            *aMin = *aMin == 0 ? first : std::min(*aMin, first);
         }
-        std::sort(jratio.begin(), jratio.end());
-        return jratio[jratio.size() / 2];
+        std::sort(ratio.begin(), ratio.end());
+        return ratio[ratio.size() / 2];
+    };
+    auto measureSampled = [&]() {
+        return measureAbba(obs::JourneyMode::Off, obs::JourneyMode::Sampled,
+                           jres, &joff_min);
     };
     // Co-tenant interference on a shared box only ever inflates a
     // round's median, so when a round lands over budget the best
@@ -402,6 +411,12 @@ main(int argc, char **argv)
     double jmed = measureSampled();
     for (int attempt = 1; attempt < 3 && jmed >= 1.02; ++attempt)
         jmed = std::min(jmed, measureSampled());
+    // A/A: one round, no retries, so the band is not trimmed.
+    sys::SysResult aares[2];
+    double aa_off_min = 0;
+    const double aa_med = measureAbba(obs::JourneyMode::Off,
+                                      obs::JourneyMode::Off, aares,
+                                      &aa_off_min);
     double asecs[2] = {0, 0};
     sys::SysResult ares[2];
     const obs::JourneyMode amodes[] = {obs::JourneyMode::Off,
@@ -419,6 +434,7 @@ main(int argc, char **argv)
     bool journeys_identical = sameSysResult(jres[0], jres[1]) &&
         sameSysResult(ares[0], ares[1]);
     double journey_pct = 100.0 * (jmed - 1.0);
+    double journey_aa_pct = 100.0 * (aa_med - 1.0);
     double journey_all_pct = asecs[0] > 0 ?
         100.0 * (asecs[1] - asecs[0]) / asecs[0] : 0.0;
     double journey_ns =
@@ -431,12 +447,17 @@ main(int argc, char **argv)
                 journey_pct, journey_ns, sys_requests, joff_min,
                 sys_reps, journey_all_pct, all_requests,
                 journeys_identical ? "bit-identical" : "PERTURBED");
+    std::printf("journey A/A: off vs off %+.2f%% (%+.1f ns/request; the "
+                "same ABBA procedure, one round)\n",
+                journey_aa_pct,
+                (aa_med - 1.0) * aa_off_min * 1e9 / sys_requests);
     bool deterministic = all_ok && journeys_identical;
 
-    char buf[64], tbuf[64], jbuf[64], jabuf[64];
+    char buf[64], tbuf[64], jbuf[64], jaabuf[64], jabuf[64];
     std::snprintf(buf, sizeof(buf), "%.2f", overhead_pct);
     std::snprintf(tbuf, sizeof(tbuf), "%.2f", trace_overhead_pct);
     std::snprintf(jbuf, sizeof(jbuf), "%.2f", journey_pct);
+    std::snprintf(jaabuf, sizeof(jaabuf), "%.2f", journey_aa_pct);
     std::snprintf(jabuf, sizeof(jabuf), "%.2f", journey_all_pct);
     std::string json = std::string("{\"bench\": \"obs\", ") +
         "\"requests\": " + std::to_string(requests) +
@@ -444,6 +465,7 @@ main(int argc, char **argv)
         ", \"overhead_pct\": " + buf +
         ", \"trace_overhead_pct\": " + tbuf +
         ", \"journey_overhead_pct\": " + jbuf +
+        ", \"journey_aa_pct\": " + jaabuf +
         ", \"journey_all_overhead_pct\": " + jabuf +
         ", \"journeys_identical\": " +
         (journeys_identical ? "true" : "false") +
