@@ -2,7 +2,6 @@
 
 #include "analysis/analyzer.h"
 #include "analysis/dataflow.h"
-#include "common/config.h"
 #include "common/logging.h"
 #include "trace/capture.h"
 
@@ -27,11 +26,7 @@ AnalysisCache *
 AnalysisCache::process()
 {
     // Leaked singleton: see TraceCache::process() for the rationale.
-    static AnalysisCache *cache = []() -> AnalysisCache * {
-        if (envInt("SIMR_ANALYSIS_CACHE", 1) == 0)
-            return nullptr;
-        return new AnalysisCache();
-    }();
+    static AnalysisCache *cache = new AnalysisCache();
     return cache;
 }
 
@@ -81,9 +76,8 @@ AnalysisCache::entries() const
 std::shared_ptr<const CachedAnalysis>
 gateAndProve(const isa::Program &prog)
 {
-    AnalysisCache *cache = AnalysisCache::process();
     std::shared_ptr<const CachedAnalysis> entry =
-        cache != nullptr ? cache->get(prog) : analyzeAndProve(prog);
+        AnalysisCache::process()->get(prog);
     const Report &r = entry->report;
     if (r.ok())
         return entry;

@@ -5,8 +5,7 @@
  * runFrontEnd, runTiming) and every cell of a sweep re-gate the same
  * service programs; the full analysis (CFG, dominators, two dataflow
  * fixpoints) is pure in the program content, so it is computed once and
- * shared. SIMR_ANALYSIS_CACHE=0 disables reuse process-wide (every
- * gate call re-analyzes, nothing is retained).
+ * shared.
  */
 
 #ifndef SIMR_ANALYSIS_CACHE_H
@@ -36,8 +35,8 @@ class AnalysisCache
 {
   public:
     /**
-     * The process-wide cache, or nullptr when SIMR_ANALYSIS_CACHE=0.
-     * Leaked singleton, same lifetime contract as TraceCache::process().
+     * The process-wide cache (never null). Leaked singleton, same
+     * lifetime contract as TraceCache::process().
      */
     static AnalysisCache *process();
 

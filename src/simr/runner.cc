@@ -517,8 +517,6 @@ void
 recordAnalysisStats()
 {
     analysis::AnalysisCache *cache = analysis::AnalysisCache::process();
-    if (cache == nullptr)
-        return;
     obs::Registry *reg = obs::Scope::registry();
     reg->counter("analysis.cache_hits")->inc(cache->hits());
     reg->counter("analysis.cache_misses")->inc(cache->misses());

@@ -209,7 +209,7 @@ void recordTraceCacheStats();
  * registry: analysis.cache_hits / analysis.cache_misses counters and
  * the analysis.cache_entries gauge. Same exposition contract as
  * recordTraceCacheStats (call once before exposition; never from
- * runCells). No-op when the cache is disabled (SIMR_ANALYSIS_CACHE=0).
+ * runCells).
  */
 void recordAnalysisStats();
 

@@ -389,9 +389,6 @@ TEST(DataflowCapture, StaticFastPathCaptureBitIdentical)
 TEST(DataflowCache, GateAndProveSharesByFingerprint)
 {
     analysis::AnalysisCache *cache = analysis::AnalysisCache::process();
-    if (cache == nullptr)
-        GTEST_SKIP() << "SIMR_ANALYSIS_CACHE=0";
-
     auto svc = svc::buildService("memc");
     auto a1 = analysis::gateAndProve(svc->program());
     uint64_t hits0 = cache->hits();
