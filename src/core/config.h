@@ -102,6 +102,9 @@ struct CoreConfig
     int chipCores = 98;
     double chipStaticWatts = 49.0;
 
+    /** Field-wise: a field added later joins every comparison. */
+    bool operator==(const CoreConfig &) const = default;
+
     /**
      * Panic on a pipeline the timing core cannot run: a zero-latency
      * op (the issue stage settles readiness once per cycle, which

@@ -28,6 +28,8 @@ struct CacheConfig
     uint32_t banks = 1;
     uint32_t bankInterleave = 32;  ///< bytes per bank before rotating
 
+    bool operator==(const CacheConfig &) const = default;
+
     /**
      * Panic on an unusable geometry (non-power-of-two line size,
      * zero ways/banks, bank interleave finer than a line). Called at

@@ -29,6 +29,8 @@ struct DramConfig
     double bytesPerCycle = 4.0;  ///< per channel, at core frequency
     uint32_t latencyCycles = 100;
     uint32_t lineBytes = 32;
+
+    bool operator==(const DramConfig &) const = default;
 };
 
 /** DRAM counters. */

@@ -37,6 +37,8 @@ struct MemPathConfig
     uint32_t mshrs = 32;
     bool atomicsAtL3 = false;  ///< RPU/GPU: atomics bypass private caches
 
+    bool operator==(const MemPathConfig &) const = default;
+
     /**
      * Panic on an unusable memory path (any bad cache geometry, zero
      * MSHRs). Called at MemoryHierarchy construction so a bad sweep

@@ -32,6 +32,8 @@ struct NocConfig
     uint32_t perHopCycles = 2;  ///< router + link latency per hop
     uint32_t xbarCycles = 4;    ///< flat crossbar traversal latency
     uint32_t flitBytes = 32;    ///< flit payload
+
+    bool operator==(const NocConfig &) const = default;
 };
 
 /** Interconnect counters. */

@@ -32,6 +32,8 @@ struct TlbConfig
      * trade-off).
      */
     uint32_t pageBytes = 2 * 1024 * 1024;
+
+    bool operator==(const TlbConfig &) const = default;
 };
 
 /** TLB counters. */

@@ -114,6 +114,20 @@ struct TimingOptions
      * fine (that engine is simply unobserved).
      */
     std::function<simt::LockstepObserver *(int engine)> observerFor;
+
+    /**
+     * Same run: every field above but observerFor, which a
+     * std::function cannot compare (and an observed run must stay
+     * live, so it is never looked up by value).
+     */
+    bool operator==(const TimingOptions &o) const
+    {
+        return policy == o.policy && reconv == o.reconv &&
+            alloc == o.alloc && requests == o.requests &&
+            seed == o.seed && batchOverride == o.batchOverride &&
+            useTunedBatch == o.useTunedBatch &&
+            useTraceCache == o.useTraceCache;
+    }
 };
 
 /**
@@ -163,6 +177,13 @@ struct Cell
     std::string service;      ///< registry name (svc::buildService)
     core::CoreConfig cfg;
     TimingOptions opt;
+
+    /**
+     * Cell identity: the service, every CoreConfig field and every
+     * TimingOptions field but observerFor. Two equal cells run
+     * bit-identically (runCells seeds a cell from its identity alone).
+     */
+    bool operator==(const Cell &) const = default;
 };
 
 /**

@@ -1,9 +1,13 @@
 /**
  * @file
  * Tests for the experiment-runner facade: request generation, SIMT
- * efficiency measurement (the Fig. 4 / Fig. 11 machinery), timing runs
- * and the cache studies (Figs. 14 / 15).
+ * efficiency measurement (the Fig. 4 / Fig. 11 machinery), timing runs,
+ * the cache studies (Figs. 14 / 15) and cell identity.
  */
+
+#include <functional>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -218,4 +222,87 @@ TEST(GpgpuExtension, SpmdKernelIsSimtPerfect)
                                  simt::ReconvPolicy::MinSpPc, 32, 320,
                                  5);
     EXPECT_GT(eff.efficiency(), 0.97);
+}
+
+// ---------------------------------------------------------------------------
+// Cell identity: a memo of cells runs equal cells once, so two cells
+// that would simulate differently must never compare equal.
+// ---------------------------------------------------------------------------
+
+namespace
+{
+
+Cell
+rpuBaseCell()
+{
+    return {"memc", core::makeRpuConfig(), TimingOptions{}};
+}
+
+} // namespace
+
+TEST(CellIdentity, SameConfigBuiltTwiceIsOneCell)
+{
+    EXPECT_TRUE(rpuBaseCell() == rpuBaseCell());
+}
+
+TEST(CellIdentity, DesignVariantsDifferFromRpuBase)
+{
+    // The Sec. V-A1 studies' variants of the RPU base cell.
+    Cell lanes32 = rpuBaseCell();
+    lanes32.cfg.lanes = 32;
+    Cell atomics_l1 = rpuBaseCell();
+    atomics_l1.cfg.mem.atomicsAtL3 = false;
+    Cell lane0_bp = rpuBaseCell();
+    lane0_bp.cfg.majorityVoteBp = false;
+    EXPECT_FALSE(lanes32 == rpuBaseCell());
+    EXPECT_FALSE(atomics_l1 == rpuBaseCell());
+    EXPECT_FALSE(lane0_bp == rpuBaseCell());
+}
+
+TEST(CellIdentity, TableIvConfigsArePairwiseDistinct)
+{
+    const core::CoreConfig cfgs[] = {
+        core::makeCpuConfig(), core::makeSmt8Config(),
+        core::makeRpuConfig(), core::makeGpuConfig()};
+    for (size_t i = 0; i < 4; ++i)
+        for (size_t j = 0; j < 4; ++j)
+            EXPECT_EQ(i == j, (Cell{"memc", cfgs[i], {}} ==
+                               Cell{"memc", cfgs[j], {}}))
+                << cfgs[i].name << " vs " << cfgs[j].name;
+}
+
+TEST(CellIdentity, EveryTimingOptionFieldSplitsCells)
+{
+    const std::vector<std::pair<const char *,
+                                std::function<void(TimingOptions &)>>>
+        edits = {
+            {"policy", [](TimingOptions &o) {
+                 o.policy = batch::Policy::Naive;
+             }},
+            {"reconv", [](TimingOptions &o) {
+                 o.reconv = simt::ReconvPolicy::StackIpdom;
+             }},
+            {"alloc", [](TimingOptions &o) {
+                 o.alloc = mem::AllocPolicy::GlibcLike;
+             }},
+            {"requests", [](TimingOptions &o) { o.requests += 1; }},
+            {"seed", [](TimingOptions &o) { o.seed += 1; }},
+            {"batchOverride", [](TimingOptions &o) { o.batchOverride = 8; }},
+            {"useTunedBatch",
+             [](TimingOptions &o) { o.useTunedBatch = false; }},
+            {"useTraceCache",
+             [](TimingOptions &o) { o.useTraceCache = false; }},
+        };
+    for (const auto &[field, edit] : edits) {
+        Cell c = rpuBaseCell();
+        edit(c.opt);
+        EXPECT_FALSE(c == rpuBaseCell()) << field;
+    }
+}
+
+TEST(CellIdentity, ServiceSplitsCells)
+{
+    Cell other = rpuBaseCell();
+    other.service = "post";
+    EXPECT_FALSE(other == rpuBaseCell());
 }
