@@ -61,6 +61,6 @@ main(int argc, char **argv)
                 "  - raise the load until each system's tail explodes;\n"
                 "  - lower memcHitRate in sys/uqsim.h and watch batch\n"
                 "    splitting become load-bearing;\n"
-                "  - compare against bench_fig22_end_to_end.\n");
+                "  - compare against build/bench/reproduce fig22.\n");
     return 0;
 }

@@ -6,8 +6,8 @@
  * that exhibit the SPMD pattern". This is a saxpy-like kernel: every
  * thread streams through a private chunk with wide loads and fused
  * SIMD multiply-adds, no data-dependent branches -- perfect SIMT
- * efficiency, backend-dominated energy. Used by bench_ext_gpgpu to
- * place CPU, RPU and GPU on the Section VI-D spectrum.
+ * efficiency, backend-dominated energy. Used by `reproduce ext_gpgpu`
+ * to place CPU, RPU and GPU on the Section VI-D spectrum.
  */
 
 #include "services/all_services.h"
