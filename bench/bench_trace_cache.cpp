@@ -23,8 +23,10 @@
  *    the stream level: a front-end sweep from cleared caches fills the
  *    stream cache, then a warm pass serves every cell from it. A live
  *    vs warm front-end sweep (runFrontEnd) then checks SimtStats, op
- *    counts and request counts. The gate also fails unless every warm
- *    lookup hit.
+ *    counts, request counts and the digest of every op drained, so a
+ *    replayed stream that leaves every timing statistic equal still
+ *    fails if one address differs. The gate also fails unless every
+ *    warm lookup hit.
  *
  *  - bench mode: measures two sweeps live vs cold vs warm and emits
  *    BENCH_trace.json. The headline is the *front-end* sweep -- the
@@ -158,7 +160,10 @@ timedFrontEndSweep(const std::vector<Cell> &cells, int reps, double *secs)
     return runs;
 }
 
-/** Compare two front-end sweeps cell by cell (stats and counts). */
+/**
+ * Compare two front-end sweeps cell by cell: stats, counts and the
+ * digest of the ops themselves.
+ */
 bool
 sameFrontEndSweep(const std::vector<Cell> &cells,
                   const std::vector<FrontEndRun> &a,
@@ -169,7 +174,8 @@ sameFrontEndSweep(const std::vector<Cell> &cells,
     for (size_t i = 0; i < cells.size(); ++i) {
         if (!sameSimtStats(a[i].simt, b[i].simt) ||
             a[i].dynOps != b[i].dynOps ||
-            a[i].requests != b[i].requests) {
+            a[i].requests != b[i].requests ||
+            a[i].digest != b[i].digest) {
             same = false;
             diverged->push_back(cellName(cells[i]) + "(" + tag + ")");
         }

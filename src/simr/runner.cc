@@ -1,5 +1,6 @@
 #include "simr/runner.h"
 
+#include <bit>
 #include <memory>
 #include <string>
 
@@ -71,6 +72,31 @@ streamKey(const svc::Service &svc, uint64_t program_fp, const char *kind,
     k += '|';
     k += std::to_string(index);
     return k;
+}
+
+/**
+ * Fold one drained DynOp into a stream digest: every field but the
+ * StaticInst pointer (the pc names it), and the lane/address arrays up
+ * to addrCount, each address multiplied off the chain with its lane
+ * xored into the low bits. A word costs one rotate, xor and multiply on
+ * the chain, an injective step, so one changed word always changes the
+ * digest; that keeps it cheap next to the replay it checks.
+ */
+uint64_t
+foldOp(uint64_t h, const trace::DynOp &op)
+{
+    constexpr uint64_t k = 0x517cc1b727220a95ULL;
+    auto fold = [&h](uint64_t w) { h = (std::rotl(h, 5) ^ w) * k; };
+    fold(op.pc);
+    fold(uint64_t{op.mask} << 32 | op.takenMask);
+    fold(uint64_t{op.endMask} << 32 | uint64_t{op.callDepth} << 24 |
+         uint64_t{op.addrCount} << 16 | uint64_t{op.batchStart} << 1 |
+         uint64_t{op.pathSwitch});
+    fold(uint64_t{op.dep1} << 32 | uint64_t{op.dep2} << 16 |
+         op.accessSize);
+    for (uint8_t i = 0; i < op.addrCount; ++i)
+        fold((op.addr[i] * 0x9e3779b97f4a7c15ULL) ^ op.lane[i]);
+    return h;
 }
 
 /**
@@ -344,10 +370,12 @@ measureEfficiency(const svc::Service &svc, batch::Policy policy,
 {
     auto ca = analysis::gateAndProve(svc.program());
 
-    // Efficiency probes re-run the exact cells the timing sweeps run,
-    // so they share the stream cache (and its key scheme: one engine,
-    // index 0 of 1). Observed runs stay live -- observers consume
-    // lockstep events, which a replayed stream does not produce.
+    // A probe needs only its run's SimtStats, so it keeps a stats
+    // record, not the stream, in the stream cache (same key scheme as a
+    // timing cell: one engine, index 0 of 1). Any entry under the key
+    // serves it: an earlier probe's record or a timing cell's capture.
+    // Observed runs stay live -- observers consume lockstep events,
+    // which a cached record does not produce.
     StreamCache *scache =
         observer == nullptr ? StreamCache::process() : nullptr;
 
@@ -367,10 +395,10 @@ measureEfficiency(const svc::Service &svc, batch::Policy policy,
         opt.seed = seed;
         key = streamKey(svc, ca->fingerprint, "lockstep", width, opt,
                         1, 0);
-        StreamEntry ent;
-        if (scache->lookup(key, &ent)) {
-            obs::recordSimtStats(obs::Scope::registry(), ent.stats);
-            return EfficiencyResult{ent.stats};
+        simt::SimtStats stats;
+        if (scache->lookupStats(key, &stats)) {
+            obs::recordSimtStats(obs::Scope::registry(), stats);
+            return EfficiencyResult{stats};
         }
     }
 
@@ -379,18 +407,11 @@ measureEfficiency(const svc::Service &svc, batch::Policy policy,
     engine.setStaticProof(ca->proof);
     engine.setObserver(observer);
     trace::DynOp op;
-    if (scache != nullptr) {
-        trace::CapturingStream cap(svc.program(), engine);
-        while (cap.next(op)) {
-            // Drain: stats accumulate inside the engine.
-        }
-        scache->insert(key,
-                       StreamEntry{cap.take(), nullptr, engine.stats()});
-    } else {
-        while (engine.next(op)) {
-            // Drain: stats accumulate inside the engine.
-        }
+    while (engine.next(op)) {
+        // Drain: stats accumulate inside the engine.
     }
+    if (scache != nullptr)
+        scache->insertStats(key, engine.stats());
     obs::recordSimtStats(obs::Scope::registry(), engine.stats());
     return EfficiencyResult{engine.stats()};
 }
@@ -404,8 +425,10 @@ runFrontEnd(const svc::Service &svc, const core::CoreConfig &cfg,
     FrontEndRun run;
     trace::DynOp op;
     for (FrontEndUnit &u : fe.units) {
-        while (u.stream->next(op))
+        while (u.stream->next(op)) {
             ++run.dynOps;
+            run.digest = foldOp(run.digest, op);
+        }
         run.requests += u.stream->requestsCompleted();
     }
     fe.collect(&run.simt, &run.reuse);
@@ -508,6 +531,8 @@ recordTraceCacheStats()
             static_cast<double>(scache->bytesResident()));
         reg->gauge("trace.stream_entries")->set(
             static_cast<double>(scache->entries()));
+        reg->gauge("trace.stream_stats_entries")->set(
+            static_cast<double>(scache->statsEntries()));
         reg->gauge("trace.stream_evictions")->set(
             static_cast<double>(scache->evictions()));
     }

@@ -151,6 +151,13 @@ struct FrontEndRun
     trace::ReuseStats reuse;
     uint64_t dynOps = 0;     ///< DynOps produced across all streams
     uint64_t requests = 0;   ///< requests completed across all streams
+    /**
+     * Digest of every DynOp drained, in drain order: each field the
+     * timing core reads, lane/address prefix included. Equal streams
+     * give equal digests, so a replay gate can check the stream itself
+     * and not only the statistics it leaves behind.
+     */
+    uint64_t digest = 0;
 };
 
 /**
@@ -217,7 +224,9 @@ std::vector<TimingRun> runCells(const std::vector<Cell> &cells,
  * and the trace.bytes_resident / trace.entries / trace.evictions gauges
  * for the request-level cache, plus trace.stream_hits /
  * trace.stream_misses and trace.stream_* gauges for the stream-level
- * cache. Callers (simr_cli stats) invoke this once,
+ * cache (trace.stream_entries and trace.stream_bytes_resident count
+ * streams; trace.stream_stats_entries counts the efficiency probes'
+ * stats records). Callers (simr_cli stats) invoke this once,
  * right before exposition; runCells deliberately does not -- cache
  * hit/miss totals depend on cross-thread scheduling, and the per-cell
  * registries it merges must stay bit-identical at any thread count.

@@ -29,6 +29,25 @@ StreamCache::lookup(const std::string &key, StreamEntry *out)
     return true;
 }
 
+bool
+StreamCache::lookupStats(const std::string &key, simt::SimtStats *out)
+{
+    std::lock_guard<std::mutex> lock(mu_);
+    if (auto it = map_.find(key); it != map_.end()) {
+        touch(it->second);
+        ++hits_;
+        *out = it->second.payload.stats;
+        return true;
+    }
+    if (auto it = stats_.find(key); it != stats_.end()) {
+        ++hits_;
+        *out = it->second;
+        return true;
+    }
+    ++misses_;
+    return false;
+}
+
 void
 StreamCache::insert(const std::string &key, StreamEntry entry)
 {
@@ -42,11 +61,21 @@ StreamCache::insert(const std::string &key, StreamEntry entry)
         touch(it->second);
         return;
     }
+    stats_.erase(key);
     lru_.push_back(key);
     Entry e{std::move(entry), std::prev(lru_.end())};
     bytes_ += e.payload.trace->byteSize();
     map_.emplace(key, std::move(e));
     evictOverBudget();
+}
+
+void
+StreamCache::insertStats(const std::string &key,
+                         const simt::SimtStats &stats)
+{
+    std::lock_guard<std::mutex> lock(mu_);
+    if (!map_.contains(key))
+        stats_.emplace(key, stats);
 }
 
 void
@@ -76,6 +105,7 @@ StreamCache::clear()
     std::lock_guard<std::mutex> lock(mu_);
     map_.clear();
     lru_.clear();
+    stats_.clear();
     bytes_ = 0;
 }
 
@@ -91,6 +121,13 @@ StreamCache::entries() const
 {
     std::lock_guard<std::mutex> lock(mu_);
     return map_.size();
+}
+
+uint64_t
+StreamCache::statsEntries() const
+{
+    std::lock_guard<std::mutex> lock(mu_);
+    return stats_.size();
 }
 
 uint64_t

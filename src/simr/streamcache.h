@@ -1,6 +1,7 @@
 /**
  * @file
- * Process-wide cache of whole front-end DynOp streams.
+ * Process-wide cache of whole front-end DynOp streams, and of the
+ * SimtStats of efficiency probes.
  *
  * The request-level trace::TraceCache removes the interpreter from a
  * warm run; this cache removes everything in front of the timing core.
@@ -9,15 +10,21 @@
  * per engine / hardware context -- is a pure function of the cell's
  * identity (service, program, batching policy, reconvergence scheme,
  * widths, allocator policy, request count and seed). When an identical
- * cell re-runs, the sweep re-run case every figure bench and tuner
- * probe hits, its streams can be served straight from the captured
- * columnar form (trace::StreamTrace) instead of being recomputed.
+ * cell re-runs, the sweep re-run case every figure bench hits, its
+ * streams can be served straight from the captured columnar form
+ * (trace::StreamTrace) instead of being recomputed.
  *
  * Keys are explicit strings built by the runner from exactly the
  * inputs that determine the stream (the same contract cellSeed
  * documents), plus the program content fingerprint. Values pair the
  * captured stream with the producing engine's SimtStats, which are
  * equally a pure function of the stream and must be replayed with it.
+ *
+ * An efficiency probe (measureEfficiency) reads only those stats, so
+ * it keeps a stats record -- the SimtStats alone, about a hundred
+ * bytes -- under the same key scheme instead of a stream. lookupStats
+ * serves a probe from either kind of entry; lookup serves only
+ * streams, and a stream inserted later supersedes the record.
  *
  * Replay is gated the same way as request-level replay: the tier-1
  * trace_replay_gate proves warm runs bit-identical to live ones over
@@ -54,7 +61,8 @@ struct StreamEntry
  * Thread-safe LRU cache of StreamEntry keyed by cell-identity strings.
  * Same structure as trace::TraceCache: one mutex around the index,
  * immutable refcounted payloads, byte-budget LRU eviction that never
- * frees a stream a consumer still walks.
+ * frees a stream a consumer still walks. Stats records sit outside the
+ * LRU and the byte budget.
  */
 class StreamCache
 {
@@ -65,20 +73,37 @@ class StreamCache
     StreamCache(const StreamCache &) = delete;
     StreamCache &operator=(const StreamCache &) = delete;
 
-    /** Find a cached stream; nullopt-like empty entry on miss. */
+    /**
+     * Find a cached stream; a key holding only a stats record misses.
+     * Counts one hit or miss.
+     */
     bool lookup(const std::string &key, StreamEntry *out);
 
     /**
-     * Insert a finished capture. First insert wins on concurrent
-     * captures of the same key (maximizing sharing).
+     * Find the SimtStats under a key, from a stream or a stats record.
+     * Counts one hit or miss, exactly as lookup does.
+     */
+    bool lookupStats(const std::string &key, simt::SimtStats *out);
+
+    /**
+     * Insert a finished capture, superseding a stats record under the
+     * key. First insert wins on concurrent captures of the same key
+     * (maximizing sharing).
      */
     void insert(const std::string &key, StreamEntry entry);
+
+    /** Insert a stats record unless the key already has an entry. */
+    void insertStats(const std::string &key, const simt::SimtStats &stats);
 
     /** Drop everything (benches use this to measure cold vs warm). */
     void clear();
 
+    /** Bytes of the cached streams; stats records add none. */
     uint64_t bytesResident() const;
+    /** Cached streams. */
     uint64_t entries() const;
+    /** Stats records (never evicted: dropping one frees no stream). */
+    uint64_t statsEntries() const;
     size_t budgetBytes() const { return budget_; }
     uint64_t evictions() const;
     uint64_t hits() const;
@@ -106,6 +131,8 @@ class StreamCache
     mutable std::mutex mu_;
     std::unordered_map<std::string, Entry> map_;
     std::list<std::string> lru_;   ///< front = coldest
+    /** Stats records: keys with no stream in map_. */
+    std::unordered_map<std::string, simt::SimtStats> stats_;
     size_t budget_;
     size_t bytes_ = 0;
     uint64_t evictions_ = 0;

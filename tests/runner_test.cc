@@ -1,8 +1,9 @@
 /**
  * @file
  * Tests for the experiment-runner facade: request generation, SIMT
- * efficiency measurement (the Fig. 4 / Fig. 11 machinery), timing runs,
- * the cache studies (Figs. 14 / 15) and cell identity.
+ * efficiency measurement (the Fig. 4 / Fig. 11 machinery) and the stats
+ * records it keeps, timing runs, the cache studies (Figs. 14 / 15) and
+ * cell identity.
  */
 
 #include <functional>
@@ -13,6 +14,7 @@
 
 #include "simr/cachestudy.h"
 #include "simr/runner.h"
+#include "simr/streamcache.h"
 #include "simr/tuner.h"
 
 using namespace simr;
@@ -222,6 +224,106 @@ TEST(GpgpuExtension, SpmdKernelIsSimtPerfect)
                                  simt::ReconvPolicy::MinSpPc, 32, 320,
                                  5);
     EXPECT_GT(eff.efficiency(), 0.97);
+}
+
+// ---------------------------------------------------------------------------
+// Efficiency probes keep stats records, not streams, in the process-wide
+// stream cache; a front end on the probe's key captures the stream.
+// ---------------------------------------------------------------------------
+
+namespace
+{
+
+constexpr int kProbeRequests = 96;
+constexpr uint64_t kProbeSeed = 11;
+
+EfficiencyResult
+probeMemc(const svc::Service &svc)
+{
+    return measureEfficiency(svc, batch::Policy::PerApiArgSize,
+                             simt::ReconvPolicy::MinSpPc, 32,
+                             kProbeRequests, kProbeSeed);
+}
+
+void
+expectSameSimtStats(const simt::SimtStats &a, const simt::SimtStats &b)
+{
+    EXPECT_EQ(a.batchOps, b.batchOps);
+    EXPECT_EQ(a.scalarOps, b.scalarOps);
+    EXPECT_EQ(a.maskedSlots, b.maskedSlots);
+    EXPECT_EQ(a.divergeEvents, b.divergeEvents);
+    EXPECT_EQ(a.reconvMerges, b.reconvMerges);
+    EXPECT_EQ(a.pathSwitches, b.pathSwitches);
+    EXPECT_EQ(a.spinEscapes, b.spinEscapes);
+    EXPECT_EQ(a.batches, b.batches);
+    EXPECT_EQ(a.hintViolations, b.hintViolations);
+    EXPECT_EQ(a.width, b.width);
+}
+
+} // namespace
+
+TEST(StatsRecord, RepeatedProbeIsAStatsHit)
+{
+    StreamCache *cache = StreamCache::process();
+    ASSERT_NE(cache, nullptr);
+    cache->clear();
+    auto svc = svc::buildService("memc");
+    const uint64_t h0 = cache->hits();
+    const uint64_t m0 = cache->misses();
+    const uint64_t bytes = cache->bytesResident();
+
+    auto first = probeMemc(*svc);
+    EXPECT_EQ(cache->misses() - m0, 1u);
+    EXPECT_EQ(cache->statsEntries(), 1u);
+    EXPECT_EQ(cache->entries(), 0u);
+
+    auto again = probeMemc(*svc);
+    EXPECT_EQ(cache->hits() - h0, 1u);
+    EXPECT_EQ(cache->misses() - m0, 1u);
+    expectSameSimtStats(again.stats, first.stats);
+    EXPECT_EQ(cache->bytesResident(), bytes);
+}
+
+TEST(StatsRecord, FrontEndOnProbeKeyCapturesThenHits)
+{
+    StreamCache *cache = StreamCache::process();
+    ASSERT_NE(cache, nullptr);
+    cache->clear();
+    auto svc = svc::buildService("memc");
+    auto probe = probeMemc(*svc);
+
+    // The RPU front end with the probe's width, policy, reconvergence,
+    // requests and seed has the probe's stream key.
+    TimingOptions opt;
+    opt.policy = batch::Policy::PerApiArgSize;
+    opt.reconv = simt::ReconvPolicy::MinSpPc;
+    opt.requests = kProbeRequests;
+    opt.seed = kProbeSeed;
+    opt.batchOverride = 32;
+    const core::CoreConfig rpu = core::makeRpuConfig();
+
+    // The record serves no stream: the front end misses, runs live and
+    // captures, and the stream supersedes the record.
+    auto cold = runFrontEnd(*svc, rpu, opt);
+    EXPECT_EQ(cold.reuse.streamMisses, 1u);
+    EXPECT_EQ(cold.reuse.streamHits, 0u);
+    EXPECT_EQ(cache->entries(), 1u);
+    EXPECT_EQ(cache->statsEntries(), 0u);
+    EXPECT_GT(cache->bytesResident(), 0u);
+    expectSameSimtStats(cold.simt, probe.stats);
+
+    auto warm = runFrontEnd(*svc, rpu, opt);
+    EXPECT_EQ(warm.reuse.streamHits, 1u);
+    EXPECT_EQ(warm.reuse.streamMisses, 0u);
+    EXPECT_EQ(warm.dynOps, cold.dynOps);
+    EXPECT_EQ(warm.digest, cold.digest);
+    expectSameSimtStats(warm.simt, cold.simt);
+
+    // A probe after the capture reads the stream's stats.
+    const uint64_t h0 = cache->hits();
+    auto again = probeMemc(*svc);
+    EXPECT_EQ(cache->hits() - h0, 1u);
+    expectSameSimtStats(again.stats, probe.stats);
 }
 
 // ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -307,26 +308,44 @@ TEST(StreamTrace, PartialDrainIsNeverCached)
     EXPECT_EQ(cap.take(), nullptr);
 }
 
+namespace
+{
+
+/** Live-run `requests` memc requests on one scalar stream, captured. */
+std::shared_ptr<const trace::StreamTrace>
+captureScalarStream(const svc::Service &svc, int requests, uint64_t seed)
+{
+    auto reqs = genRequests(svc, requests, seed);
+    trace::ScalarStream live(
+        svc.program(),
+        makeScalarProvider(svc, reqs, 0, mem::AllocPolicy::SimrAware),
+        nullptr);
+    trace::CapturingStream cap(svc.program(), live);
+    trace::DynOp op;
+    while (cap.next(op)) {
+    }
+    return cap.take();
+}
+
+/** Distinguishable stats for a stats record. */
+simt::SimtStats
+recordStats(uint64_t batches)
+{
+    simt::SimtStats s;
+    s.batches = batches;
+    s.batchOps = 7 * batches;
+    s.scalarOps = 100 * batches;
+    return s;
+}
+
+} // namespace
+
 TEST(StreamCacheTest, LruEvictionKeepsHottest)
 {
     auto svc = svc::buildService("memc");
     ASSERT_NE(svc, nullptr);
 
-    auto capture = [&](int requests, uint64_t seed) {
-        auto reqs = genRequests(*svc, requests, seed);
-        trace::ScalarStream live(
-            svc->program(),
-            makeScalarProvider(*svc, reqs, 0,
-                               mem::AllocPolicy::SimrAware),
-            nullptr);
-        trace::CapturingStream cap(svc->program(), live);
-        trace::DynOp op;
-        while (cap.next(op)) {
-        }
-        return cap.take();
-    };
-
-    auto t = capture(8, 5);
+    auto t = captureScalarStream(*svc, 8, 5);
     ASSERT_NE(t, nullptr);
 
     // Budget below one stream: the single entry must survive (eviction
@@ -334,7 +353,8 @@ TEST(StreamCacheTest, LruEvictionKeepsHottest)
     StreamCache small(t->byteSize() / 2);
     small.insert("a", StreamEntry{t, nullptr, simt::SimtStats{}});
     EXPECT_EQ(small.entries(), 1u);
-    small.insert("b", StreamEntry{capture(8, 6), nullptr, simt::SimtStats{}});
+    small.insert("b", StreamEntry{captureScalarStream(*svc, 8, 6), nullptr,
+                                  simt::SimtStats{}});
     EXPECT_EQ(small.entries(), 1u);
     EXPECT_GT(small.evictions(), 0u);
 
@@ -353,6 +373,111 @@ TEST(StreamCacheTest, LruEvictionKeepsHottest)
     // Null-trace entries are rejected, not cached.
     small.insert("null", StreamEntry{nullptr, nullptr, simt::SimtStats{}});
     EXPECT_FALSE(small.lookup("null", &ent));
+}
+
+TEST(StreamCacheTest, StatsRecordIsNoStream)
+{
+    StreamCache cache;
+    cache.insertStats("probe", recordStats(3));
+    EXPECT_EQ(cache.statsEntries(), 1u);
+    EXPECT_EQ(cache.entries(), 0u);
+
+    // A stream lookup must not be served by a record: it misses, and
+    // counts the miss.
+    StreamEntry ent;
+    EXPECT_FALSE(cache.lookup("probe", &ent));
+    EXPECT_EQ(cache.hits(), 0u);
+    EXPECT_EQ(cache.misses(), 1u);
+}
+
+TEST(StreamCacheTest, LookupStatsServesBothKinds)
+{
+    auto svc = svc::buildService("memc");
+    ASSERT_NE(svc, nullptr);
+    auto t = captureScalarStream(*svc, 8, 5);
+    ASSERT_NE(t, nullptr);
+
+    StreamCache cache;
+    cache.insertStats("record", recordStats(3));
+    cache.insert("stream", StreamEntry{t, nullptr, recordStats(5)});
+
+    simt::SimtStats s;
+    ASSERT_TRUE(cache.lookupStats("record", &s));
+    EXPECT_EQ(s.batches, 3u);
+    EXPECT_EQ(s.batchOps, 21u);
+    ASSERT_TRUE(cache.lookupStats("stream", &s));
+    EXPECT_EQ(s.batches, 5u);
+    EXPECT_EQ(s.scalarOps, 500u);
+    EXPECT_FALSE(cache.lookupStats("absent", &s));
+    EXPECT_EQ(cache.hits(), 2u);
+    EXPECT_EQ(cache.misses(), 1u);
+}
+
+TEST(StreamCacheTest, StreamSupersedesStatsRecord)
+{
+    auto svc = svc::buildService("memc");
+    ASSERT_NE(svc, nullptr);
+    auto t = captureScalarStream(*svc, 8, 5);
+    ASSERT_NE(t, nullptr);
+
+    StreamCache cache;
+    cache.insertStats("k", recordStats(3));
+    cache.insert("k", StreamEntry{t, nullptr, recordStats(5)});
+    EXPECT_EQ(cache.statsEntries(), 0u);
+    EXPECT_EQ(cache.entries(), 1u);
+
+    // A later record must not downgrade the stream.
+    cache.insertStats("k", recordStats(9));
+    EXPECT_EQ(cache.statsEntries(), 0u);
+    StreamEntry ent;
+    ASSERT_TRUE(cache.lookup("k", &ent));
+    EXPECT_EQ(ent.trace, t);
+    EXPECT_EQ(ent.stats.batches, 5u);
+    simt::SimtStats s;
+    ASSERT_TRUE(cache.lookupStats("k", &s));
+    EXPECT_EQ(s.batches, 5u);
+
+    // A second record under a key that has one keeps the first.
+    cache.insertStats("r", recordStats(1));
+    cache.insertStats("r", recordStats(2));
+    ASSERT_TRUE(cache.lookupStats("r", &s));
+    EXPECT_EQ(s.batches, 1u);
+
+    cache.clear();
+    EXPECT_EQ(cache.statsEntries(), 0u);
+    EXPECT_EQ(cache.entries(), 0u);
+    EXPECT_FALSE(cache.lookupStats("r", &s));
+}
+
+TEST(StreamCacheTest, StatsRecordsAddNoBytesAndSurviveEviction)
+{
+    auto svc = svc::buildService("memc");
+    ASSERT_NE(svc, nullptr);
+    auto t = captureScalarStream(*svc, 8, 5);
+    ASSERT_NE(t, nullptr);
+
+    // Budget below one stream: every stream insert after the first
+    // evicts, while the records stay.
+    StreamCache small(t->byteSize() / 2);
+    for (uint64_t i = 0; i < 4; ++i)
+        small.insertStats("record" + std::to_string(i), recordStats(i + 1));
+    EXPECT_EQ(small.bytesResident(), 0u);
+    EXPECT_EQ(small.entries(), 0u);
+
+    small.insert("a", StreamEntry{t, nullptr, simt::SimtStats{}});
+    EXPECT_EQ(small.bytesResident(), t->byteSize());
+    small.insert("b", StreamEntry{captureScalarStream(*svc, 8, 6), nullptr,
+                                  simt::SimtStats{}});
+    small.insert("c", StreamEntry{captureScalarStream(*svc, 8, 7), nullptr,
+                                  simt::SimtStats{}});
+    EXPECT_EQ(small.evictions(), 2u);
+    EXPECT_EQ(small.entries(), 1u);
+    EXPECT_EQ(small.statsEntries(), 4u);
+    for (uint64_t i = 0; i < 4; ++i) {
+        simt::SimtStats s;
+        ASSERT_TRUE(small.lookupStats("record" + std::to_string(i), &s));
+        EXPECT_EQ(s.batches, i + 1);
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -4,16 +4,16 @@
 #  1. trace-schema gate: when a built simr_cli exists, emit a small
 #     Perfetto trace and validate it with tools/check_trace.py (always
 #     runs; python3 is part of the base image);
-#  2. gcc -fanalyzer over src/analysis, src/trace and src/simt (the
-#     static dataflow framework, the trace capture/replay layer it
-#     feeds, and the lockstep engine, whose lane state lives in fixed
-#     arrays indexed by lane): path-sensitive checks for leaks, NULL
-#     derefs and uninitialized reads. GCC 12's C++ analyzer is
-#     experimental, so two known false-positive patterns are
-#     suppressed (throwing operator new reported as possibly-NULL;
-#     shared_ptr control-block reads reported as uninitialized
-#     "'<unknown>'" values) and only findings located in repo sources
-#     gate;
+#  2. gcc -fanalyzer over src/analysis, src/trace, src/simt and
+#     src/simr (the static dataflow framework, the trace capture/replay
+#     layer it feeds, the lockstep engine, whose lane state lives in
+#     fixed arrays indexed by lane, and the runner with its stream
+#     cache): path-sensitive checks for leaks, NULL derefs and
+#     uninitialized reads. GCC 12's C++ analyzer is experimental, so
+#     two known false-positive patterns are suppressed (throwing
+#     operator new reported as possibly-NULL; shared_ptr control-block
+#     reads reported as uninitialized "'<unknown>'" values) and only
+#     findings located in repo sources gate;
 #  3. clang-tidy over the library, tool and test sources with the
 #     checks pinned in .clang-tidy, warnings treated as errors
 #     (advisory when clang-tidy is not installed -- the container image
@@ -75,11 +75,12 @@ else
          "trace schema gate"
 fi
 
-# --- Stage 2: gcc -fanalyzer over src/analysis, src/trace, src/simt --
+# --- Stage 2: gcc -fanalyzer over src/{analysis,trace,simt,simr} ----
 GCC="${GCC:-g++}"
 if command -v "$GCC" >/dev/null 2>&1; then
     ANALYZER_STATUS=0
-    for f in src/analysis/*.cc src/trace/*.cc src/simt/*.cc; do
+    for f in src/analysis/*.cc src/trace/*.cc src/simt/*.cc \
+             src/simr/*.cc; do
         # Real findings carry a repo-relative path; analyzer noise
         # against libstdc++ internals is attributed to system headers
         # (or bare "cc1plus:") and does not gate.
@@ -96,7 +97,7 @@ if command -v "$GCC" >/dev/null 2>&1; then
     done
     if [ "$ANALYZER_STATUS" -eq 0 ]; then
         echo "lint.sh: gcc -fanalyzer gate passed (src/analysis," \
-             "src/trace, src/simt)"
+             "src/trace, src/simt, src/simr)"
     else
         echo "lint.sh: gcc -fanalyzer gate FAILED"
         STATUS=1
