@@ -648,6 +648,7 @@ runBench(const TimingOptions &opt)
     StreamCache *scache = StreamCache::process();
     uint64_t stream_entries = scache ? scache->entries() : 0;
     uint64_t stream_bytes = scache ? scache->bytesResident() : 0;
+    uint64_t stream_ops = scache ? scache->opsResident() : 0;
     double max_dedup = 0;
     for (double x : dedup)
         max_dedup = std::max(max_dedup, x);
@@ -701,7 +702,12 @@ runBench(const TimingOptions &opt)
         ", \"cache_bytes\": " + std::to_string(bytes) +
         ", \"stream_entries\": " + std::to_string(stream_entries) +
         ", \"stream_bytes\": " + std::to_string(stream_bytes) +
-        ", \"identical\": ";
+        ", \"stream_ops\": " + std::to_string(stream_ops);
+    std::snprintf(buf, sizeof(buf), ", \"stream_bytes_per_op\": %.3f",
+                  stream_ops ? static_cast<double>(stream_bytes) /
+                      static_cast<double>(stream_ops) : 0.0);
+    json += buf;
+    json += ", \"identical\": ";
     json += identical ? "true" : "false";
     json += "}";
 

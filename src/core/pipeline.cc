@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/bits.h"
 #include "common/logging.h"
 #include "core/counters.h"
 
@@ -48,16 +49,6 @@ constexpr const char *kHotNames[] = {
     ctr::kMcuInsts,         // kHotMcuInsts
     ctr::kRobCommit,        // kHotRobCommit
 };
-
-/** Set bits of x; SWAR, as the portable build has no POPCNT. */
-inline uint64_t
-popcount64(uint64_t x)
-{
-    x = x - ((x >> 1) & 0x5555555555555555ULL);
-    x = (x & 0x3333333333333333ULL) + ((x >> 2) & 0x3333333333333333ULL);
-    x = (x + (x >> 4)) & 0x0f0f0f0f0f0f0f0fULL;
-    return (x * 0x0101010101010101ULL) >> 56;
-}
 
 /** Bits of word `wi` that fall in [lo, hi); lo < hi. */
 inline uint64_t

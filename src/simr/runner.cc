@@ -529,6 +529,8 @@ recordTraceCacheStats()
         reg->counter("trace.stream_misses")->inc(scache->misses());
         reg->gauge("trace.stream_bytes_resident")->set(
             static_cast<double>(scache->bytesResident()));
+        reg->gauge("trace.stream_ops")->set(
+            static_cast<double>(scache->opsResident()));
         reg->gauge("trace.stream_entries")->set(
             static_cast<double>(scache->entries()));
         reg->gauge("trace.stream_stats_entries")->set(

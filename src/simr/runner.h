@@ -224,9 +224,10 @@ std::vector<TimingRun> runCells(const std::vector<Cell> &cells,
  * and the trace.bytes_resident / trace.entries / trace.evictions gauges
  * for the request-level cache, plus trace.stream_hits /
  * trace.stream_misses and trace.stream_* gauges for the stream-level
- * cache (trace.stream_entries and trace.stream_bytes_resident count
- * streams; trace.stream_stats_entries counts the efficiency probes'
- * stats records). Callers (simr_cli stats) invoke this once,
+ * cache (trace.stream_entries, trace.stream_bytes_resident and
+ * trace.stream_ops count streams, the last one their ops, so the two
+ * give bytes per op; trace.stream_stats_entries counts the efficiency
+ * probes' stats records). Callers (simr_cli stats) invoke this once,
  * right before exposition; runCells deliberately does not -- cache
  * hit/miss totals depend on cross-thread scheduling, and the per-cell
  * registries it merges must stay bit-identical at any thread count.

@@ -65,6 +65,7 @@ StreamCache::insert(const std::string &key, StreamEntry entry)
     lru_.push_back(key);
     Entry e{std::move(entry), std::prev(lru_.end())};
     bytes_ += e.payload.trace->byteSize();
+    ops_ += e.payload.trace->opCount();
     map_.emplace(key, std::move(e));
     evictOverBudget();
 }
@@ -93,6 +94,7 @@ StreamCache::evictOverBudget()
         auto it = map_.find(lru_.front());
         simr_assert(it != map_.end(), "LRU entry missing from the map");
         bytes_ -= it->second.payload.trace->byteSize();
+        ops_ -= it->second.payload.trace->opCount();
         map_.erase(it);
         lru_.pop_front();
         ++evictions_;
@@ -107,6 +109,7 @@ StreamCache::clear()
     lru_.clear();
     stats_.clear();
     bytes_ = 0;
+    ops_ = 0;
 }
 
 uint64_t
@@ -114,6 +117,13 @@ StreamCache::bytesResident() const
 {
     std::lock_guard<std::mutex> lock(mu_);
     return bytes_;
+}
+
+uint64_t
+StreamCache::opsResident() const
+{
+    std::lock_guard<std::mutex> lock(mu_);
+    return ops_;
 }
 
 uint64_t

@@ -100,6 +100,8 @@ class StreamCache
 
     /** Bytes of the cached streams; stats records add none. */
     uint64_t bytesResident() const;
+    /** Ops the cached streams hold (bytesResident over it: bytes/op). */
+    uint64_t opsResident() const;
     /** Cached streams. */
     uint64_t entries() const;
     /** Stats records (never evicted: dropping one frees no stream). */
@@ -135,6 +137,7 @@ class StreamCache
     std::unordered_map<std::string, simt::SimtStats> stats_;
     size_t budget_;
     size_t bytes_ = 0;
+    uint64_t ops_ = 0;  ///< opCount() summed over map_'s streams
     uint64_t evictions_ = 0;
     uint64_t hits_ = 0;
     uint64_t misses_ = 0;

@@ -355,32 +355,40 @@ ClusterModel::buildLoad(int threads)
         },
         threads);
 
-    // 3. Per-server arrival sort + batch formation.
-    int bsize = cfg_.base.rpu ? cfg_.base.batchSize : 1;
-    std::vector<std::vector<BatchWindow>> perServer(nweb);
+    // 3. Per-server arrival sort, then each server's batch count.
+    const int bsize = cfg_.base.rpu ? cfg_.base.batchSize : 1;
+    const double timeout = cfg_.base.batchTimeoutUs;
+    auto arrivalsOf = [&](size_t w) {
+        return byServer.begin() + static_cast<ptrdiff_t>(serverOff[w]);
+    };
+    auto timesOf = [&](size_t w) {
+        return [lo = arrivalsOf(w)](size_t i) {
+            return lo[static_cast<ptrdiff_t>(i)].first;
+        };
+    };
+    std::vector<uint64_t> bOff(nweb + 1, 0);
     parallelFor(
         nweb,
         [&](size_t w) {
-            auto lo = byServer.begin() +
-                      static_cast<ptrdiff_t>(serverOff[w]);
-            auto hi = byServer.begin() +
-                      static_cast<ptrdiff_t>(serverOff[w + 1]);
-            std::sort(lo, hi);  // (time, reqId): total, deterministic
-            size_t n = static_cast<size_t>(hi - lo);
-            std::vector<double> times(n);
-            for (size_t i = 0; i < n; ++i)
-                times[i] = lo[static_cast<ptrdiff_t>(i)].first;
-            perServer[w] = formBatchWindows(
-                times.data(), n, bsize, cfg_.base.batchTimeoutUs);
+            // (time, reqId): total, deterministic.
+            std::sort(arrivalsOf(w), arrivalsOf(w + 1));
+            uint64_t count = 0;
+            forEachBatchWindow(serverOff[w + 1] - serverOff[w], bsize,
+                               timeout, timesOf(w),
+                               [&count](size_t, size_t, double) {
+                                   ++count;
+                               });
+            bOff[w + 1] = count;
         },
         threads);
 
-    // 4. Concatenate per-server batches into dense global batch ids
-    // (server-major, time-ordered within a server). reqFlat_ is
+    // 4. Form each server's batches again, straight into dense global
+    // batch ids (server-major, time-ordered within a server): no
+    // per-server window lists, which at bsize 1 (the CPU systems, one
+    // batch per request) would hold one entry per request. reqFlat_ is
     // exactly the byServer order: batches tile each server's slice.
-    std::vector<uint64_t> bOff(nweb + 1, 0);
     for (uint32_t w = 0; w < nweb; ++w)
-        bOff[w + 1] = bOff[w] + perServer[w].size();
+        bOff[w + 1] += bOff[w];
     nBatches_ = bOff[nweb];
     batchFirst_.resize(nBatches_ + 1);
     batchFirst_[nBatches_] = nreq;
@@ -389,14 +397,17 @@ ClusterModel::buildLoad(int threads)
     parallelFor(
         nweb,
         [&](size_t w) {
+            const uint32_t web =
+                tierBase_[kTierWeb] + static_cast<uint32_t>(w);
             uint64_t gb = bOff[w];
-            for (const BatchWindow &bw : perServer[w]) {
-                batchFirst_[gb] = serverOff[w] + bw.begin;
-                emit_[gb] = bw.emitTime;
-                webOfBatch_[gb] =
-                    tierBase_[kTierWeb] + static_cast<uint32_t>(w);
-                ++gb;
-            }
+            forEachBatchWindow(serverOff[w + 1] - serverOff[w], bsize,
+                               timeout, timesOf(w),
+                               [&](size_t begin, size_t, double emit) {
+                                   batchFirst_[gb] = serverOff[w] + begin;
+                                   emit_[gb] = emit;
+                                   webOfBatch_[gb] = web;
+                                   ++gb;
+                               });
         },
         threads);
     reqFlat_.resize(nreq);

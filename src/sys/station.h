@@ -94,38 +94,51 @@ struct BatchWindow
 };
 
 /**
- * Batch formation (size or timeout) over a time-sorted arrival array:
- * a batch emits when it reaches `bsize` requests or when its window
- * (opened by its first arrival, `timeout_us` wide) closes. bsize == 1
- * degenerates to one batch per request emitting at its arrival -- the
- * CPU systems' path. Pure function of its inputs, so the sequential
- * and sharded engines form identical batches.
+ * Batch formation (size or timeout) over `n` time-sorted arrivals,
+ * `time(i)` being arrival i: a batch emits when it reaches `bsize`
+ * requests or when its window (opened by its first arrival,
+ * `timeout_us` wide) closes. Calls `emit(begin, end, emitTime)` once
+ * per batch, in order, for the half-open arrival range [begin, end).
+ * bsize == 1 degenerates to one batch per request emitting at its
+ * arrival -- the CPU systems' path. Pure function of its inputs, so
+ * the sequential and sharded engines form identical batches.
  */
+template <class Time, class Emit>
+void
+forEachBatchWindow(size_t n, int bsize, double timeout_us, Time time,
+                   Emit emit)
+{
+    if (bsize <= 1) {
+        for (size_t i = 0; i < n; ++i)
+            emit(i, i + 1, time(i));
+        return;
+    }
+    for (size_t i = 0; i < n;) {
+        const size_t begin = i;
+        double window_end = time(i) + timeout_us;
+        while (i < n && i - begin < static_cast<size_t>(bsize) &&
+               (i == begin || time(i) <= window_end)) {
+            ++i;
+        }
+        double last = time(i - 1);
+        emit(begin, i, i - begin == static_cast<size_t>(bsize) ?
+             last : std::min(window_end, last + timeout_us));
+    }
+}
+
+/** forEachBatchWindow over an arrival array, collected as windows. */
 inline std::vector<BatchWindow>
 formBatchWindows(const double *times, size_t n, int bsize,
                  double timeout_us)
 {
     std::vector<BatchWindow> out;
-    if (bsize <= 1) {
+    if (bsize <= 1)
         out.reserve(n);
-        for (size_t i = 0; i < n; ++i)
-            out.push_back({i, i + 1, times[i]});
-        return out;
-    }
-    for (size_t i = 0; i < n;) {
-        BatchWindow b;
-        b.begin = i;
-        double window_end = times[i] + timeout_us;
-        while (i < n && i - b.begin < static_cast<size_t>(bsize) &&
-               (i == b.begin || times[i] <= window_end)) {
-            ++i;
-        }
-        b.end = i;
-        double last = times[i - 1];
-        b.emitTime = i - b.begin == static_cast<size_t>(bsize) ?
-            last : std::min(window_end, last + timeout_us);
-        out.push_back(b);
-    }
+    forEachBatchWindow(
+        n, bsize, timeout_us, [times](size_t i) { return times[i]; },
+        [&out](size_t begin, size_t end, double emit) {
+            out.push_back({begin, end, emit});
+        });
     return out;
 }
 

@@ -24,6 +24,7 @@ ProgramIndex::ProgramIndex(const isa::Program &prog)
     insts_.reserve(prog.staticInstCount());
     blockOf_.reserve(prog.staticInstCount());
     idxInBlock_.reserve(prog.staticInstCount());
+    memSize_.reserve(prog.staticInstCount());
 
     uint64_t h = mix64(0x7ace'cafe ^ prog.staticInstCount());
     for (int b = 0; b < prog.numBlocks(); ++b) {
@@ -38,6 +39,7 @@ ProgramIndex::ProgramIndex(const isa::Program &prog)
             insts_.push_back(&si);
             blockOf_.push_back(b);
             idxInBlock_.push_back(static_cast<uint32_t>(i));
+            memSize_.push_back(isa::opInfo(si.op).isMem ? si.accessSize : 0);
             uint64_t w1 = static_cast<uint64_t>(si.op) |
                 (static_cast<uint64_t>(si.alu) << 8) |
                 (static_cast<uint64_t>(si.cmp) << 16) |

@@ -105,6 +105,9 @@ class ProgramIndex
     int blockOf(uint32_t flat) const { return blockOf_[flat]; }
     uint32_t idxInBlock(uint32_t flat) const { return idxInBlock_[flat]; }
 
+    /** Access size of a memory instruction; 0 for any other op. */
+    uint16_t memSize(uint32_t flat) const { return memSize_[flat]; }
+
     /** Raw flat-index -> StaticInst table (replay hot path). */
     const isa::StaticInst *const *instTable() const { return insts_.data(); }
     isa::Pc codeBase() const { return codeBase_; }
@@ -115,6 +118,7 @@ class ProgramIndex
     std::vector<const isa::StaticInst *> insts_;
     std::vector<int32_t> blockOf_;
     std::vector<uint32_t> idxInBlock_;
+    std::vector<uint16_t> memSize_;
     uint64_t fingerprint_ = 0;
 };
 

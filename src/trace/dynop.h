@@ -15,6 +15,7 @@
 
 #include <cstdint>
 
+#include "common/bits.h"
 #include "isa/isa.h"
 #include "isa/program.h"
 
@@ -27,8 +28,8 @@ constexpr int kMaxBatch = 32;
 /** Active-mask type; bit i = lane i active. */
 using Mask = uint32_t;
 
-/** Count active lanes in a mask. */
-inline int popcount(Mask m) { return __builtin_popcount(m); }
+/** Count active lanes in a mask (inline; see common/bits.h). */
+inline int popcount(Mask m) { return static_cast<int>(popcount64(m)); }
 
 /** One dynamic (possibly batched) instruction. */
 struct DynOp

@@ -33,6 +33,12 @@
  * and replayed lanes interleave freely inside one batch -- lanes are
  * independent ThreadStates, so per-lane replay is sound under any
  * scheduling.
+ *
+ * The second half is the stream level: a StreamTrace holds one front
+ * end's whole DynOp stream, storing only what its ops do not imply.
+ * CapturingStream encodes it through a StreamCaptureBuilder as the
+ * stream is drained, and ReplayStream decodes it back into exactly the
+ * DynOps captured, lanes and addresses included.
  */
 
 #ifndef SIMR_TRACE_REPLAY_H
@@ -199,22 +205,47 @@ class LaneExec
 
 /**
  * One front-end unit's full DynOp stream (one lockstep engine or one
- * scalar/SMT context) in columnar SoA form. Immutable once finished;
- * refcount-shared. StaticInst pointers are NOT stored -- ops hold the
- * flat static index and are re-bound to the replaying Program instance
- * through its ProgramIndex, exactly like CapturedTrace.
+ * scalar/SMT context), storing only what its ops do not imply.
+ * Immutable once finished; refcount-shared. StaticInst pointers are
+ * NOT stored -- ops hold the flat static index and are re-bound to the
+ * replaying Program instance through its ProgramIndex, exactly like
+ * CapturedTrace.
+ *
+ * Every op costs one flags byte and one byte per dependence distance
+ * (kDepEscape sends a distance of 255 or more to a sparse column).
+ * Everything else is sparse, read in op order, and gated by a flag bit
+ * or by the op's instruction:
+ *  - the flat static index, only where it is not the previous op's
+ *    index plus one (the first op counts as following index -1);
+ *  - the mask and the call depth, only where they change (both start
+ *    at 0);
+ *  - the taken and end masks, only where nonzero;
+ *  - a memory op's lane addresses: base and stride where they form one
+ *    arithmetic progression (two or more lanes), else every address.
+ *
+ * Lanes, addrCount and accessSize are not stored at all. A memory op's
+ * lanes are its mask's set bits in ascending order, so addrCount is
+ * the mask's popcount, and its access size is the instruction's; any
+ * other op has none of them. StreamCaptureBuilder::onOp asserts this
+ * of every op it records.
  */
 class StreamTrace
 {
   public:
     /** Flags-byte layout (one byte per op). */
-    static constexpr uint8_t kBatchStartBit = 0x1;
-    static constexpr uint8_t kPathSwitchBit = 0x2;
-    static constexpr uint8_t kMemBit = 0x4;   ///< addr/lane payload follows
-    static constexpr uint8_t kEndBit = 0x8;   ///< nonzero endMask follows
-    static constexpr uint8_t kTakenBit = 0x10;///< nonzero takenMask follows
+    static constexpr uint8_t kBatchStartBit = 0x01;
+    static constexpr uint8_t kPathSwitchBit = 0x02;
+    static constexpr uint8_t kStrideBit = 0x04; ///< addrs are base, stride
+    static constexpr uint8_t kEndBit = 0x08;    ///< nonzero endMask follows
+    static constexpr uint8_t kTakenBit = 0x10;  ///< nonzero takenMask follows
+    static constexpr uint8_t kJumpBit = 0x20;   ///< static index follows
+    static constexpr uint8_t kMaskBit = 0x40;   ///< new mask follows
+    static constexpr uint8_t kDepthBit = 0x80;  ///< new call depth follows
 
-    uint64_t opCount() const { return staticIdx_.size(); }
+    /** A dependence byte of this value: the distance is in depWide_. */
+    static constexpr uint8_t kDepEscape = 255;
+
+    uint64_t opCount() const { return flags_.size(); }
 
     /** Program fingerprint the stream belongs to. */
     uint64_t fingerprint() const { return fingerprint_; }
@@ -223,17 +254,14 @@ class StreamTrace
     size_t
     byteSize() const
     {
-        return sizeof(*this) +
+        return sizeof(*this) + flags_.capacity() + dep1_.capacity() +
+            dep2_.capacity() +
             staticIdx_.capacity() * sizeof(uint32_t) +
-            flags_.capacity() + mask_.capacity() * sizeof(Mask) +
-            callDepth_.capacity() +
-            dep1_.capacity() * sizeof(uint16_t) +
-            dep2_.capacity() * sizeof(uint16_t) +
+            mask_.capacity() * sizeof(Mask) + callDepth_.capacity() +
+            depWide_.capacity() * sizeof(uint16_t) +
             takenMask_.capacity() * sizeof(Mask) +
             endMask_.capacity() * sizeof(Mask) +
-            addrCount_.capacity() +
-            accessSize_.capacity() * sizeof(uint16_t) +
-            lane_.capacity() + addr_.capacity() * sizeof(uint64_t);
+            addr_.capacity() * sizeof(uint64_t);
     }
 
   private:
@@ -243,19 +271,18 @@ class StreamTrace
     uint64_t fingerprint_ = 0;
 
     // Dense columns, one entry per dynamic op.
-    std::vector<uint32_t> staticIdx_;
     std::vector<uint8_t> flags_;
-    std::vector<Mask> mask_;
-    std::vector<uint8_t> callDepth_;
-    std::vector<uint16_t> dep1_;
-    std::vector<uint16_t> dep2_;
+    std::vector<uint8_t> dep1_;
+    std::vector<uint8_t> dep2_;
 
-    // Sparse columns, consumed sequentially, gated by flag bits.
-    std::vector<Mask> takenMask_;    ///< kTakenBit ops
-    std::vector<Mask> endMask_;      ///< kEndBit ops
-    std::vector<uint8_t> addrCount_; ///< kMemBit ops
-    std::vector<uint16_t> accessSize_;
-    std::vector<uint8_t> lane_;      ///< addrCount-long runs
+    // Sparse columns, consumed sequentially.
+    std::vector<uint32_t> staticIdx_; ///< kJumpBit ops
+    std::vector<Mask> mask_;          ///< kMaskBit ops
+    std::vector<uint8_t> callDepth_;  ///< kDepthBit ops
+    std::vector<uint16_t> depWide_;   ///< escaped dep1, then dep2
+    std::vector<Mask> takenMask_;     ///< kTakenBit ops
+    std::vector<Mask> endMask_;       ///< kEndBit ops
+    /** Memory ops: base and stride (kStrideBit), else one per lane. */
     std::vector<uint64_t> addr_;
 };
 
@@ -267,7 +294,10 @@ class StreamCaptureBuilder
 
     void reset();
 
-    /** Record one produced DynOp. */
+    /**
+     * Record one produced DynOp. Panics unless the op's lanes,
+     * addrCount and accessSize are the ones StreamTrace implies.
+     */
     void onOp(const DynOp &op);
 
     /** Seal and hand off the finished stream trace. */
@@ -276,6 +306,10 @@ class StreamCaptureBuilder
   private:
     const ProgramIndex *pi_;
     std::unique_ptr<StreamTrace> out_;
+    // What the next op is encoded against (the previous op's state).
+    uint32_t nextFlat_ = 0;
+    Mask mask_ = 0;
+    uint8_t depth_ = 0;
 };
 
 /**
@@ -297,16 +331,28 @@ class ReplayStream : public DynStream
     uint64_t opCount() const { return trace_->opCount(); }
 
   private:
+    /** Adopt a new mask and the lane list it implies. */
+    void setMask(Mask m);
+
     ProgramIndex pi_;
     std::shared_ptr<const StreamTrace> trace_;
     uint64_t pos_ = 0;
     uint64_t n_ = 0;
     uint64_t completed_ = 0;
+    // Decode state: what the previous op leaves for the next.
+    uint32_t nextFlat_ = 0;
+    Mask mask_ = 0;
+    uint8_t depth_ = 0;
+    uint8_t laneCount_ = 0;
+    uint8_t lanes_[kMaxBatch] = {}; ///< mask_'s set bits, ascending
     // Sparse-column cursors.
+    size_t idxPos_ = 0;
+    size_t maskPos_ = 0;
+    size_t depthPos_ = 0;
+    size_t depPos_ = 0;
     size_t takenPos_ = 0;
     size_t endPos_ = 0;
-    size_t memPos_ = 0;
-    size_t lanePos_ = 0;
+    size_t addrPos_ = 0;
 };
 
 /**
