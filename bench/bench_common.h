@@ -15,6 +15,7 @@
 #include "common/parallel.h"
 #include "common/table.h"
 #include "simr/runner.h"
+#include "sys/cluster.h"
 
 namespace simr::bench
 {
@@ -89,6 +90,35 @@ sameSimtStats(const simt::SimtStats &a, const simt::SimtStats &b)
         a.pathSwitches == b.pathSwitches &&
         a.spinEscapes == b.spinEscapes && a.batches == b.batches &&
         a.width == b.width;
+}
+
+inline bool
+sameRunningStat(const RunningStat &a, const RunningStat &b)
+{
+    return a.count() == b.count() && a.sum() == b.sum() &&
+        a.mean() == b.mean() && a.min() == b.min() &&
+        a.max() == b.max() && a.variance() == b.variance();
+}
+
+/** Bit-identity over everything a system-simulator run reports: the
+ *  loads, the whole latency histogram and every tier statistic. */
+inline bool
+sameSysResult(const sys::SysResult &a, const sys::SysResult &b)
+{
+    if (a.offeredQps != b.offeredQps || a.achievedQps != b.achievedQps)
+        return false;
+    if (!a.e2eUs.identicalTo(b.e2eUs))
+        return false;
+    if (a.tiers.size() != b.tiers.size())
+        return false;
+    for (size_t i = 0; i < a.tiers.size(); ++i) {
+        if (a.tiers[i].name != b.tiers[i].name ||
+            !sameRunningStat(a.tiers[i].waitUs, b.tiers[i].waitUs) ||
+            !sameRunningStat(a.tiers[i].serviceUs,
+                             b.tiers[i].serviceUs))
+            return false;
+    }
+    return true;
 }
 
 } // namespace simr::bench

@@ -22,10 +22,11 @@
  *     a highly divergent service pays ~10%).
  *
  * A second section measures the journey recorder (obs/journey.h) on
- * the system simulator: the always-on sampled mode against journeys
- * off and SIMR_JOURNEYS=all. Sampled-mode overhead IS gated (<2%;
- * thread cputime over ABBA blocks to shed scheduler noise, order
- * effects and clock drift), and SysResult must be
+ * the system simulator at uqSim's shape (sys::oneReplica(): one
+ * server per tier, one client stream): the always-on sampled mode
+ * against journeys off and SIMR_JOURNEYS=all. Sampled-mode overhead
+ * IS gated (<2%; thread cputime over ABBA blocks to shed scheduler
+ * noise, order effects and clock drift), and SysResult must be
  * bit-identical in all three modes -- recording may never perturb the
  * simulation.
  *
@@ -64,7 +65,7 @@
 #include "obs/journey.h"
 #include "obs/spans.h"
 #include "obs/trace.h"
-#include "sys/uqsim.h"
+#include "sys/cluster.h"
 
 using namespace simr;
 using namespace simr::bench;
@@ -86,34 +87,6 @@ sameStats(const simt::SimtStats &a, const simt::SimtStats &b)
         a.divergeEvents == b.divergeEvents &&
         a.reconvMerges == b.reconvMerges &&
         a.pathSwitches == b.pathSwitches && a.batches == b.batches;
-}
-
-bool
-sameRunningStat(const RunningStat &a, const RunningStat &b)
-{
-    return a.count() == b.count() && a.sum() == b.sum() &&
-        a.mean() == b.mean() && a.min() == b.min() &&
-        a.max() == b.max() && a.variance() == b.variance();
-}
-
-/** Bit-identity over everything runUserScenario reports. */
-bool
-sameSysResult(const sys::SysResult &a, const sys::SysResult &b)
-{
-    if (a.offeredQps != b.offeredQps || a.achievedQps != b.achievedQps)
-        return false;
-    if (!a.e2eUs.identicalTo(b.e2eUs))
-        return false;
-    if (a.tiers.size() != b.tiers.size())
-        return false;
-    for (size_t i = 0; i < a.tiers.size(); ++i) {
-        if (a.tiers[i].name != b.tiers[i].name ||
-            !sameRunningStat(a.tiers[i].waitUs, b.tiers[i].waitUs) ||
-            !sameRunningStat(a.tiers[i].serviceUs,
-                             b.tiers[i].serviceUs))
-            return false;
-    }
-    return true;
 }
 
 /**
@@ -174,17 +147,16 @@ sys::SysResult
 runSysCell(const SysCell &cell, int requests, uint64_t seed,
            obs::JourneyMode mode, std::vector<uint64_t> *sampled_ids)
 {
-    sys::SysConfig cfg;
+    sys::ClusterConfig cfg = sys::oneReplica();
     cfg.qps = cell.qps;
-    cfg.requests = requests;
+    cfg.requests = static_cast<uint64_t>(requests);
     cfg.seed = seed;
-    cfg.rpu = cell.rpu;
-    cfg.batchSplit = cell.split;
+    cfg.base.rpu = cell.rpu;
+    cfg.base.batchSplit = cell.split;
     obs::JourneyRecorder rec(mode, 256);
     obs::Registry reg;
-    obs::Scope scope(&reg, nullptr,
-                     mode == obs::JourneyMode::Off ? nullptr : &rec);
-    sys::SysResult r = sys::runUserScenario(cfg);
+    obs::Scope scope(&reg, nullptr, &rec);
+    sys::SysResult r = sys::runCluster(cfg).sys;
     if (sampled_ids) {
         sampled_ids->clear();
         for (const auto &j : rec.snapshot())
@@ -351,7 +323,7 @@ main(int argc, char **argv)
 
     // --- Journey recorder overhead on the system simulator ----------
     // The journey hot path is one hash and one comparison per request
-    // next to a ~70ns simulation step, so the measurement must resolve
+    // next to a ~200ns simulation step, so the measurement must resolve
     // single-digit nanoseconds per request on a machine whose clock
     // drifts more than that between reps: thread cputime (no co-tenant
     // steal), ABBA blocks (no order effect or linear drift), and the

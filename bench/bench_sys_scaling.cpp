@@ -14,8 +14,7 @@
  * Default mode: wall-clock scaling on a datacenter-scale cell
  * (>= 1000 simulated servers, >= 1M open-loop users) -- the sequential
  * engine vs the sharded engine at 16 shards x 8 workers and at the
- * hardware-matched shape, min(16, hw) shards x hw workers -- plus the
- * legacy single-graph social-network cell as a no-regression canary.
+ * hardware-matched shape, min(16, hw) shards x hw workers.
  * Emits a machine-readable summary to stdout ("BENCH_sys.json: ...")
  * and to the file BENCH_sys.json. Every sharded run is cross-checked
  * for bit-identity with the sequential one. 16 x 8 oversubscribes a
@@ -33,41 +32,12 @@
 #include "obs/journey.h"
 #include "obs/metrics.h"
 #include "sys/cluster.h"
-#include "sys/uqsim.h"
 
 using namespace simr;
 using namespace simr::bench;
 
 namespace
 {
-
-bool
-sameRunningStat(const RunningStat &a, const RunningStat &b)
-{
-    return a.count() == b.count() && a.sum() == b.sum() &&
-        a.mean() == b.mean() && a.min() == b.min() &&
-        a.max() == b.max() && a.variance() == b.variance();
-}
-
-/** Bit-identity over everything the scenario reports. */
-bool
-sameSysResult(const sys::SysResult &a, const sys::SysResult &b)
-{
-    if (a.offeredQps != b.offeredQps || a.achievedQps != b.achievedQps)
-        return false;
-    if (!a.e2eUs.identicalTo(b.e2eUs))
-        return false;
-    if (a.tiers.size() != b.tiers.size())
-        return false;
-    for (size_t i = 0; i < a.tiers.size(); ++i) {
-        if (a.tiers[i].name != b.tiers[i].name ||
-            !sameRunningStat(a.tiers[i].waitUs, b.tiers[i].waitUs) ||
-            !sameRunningStat(a.tiers[i].serviceUs,
-                             b.tiers[i].serviceUs))
-            return false;
-    }
-    return true;
-}
 
 bool
 sameCluster(const sys::ClusterResult &a, const sys::ClusterResult &b)
@@ -286,16 +256,6 @@ runScaling(uint64_t seed)
     double speedup = par_s > 0 ? seq_s / par_s : 0;
     double hw_speedup = hw_s > 0 ? seq_s / hw_s : 0;
 
-    // No-regression canary: the legacy single-graph social cell.
-    sys::SysConfig small;
-    small.rpu = true;
-    small.seed = seed;
-    double small_s = wallSeconds([&] {
-        obs::Registry reg;
-        obs::Scope scope(&reg);
-        (void)sys::runUserScenario(small);
-    });
-
     Table t("Cluster engine scaling: " +
             std::to_string(seq.servers) + " servers, " +
             std::to_string(cfg.users) + " users, " +
@@ -320,8 +280,6 @@ runScaling(uint64_t seed)
                 static_cast<unsigned long long>(
                     par.pdes.mailboxOverflows),
                 seq.sys.p99Us());
-    std::printf("small social cell (runUserScenario): %.3f s\n",
-                small_s);
     if (hw < par_threads)
         std::printf("note: only %d hardware thread(s) -- speedup is "
                     "bounded by the machine, not the engine\n", hw);
@@ -348,8 +306,6 @@ runScaling(uint64_t seed)
     json += ", \"hw_seconds\": " + std::string(buf);
     std::snprintf(buf, sizeof(buf), "%.2f", hw_speedup);
     json += ", \"speedup_hw\": " + std::string(buf);
-    std::snprintf(buf, sizeof(buf), "%.3f", small_s);
-    json += ", \"small_cell_seconds\": " + std::string(buf);
     json += ", \"deterministic\": ";
     json += same ? "true" : "false";
     json += "}";

@@ -20,7 +20,7 @@
 #include "energy/area.h"
 #include "simr/cachestudy.h"
 #include "simr/tuner.h"
-#include "sys/uqsim.h"
+#include "sys/cluster.h"
 
 namespace simr::bench
 {
@@ -516,9 +516,10 @@ fig21(const RunScale &scale, CellMemo &memo)
 /**
  * Figure 22: system-level end-to-end 99th-percentile and average
  * latency vs offered load for the CPU system and the RPU system with
- * and without batch splitting (User scenario: WebServer -> User ->
- * McRouter -> Memcached / Storage, 90% memcached hit rate, 1ms
- * storage). Paper result: the RPU sustains ~4x the throughput at
+ * and without batch splitting (User scenario at uqSim's shape, one
+ * server per tier: WebServer -> User -> McRouter -> Memcached /
+ * Storage, 90% memcached hit rate, 1ms storage; 30000 requests per
+ * load point). Paper result: the RPU sustains ~4x the throughput at
  * comparable tail latency; without batch splitting average latency
  * inflates toward the storage latency while the tail stays acceptable.
  *
@@ -540,12 +541,13 @@ fig22(const RunScale &scale, CellMemo &)
         // Load points are independent system simulations: fan them out
         // and keep the table rows (and max_ok scan) in load order.
         auto results = parallelMap(loads_kqps, [&](double kqps) {
-            sys::SysConfig cfg;
+            sys::ClusterConfig cfg = sys::oneReplica();
             cfg.qps = kqps * 1000;
-            cfg.rpu = rpu;
-            cfg.batchSplit = split;
+            cfg.requests = 30000;
             cfg.seed = scale.seed;
-            return sys::runUserScenario(cfg);
+            cfg.base.rpu = rpu;
+            cfg.base.batchSplit = split;
+            return sys::runCluster(cfg).sys;
         });
         double max_ok = 0;
         std::string points;

@@ -12,13 +12,14 @@
  *   simr_cli tune <service>
  *   simr_cli sweep [--config cpu|smt8|rpu|gpu] [--requests N]
  *            [--threads N]
- *   simr_cli cluster [--qps N] [--rpu] [--nosplit]
+ *   simr_cli cluster [--qps N] [--rpu] [--nosplit] [--servers N]
+ *            [--users N] [--requests N] [--shards N] [--threads N]
  *   simr_cli stats [service] [--json] [--config cpu|smt8|rpu|gpu]
  *            [--requests N] [--threads N]
  *   simr_cli trace <service>|social_network [--out FILE]
  *            [--config rpu|gpu] [--requests N] [--qps N]
  *   simr_cli anatomy social_network [--json] [--qps N] [--requests N]
- *            [--mode off|sampled|all]
+ *            [--mode off|sampled|all] [--servers N] [--shards N]
  *   simr_cli hotspots <service>|--all [--top N] [--requests N]
  *            [--batch N]
  *
@@ -50,7 +51,6 @@
 #include "simr/runner.h"
 #include "simr/tuner.h"
 #include "sys/cluster.h"
-#include "sys/uqsim.h"
 
 using namespace simr;
 
@@ -93,8 +93,8 @@ usage()
         "           [--threads N]\n"
         "  simr_cli cluster [--qps N] [--rpu] [--nosplit]\n"
         "           [--servers N] [--users N] [--requests N]\n"
-        "           [--shards N] [--threads N]   (cluster-scale PDES\n"
-        "           run when any of the last five flags is given)\n"
+        "           [--shards N] [--threads N]   (one server per tier\n"
+        "           and one client stream unless --servers is given)\n"
         "  simr_cli stats [service] [--json]\n"
         "           [--config cpu|smt8|rpu|gpu] [--requests N]\n"
         "           [--threads N]\n"
@@ -102,8 +102,7 @@ usage()
         "           [--config rpu|gpu] [--requests N] [--qps N]\n"
         "  simr_cli anatomy social_network [--json] [--qps N]\n"
         "           [--requests N] [--mode off|sampled|all]\n"
-        "           [--servers N] [--shards N]   (drill into a\n"
-        "           cluster-scale PDES run instead of one graph)\n"
+        "           [--servers N] [--shards N]\n"
         "  simr_cli hotspots <service>|--all [--top N] [--requests N]\n"
         "           [--batch N]\n"
         "(experiment commands also take --metrics FILE)\n");
@@ -444,21 +443,40 @@ cmdSweep(int argc, char **argv)
     return dumpMetricsIfAsked(argc, argv) ? 0 : 4;
 }
 
-/** Scale the default 13-server cluster topology to ~`servers` nodes,
- *  preserving the 4:4:2:2:1 tier ratio (every tier keeps >= 1). */
+/**
+ * The cluster `cluster` and `anatomy` run: uqSim's shape (one server
+ * per tier, one client stream) unless --servers N asks for the
+ * default 13-server topology scaled to ~N nodes, preserving its
+ * 4:4:2:2:1 tier ratio (every tier keeps >= 1) and its 20000 users.
+ * --users, --shards and --threads override the shape's own values;
+ * --qps defaults to 10000 and --requests to `default_requests`.
+ */
 sys::ClusterConfig
-clusterTopology(int servers)
+clusterFromFlags(int argc, char **argv, const char *default_requests)
 {
     sys::ClusterConfig cc;
-    double f = static_cast<double>(servers) / 13.0;
-    auto scaled = [f](int per13) {
-        return std::max(1, static_cast<int>(std::lround(per13 * f)));
-    };
-    cc.webServers = scaled(4);
-    cc.userServers = scaled(4);
-    cc.mcrouterServers = scaled(2);
-    cc.memcServers = scaled(2);
-    cc.storageServers = scaled(1);
+    if (has(argc, argv, "--servers")) {
+        double f = std::stoi(flag(argc, argv, "--servers", "")) / 13.0;
+        auto scaled = [f](int per13) {
+            return std::max(1, static_cast<int>(std::lround(per13 * f)));
+        };
+        cc.webServers = scaled(4);
+        cc.userServers = scaled(4);
+        cc.mcrouterServers = scaled(2);
+        cc.memcServers = scaled(2);
+        cc.storageServers = scaled(1);
+    } else {
+        cc = sys::oneReplica();
+    }
+    cc.qps = std::stod(flag(argc, argv, "--qps", "10000"));
+    cc.requests =
+        std::stoull(flag(argc, argv, "--requests", default_requests));
+    if (has(argc, argv, "--users"))
+        cc.users = std::stoull(flag(argc, argv, "--users", ""));
+    if (has(argc, argv, "--shards"))
+        cc.shards = std::stoi(flag(argc, argv, "--shards", ""));
+    if (has(argc, argv, "--threads"))
+        cc.threads = std::stoi(flag(argc, argv, "--threads", ""));
     return cc;
 }
 
@@ -468,46 +486,9 @@ cmdCluster(int argc, char **argv)
     obs::Registry reg;
     obs::Scope scope(&reg);
 
-    bool at_scale = has(argc, argv, "--servers") ||
-        has(argc, argv, "--users") || has(argc, argv, "--requests") ||
-        has(argc, argv, "--shards") || has(argc, argv, "--threads");
-
-    if (!at_scale) {
-        // Legacy single-graph run: one server per tier, closed form.
-        sys::SysConfig cfg;
-        cfg.qps = std::stod(flag(argc, argv, "--qps", "10000"));
-        cfg.rpu = has(argc, argv, "--rpu");
-        cfg.batchSplit = !has(argc, argv, "--nosplit");
-        auto r = sys::runUserScenario(cfg);
-        Table t("cluster run");
-        t.header({"metric", "value"});
-        t.row({"system", cfg.rpu ? (cfg.batchSplit ? "RPU w/ split"
-                                                   : "RPU w/o split")
-                                 : "CPU"});
-        t.row({"offered QPS", Table::num(r.offeredQps, 0)});
-        t.row({"achieved QPS", Table::num(r.achievedQps, 0)});
-        t.row({"mean latency (us)", Table::num(r.meanUs(), 0)});
-        t.row({"p99 latency (us)", Table::num(r.p99Us(), 0)});
-        Table b("per-tier breakdown");
-        b.header({"tier", "mean wait (us)", "mean service (us)"});
-        for (const auto &tier : r.tiers)
-            b.row({tier.name, Table::num(tier.waitUs.mean(), 2),
-                   Table::num(tier.serviceUs.mean(), 2)});
-        t.print();
-        b.print();
-        return dumpMetricsIfAsked(argc, argv) ? 0 : 4;
-    }
-
-    // Cluster-scale run on the sharded PDES engine.
-    sys::ClusterConfig cc =
-        clusterTopology(std::stoi(flag(argc, argv, "--servers", "13")));
+    sys::ClusterConfig cc = clusterFromFlags(argc, argv, "100000");
     cc.base.rpu = has(argc, argv, "--rpu");
     cc.base.batchSplit = !has(argc, argv, "--nosplit");
-    cc.qps = std::stod(flag(argc, argv, "--qps", "100000"));
-    cc.users = std::stoull(flag(argc, argv, "--users", "20000"));
-    cc.requests = std::stoull(flag(argc, argv, "--requests", "100000"));
-    cc.shards = std::stoi(flag(argc, argv, "--shards", "0"));
-    cc.threads = std::stoi(flag(argc, argv, "--threads", "0"));
     auto r = sys::runCluster(cc);
 
     Table t("cluster run (PDES engine)");
@@ -623,10 +604,11 @@ traceChipLevel(const svc::Service &svc, const std::string &name,
 /**
  * trace: emit a Chrome trace-event / Perfetto timeline.
  *
- * `social_network` is the end-to-end Fig. 22 view: the uqsim User
- * scenario (per-tier queueing in simulated microseconds) plus a
- * chip-level lockstep trace of the `user` logic-tier service. Any
- * other service name gives the chip-level view alone.
+ * `social_network` is the end-to-end Fig. 22 view: the User scenario
+ * at one server per tier (per-server queueing in simulated
+ * microseconds) plus a chip-level lockstep trace of the `user`
+ * logic-tier service. Any other service name gives the chip-level view
+ * alone.
  */
 int
 cmdTrace(const std::string &target, int argc, char **argv)
@@ -659,17 +641,17 @@ cmdTrace(const std::string &target, int argc, char **argv)
         traceChipLevel(*svc, "user", tr, svc->traits().tunedBatch,
                        requests, top_n, &chip);
 
-        // Cluster level: the uqsim User scenario on the RPU system,
-        // with journey capture for the sampled tail.
-        sys::SysConfig cfg;
+        // Cluster level: the User scenario on the RPU system at one
+        // server per tier, with journey capture for the sampled tail.
+        sys::ClusterConfig cfg = sys::oneReplica();
         cfg.qps = std::stod(flag(argc, argv, "--qps", "10000"));
-        cfg.requests = requests * 8;
-        cfg.rpu = true;
+        cfg.requests = static_cast<uint64_t>(requests) * 8;
+        cfg.base.rpu = true;
         obs::JourneyRecorder jrec(obs::journeyModeFromEnv(), 64);
         sys::SysResult r;
         {
             obs::Scope jscope(&reg, tr, &jrec);
-            r = sys::runUserScenario(cfg);
+            r = sys::runCluster(cfg).sys;
         }
         std::printf("cluster: %.0f offered qps, %.0f achieved, "
                     "p99 %.0f us\n", r.offeredQps, r.achievedQps,
@@ -729,7 +711,7 @@ cmdTrace(const std::string &target, int argc, char **argv)
 
 /**
  * anatomy: the tail-latency drill-down of the social_network scenario.
- * Runs the uqsim User scenario on the CPU and RPU systems with journey
+ * Runs the User scenario on the CPU and RPU systems with journey
  * capture, decomposes every sampled request's latency into buckets
  * (exactly: the buckets sum to the end-to-end latency), and prints the
  * p99-vs-median anatomy per config. The RPU config's user-tier service
@@ -746,10 +728,6 @@ cmdAnatomy(const std::string &target, int argc, char **argv)
     }
 
     bool json = has(argc, argv, "--json");
-    double qps = std::stod(flag(argc, argv, "--qps", "10000"));
-    int requests = std::stoi(flag(argc, argv, "--requests", "20000"));
-    bool at_scale = has(argc, argv, "--servers") ||
-        has(argc, argv, "--shards");
     std::string mode_s = flag(argc, argv, "--mode", "");
     obs::JourneyMode mode = mode_s == "off" ? obs::JourneyMode::Off :
         mode_s == "all" ? obs::JourneyMode::All :
@@ -775,25 +753,12 @@ cmdAnatomy(const std::string &target, int argc, char **argv)
     const SysRun runs[] = {{"cpu", false}, {"rpu", true}};
     for (size_t i = 0; i < 2; ++i) {
         obs::JourneyRecorder rec(mode, 512);
+        sys::ClusterConfig cc = clusterFromFlags(argc, argv, "20000");
+        cc.base.rpu = runs[i].rpu;
         sys::SysResult r;
-        if (at_scale) {
-            // Drill into a sharded cluster-scale run: same journey
-            // event shape, so the decomposition works unchanged.
-            sys::ClusterConfig cc = clusterTopology(
-                std::stoi(flag(argc, argv, "--servers", "13")));
-            cc.base.rpu = runs[i].rpu;
-            cc.qps = qps;
-            cc.requests = static_cast<uint64_t>(requests);
-            cc.shards = std::stoi(flag(argc, argv, "--shards", "0"));
+        {
             obs::Scope inner(&reg, nullptr, &rec);
             r = sys::runCluster(cc).sys;
-        } else {
-            sys::SysConfig cfg;
-            cfg.qps = qps;
-            cfg.requests = requests;
-            cfg.rpu = runs[i].rpu;
-            obs::Scope inner(&reg, nullptr, &rec);
-            r = sys::runUserScenario(cfg);
         }
         auto report = obs::buildAnatomy(
             rec.snapshot(), runs[i].rpu ? &link : nullptr);

@@ -5,8 +5,8 @@
  * Walks the User path of the social-network graph -- WebServer -> User
  * -> McRouter -> Memcached, with misses falling through to Storage --
  * on a CPU-based cluster and an RPU-based cluster at equal power, with
- * and without system-level batch splitting, and reports the latency
- * curves and the maximum throughput at acceptable QoS.
+ * and without system-level batch splitting, at one server per tier
+ * (sys::oneReplica()), and reports the latency curves.
  *
  * Run:  ./build/examples/social_network [qps_thousands...]
  */
@@ -16,7 +16,7 @@
 #include <vector>
 
 #include "common/table.h"
-#include "sys/uqsim.h"
+#include "sys/cluster.h"
 
 using namespace simr;
 
@@ -46,11 +46,12 @@ main(int argc, char **argv)
           Variant{"RPU + batch splitting", true, true},
           Variant{"RPU, no splitting", true, false}}) {
         for (double kqps : loads) {
-            sys::SysConfig cfg;
+            sys::ClusterConfig cfg = sys::oneReplica();
             cfg.qps = kqps * 1000.0;
-            cfg.rpu = v.rpu;
-            cfg.batchSplit = v.split;
-            auto r = sys::runUserScenario(cfg);
+            cfg.requests = 30000;
+            cfg.base.rpu = v.rpu;
+            cfg.base.batchSplit = v.split;
+            auto r = sys::runCluster(cfg).sys;
             t.row({v.label, Table::num(kqps, 0),
                    Table::num(r.meanUs(), 0), Table::num(r.p99Us(), 0)});
         }
@@ -59,8 +60,10 @@ main(int argc, char **argv)
 
     std::printf("Things to try:\n"
                 "  - raise the load until each system's tail explodes;\n"
-                "  - lower memcHitRate in sys/uqsim.h and watch batch\n"
+                "  - lower memcHitRate in sys/cluster.h and watch batch\n"
                 "    splitting become load-bearing;\n"
+                "  - replicate the tiers (ClusterConfig in sys/cluster.h)\n"
+                "    and offer datacenter-scale load;\n"
                 "  - compare against build/bench/reproduce fig22.\n");
     return 0;
 }

@@ -55,7 +55,8 @@ namespace simr::obs
 
 /** Journey capture mode (SIMR_JOURNEYS=off|sampled|all). */
 enum class JourneyMode : uint8_t {
-    Off,      ///< recorder inert, zero per-request work
+    Off,      ///< recorder inert: the system simulator treats it as
+              ///  no recorder, so zero per-request work
     Sampled,  ///< latency-biased reservoir (the always-on default)
     All,      ///< full capture of every request (debug drill-downs)
 };
@@ -240,7 +241,7 @@ class JourneyRecorder
      * costs a TLS lookup plus an acquire load, and counting a request
      * or reading the admission threshold touches the shard's cache
      * line -- cheap once, but real money when paid per request next to
-     * a ~100ns simulation step. A cursor caches the shard, and
+     * a ~200ns simulation step. A cursor caches the shard, and
      * beginGroup(n) amortizes the seen-counter bump and the threshold
      * snapshot over a whole batch, so the per-request path is fully
      * inline: one hash, two multiplies, an add and a comparison.
@@ -383,7 +384,7 @@ class JourneyRecorder
         // trick: reading the raw bits of a positive double as an
         // integer gives a piecewise-linear, strictly monotone
         // approximation of log2 (max error ~0.09), plenty for a
-        // sampling variate and far cheaper than libm next to a ~100ns
+        // sampling variate and far cheaper than libm next to a ~200ns
         // simulation step. log2 is concave, so the chord never
         // overestimates it and the approximate E never underestimates
         // the true -ln(u) -- the property Cursor's pre-reject relies

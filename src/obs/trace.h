@@ -2,7 +2,7 @@
  * @file
  * Trace timeline: scoped span events rendered to the Chrome trace-event
  * JSON format, so one simulated run (batch formation, lockstep issue
- * windows, divergence/reconvergence, uqsim tier queueing) opens as a
+ * windows, divergence/reconvergence, cluster tier queueing) opens as a
  * timeline in ui.perfetto.dev or chrome://tracing.
  *
  * Event phases used (trace-event spec subset):

@@ -11,6 +11,7 @@
 #include "common/rng.h"
 #include "obs/journey.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "sys/station.h"
 
 namespace simr::sys
@@ -28,6 +29,12 @@ constexpr int kTierStorage = 4;
 const char *const kTierNames[kTiers] = {"web", "user", "mcrouter",
                                         "memc", "storage"};
 
+/** Timeline layout: one process, batch formation on tid 1, then one
+ *  service-occupancy track per server node. */
+constexpr int kSysPid = 2;
+constexpr int kTidBatchForm = 1;
+constexpr int kTidFirstNode = 2;
+
 /** Event kinds: 0..4 = batch arrival at that tier; 5 = orphan-capacity
  *  charge at the user tier. Event keys are batch * kKeyStride + kind,
  *  so every event of a run has a unique identity-derived key (a batch
@@ -44,14 +51,15 @@ struct NodeState
     RunningStat serviceUs;
 };
 
-/** Per-batch causal flight record (tier timings consumed by journey
- *  construction at the completion point). Allocated only when a
- *  JourneyRecorder is in scope; written along the batch's causal event
- *  chain, so the kernel's mailbox/barrier handoff publishes it. */
+/** Per-batch causal flight record: the service start time at each
+ *  tier, consumed by journey construction at the completion point
+ *  (every other tier time follows from these and the model's
+ *  latencies). Allocated only when a JourneyRecorder is recording;
+ *  written along the batch's causal event chain, so the kernel's
+ *  mailbox/barrier handoff publishes it. */
 struct Flight
 {
-    double enq[4] = {}, start[4] = {}, done[4] = {};
-    double senq = 0, sstart = 0, sdone = 0;
+    double start[kTiers] = {};
 };
 
 /** Per-shard accumulator. Totals are folded in shard order after the
@@ -69,11 +77,21 @@ struct alignas(64) ShardCtx
 
 enum class Who { kAll, kHits, kMisses };
 
+/** The scoped journey recorder, or null when none is in scope or it is
+ *  Off: an Off-mode recorder declines every offer, so the run owes it
+ *  no per-request work. */
+obs::JourneyRecorder *
+activeRecorder()
+{
+    obs::JourneyRecorder *r = obs::Scope::journeys();
+    return r && r->mode() != obs::JourneyMode::Off ? r : nullptr;
+}
+
 class ClusterModel : public Model
 {
   public:
     ClusterModel(const ClusterConfig &cfg, int setup_threads)
-        : cfg_(cfg), jrec_(obs::Scope::journeys())
+        : cfg_(cfg), jrec_(activeRecorder()), tr_(obs::Scope::tracer())
     {
         webSalt_ = mix64(cfg.seed ^ 0x7765625f73727677ULL);
         missSalt_ = mix64(cfg.seed ^ 0x6d656d635f6d7373ULL);
@@ -82,6 +100,8 @@ class ClusterModel : public Model
         buildLoad(setup_threads);
         if (jrec_)
             flights_.resize(nBatches_);
+        if (tr_)
+            nameTracks();
     }
 
     uint32_t nodeCount() const override { return totalNodes_; }
@@ -115,6 +135,13 @@ class ClusterModel : public Model
   private:
     void buildNodes();
     void buildLoad(int threads);
+    // Timeline emission, kept out of line so the untraced hot path
+    // (apply, completeBatch) stays small.
+    void nameTracks() const;
+    [[gnu::noinline]] void traceArrivals(uint64_t b) const;
+    [[gnu::noinline]] void traceCompletions(uint64_t b, Who who,
+                                            uint64_t misses,
+                                            double done) const;
 
     uint64_t
     clientOffset(uint64_t c) const
@@ -186,19 +213,21 @@ class ClusterModel : public Model
         return cx.jcur;
     }
 
-    void completeBatch(uint64_t b, Who who, bool any_miss, double done,
-                       double reconv, ShardCtx &cx);
+    void completeBatch(uint64_t b, Who who, uint64_t misses,
+                       double done, double reconv, ShardCtx &cx);
     void buildJourney(uint32_t rid, uint64_t b, uint32_t n,
                       bool is_miss, bool blocked, double done,
                       double reconv, uint64_t key);
 
     ClusterConfig cfg_;
     obs::JourneyRecorder *jrec_;
+    obs::Tracer *tr_;
     uint64_t webSalt_ = 0, missSalt_ = 0, routeSalt_ = 0;
 
     // Static topology.
     uint32_t tierBase_[kTiers] = {};
     uint32_t tierCount_[kTiers] = {};
+    double tierLatency_[kTiers] = {};  ///< every server of a tier alike
     uint32_t totalNodes_ = 0;
     std::vector<NodeState> nodes_;
 
@@ -229,9 +258,8 @@ ClusterModel::buildNodes()
         double rate;
         double latency;
     };
-    // Storage is the paper's disk/flash tier: a real queueing station
-    // here (the single-graph model used a fixed latency), but never
-    // RPU-scaled.
+    // Storage is the paper's disk/flash tier: a real queueing station,
+    // never RPU-scaled.
     const TierDef defs[kTiers] = {
         {cfg_.webServers, b.webCores / b.webSvcUs * tscale,
          b.webSvcUs * lscale},
@@ -249,16 +277,66 @@ ClusterModel::buildNodes()
     for (int t = 0; t < kTiers; ++t) {
         tierBase_[t] = base;
         tierCount_[t] = static_cast<uint32_t>(defs[t].servers);
+        tierLatency_[t] = defs[t].latency;
         base += tierCount_[t];
     }
     totalNodes_ = base;
     nodes_.reserve(totalNodes_);
     for (int t = 0; t < kTiers; ++t)
         for (uint32_t i = 0; i < tierCount_[t]; ++i)
-            nodes_.push_back({Station(kTierNames[t], 0, defs[t].rate,
-                                      defs[t].latency),
-                              {},
-                              {}});
+            nodes_.push_back(
+                {Station(kTierNames[t],
+                         kTidFirstNode +
+                             static_cast<int>(nodes_.size()),
+                         defs[t].rate, defs[t].latency),
+                 {},
+                 {}});
+}
+
+void
+ClusterModel::nameTracks() const
+{
+    tr_->processName(kSysPid, "cluster (User scenario)");
+    tr_->threadName(kSysPid, kTidBatchForm, "batch formation");
+    for (int t = 0; t < kTiers; ++t)
+        for (uint32_t i = 0; i < tierCount_[t]; ++i)
+            tr_->threadName(
+                kSysPid, kTidFirstNode + static_cast<int>(tierBase_[t] + i),
+                std::string(kTierNames[t]) + " " + std::to_string(i));
+}
+
+/** Batch b reaching its web server: its formation span (batched
+ *  systems only) and the opening async span of each of its requests. */
+void
+ClusterModel::traceArrivals(uint64_t b) const
+{
+    const uint64_t first = batchFirst_[b];
+    const uint64_t last = batchFirst_[b + 1];
+    if (cfg_.base.rpu && cfg_.base.batchSize > 1) {
+        // Batches tile the server's time-sorted arrivals: the first
+        // request opened the batch window.
+        const double opened = arrival_[reqFlat_[first]];
+        tr_->complete("form batch " + std::to_string(b), "batching",
+                      opened, emit_[b] - opened, kSysPid, kTidBatchForm,
+                      {{"size", obs::jnum(last - first)}});
+    }
+    for (uint64_t i = first; i < last; ++i)
+        tr_->asyncBegin("req", "request", reqFlat_[i],
+                        arrival_[reqFlat_[i]], kSysPid);
+}
+
+/** The closing async span of each request completeBatch completes. */
+void
+ClusterModel::traceCompletions(uint64_t b, Who who, uint64_t misses,
+                               double done) const
+{
+    for (uint64_t i = batchFirst_[b]; i < batchFirst_[b + 1]; ++i) {
+        const uint32_t rid = reqFlat_[i];
+        const bool m = misses > 0 && missOf(rid);
+        if ((who == Who::kHits && m) || (who == Who::kMisses && !m))
+            continue;
+        tr_->asyncEnd("req", "request", rid, done, kSysPid);
+    }
 }
 
 void
@@ -447,19 +525,11 @@ ClusterModel::apply(const Event &ev, EventSink &sink, int shard)
                                  : static_cast<int>(last - first);
     double start;
     double done = nd.station.process(ev.time, n, nd.waitUs,
-                                     nd.serviceUs, nullptr, 0, &start);
-    Flight *fl = flights_.empty() ? nullptr : &flights_[b];
-    if (fl) {
-        if (tier < kTierStorage) {
-            fl->enq[tier] = ev.time;
-            fl->start[tier] = start;
-            fl->done[tier] = done;
-        } else {
-            fl->senq = ev.time;
-            fl->sstart = start;
-            fl->sdone = done;
-        }
-    }
+                                     nd.serviceUs, tr_, kSysPid, &start);
+    if (jrec_)
+        flights_[b].start[tier] = start;
+    if (tr_ && tier == kTierWeb)
+        traceArrivals(b);
 
     if (tier == kTierWeb && b + 1 < nBatches_ &&
         webOfBatch_[b + 1] == ev.node) {
@@ -490,7 +560,7 @@ ClusterModel::apply(const Event &ev, EventSink &sink, int shard)
         double bt = done + net;       // reply reaches the user tier
         double hit_done = bt + net;   // ... and then the client
         if (misses == 0) {
-            completeBatch(b, Who::kAll, false, hit_done, 0, cx);
+            completeBatch(b, Who::kAll, 0, hit_done, 0, cx);
             return;
         }
         bool split = !cfg_.base.rpu || cfg_.base.batchSplit;
@@ -501,7 +571,8 @@ ClusterModel::apply(const Event &ev, EventSink &sink, int shard)
                        static_cast<uint64_t>(misses)});
         }
         if (split && misses < n)
-            completeBatch(b, Who::kHits, true, hit_done, 0, cx);
+            completeBatch(b, Who::kHits, static_cast<uint64_t>(misses),
+                          hit_done, 0, cx);
         sink.emit({bt + net, b * kKeyStride + kTierStorage,
                    routeNode(b, kTierStorage), kTierStorage, b,
                    static_cast<uint64_t>(misses)});
@@ -513,34 +584,31 @@ ClusterModel::apply(const Event &ev, EventSink &sink, int shard)
     // complete alongside them (Fig. 17a).
     double miss_done = done + 2 * net;
     bool split = !cfg_.base.rpu || cfg_.base.batchSplit;
-    completeBatch(b, split ? Who::kMisses : Who::kAll, true, miss_done,
+    completeBatch(b, split ? Who::kMisses : Who::kAll, ev.aux, miss_done,
                   done + net, cx);
 }
 
 void
-ClusterModel::completeBatch(uint64_t b, Who who, bool any_miss,
+ClusterModel::completeBatch(uint64_t b, Who who, uint64_t misses,
                             double done, double reconv, ShardCtx &cx)
 {
     uint64_t first = batchFirst_[b];
     uint64_t last = batchFirst_[b + 1];
+    const bool any_miss = misses > 0;
     if (done > cx.maxCompletion)
         cx.maxCompletion = done;
-
-    obs::JourneyRecorder::Cursor *cur = nullptr;
-    if (jrec_) {
-        uint64_t group = 0;
-        for (uint64_t i = first; i < last; ++i) {
-            bool m = any_miss && missOf(reqFlat_[i]);
-            group += (who == Who::kAll ||
-                      (who == Who::kMisses) == m) ?
-                         1 :
-                         0;
-        }
-        cur = &cursorFor(cx);
-        cur->beginGroup(group);
-    }
+    if (tr_)
+        traceCompletions(b, who, misses, done);
 
     uint32_t n = static_cast<uint32_t>(last - first);
+    obs::JourneyRecorder::Cursor *cur = nullptr;
+    if (jrec_) {
+        cur = &cursorFor(cx);
+        cur->beginGroup(who == Who::kAll    ? n
+                        : who == Who::kHits ? n - misses
+                                            : misses);
+    }
+
     for (uint64_t i = first; i < last; ++i) {
         uint32_t rid = reqFlat_[i];
         bool m = any_miss && missOf(rid);
@@ -564,7 +632,20 @@ ClusterModel::buildJourney(uint32_t rid, uint64_t b, uint32_t n,
                            bool is_miss, bool blocked, double done,
                            double reconv, uint64_t key)
 {
+    // Tier times from the service starts, with the engine's own double
+    // operations: done = start + latency, and each hop adds netUs to
+    // the time the batch left the tier before (storage is two hops
+    // past memcached: the reply to the user tier, then the miss).
     const Flight &fl = flights_[b];
+    const double net = cfg_.base.netUs;
+    double enq[kTiers], fin[kTiers];
+    for (int k = 0; k < kTiers; ++k)
+        fin[k] = fl.start[k] + tierLatency_[k];
+    enq[kTierWeb] = emit_[b];
+    for (int k = 1; k < kTierStorage; ++k)
+        enq[k] = fin[k - 1] + net;
+    enq[kTierStorage] = (fin[kTierStorage - 1] + net) + net;
+
     obs::Journey j;
     j.events.reserve(19);
     j.reqId = rid;
@@ -580,18 +661,18 @@ ClusterModel::buildJourney(uint32_t rid, uint64_t b, uint32_t n,
     };
     ev(obs::JStage::Arrival, arrival_[rid], -1);
     ev(obs::JStage::BatchFormed, emit_[b], -1, b);
-    for (int k = 0; k < 4; ++k) {
-        ev(obs::JStage::TierEnqueue, fl.enq[k], k);
+    for (int k = 0; k < kTierStorage; ++k) {
+        ev(obs::JStage::TierEnqueue, enq[k], k);
         ev(obs::JStage::TierStart, fl.start[k], k);
-        ev(obs::JStage::TierDone, fl.done[k], k);
+        ev(obs::JStage::TierDone, fin[k], k);
     }
-    ev(obs::JStage::CacheOutcome, fl.done[3], 3, is_miss ? 1 : 0);
+    ev(obs::JStage::CacheOutcome, fin[3], 3, is_miss ? 1 : 0);
     if (is_miss) {
         if (j.orphan)
-            ev(obs::JStage::SplitRetry, fl.done[3], 3, b);
-        ev(obs::JStage::TierEnqueue, fl.senq, kTierStorage);
-        ev(obs::JStage::TierStart, fl.sstart, kTierStorage);
-        ev(obs::JStage::TierDone, fl.sdone, kTierStorage);
+            ev(obs::JStage::SplitRetry, fin[3], 3, b);
+        ev(obs::JStage::TierEnqueue, enq[kTierStorage], kTierStorage);
+        ev(obs::JStage::TierStart, fl.start[kTierStorage], kTierStorage);
+        ev(obs::JStage::TierDone, fin[kTierStorage], kTierStorage);
         ev(obs::JStage::Completion, done, -1);
     } else if (blocked) {
         ev(obs::JStage::ReconvJoin, reconv, -1, b, true);
@@ -654,8 +735,7 @@ ClusterModel::finish(ClusterResult *res, int threads)
             res->sys.e2eUs.merge(p);
     }
 
-    // Registry exposition, caller thread: same surface as the
-    // single-graph scenario plus the cluster shape.
+    // Registry exposition, caller thread.
     obs::Registry *reg = obs::Scope::registry();
     reg->counter("sys.requests")->inc(nreq);
     reg->counter("sys.batches")->inc(nBatches_);
@@ -697,6 +777,27 @@ runClusterImpl(const ClusterConfig &cfg, int shards, int threads)
 } // namespace
 
 void
+SysConfig::validate() const
+{
+    simr_assert(batchSize >= 1, "sys batchSize must be >= 1");
+    simr_assert(batchTimeoutUs >= 0,
+                "sys batchTimeoutUs must be non-negative");
+    simr_assert(rpuThroughputScale > 0 && rpuLatencyScale > 0,
+                "sys RPU scales must be positive");
+    simr_assert(orphanPenalty >= 1,
+                "sys orphanPenalty must be >= 1 (a capacity factor)");
+    simr_assert(webSvcUs > 0 && userSvcUs > 0 && mcrouterSvcUs > 0 &&
+                    memcSvcUs > 0 && storageSvcUs > 0,
+                "sys tier service latencies must be positive");
+    simr_assert(netUs >= 0, "sys netUs must be non-negative");
+    simr_assert(webCores >= 1 && userCores >= 1 && mcrouterCores >= 1 &&
+                    memcCores >= 1,
+                "sys tier capacities must be >= 1 core");
+    simr_assert(memcHitRate >= 0 && memcHitRate <= 1,
+                "sys memcHitRate must be a probability");
+}
+
+void
 ClusterConfig::validate() const
 {
     base.validate();
@@ -716,6 +817,21 @@ ClusterConfig::validate() const
     simr_assert(shards >= 0, "shards must be >= 0 (0 = auto)");
     simr_assert(threads >= 0, "threads must be >= 0 (0 = auto)");
     simr_assert(mailboxCapacity >= 1, "mailboxCapacity must be >= 1");
+}
+
+ClusterConfig
+oneReplica()
+{
+    ClusterConfig c;
+    c.webServers = 1;
+    c.userServers = 1;
+    c.mcrouterServers = 1;
+    c.memcServers = 1;
+    c.storageServers = 1;
+    c.users = 1;
+    c.shards = 1;
+    c.threads = 1;
+    return c;
 }
 
 ClusterResult

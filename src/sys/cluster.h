@@ -1,21 +1,36 @@
 /**
  * @file
- * Datacenter-scale social-network scenario on the PDES kernel: the
- * Fig. 22 experiment grown from one service graph to a cluster.
+ * The system simulator: the social-network User scenario of Fig. 3 on
+ * the PDES kernel, from uqSim's single service graph (Fig. 22) up to a
+ * datacenter-scale cluster.
  *
- * The cluster replicates each tier of the User scenario (Fig. 3)
- * across many server nodes:
+ *   clients -> web[W] -> user[U] -> mcrouter[M] -> memc[K] --hit--> reply
+ *                                                      \--miss--> storage[S]
  *
- *   clients -> web[W] -> user[U] -> mcrouter[M] -> memc[K]
- *                                        \--miss--> storage[S]
+ * Each tier is replicated across server nodes; oneReplica() is uqSim's
+ * shape, one server per tier fed by one Poisson client stream. Every
+ * server is a rate-and-latency Station: requests (or whole batches)
+ * occupy service capacity 1/R at latency L, so queueing delay emerges
+ * under load. The RPU system replaces the CPU tiers with machines of
+ * 5x the throughput per watt at 1.2x the latency (the chip-level
+ * results) and batches requests at the web tier (size 32 or timeout).
+ * Batch splitting (Section III-B5) decides what happens when some
+ * requests in a batch miss memcached and must visit millisecond-scale
+ * storage:
  *
- * Millions of open-loop users are modeled as independent Poisson
- * client streams (optionally bursty) with identity-derived seeds; a
- * client sticks to one web server (consistent-hash load balancing),
- * where its requests are batched (RPU systems) and routed tier to
- * tier by per-batch hashes. Every server is an actor node with its
- * own Station; every tier-to-tier hop crosses the network, so the
- * minimum network latency is the PDES lookahead.
+ *  - without splitting, every request in the batch waits for the
+ *    reconvergence point after storage;
+ *  - with splitting, hits return immediately and the blocked orphans
+ *    continue alone, paying a SIMT-efficiency penalty on user-tier
+ *    capacity.
+ *
+ * Open-loop users are independent Poisson client streams (optionally
+ * bursty) with identity-derived seeds; a client sticks to one web
+ * server (consistent-hash load balancing), where its requests are
+ * batched and routed tier to tier by per-batch hashes. Storage is a
+ * real queueing station, never RPU-scaled. Every tier-to-tier hop
+ * crosses the network, so the minimum network latency is the PDES
+ * lookahead.
  *
  * The offered load is generated up front but streamed into the engine:
  * each web server has one pending batch arrival at a time, and handling
@@ -32,37 +47,100 @@
  * any shards x SIMR_THREADS (ctest sys_pdes_gate), including the
  * sampled journey set.
  *
- * Observability: sys.* metrics are recorded into the scoped
- * obs::Registry by the calling thread after the run (per-shard totals
- * folded in shard order, the same input-order discipline runCells
- * uses for per-cell registries). When an obs::JourneyRecorder is in
- * scope, every request is offered for per-request causal journey
- * capture with the same event shape as runUserScenario, so the
- * anatomy drill-down works unchanged at cluster scale. The Perfetto
- * tracer is not consulted (a cluster run has millions of spans;
- * use the single-graph runUserScenario for timelines).
+ * Observability, all strictly read-only (nothing feeds back into the
+ * simulation, so ClusterResult is bit-identical with or without it):
+ *  - sys.* metrics go to the scoped obs::Registry, recorded by the
+ *    calling thread after the run (per-shard totals folded in shard
+ *    order, the input-order discipline runCells uses);
+ *  - with an obs::JourneyRecorder in scope (obs::Scope's third slot,
+ *    Off mode counting as none), every request is offered for
+ *    per-request causal journey capture (obs/journey.h): arrival,
+ *    batch formation, per-tier enqueue/start/done, memcached hit/miss,
+ *    storage visits, split retries and reconvergence stalls;
+ *  - with a tracer in scope, the run emits a Perfetto timeline in
+ *    simulated microseconds on pid 2: batch-formation spans (tid 1),
+ *    one service-occupancy track per server (tid 2 + node index, so
+ *    web to storage are tids 2-6 at one replica) and one async span
+ *    per request from arrival to completion. The tracer serializes
+ *    emission, so a sharded run may record the spans in another order,
+ *    never another set.
  */
 
 #ifndef SIMR_SYS_CLUSTER_H
 #define SIMR_SYS_CLUSTER_H
 
 #include <cstdint>
+#include <string>
+#include <vector>
 
+#include "common/stats.h"
 #include "sys/pdes.h"
-#include "sys/uqsim.h"
 
 namespace simr::sys
 {
 
+/** Per-server tier parameters: platform, batching, service latencies
+ *  and per-server capacities. */
+struct SysConfig
+{
+    // Platform.
+    bool rpu = false;           ///< RPU machines instead of CPU
+    bool batchSplit = true;     ///< Section III-B5 technique
+    int batchSize = 32;
+    double batchTimeoutUs = 100.0;
+    double rpuThroughputScale = 5.0;  ///< from chip-level results
+    double rpuLatencyScale = 1.2;
+    double orphanPenalty = 4.0; ///< capacity cost factor of split orphans
+
+    // Tier service latencies (us) and CPU capacities (cores).
+    double webSvcUs = 30.0;
+    double userSvcUs = 100.0;
+    double mcrouterSvcUs = 20.0;
+    double memcSvcUs = 25.0;
+    double storageSvcUs = 1000.0;
+    double netUs = 60.0;
+    int webCores = 8;
+    int userCores = 2;
+    int mcrouterCores = 2;
+    int memcCores = 2;
+    double memcHitRate = 0.9;
+
+    /**
+     * Die loudly (simr_fatal) on configurations the model cannot mean
+     * anything for: an empty batch window, non-positive tier
+     * capacities, negative latencies, a hit rate outside [0, 1].
+     * Construction-time validation, same pattern as CacheConfig /
+     * MemPathConfig: ClusterConfig::validate() calls it before every
+     * run.
+     */
+    void validate() const;
+};
+
+/** Per-tier latency breakdown (uqSim-style model validation view). */
+struct TierStat
+{
+    std::string name;          ///< "web", "user", "mcrouter", "memc",
+                               ///  "storage"
+    RunningStat waitUs;        ///< queueing delay ahead of service
+    RunningStat serviceUs;     ///< service occupancy per batch
+};
+
+/** Scenario outcome. */
+struct SysResult
+{
+    double offeredQps = 0;
+    double achievedQps = 0;
+    Histogram e2eUs;           ///< end-to-end request latency
+    std::vector<TierStat> tiers;  ///< per-tier breakdown, tier order
+
+    double meanUs() const { return e2eUs.mean(); }
+    double p99Us() const { return e2eUs.percentile(0.99); }
+};
+
 /** Cluster scenario + engine configuration. */
 struct ClusterConfig
 {
-    /**
-     * Per-server tier parameters (service latencies, per-server cores,
-     * platform/batching knobs). The load fields (qps, requests, seed)
-     * are superseded by the cluster-level fields below.
-     */
-    SysConfig base;
+    SysConfig base;  ///< per-server tier parameters
 
     // Topology: replicas per tier.
     int webServers = 4;
@@ -102,6 +180,14 @@ struct ClusterConfig
                                      storageServers);
     }
 };
+
+/**
+ * uqSim's shape of the User scenario, the one Fig. 22 runs: one server
+ * per tier, one Poisson client stream at the offered load, one shard
+ * on one worker (five nodes gain nothing from sharding). Load and
+ * platform fields keep their ClusterConfig defaults.
+ */
+ClusterConfig oneReplica();
 
 /** Cluster run outcome: the scenario result plus engine diagnostics.
  *  `sys` is the determinism-gated payload (bit-identical across shard

@@ -1,10 +1,8 @@
 /**
  * @file
- * Shared building blocks of the system-level simulators: the
+ * Building blocks of the system simulator (cluster.cc): the
  * rate-and-latency service station (the per-server actor state) and
- * the batch-formation pass, extracted from the monolithic uqsim loop
- * so the single-graph scenario (uqsim.cc) and the sharded cluster
- * engine (cluster.cc) model tiers with the same arithmetic.
+ * the batch-formation pass over a server's time-sorted arrivals.
  */
 
 #ifndef SIMR_SYS_STATION_H
@@ -12,7 +10,6 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <vector>
 
 #include "common/logging.h"
 #include "common/stats.h"
@@ -42,9 +39,9 @@ class Station
     /**
      * Serve n requests arriving at time t; returns completion time.
      * Records queueing wait and occupancy into `wait`/`service` and,
-     * when a tracer is in scope, emits the service-occupancy span
-     * (occupancy spans never overlap, so each tier renders as one
-     * clean track).
+     * given a tracer, emits the service-occupancy span on this
+     * station's track (occupancy spans never overlap, so each server
+     * renders as one clean track).
      */
     double
     process(double t, int n, RunningStat &wait, RunningStat &service,
@@ -57,13 +54,8 @@ class Station
         service.add(occupancy);
         if (start_out)
             *start_out = start;
-        if (tr) {
-            tr->complete(
-                name_, "sys", start, occupancy, pid, tid_,
-                {{"n", obs::jnum(static_cast<uint64_t>(n))},
-                 {"wait_us", obs::jnum(start - t)},
-                 {"latency_us", obs::jnum(latency_)}});
-        }
+        if (tr)
+            traceService(tr, pid, t, start, occupancy, n);
         return start + latency_;
     }
 
@@ -74,23 +66,24 @@ class Station
         nextFree_ += request_equivalents / rate_;
     }
 
-    double latencyUs() const { return latency_; }
-
   private:
+    /** The service-occupancy span, kept out of line so the untraced
+     *  hot path stays small. */
+    [[gnu::noinline]] void
+    traceService(obs::Tracer *tr, int pid, double t, double start,
+                 double occupancy, int n) const
+    {
+        tr->complete(name_, "sys", start, occupancy, pid, tid_,
+                     {{"n", obs::jnum(static_cast<uint64_t>(n))},
+                      {"wait_us", obs::jnum(start - t)},
+                      {"latency_us", obs::jnum(latency_)}});
+    }
+
     const char *name_;
     int tid_;
     double rate_;
     double latency_;
     double nextFree_ = 0;
-};
-
-/** One formed batch: the half-open index range [begin, end) into the
- *  sorted arrival array it was formed from, and its emit time. */
-struct BatchWindow
-{
-    size_t begin = 0;
-    size_t end = 0;
-    double emitTime = 0;
 };
 
 /**
@@ -124,22 +117,6 @@ forEachBatchWindow(size_t n, int bsize, double timeout_us, Time time,
         emit(begin, i, i - begin == static_cast<size_t>(bsize) ?
              last : std::min(window_end, last + timeout_us));
     }
-}
-
-/** forEachBatchWindow over an arrival array, collected as windows. */
-inline std::vector<BatchWindow>
-formBatchWindows(const double *times, size_t n, int bsize,
-                 double timeout_us)
-{
-    std::vector<BatchWindow> out;
-    if (bsize <= 1)
-        out.reserve(n);
-    forEachBatchWindow(
-        n, bsize, timeout_us, [times](size_t i) { return times[i]; },
-        [&out](size_t begin, size_t end, double emit) {
-            out.push_back({begin, end, emit});
-        });
-    return out;
 }
 
 } // namespace simr::sys

@@ -27,7 +27,7 @@
 #include "obs/spans.h"
 #include "obs/trace.h"
 #include "simr/runner.h"
-#include "sys/uqsim.h"
+#include "sys/cluster.h"
 
 using namespace simr;
 
@@ -363,28 +363,50 @@ TEST(RunCells, MetricsDeterministicAcrossThreadCounts)
     EXPECT_GT(serial.counter("core.requests")->value(), 0u);
 }
 
+namespace
+{
+
+/** uqSim's shape of the User scenario (one server per tier) on the
+ *  RPU system at the 5 kQPS these two tests have always offered. */
+sys::ClusterConfig
+oneReplicaAt5k(uint64_t requests)
+{
+    sys::ClusterConfig cfg = sys::oneReplica();
+    cfg.qps = 5000;
+    cfg.requests = requests;
+    cfg.base.rpu = true;
+    return cfg;
+}
+
+} // namespace
+
 TEST(Uqsim, RegistryAndTierBreakdown)
 {
     obs::Registry reg;
     sys::SysResult r;
     {
         obs::Scope scope(&reg);
-        sys::SysConfig cfg;
-        cfg.requests = 2000;
-        cfg.rpu = true;
-        r = sys::runUserScenario(cfg);
+        r = sys::runCluster(oneReplicaAt5k(2000)).sys;
     }
     EXPECT_EQ(reg.counter("sys.requests")->value(), 2000u);
     EXPECT_GT(reg.counter("sys.batches")->value(), 0u);
     EXPECT_GT(reg.counter("sys.memc_misses")->value(), 0u);
-    ASSERT_EQ(r.tiers.size(), 4u);
+    ASSERT_EQ(r.tiers.size(), 5u);
     EXPECT_EQ(r.tiers[0].name, "web");
     EXPECT_EQ(r.tiers[1].name, "user");
     EXPECT_EQ(r.tiers[2].name, "mcrouter");
     EXPECT_EQ(r.tiers[3].name, "memc");
+    EXPECT_EQ(r.tiers[4].name, "storage");
     uint64_t batches = reg.counter("sys.batches")->value();
     for (const auto &tier : r.tiers) {
-        EXPECT_EQ(tier.waitUs.count(), batches) << tier.name;
+        // Every batch visits the four front tiers; only batches with
+        // a memcached miss visit storage.
+        if (tier.name == "storage") {
+            EXPECT_GT(tier.waitUs.count(), 0u);
+            EXPECT_LE(tier.waitUs.count(), batches);
+        } else {
+            EXPECT_EQ(tier.waitUs.count(), batches) << tier.name;
+        }
         EXPECT_GT(tier.serviceUs.mean(), 0.0) << tier.name;
     }
     EXPECT_GT(reg.gauge("sys.achieved_qps")->value(), 0.0);
@@ -397,10 +419,7 @@ TEST(Uqsim, EmitsBalancedTimeline)
     obs::Tracer tr;
     {
         obs::Scope scope(&reg, &tr);
-        sys::SysConfig cfg;
-        cfg.requests = 500;
-        cfg.rpu = true;
-        sys::runUserScenario(cfg);
+        sys::runCluster(oneReplicaAt5k(500));
     }
     auto events = tr.events();
     ASSERT_FALSE(events.empty());

@@ -214,13 +214,22 @@ TEST_P(SeededTest, BatchWindowsTileArrivalsAndEmitInOrder)
                     now += rng_.exponential(rng_.chance(0.5) ? 4 : 300);
                 t = now;
             }
-            const auto wins =
-                sys::formBatchWindows(times.data(), n, bsize, timeout);
+            struct Window
+            {
+                size_t begin, end;
+                double emitTime;
+            };
+            std::vector<Window> wins;
+            sys::forEachBatchWindow(
+                n, bsize, timeout, [&](size_t i) { return times[i]; },
+                [&](size_t begin, size_t end, double emit) {
+                    wins.push_back({begin, end, emit});
+                });
             ASSERT_FALSE(wins.empty());
             EXPECT_EQ(wins.front().begin, 0u);
             EXPECT_EQ(wins.back().end, n);
             for (size_t i = 0; i < wins.size(); ++i) {
-                const sys::BatchWindow &w = wins[i];
+                const Window &w = wins[i];
                 ASSERT_LT(w.begin, w.end);
                 EXPECT_LE(w.end - w.begin, static_cast<size_t>(bsize));
                 // A batch never leaves before its last request arrives.

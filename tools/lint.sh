@@ -54,12 +54,13 @@ if [ -n "$CLI" ] && command -v python3 >/dev/null 2>&1; then
         STATUS=1
     fi
     # Cross-layer view: the social_network trace adds the cluster
-    # timeline, per-request async spans and the journey flow arrows
-    # (s/t/f events) linking cluster batches to chip issue windows.
+    # timeline (its per-server tier spans are category sys),
+    # per-request async spans and the journey flow arrows (s/t/f
+    # events) linking cluster batches to chip issue windows.
     if "$CLI" trace social_network --requests 64 --out "$TRACE" \
            >/dev/null; then
         if python3 tools/check_trace.py "$TRACE" \
-               --require-cat batching lockstep link; then
+               --require-cat batching lockstep link sys; then
             echo "lint.sh: flow trace schema gate passed"
         else
             echo "lint.sh: flow trace schema gate FAILED"
