@@ -94,7 +94,9 @@ usage()
         "  simr_cli cluster [--qps N] [--rpu] [--nosplit]\n"
         "           [--servers N] [--users N] [--requests N]\n"
         "           [--shards N] [--threads N]   (one server per tier\n"
-        "           and one client stream unless --servers is given)\n"
+        "           and one client stream, 10 kQPS and 30000 requests\n"
+        "           by default; --servers N replicates the tiers, 100\n"
+        "           kQPS and 100000 requests by default)\n"
         "  simr_cli stats [service] [--json]\n"
         "           [--config cpu|smt8|rpu|gpu] [--requests N]\n"
         "           [--threads N]\n"
@@ -102,7 +104,9 @@ usage()
         "           [--config rpu|gpu] [--requests N] [--qps N]\n"
         "  simr_cli anatomy social_network [--json] [--qps N]\n"
         "           [--requests N] [--mode off|sampled|all]\n"
-        "           [--servers N] [--shards N]\n"
+        "           [--servers N] [--shards N]   (one server per\n"
+        "           tier unless --servers is given; --shards alone\n"
+        "           partitions that shape)\n"
         "  simr_cli hotspots <service>|--all [--top N] [--requests N]\n"
         "           [--batch N]\n"
         "(experiment commands also take --metrics FILE)\n");
@@ -444,15 +448,14 @@ cmdSweep(int argc, char **argv)
 }
 
 /**
- * The cluster `cluster` and `anatomy` run: uqSim's shape (one server
- * per tier, one client stream) unless --servers N asks for the
+ * The topology of a `cluster` or `anatomy` run: uqSim's shape (one
+ * server per tier, one client stream) unless --servers N asks for the
  * default 13-server topology scaled to ~N nodes, preserving its
  * 4:4:2:2:1 tier ratio (every tier keeps >= 1) and its 20000 users.
- * --users, --shards and --threads override the shape's own values;
- * --qps defaults to 10000 and --requests to `default_requests`.
+ * --shards overrides the shape's shard count.
  */
 sys::ClusterConfig
-clusterFromFlags(int argc, char **argv, const char *default_requests)
+clusterShape(int argc, char **argv)
 {
     sys::ClusterConfig cc;
     if (has(argc, argv, "--servers")) {
@@ -468,15 +471,8 @@ clusterFromFlags(int argc, char **argv, const char *default_requests)
     } else {
         cc = sys::oneReplica();
     }
-    cc.qps = std::stod(flag(argc, argv, "--qps", "10000"));
-    cc.requests =
-        std::stoull(flag(argc, argv, "--requests", default_requests));
-    if (has(argc, argv, "--users"))
-        cc.users = std::stoull(flag(argc, argv, "--users", ""));
     if (has(argc, argv, "--shards"))
         cc.shards = std::stoi(flag(argc, argv, "--shards", ""));
-    if (has(argc, argv, "--threads"))
-        cc.threads = std::stoi(flag(argc, argv, "--threads", ""));
     return cc;
 }
 
@@ -486,9 +482,21 @@ cmdCluster(int argc, char **argv)
     obs::Registry reg;
     obs::Scope scope(&reg);
 
-    sys::ClusterConfig cc = clusterFromFlags(argc, argv, "100000");
+    // Each shape has its own default load: 10 kQPS and 30000 requests
+    // at one replica, ClusterConfig's 100 kQPS and 100000 with
+    // --servers.
+    const bool replicated = has(argc, argv, "--servers");
+    sys::ClusterConfig cc = clusterShape(argc, argv);
     cc.base.rpu = has(argc, argv, "--rpu");
     cc.base.batchSplit = !has(argc, argv, "--nosplit");
+    cc.qps = std::stod(
+        flag(argc, argv, "--qps", replicated ? "100000" : "10000"));
+    cc.requests = std::stoull(
+        flag(argc, argv, "--requests", replicated ? "100000" : "30000"));
+    if (has(argc, argv, "--users"))
+        cc.users = std::stoull(flag(argc, argv, "--users", ""));
+    if (has(argc, argv, "--threads"))
+        cc.threads = std::stoi(flag(argc, argv, "--threads", ""));
     auto r = sys::runCluster(cc);
 
     Table t("cluster run (PDES engine)");
@@ -728,6 +736,8 @@ cmdAnatomy(const std::string &target, int argc, char **argv)
     }
 
     bool json = has(argc, argv, "--json");
+    double qps = std::stod(flag(argc, argv, "--qps", "10000"));
+    int requests = std::stoi(flag(argc, argv, "--requests", "20000"));
     std::string mode_s = flag(argc, argv, "--mode", "");
     obs::JourneyMode mode = mode_s == "off" ? obs::JourneyMode::Off :
         mode_s == "all" ? obs::JourneyMode::All :
@@ -753,8 +763,10 @@ cmdAnatomy(const std::string &target, int argc, char **argv)
     const SysRun runs[] = {{"cpu", false}, {"rpu", true}};
     for (size_t i = 0; i < 2; ++i) {
         obs::JourneyRecorder rec(mode, 512);
-        sys::ClusterConfig cc = clusterFromFlags(argc, argv, "20000");
+        sys::ClusterConfig cc = clusterShape(argc, argv);
         cc.base.rpu = runs[i].rpu;
+        cc.qps = qps;
+        cc.requests = static_cast<uint64_t>(requests);
         sys::SysResult r;
         {
             obs::Scope inner(&reg, nullptr, &rec);

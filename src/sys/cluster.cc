@@ -139,9 +139,7 @@ class ClusterModel : public Model
     // (apply, completeBatch) stays small.
     void nameTracks() const;
     [[gnu::noinline]] void traceArrivals(uint64_t b) const;
-    [[gnu::noinline]] void traceCompletions(uint64_t b, Who who,
-                                            uint64_t misses,
-                                            double done) const;
+    [[gnu::noinline]] void traceEnd(uint32_t rid, double done) const;
 
     uint64_t
     clientOffset(uint64_t c) const
@@ -325,18 +323,11 @@ ClusterModel::traceArrivals(uint64_t b) const
                         arrival_[reqFlat_[i]], kSysPid);
 }
 
-/** The closing async span of each request completeBatch completes. */
+/** The closing async span of a request completeBatch completes. */
 void
-ClusterModel::traceCompletions(uint64_t b, Who who, uint64_t misses,
-                               double done) const
+ClusterModel::traceEnd(uint32_t rid, double done) const
 {
-    for (uint64_t i = batchFirst_[b]; i < batchFirst_[b + 1]; ++i) {
-        const uint32_t rid = reqFlat_[i];
-        const bool m = misses > 0 && missOf(rid);
-        if ((who == Who::kHits && m) || (who == Who::kMisses && !m))
-            continue;
-        tr_->asyncEnd("req", "request", rid, done, kSysPid);
-    }
+    tr_->asyncEnd("req", "request", rid, done, kSysPid);
 }
 
 void
@@ -448,8 +439,10 @@ ClusterModel::buildLoad(int threads)
     parallelFor(
         nweb,
         [&](size_t w) {
-            // (time, reqId): total, deterministic.
-            std::sort(arrivalsOf(w), arrivalsOf(w + 1));
+            // (time, reqId): total, deterministic. A server fed by one
+            // client (oneReplica's shape) is already in order.
+            if (!std::is_sorted(arrivalsOf(w), arrivalsOf(w + 1)))
+                std::sort(arrivalsOf(w), arrivalsOf(w + 1));
             uint64_t count = 0;
             forEachBatchWindow(serverOff[w + 1] - serverOff[w], bsize,
                                timeout, timesOf(w),
@@ -597,8 +590,6 @@ ClusterModel::completeBatch(uint64_t b, Who who, uint64_t misses,
     const bool any_miss = misses > 0;
     if (done > cx.maxCompletion)
         cx.maxCompletion = done;
-    if (tr_)
-        traceCompletions(b, who, misses, done);
 
     uint32_t n = static_cast<uint32_t>(last - first);
     obs::JourneyRecorder::Cursor *cur = nullptr;
@@ -618,6 +609,8 @@ ClusterModel::completeBatch(uint64_t b, Who who, uint64_t misses,
             continue;
         double e2e = done - arrival_[rid];
         e2e_[rid] = e2e;
+        if (tr_)
+            traceEnd(rid, done);
         if (cur) {
             uint64_t key;
             if (cur->offer(rid, e2e, &key))
