@@ -1,29 +1,10 @@
 /**
  * @file
- * Static-analyzer benchmarks plus the dataflow soundness gate.
- *
- * `--verify` runs the tier-1 `dataflow_soundness_gate`: across all 14
- * services it checks the static dataflow verdicts against dynamic
- * execution —
- *
- *  1. Taint tier: for every request, the dynamic TaintTracker tier must
- *     be <= the static bound (the static analysis may only
- *     over-approximate), and for tier-1-proven programs every memory
- *     op's dynamic relocation kind must equal the proof's memKind table
- *     (the invariant the capture fast path relies on).
- *
- *  2. Branch uniformity: lockstep runs under both reconvergence
- *     policies and both a homogeneous and a deliberately mixing batch
- *     policy must observe zero divergence at UniformAlways branches and
- *     zero divergence at UniformPerBatch branches within
- *     (api, argLen)-uniform batches (the engine's hintViolations
- *     tripwire, plus the profiler-side attribution check).
- *
- * Without --verify, google-benchmark microbenchmarks keep the analyzer
- * (which gates every simulation) and the new dataflow fixpoint honest.
+ * Static-analyzer benchmarks: google-benchmark microbenchmarks keep
+ * the analyzer (which gates every simulation) and the dataflow
+ * fixpoint honest. The soundness of the dataflow verdicts is the
+ * tier-1 test dataflow_soundness_gate.
  */
-
-#include <cstring>
 
 #include <benchmark/benchmark.h>
 
@@ -33,10 +14,7 @@
 #include "analysis/crosscheck.h"
 #include "analysis/dataflow.h"
 #include "analysis/dom.h"
-#include "obs/divergence.h"
 #include "simr/runner.h"
-#include "trace/capture.h"
-#include "trace/interp.h"
 
 using namespace simr;
 
@@ -126,164 +104,6 @@ BM_CheckedReplay(benchmark::State &state)
 }
 BENCHMARK(BM_CheckedReplay);
 
-// ---------------------------------------------------------------------------
-// dataflow_soundness_gate (--verify)
-
-struct GateResult
-{
-    int failures = 0;
-    uint64_t requests = 0;
-    uint64_t memOps = 0;
-    uint64_t divergeEvents = 0;
-};
-
-/**
- * Scalar half of the gate: dynamic taint tier vs the static bound, and
- * the per-op relocation kinds the tier-1 fast path would skip
- * computing.
- */
-void
-verifyTaint(const svc::Service &svc, const trace::StaticProof &proof,
-            int requests, GateResult *out)
-{
-    trace::ProgramIndex pi(svc.program());
-    trace::ThreadState ts(svc.program());
-    trace::TaintTracker taint;
-    auto reqs = genRequests(svc, requests, 7);
-    mem::HeapAllocator alloc(mem::AllocPolicy::SimrAware);
-    for (size_t i = 0; i < reqs.size(); ++i) {
-        auto init = svc::makeThreadInit(svc, reqs[i], 0, i, alloc);
-        ts.reset(init);
-        taint.reset();
-        trace::StepResult r;
-        while (!ts.done()) {
-            ts.step(r);
-            trace::AddrKind k = taint.step(*r.si, r);
-            if (!isa::opInfo(r.si->op).isMem)
-                continue;
-            ++out->memOps;
-            if (proof.tier1() &&
-                static_cast<uint8_t>(k) != proof.memKind[pi.flatOf(r.pc)]) {
-                ++out->failures;
-                std::printf("  %s: FAIL mem kind at pc=0x%llx: dynamic "
-                            "%d != static %d\n",
-                            svc.traits().name.c_str(),
-                            static_cast<unsigned long long>(r.pc),
-                            static_cast<int>(k),
-                            static_cast<int>(
-                                proof.memKind[pi.flatOf(r.pc)]));
-            }
-        }
-        int dynTier = taint.identityDependent() ? 3
-            : taint.frameDependent() ? 2 : 1;
-        if (dynTier > proof.taintTierBound) {
-            ++out->failures;
-            std::printf("  %s: FAIL req %zu: dynamic tier %d > static "
-                        "bound %d\n", svc.traits().name.c_str(), i,
-                        dynTier, proof.taintTierBound);
-        }
-        ++out->requests;
-    }
-}
-
-/**
- * Lockstep half of the gate: run one (reconv, batching) combination
- * with the proof and a hint-joined profiler attached; any divergence at
- * an always-uniform branch, or at a per-batch-uniform branch inside an
- * (api, argLen)-uniform batch, is a soundness failure.
- */
-void
-verifyUniformity(const svc::Service &svc,
-                 const analysis::CachedAnalysis &ca,
-                 simt::ReconvPolicy reconv, batch::Policy policy,
-                 int requests, GateResult *out)
-{
-    auto reqs = genRequests(svc, requests, 11);
-    batch::BatchingServer server(policy, trace::kMaxBatch);
-    simt::LockstepEngine engine(
-        svc.program(), reconv, trace::kMaxBatch,
-        makeBatchProvider(svc, server.formBatches(reqs)));
-    engine.setStaticProof(ca.proof);
-    obs::DivergenceProfiler prof(svc.program());
-    prof.setStaticHints(ca.report.dataflow);
-    engine.setObserver(&prof);
-    trace::DynOp op;
-    while (engine.next(op)) {
-        // Drain; the engine checks hints at its divergence sites.
-    }
-    out->divergeEvents += engine.stats().divergeEvents;
-    const char *rc = reconv == simt::ReconvPolicy::StackIpdom
-        ? "stack" : "minsp";
-    if (engine.stats().hintViolations != 0) {
-        ++out->failures;
-        std::printf("  %s: FAIL %s/%s: %llu divergence(s) at "
-                    "proven-uniform branches\n",
-                    svc.traits().name.c_str(), rc,
-                    batch::policyName(policy),
-                    static_cast<unsigned long long>(
-                        engine.stats().hintViolations));
-    }
-    if (prof.alwaysUniformViolations() != 0) {
-        ++out->failures;
-        std::printf("  %s: FAIL %s/%s: profiler attributed %llu "
-                    "divergence(s) to UniformAlways cells\n",
-                    svc.traits().name.c_str(), rc,
-                    batch::policyName(policy),
-                    static_cast<unsigned long long>(
-                        prof.alwaysUniformViolations()));
-    }
-}
-
-int
-runGate()
-{
-    GateResult res;
-    const int kTaintRequests = 96;
-    const int kBatchRequests = 256;
-    const simt::ReconvPolicy reconvs[] = {
-        simt::ReconvPolicy::StackIpdom, simt::ReconvPolicy::MinSpPc};
-    // Naive deliberately mixes APIs and argument lengths in one batch:
-    // the hardest test of an "under any batch mix" uniformity claim.
-    const batch::Policy policies[] = {
-        batch::Policy::PerApiArgSize, batch::Policy::Naive};
-    int services = 0;
-    for (const auto &name : svc::serviceNames()) {
-        auto svc = svc::buildService(name);
-        auto ca = analysis::analyzeAndProve(svc->program());
-        if (!ca->report.ok() || ca->proof == nullptr) {
-            ++res.failures;
-            std::printf("  %s: FAIL analyzer reported errors\n",
-                        name.c_str());
-            continue;
-        }
-        verifyTaint(*svc, *ca->proof, kTaintRequests, &res);
-        for (auto reconv : reconvs)
-            for (auto policy : policies)
-                verifyUniformity(*svc, *ca, reconv, policy,
-                                 kBatchRequests, &res);
-        ++services;
-    }
-    std::printf("dataflow_soundness_gate: %s (%d services, %llu scalar "
-                "requests, %llu mem ops, %llu divergence events "
-                "checked)\n",
-                res.failures == 0 ? "PASS" : "FAIL", services,
-                static_cast<unsigned long long>(res.requests),
-                static_cast<unsigned long long>(res.memOps),
-                static_cast<unsigned long long>(res.divergeEvents));
-    return res.failures == 0 ? 0 : 1;
-}
-
 } // namespace
 
-int
-main(int argc, char **argv)
-{
-    for (int i = 1; i < argc; ++i)
-        if (std::strcmp(argv[i], "--verify") == 0)
-            return runGate();
-    benchmark::Initialize(&argc, argv);
-    if (benchmark::ReportUnrecognizedArguments(argc, argv))
-        return 1;
-    benchmark::RunSpecifiedBenchmarks();
-    return 0;
-}
+BENCHMARK_MAIN();

@@ -28,13 +28,8 @@
  * IS gated (<2%; thread cputime over ABBA blocks to shed scheduler
  * noise, order effects and clock drift), and SysResult must be
  * bit-identical in all three modes -- recording may never perturb the
- * simulation.
- *
- * With --verify-journeys the bench instead runs the ctest determinism
- * gate: every scenario cell's SysResult (all histograms, all tier
- * stats) must be bit-identical with journeys off / sampled / full, at
- * harness thread counts 1 and 4, and the sampled journey set itself
- * must not depend on the thread count.
+ * simulation. The tier-1 test journey_determinism_gate checks that
+ * across four scenario cells and harness widths.
  *
  * All three lockstep modes run the engine live: measureEfficiency
  * would serve an unobserved repeat from the process stream cache,
@@ -54,18 +49,17 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <ctime>
 #include <string>
 #include <vector>
 
 #include "analysis/cache.h"
-#include "bench_common.h"
+#include "cells.h"
+#include "common/config.h"
+#include "common/table.h"
 #include "obs/divergence.h"
-#include "obs/journey.h"
 #include "obs/spans.h"
 #include "obs/trace.h"
-#include "sys/cluster.h"
 
 using namespace simr;
 using namespace simr::bench;
@@ -78,16 +72,6 @@ struct ModeResult
     double secs = 0;
     simt::SimtStats stats;
 };
-
-bool
-sameStats(const simt::SimtStats &a, const simt::SimtStats &b)
-{
-    return a.batchOps == b.batchOps && a.scalarOps == b.scalarOps &&
-        a.maskedSlots == b.maskedSlots &&
-        a.divergeEvents == b.divergeEvents &&
-        a.reconvMerges == b.reconvMerges &&
-        a.pathSwitches == b.pathSwitches && a.batches == b.batches;
-}
 
 /**
  * One live lockstep pass of the sink table's cell: per-API+arg
@@ -135,112 +119,12 @@ threadSeconds()
         .count();
 }
 
-/** One scenario cell of the journey determinism gate. */
-struct SysCell
-{
-    bool rpu;
-    bool split;
-    double qps;
-};
-
-sys::SysResult
-runSysCell(const SysCell &cell, int requests, uint64_t seed,
-           obs::JourneyMode mode, std::vector<uint64_t> *sampled_ids)
-{
-    sys::ClusterConfig cfg = sys::oneReplica();
-    cfg.qps = cell.qps;
-    cfg.requests = static_cast<uint64_t>(requests);
-    cfg.seed = seed;
-    cfg.base.rpu = cell.rpu;
-    cfg.base.batchSplit = cell.split;
-    obs::JourneyRecorder rec(mode, 256);
-    obs::Registry reg;
-    obs::Scope scope(&reg, nullptr, &rec);
-    sys::SysResult r = sys::runCluster(cfg).sys;
-    if (sampled_ids) {
-        sampled_ids->clear();
-        for (const auto &j : rec.snapshot())
-            sampled_ids->push_back(j.reqId);
-    }
-    return r;
-}
-
-/**
- * --verify-journeys: the ctest journey_determinism_gate. Exits 0 only
- * if SysResult is bit-identical with journeys off/sampled/all at
- * harness thread counts 1 and 4, and the sampled set is thread-count
- * independent.
- */
-int
-verifyJourneys(uint64_t seed)
-{
-    const int requests = 20000;
-    const std::vector<SysCell> cells = {{false, true, 8000},
-                                        {true, true, 20000},
-                                        {true, false, 20000},
-                                        {false, true, 16000}};
-    const obs::JourneyMode modes[] = {obs::JourneyMode::Off,
-                                      obs::JourneyMode::Sampled,
-                                      obs::JourneyMode::All};
-
-    // Reference: serial, journeys off.
-    std::vector<sys::SysResult> ref;
-    for (const auto &c : cells)
-        ref.push_back(runSysCell(c, requests, seed,
-                                 obs::JourneyMode::Off, nullptr));
-
-    bool ok = true;
-    std::vector<std::vector<uint64_t>> sampled_ref(cells.size());
-    for (int threads : {1, 4}) {
-        for (obs::JourneyMode mode : modes) {
-            std::vector<std::vector<uint64_t>> ids(cells.size());
-            std::vector<size_t> idx(cells.size());
-            for (size_t i = 0; i < cells.size(); ++i)
-                idx[i] = i;
-            auto results = parallelMap(
-                idx,
-                [&](size_t i) {
-                    return runSysCell(
-                        cells[i], requests, seed, mode,
-                        mode == obs::JourneyMode::Sampled ? &ids[i]
-                                                          : nullptr);
-                },
-                threads);
-            for (size_t i = 0; i < cells.size(); ++i) {
-                if (!sameSysResult(ref[i], results[i])) {
-                    std::fprintf(stderr,
-                                 "journey gate: cell %zu perturbed "
-                                 "(mode %s, %d threads)\n", i,
-                                 obs::journeyModeName(mode), threads);
-                    ok = false;
-                }
-            }
-            if (mode == obs::JourneyMode::Sampled) {
-                if (threads == 1) {
-                    sampled_ref = ids;
-                } else if (ids != sampled_ref) {
-                    std::fprintf(stderr,
-                                 "journey gate: sampled set depends "
-                                 "on thread count\n");
-                    ok = false;
-                }
-            }
-        }
-    }
-    std::printf("journey determinism gate: %s (%zu cells, %d "
-                "requests, modes off/sampled/all, threads 1 and 4)\n",
-                ok ? "PASS" : "FAIL", cells.size(), requests);
-    return ok ? 0 : 1;
-}
-
 } // namespace
 
 int
-main(int argc, char **argv)
+main()
 {
     RunScale scale = RunScale::fromEnv();
-    if (argc > 1 && std::strcmp(argv[1], "--verify-journeys") == 0)
-        return verifyJourneys(scale.seed);
     int requests = static_cast<int>(scale.timingRequests) * 4;
     const int reps = 3;
     std::vector<std::string> services = {"search-leaf", "hdsearch-leaf",
@@ -296,8 +180,7 @@ main(int argc, char **argv)
         ModeResult prof = timeMode(1);
         ModeResult traced = timeMode(2);
 
-        bool same = sameStats(off.stats, prof.stats) &&
-            sameStats(off.stats, traced.stats);
+        bool same = off.stats == prof.stats && off.stats == traced.stats;
         all_ok = all_ok && same;
         off_total += off.secs;
         prof_total += prof.secs;
@@ -403,8 +286,7 @@ main(int argc, char **argv)
                 rep == 0 ? secs : std::min(asecs[m], secs);
         }
     }
-    bool journeys_identical = sameSysResult(jres[0], jres[1]) &&
-        sameSysResult(ares[0], ares[1]);
+    bool journeys_identical = jres[0] == jres[1] && ares[0] == ares[1];
     double journey_pct = 100.0 * (jmed - 1.0);
     double journey_aa_pct = 100.0 * (aa_med - 1.0);
     double journey_all_pct = asecs[0] > 0 ?

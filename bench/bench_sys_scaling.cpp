@@ -1,210 +1,32 @@
 /**
  * @file
- * Cluster-engine scaling bench + the sys_pdes_gate determinism check.
- *
- * --verify (ctest sys_pdes_gate): the sharded PDES cluster engine must
- * be bit-identical to the sequential reference -- achieved QPS, the
- * end-to-end latency histogram, every per-tier statistic, the scenario
- * counters and the sampled journey set -- across shard counts {1, 4,
- * 16} x worker threads {1, 4}, over RPU-split / RPU-unsplit / CPU
- * cells plus a bursty cell with a deliberately tiny mailbox (so the
- * overflow-spill backpressure path is exercised under the same
- * bit-identity contract). Nonzero exit on any divergence.
- *
- * Default mode: wall-clock scaling on a datacenter-scale cell
+ * Cluster-engine scaling bench: wall-clock on a datacenter-scale cell
  * (>= 1000 simulated servers, >= 1M open-loop users) -- the sequential
  * engine vs the sharded engine at 16 shards x 8 workers and at the
  * hardware-matched shape, min(16, hw) shards x hw workers.
  * Emits a machine-readable summary to stdout ("BENCH_sys.json: ...")
  * and to the file BENCH_sys.json. Every sharded run is cross-checked
- * for bit-identity with the sequential one. 16 x 8 oversubscribes a
+ * against the sequential one (sys::sameOutput), as the tier-1 test
+ * sys_pdes_gate does on four smaller cells. 16 x 8 oversubscribes a
  * host with fewer than 8 hardware threads (a machine-bounded note is
  * printed then); the hardware-matched shape is the headline there.
  */
 
 #include <algorithm>
 #include <chrono>
-#include <cstring>
+#include <functional>
 #include <string>
 #include <vector>
 
-#include "bench_common.h"
-#include "obs/journey.h"
-#include "obs/metrics.h"
-#include "sys/cluster.h"
+#include "cells.h"
+#include "common/config.h"
+#include "common/table.h"
 
 using namespace simr;
 using namespace simr::bench;
 
 namespace
 {
-
-bool
-sameCluster(const sys::ClusterResult &a, const sys::ClusterResult &b)
-{
-    // PdesStats are engine diagnostics (windows, mailbox traffic) and
-    // legitimately vary with sharding; everything else must not.
-    return a.servers == b.servers && a.batches == b.batches &&
-        a.memcMisses == b.memcMisses &&
-        a.splitOrphans == b.splitOrphans && sameSysResult(a.sys, b.sys);
-}
-
-/** Full structural identity of the sampled journey sets. */
-bool
-sameJourneys(const std::vector<obs::Journey> &a,
-             const std::vector<obs::Journey> &b)
-{
-    if (a.size() != b.size())
-        return false;
-    for (size_t i = 0; i < a.size(); ++i) {
-        const obs::Journey &x = a[i];
-        const obs::Journey &y = b[i];
-        if (x.reqId != y.reqId || x.batchId != y.batchId ||
-            x.batchSize != y.batchSize || x.miss != y.miss ||
-            x.orphan != y.orphan ||
-            x.blockedOnBatch != y.blockedOnBatch ||
-            x.events.size() != y.events.size())
-            return false;
-        for (size_t e = 0; e < x.events.size(); ++e) {
-            const obs::JourneyEvent &u = x.events[e];
-            const obs::JourneyEvent &v = y.events[e];
-            if (u.tick != v.tick || u.aux != v.aux ||
-                u.kind != v.kind || u.tier != v.tier ||
-                u.foreign != v.foreign)
-                return false;
-        }
-    }
-    return true;
-}
-
-/** One engine run under a fresh observability scope. shards == 0 runs
- *  the sequential reference engine. */
-sys::ClusterResult
-runOne(sys::ClusterConfig cfg, int shards, int threads,
-       std::vector<obs::Journey> *journeys)
-{
-    obs::Registry reg;
-    obs::JourneyRecorder rec(obs::JourneyMode::Sampled, 256,
-                             0x5eed5eedULL);
-    obs::Scope scope(&reg, nullptr, journeys ? &rec : nullptr);
-    sys::ClusterResult r;
-    if (shards == 0) {
-        r = sys::runClusterSequential(cfg);
-    } else {
-        cfg.shards = shards;
-        cfg.threads = threads;
-        r = sys::runCluster(cfg);
-    }
-    if (journeys)
-        *journeys = rec.snapshot();
-    return r;
-}
-
-struct GateCell
-{
-    const char *name;
-    sys::ClusterConfig cfg;
-};
-
-std::vector<GateCell>
-gateCells(uint64_t seed)
-{
-    sys::ClusterConfig base;
-    base.webServers = 8;
-    base.userServers = 6;
-    base.mcrouterServers = 4;
-    base.memcServers = 4;
-    base.storageServers = 2;
-    base.users = 2000;
-    base.requests = 20000;
-    base.seed = seed;
-
-    std::vector<GateCell> cells;
-    {
-        GateCell c{"rpu-split", base};
-        c.cfg.base.rpu = true;
-        c.cfg.base.batchSplit = true;
-        c.cfg.qps = 150000;
-        cells.push_back(c);
-    }
-    {
-        GateCell c{"rpu-nosplit", base};
-        c.cfg.base.rpu = true;
-        c.cfg.base.batchSplit = false;
-        c.cfg.qps = 150000;
-        cells.push_back(c);
-    }
-    {
-        GateCell c{"cpu", base};
-        c.cfg.base.rpu = false;
-        c.cfg.qps = 80000;
-        cells.push_back(c);
-    }
-    {
-        // Bursty arrivals + a deliberately tiny mailbox: the ring
-        // overflows into the spill path, which must be invisible in
-        // every reported bit.
-        GateCell c{"bursty-overflow", base};
-        c.cfg.base.rpu = true;
-        c.cfg.base.batchSplit = true;
-        c.cfg.base.memcHitRate = 0.7;
-        c.cfg.qps = 150000;
-        c.cfg.burstProb = 0.2;
-        c.cfg.mailboxCapacity = 2;
-        cells.push_back(c);
-    }
-    return cells;
-}
-
-/** --verify: the ctest sys_pdes_gate. */
-int
-verifyPdes(uint64_t seed)
-{
-    const std::vector<GateCell> cells = gateCells(seed);
-    const int shard_counts[] = {1, 4, 16};
-    const int thread_counts[] = {1, 4};
-
-    bool ok = true;
-    uint64_t overflows_seen = 0;
-    for (const GateCell &cell : cells) {
-        std::vector<obs::Journey> ref_j;
-        sys::ClusterResult ref = runOne(cell.cfg, 0, 1, &ref_j);
-        for (int s : shard_counts) {
-            for (int t : thread_counts) {
-                std::vector<obs::Journey> js;
-                sys::ClusterResult r = runOne(cell.cfg, s, t, &js);
-                overflows_seen += r.pdes.mailboxOverflows;
-                if (!sameCluster(ref, r)) {
-                    std::fprintf(stderr,
-                                 "sys_pdes_gate: cell %s diverged at "
-                                 "%d shards, %d threads\n",
-                                 cell.name, s, t);
-                    ok = false;
-                }
-                if (!sameJourneys(ref_j, js)) {
-                    std::fprintf(stderr,
-                                 "sys_pdes_gate: cell %s journey set "
-                                 "diverged at %d shards, %d threads\n",
-                                 cell.name, s, t);
-                    ok = false;
-                }
-            }
-        }
-    }
-    // The bursty cell's 2-slot mailboxes must actually overflow at 16
-    // shards -- otherwise the gate stopped covering the spill path.
-    if (overflows_seen == 0) {
-        std::fprintf(stderr, "sys_pdes_gate: no mailbox overflow "
-                             "exercised (backpressure path untested)\n");
-        ok = false;
-    }
-    std::printf("sys pdes gate: %s (%zu cells, shards {1,4,16} x "
-                "threads {1,4}, vs sequential reference; %llu spills "
-                "exercised)\n",
-                ok ? "PASS" : "FAIL", cells.size(),
-                static_cast<unsigned long long>(overflows_seen));
-    return ok ? 0 : 1;
-}
 
 double
 wallSeconds(const std::function<void()> &fn)
@@ -245,13 +67,13 @@ runScaling(uint64_t seed)
 
     sys::ClusterResult seq, par, hwr;
     double seq_s = wallSeconds(
-        [&] { seq = runOne(cfg, 0, 1, nullptr); });
+        [&] { seq = runEngine(cfg, 0, 1, nullptr); });
     double par_s = wallSeconds(
-        [&] { par = runOne(cfg, par_shards, par_threads, nullptr); });
+        [&] { par = runEngine(cfg, par_shards, par_threads, nullptr); });
     double hw_s = wallSeconds(
-        [&] { hwr = runOne(cfg, hw_shards, hw, nullptr); });
-    const bool same_par = sameCluster(seq, par);
-    const bool same_hw = sameCluster(seq, hwr);
+        [&] { hwr = runEngine(cfg, hw_shards, hw, nullptr); });
+    const bool same_par = sys::sameOutput(seq, par);
+    const bool same_hw = sys::sameOutput(seq, hwr);
     const bool same = same_par && same_hw;
     double speedup = par_s > 0 ? seq_s / par_s : 0;
     double hw_speedup = hw_s > 0 ? seq_s / hw_s : 0;
@@ -321,10 +143,7 @@ runScaling(uint64_t seed)
 } // namespace
 
 int
-main(int argc, char **argv)
+main()
 {
-    uint64_t seed = RunScale::fromEnv().seed;
-    if (argc > 1 && std::strcmp(argv[1], "--verify") == 0)
-        return verifyPdes(seed);
-    return runScaling(seed);
+    return runScaling(RunScale::fromEnv().seed);
 }

@@ -1,59 +1,41 @@
 /**
  * @file
- * Trace-replay determinism gates and trace-cache speedup bench.
+ * Trace-cache speedup bench.
  *
  * The trace caches must be invisible in everything but wall-clock
  * time: a request replayed from a CapturedTrace (a ReplayCursor inside
  * its lane) and a whole cell replayed from a cached StreamTrace (a
  * ReplayStream) must drive the timing core through exactly the dynamic
- * stream live execution would have produced. This binary checks and
- * measures that claim over the full 14-service x 4-config sweep, one
- * gate per cache level. Both gates run at 128 requests and harness
- * widths 1 and 4, and compare every reported statistic (full
- * CoreResult including the latency histogram and counter map, plus
- * SimtStats) against a live pass with the caches bypassed:
+ * stream live execution would have produced. The tier-1 tests
+ * trace_replay_gate and replay_compile_gate check that claim, one
+ * cache level each, over the 14-service x 4-config sweep of cells.h.
+ * This bench measures what the caches buy on the same sweep:
  *
- *  - `--verify` (the tier-1 ctest entry `trace_replay_gate`), the
- *    request level: a cold pass from cleared caches captures each
- *    request and replays every later request that hits a captured
- *    trace. The gate also fails unless the cold passes replayed
- *    request traces.
- *
- *  - `--verify-compile` (the tier-1 ctest entry `replay_compile_gate`),
- *    the stream level: a front-end sweep from cleared caches fills the
- *    stream cache, then a warm pass serves every cell from it. A live
- *    vs warm front-end sweep (runFrontEnd) then checks SimtStats, op
- *    counts, request counts and the digest of every op drained, so a
- *    replayed stream that leaves every timing statistic equal still
- *    fails if one address differs. The gate also fails unless every
- *    warm lookup hit.
- *
- *  - bench mode: measures two sweeps live vs cold vs warm and emits
- *    BENCH_trace.json. The headline is the *front-end* sweep -- the
- *    functional half of the simulator (request generation, batching,
- *    interpretation, lockstep grouping), which is what the caches
- *    remove; a warm re-run serves every cell straight from the stream
- *    cache. A ns/op micro table compares the replay executors with
- *    live interpretation, and a capture micro table the static-proof
- *    capture path against the dynamic taint walk. The full timing
- *    sweep is reported alongside: its warm speedup is bounded by the
- *    timing core's share of the run, while its bit-identity across
- *    live / cold / warm is what proves replay exact. Also reports the
- *    per-service dedup ratio (requests served by a trace captured from
- *    a *different* request). Exits nonzero if any cell diverges.
+ *  - two sweeps live vs cold vs warm, written to BENCH_trace.json. The
+ *    headline is the *front-end* sweep -- the functional half of the
+ *    simulator (request generation, batching, interpretation, lockstep
+ *    grouping), which is what the caches remove; a warm re-run serves
+ *    every cell straight from the stream cache. The full timing sweep
+ *    is reported alongside: its warm speedup is bounded by the timing
+ *    core's share of the run. Every cold and warm sweep is
+ *    cross-checked against live, and the bench exits nonzero if any
+ *    cell diverges;
+ *  - a ns/op micro table comparing the replay executors with live
+ *    interpretation, and a capture micro table comparing the
+ *    static-proof capture path with the dynamic taint walk;
+ *  - the per-service dedup ratio (requests served by a trace captured
+ *    from a *different* request).
  */
 
 #include <chrono>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "analysis/cache.h"
-#include "bench_common.h"
-#include "common/parallel.h"
+#include "cells.h"
+#include "common/config.h"
+#include "common/table.h"
 #include "mem/allocator.h"
-#include "simr/streamcache.h"
-#include "trace/capture.h"
 #include "trace/replay.h"
 #include "trace/stream.h"
 
@@ -63,86 +45,11 @@ using namespace simr::bench;
 namespace
 {
 
-std::vector<core::CoreConfig>
-gateConfigs()
-{
-    return {core::makeCpuConfig(), core::makeSmt8Config(),
-            core::makeRpuConfig(), core::makeGpuConfig()};
-}
-
-/** The full 14-service sweep under every config, in input order. */
-std::vector<Cell>
-sweepCells(const TimingOptions &opt)
-{
-    std::vector<Cell> cells;
-    for (const auto &cfg : gateConfigs())
-        for (const auto &name : svc::serviceNames())
-            cells.push_back({name, cfg, opt});
-    return cells;
-}
-
-std::string
-cellName(const Cell &cell)
-{
-    return cell.cfg.name + "/" + cell.service;
-}
-
-/**
- * Compare two sweeps cell by cell; appends "config/service(tag)" for
- * every diverged cell.
- */
-bool
-sameSweep(const std::vector<Cell> &cells,
-          const std::vector<TimingRun> &a, const std::vector<TimingRun> &b,
-          const char *tag, std::vector<std::string> *diverged)
-{
-    bool same = true;
-    for (size_t i = 0; i < cells.size(); ++i) {
-        if (!sameCoreResult(a[i].core, b[i].core) ||
-            !sameSimtStats(a[i].simt, b[i].simt)) {
-            same = false;
-            diverged->push_back(cellName(cells[i]) + "(" + tag + ")");
-        }
-    }
-    return same;
-}
-
 double
 secondsSince(std::chrono::steady_clock::time_point t0)
 {
     return std::chrono::duration<double>(
         std::chrono::steady_clock::now() - t0).count();
-}
-
-/** Drop both trace-cache levels (request traces and whole streams). */
-void
-clearCaches()
-{
-    if (trace::TraceCache *c = trace::TraceCache::process())
-        c->clear();
-    if (StreamCache *c = StreamCache::process())
-        c->clear();
-}
-
-/**
- * Run the front-end half of every cell (runFrontEnd, no timing core),
- * fanned out like runCells and with the same per-cell seeds, so the
- * sweep shares stream-cache entries with the timing sweeps.
- */
-std::vector<FrontEndRun>
-frontEndSweep(const std::vector<Cell> &cells, double *secs)
-{
-    std::vector<FrontEndRun> out(cells.size());
-    auto t0 = std::chrono::steady_clock::now();
-    parallelFor(cells.size(), [&](size_t i) {
-        const Cell &cell = cells[i];
-        auto svc = svc::buildService(cell.service);
-        TimingOptions opt = cell.opt;
-        opt.seed = cellSeed(cell.opt.seed, cell.service, cell.cfg);
-        out[i] = runFrontEnd(*svc, cell.cfg, opt);
-    }, 0);
-    *secs = secondsSince(t0);
-    return out;
 }
 
 /** Front-end sweep `reps` times, keeping the minimum wall time. */
@@ -152,35 +59,13 @@ timedFrontEndSweep(const std::vector<Cell> &cells, int reps, double *secs)
     std::vector<FrontEndRun> runs;
     *secs = 0;
     for (int r = 0; r < reps; ++r) {
-        double s = 0;
-        runs = frontEndSweep(cells, &s);
+        auto t0 = std::chrono::steady_clock::now();
+        runs = frontEndSweep(cells);
+        double s = secondsSince(t0);
         if (r == 0 || s < *secs)
             *secs = s;
     }
     return runs;
-}
-
-/**
- * Compare two front-end sweeps cell by cell: stats, counts and the
- * digest of the ops themselves.
- */
-bool
-sameFrontEndSweep(const std::vector<Cell> &cells,
-                  const std::vector<FrontEndRun> &a,
-                  const std::vector<FrontEndRun> &b, const char *tag,
-                  std::vector<std::string> *diverged)
-{
-    bool same = true;
-    for (size_t i = 0; i < cells.size(); ++i) {
-        if (!sameSimtStats(a[i].simt, b[i].simt) ||
-            a[i].dynOps != b[i].dynOps ||
-            a[i].requests != b[i].requests ||
-            a[i].digest != b[i].digest) {
-            same = false;
-            diverged->push_back(cellName(cells[i]) + "(" + tag + ")");
-        }
-    }
-    return same;
 }
 
 /**
@@ -380,147 +265,6 @@ microCaptureCosts(uint64_t seed)
     return c;
 }
 
-/** Print one gate line: the pass's verdict plus any diverged cells. */
-bool
-report(const char *label, bool ok, const std::vector<std::string> &diverged)
-{
-    std::printf("%s %s", label, ok ? "identical" : "DIVERGED:");
-    for (const auto &s : diverged)
-        std::printf(" %s", s.c_str());
-    std::printf("\n");
-    return ok;
-}
-
-/**
- * The request-level gate: {live, cold} x threads {1, 4}, cold compared
- * against live. A cold pass starts from cleared caches, so no stream
- * replays: every request either captures a trace or replays one
- * through its lane's ReplayCursor.
- */
-int
-runVerify(TimingOptions opt)
-{
-    trace::TraceCache *cache = trace::TraceCache::process();
-    if (opt.requests > 128)
-        opt.requests = 128;
-
-    TimingOptions live_opt = opt;
-    live_opt.useTraceCache = false;
-    TimingOptions cached_opt = opt;
-    cached_opt.useTraceCache = true;
-    const auto live_cells = sweepCells(live_opt);
-    const auto cells = sweepCells(cached_opt);
-
-    uint64_t hits = 0;
-    uint64_t replayed_ops = 0;
-    bool all_identical = true;
-    for (int threads : {1, 4}) {
-        auto live = runCells(live_cells, threads);
-        clearCaches();
-        auto cold = runCells(cells, threads);
-        for (const TimingRun &run : cold) {
-            hits += run.reuse.hits;
-            replayed_ops += run.reuse.replayedOps;
-        }
-
-        std::vector<std::string> diverged;
-        bool ok = sameSweep(cells, live, cold, "cold", &diverged);
-        const std::string label = "threads=" + std::to_string(threads);
-        all_identical = report(label.c_str(), ok, diverged) && all_identical;
-    }
-
-    // A gate whose replay path never ran proves nothing about it.
-    const bool engaged = hits > 0;
-    const bool pass = cache != nullptr && all_identical && engaged;
-    std::printf("trace_replay_gate: %s (14 services x 4 configs x "
-                "{live, cold} x threads {1,4}, %d requests; %llu "
-                "request-trace hits, %llu replayed ops%s)\n",
-                pass ? "PASS" : "FAIL", opt.requests,
-                static_cast<unsigned long long>(hits),
-                static_cast<unsigned long long>(replayed_ops),
-                cache == nullptr ? "; cache DISABLED (SIMR_TRACE_CACHE=0)"
-                : engaged        ? ""
-                                 : "; no request trace replayed");
-    return pass ? 0 : 1;
-}
-
-/**
- * The stream-level gate: per width, live, then a front-end sweep from
- * cleared caches inserts every stream and a warm pass replays them all,
- * compared against live; plus a live vs warm front-end sweep.
- */
-int
-runVerifyCompile(TimingOptions opt)
-{
-    StreamCache *scache = StreamCache::process();
-    if (opt.requests > 128)
-        opt.requests = 128;
-
-    TimingOptions live_opt = opt;
-    live_opt.useTraceCache = false;
-    TimingOptions cached_opt = opt;
-    cached_opt.useTraceCache = true;
-    const auto live_cells = sweepCells(live_opt);
-    const auto cells = sweepCells(cached_opt);
-
-    // Stream-cache lookups of the warm passes.
-    uint64_t warm_hits = 0;
-    uint64_t warm_misses = 0;
-    auto warmPass = [&](auto &&pass) {
-        const uint64_t h0 = scache != nullptr ? scache->hits() : 0;
-        const uint64_t m0 = scache != nullptr ? scache->misses() : 0;
-        auto runs = pass();
-        if (scache != nullptr) {
-            warm_hits += scache->hits() - h0;
-            warm_misses += scache->misses() - m0;
-        }
-        return runs;
-    };
-
-    bool all_identical = true;
-    for (int threads : {1, 4}) {
-        auto live = runCells(live_cells, threads);
-
-        // The front-end sweep shares stream keys with the timing
-        // sweep and skips the timing core, so it is the cheap way to
-        // fill the stream cache.
-        clearCaches();
-        double secs = 0;
-        frontEndSweep(cells, &secs);
-        auto warm = warmPass([&] { return runCells(cells, threads); });
-
-        std::vector<std::string> diverged;
-        bool ok = sameSweep(cells, live, warm, "warm", &diverged);
-        const std::string label = "threads=" + std::to_string(threads);
-        all_identical = report(label.c_str(), ok, diverged) && all_identical;
-    }
-
-    {
-        double secs = 0;
-        auto fe_live = frontEndSweep(live_cells, &secs);
-        auto fe_warm = warmPass([&] { return frontEndSweep(cells, &secs); });
-        std::vector<std::string> diverged;
-        bool ok = sameFrontEndSweep(cells, fe_live, fe_warm, "front-end",
-                                    &diverged);
-        all_identical = report("front-end", ok, diverged) && all_identical;
-    }
-
-    // Every warm lookup must hit: a miss means that cell ran live, so
-    // its identity with live proves nothing about stream replay.
-    const bool engaged = warm_hits > 0 && warm_misses == 0;
-    const bool pass = scache != nullptr && all_identical && engaged;
-    std::printf("replay_compile_gate: %s (14 services x 4 configs x "
-                "{live, warm} x threads {1,4} + front end, %d requests; "
-                "%llu warm stream hits, %llu warm misses%s)\n",
-                pass ? "PASS" : "FAIL", opt.requests,
-                static_cast<unsigned long long>(warm_hits),
-                static_cast<unsigned long long>(warm_misses),
-                scache == nullptr ? "; cache DISABLED (SIMR_TRACE_CACHE=0)"
-                : engaged         ? ""
-                                  : "; a warm lookup missed");
-    return pass ? 0 : 1;
-}
-
 int
 runBench(const TimingOptions &opt)
 {
@@ -545,8 +289,9 @@ runBench(const TimingOptions &opt)
     std::vector<FrontEndRun> fe_cold;
     for (int r = 0; r < 2; ++r) {
         clearCaches();
-        double s = 0;
-        fe_cold = frontEndSweep(cached_cells, &s);
+        auto t0 = std::chrono::steady_clock::now();
+        fe_cold = frontEndSweep(cached_cells);
+        double s = secondsSince(t0);
         if (r == 0 || s < fe_cold_secs)
             fe_cold_secs = s;
     }
@@ -568,13 +313,12 @@ runBench(const TimingOptions &opt)
     auto warm = timedSweep(cached_cells, 0, 2, &warm_secs);
 
     std::vector<std::string> diverged;
-    bool identical =
-        sameSweep(cached_cells, live, cold, "cold", &diverged) &
-        sameSweep(cached_cells, live, warm, "warm", &diverged) &
-        sameFrontEndSweep(cached_cells, fe_live, fe_cold, "fe-cold",
-                          &diverged) &
-        sameFrontEndSweep(cached_cells, fe_live, fe_warm, "fe-warm",
-                          &diverged);
+    for (auto d : {divergedCells(cached_cells, live, cold, "cold"),
+                   divergedCells(cached_cells, live, warm, "warm"),
+                   divergedCells(cached_cells, fe_live, fe_cold, "fe-cold"),
+                   divergedCells(cached_cells, fe_live, fe_warm, "fe-warm")})
+        diverged.insert(diverged.end(), d.begin(), d.end());
+    const bool identical = diverged.empty();
     for (const auto &s : diverged)
         std::printf("DIVERGED: %s\n", s.c_str());
 
@@ -722,23 +466,11 @@ runBench(const TimingOptions &opt)
 } // namespace
 
 int
-main(int argc, char **argv)
+main()
 {
-    bool verify_only = false;
-    bool verify_compile = false;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--verify") == 0)
-            verify_only = true;
-        if (std::strcmp(argv[i], "--verify-compile") == 0)
-            verify_compile = true;
-    }
-
     RunScale scale = RunScale::fromEnv();
     TimingOptions opt;
     opt.requests = static_cast<int>(scale.timingRequests);
     opt.seed = scale.seed;
-
-    if (verify_compile)
-        return runVerifyCompile(opt);
-    return verify_only ? runVerify(opt) : runBench(opt);
+    return runBench(opt);
 }

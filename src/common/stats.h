@@ -74,6 +74,9 @@ class RunningStat
         n_ = n;
     }
 
+    /** Bit-identity of every accumulated moment. */
+    bool operator==(const RunningStat &) const = default;
+
   private:
     uint64_t n_ = 0;
     double sum_ = 0.0;
@@ -181,7 +184,7 @@ class Histogram
      * are identical across observability modes and thread counts.
      */
     bool
-    identicalTo(const Histogram &o) const
+    operator==(const Histogram &o) const
     {
         if (stat_.count() != o.stat_.count())
             return false;
@@ -239,6 +242,8 @@ class CounterSet
     const std::map<std::string, uint64_t> &all() const { return counts_; }
 
     void clear() { counts_.clear(); }
+
+    bool operator==(const CounterSet &) const = default;
 
   private:
     std::map<std::string, uint64_t> counts_;

@@ -33,6 +33,8 @@ struct BpredStats
         return lookups ? 1.0 - static_cast<double>(mispredicts) /
             static_cast<double>(lookups) : 1.0;
     }
+
+    bool operator==(const BpredStats &) const = default;
 };
 
 /** gshare with a global history register and 2-bit counters. */

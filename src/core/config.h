@@ -40,7 +40,7 @@ struct CoreConfig
      * ticking through the stall. Bit-identical to the per-cycle
      * reference loop (eventDriven = false) in every reported statistic
      * -- cycles, histograms, counters, memory/BP stats -- enforced by
-     * the `bench_core_speed --verify` ctest gate over every service and
+     * the `core_event_driven_gate` ctest gate over every service and
      * design point. See DESIGN.md section 12.
      */
     bool eventDriven = true;

@@ -55,8 +55,8 @@ struct CoreResult
      * Simulator diagnostics, not reported statistics: how many of
      * `cycles` the event-driven loop jumped over instead of ticking,
      * and in how many jumps. Zero in the per-cycle reference mode --
-     * deliberately excluded from the mode-equivalence gate, which
-     * compares every *modeled* number above and below this block.
+     * deliberately left out of sameOutput(), which compares every
+     * *modeled* number above and below this block.
      */
     uint64_t skippedCycles = 0;
     uint64_t skipJumps = 0;
@@ -115,6 +115,25 @@ struct CoreResult
         return meanLatencySeconds() * 1e6;
     }
 };
+
+/**
+ * Same model output: every CoreResult field but the loop diagnostics
+ * skippedCycles / skipJumps, with the latency histogram compared as a
+ * full sample multiset. Runs whose loops differ (event-driven vs
+ * per-cycle) or whose front ends differ (replay vs live) must agree
+ * on it.
+ */
+inline bool
+sameOutput(const CoreResult &a, const CoreResult &b)
+{
+    return a.configName == b.configName && a.freqGhz == b.freqGhz &&
+        a.cycles == b.cycles && a.batchOps == b.batchOps &&
+        a.scalarInsts == b.scalarInsts && a.requests == b.requests &&
+        a.reqLatency == b.reqLatency && a.counters == b.counters &&
+        a.l1Stats == b.l1Stats && a.mcuStats == b.mcuStats &&
+        a.hierStats == b.hierStats && a.tlbStats == b.tlbStats &&
+        a.bpStats == b.bpStats;
+}
 
 /** The cycle-level core. */
 class TimingCore

@@ -53,6 +53,8 @@ struct CacheStats
         return accesses ? static_cast<double>(misses) /
             static_cast<double>(accesses) : 0.0;
     }
+
+    bool operator==(const CacheStats &) const = default;
 };
 
 /** One cache level. */

@@ -53,6 +53,8 @@ struct McuStats
             static_cast<double>(laneAccesses) /
             static_cast<double>(generatedAccesses) : 1.0;
     }
+
+    bool operator==(const McuStats &) const = default;
 };
 
 /** One generated memory access leaving the MCU. */

@@ -145,6 +145,8 @@ struct HierarchyStats
         return totalAccesses ? static_cast<double>(totalLatency) /
             static_cast<double>(totalAccesses) : 0.0;
     }
+
+    bool operator==(const HierarchyStats &) const = default;
 };
 
 /** The per-core memory path. */

@@ -48,6 +48,8 @@ struct TlbStats
         return lookups ? static_cast<double>(misses) /
             static_cast<double>(lookups) : 0.0;
     }
+
+    bool operator==(const TlbStats &) const = default;
 };
 
 /**

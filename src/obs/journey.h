@@ -114,6 +114,8 @@ struct JourneyEvent
     JStage kind = JStage::Arrival;
     int8_t tier = -1;       ///< tier index for Tier* kinds, -1 otherwise
     bool foreign = false;   ///< segment caused by another request
+
+    bool operator==(const JourneyEvent &) const = default;
 };
 
 /** One request's causal journey through the cluster. */
@@ -141,6 +143,8 @@ struct Journey
     int64_t e2eTicks() const { return completionTick() - arrivalTick(); }
 
     double e2eUs() const { return journeyUs(e2eTicks()); }
+
+    bool operator==(const Journey &) const = default;
 };
 
 /**

@@ -110,6 +110,8 @@ struct SimtStats
             width = o.width;
         return *this;
     }
+
+    bool operator==(const SimtStats &) const = default;
 };
 
 /**

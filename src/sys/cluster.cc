@@ -5,7 +5,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/config.h"
 #include "common/logging.h"
 #include "common/parallel.h"
 #include "common/rng.h"
@@ -830,11 +829,7 @@ oneReplica()
 ClusterResult
 runCluster(const ClusterConfig &cfg)
 {
-    int shards = cfg.shards;
-    if (shards <= 0)
-        shards = static_cast<int>(envInt("SIMR_SYS_SHARDS", 0, 0));
-    if (shards <= 0)
-        shards = defaultThreads();
+    int shards = cfg.shards > 0 ? cfg.shards : defaultThreads();
     int threads = cfg.threads > 0 ? cfg.threads : defaultThreads();
     return runClusterImpl(cfg, shards, threads);
 }

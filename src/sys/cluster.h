@@ -123,6 +123,8 @@ struct TierStat
                                ///  "storage"
     RunningStat waitUs;        ///< queueing delay ahead of service
     RunningStat serviceUs;     ///< service occupancy per batch
+
+    bool operator==(const TierStat &) const = default;
 };
 
 /** Scenario outcome. */
@@ -135,6 +137,10 @@ struct SysResult
 
     double meanUs() const { return e2eUs.mean(); }
     double p99Us() const { return e2eUs.percentile(0.99); }
+
+    /** Bit-identity of everything the run reports: the loads, the
+     *  whole latency histogram and every tier statistic. */
+    bool operator==(const SysResult &) const = default;
 };
 
 /** Cluster scenario + engine configuration. */
@@ -164,7 +170,7 @@ struct ClusterConfig
     double burstScale = 8.0;
 
     // Engine.
-    int shards = 0;   ///< 0: SIMR_SYS_SHARDS, else defaultThreads()
+    int shards = 0;   ///< 0: defaultThreads() (SIMR_THREADS-aware)
     int threads = 0;  ///< 0: defaultThreads() (SIMR_THREADS-aware)
     int mailboxCapacity = 256;  ///< ring slots per shard pair
 
@@ -203,10 +209,20 @@ struct ClusterResult
     PdesStats pdes;
 };
 
+/** Same scenario outcome: every ClusterResult field but `pdes`, the
+ *  engine diagnostics that legitimately vary with sharding. */
+inline bool
+sameOutput(const ClusterResult &a, const ClusterResult &b)
+{
+    return a.sys == b.sys && a.servers == b.servers &&
+        a.batches == b.batches && a.memcMisses == b.memcMisses &&
+        a.splitOrphans == b.splitOrphans;
+}
+
 /**
  * Run the cluster scenario on the sharded PDES engine. Shards resolve
- * from cfg.shards, then SIMR_SYS_SHARDS, then defaultThreads();
- * workers from cfg.threads, then defaultThreads().
+ * from cfg.shards, then defaultThreads(); workers from cfg.threads,
+ * then defaultThreads().
  */
 ClusterResult runCluster(const ClusterConfig &cfg);
 

@@ -15,7 +15,6 @@
 #include "common/stats.h"
 #include "common/table.h"
 #include "simr/streamcache.h"
-#include "sys/cluster.h"
 #include "trace/capture.h"
 
 using namespace simr;
@@ -393,15 +392,6 @@ TEST(ConfigDeath, TraceCachesRejectTyposAndNegativeBudgets)
     EXPECT_EXIT(StreamCache::process(), ::testing::ExitedWithCode(1),
                 "SIMR_STREAM_CACHE_MB=-1: must be >= 0");
     unsetenv("SIMR_STREAM_CACHE_MB");
-}
-
-TEST(ConfigDeath, ClusterShardCountMustBeNonNegative)
-{
-    setenv("SIMR_SYS_SHARDS", "-2", 1);
-    sys::ClusterConfig cfg;
-    EXPECT_EXIT(sys::runCluster(cfg), ::testing::ExitedWithCode(1),
-                "SIMR_SYS_SHARDS=-2: must be >= 0");
-    unsetenv("SIMR_SYS_SHARDS");
 }
 
 TEST(Config, RunScaleFromEnv)

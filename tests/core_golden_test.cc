@@ -19,8 +19,8 @@
 #include <cstdio>
 #include <vector>
 
+#include "cells.h"
 #include "golden_hash.h"
-#include "simr/runner.h"
 
 using namespace simr;
 using namespace simr::core;
@@ -69,38 +69,11 @@ hashResult(const CoreResult &r)
     return f.value();
 }
 
-struct Variant
-{
-    const char *label;
-    CoreConfig cfg;
-};
-
-/** The Table IV design points, then the Sec. V-A1 RPU variants. */
-std::vector<Variant>
-variants()
-{
-    CoreConfig lanes32 = makeRpuConfig();
-    lanes32.lanes = 32;
-    CoreConfig atomicsL1 = makeRpuConfig();
-    atomicsL1.mem.atomicsAtL3 = false;
-    CoreConfig lane0Bp = makeRpuConfig();
-    lane0Bp.majorityVoteBp = false;
-    return {
-        {"cpu", makeCpuConfig()},
-        {"cpu-smt8", makeSmt8Config()},
-        {"rpu", makeRpuConfig()},
-        {"gpu", makeGpuConfig()},
-        {"rpu-lanes32", lanes32},
-        {"rpu-atomics-l1", atomicsL1},
-        {"rpu-lane0-bp", lane0Bp},
-    };
-}
-
 constexpr size_t kNumVariants = 7;
 constexpr size_t kNumServices = 14;
 
-/** Recorded per variant (rows, in variants() order) and per service
- *  (columns, in svc::serviceNames() order). */
+/** Recorded per design point (rows, in bench::designPoints() order)
+ *  and per service (columns, in svc::serviceNames() order). */
 constexpr uint64_t kGolden[kNumVariants][kNumServices] = {
     {  // cpu
         0xeeef22ba1bd4255eULL,
@@ -221,7 +194,7 @@ constexpr uint64_t kGolden[kNumVariants][kNumServices] = {
 TEST(CoreGolden, EveryModelledFieldMatchesRecordedHashes)
 {
     const auto &names = svc::serviceNames();
-    const auto vars = variants();
+    const auto vars = bench::designPoints();
     ASSERT_EQ(names.size(), kNumServices);
     ASSERT_EQ(vars.size(), kNumVariants);
 

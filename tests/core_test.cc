@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "cells.h"
 #include "core/bpred.h"
 #include "core/counters.h"
 #include "core/pipeline.h"
@@ -342,27 +343,19 @@ INSTANTIATE_TEST_SUITE_P(AllServices, ConfigSmokeTest,
 TEST(EventDriven, MatchesReferenceLoop)
 {
     // Fast in-tree spot check of the determinism gate (the full
-    // 14 x 7 sweep runs as the ctest entry core_event_driven_gate via
-    // bench_core_speed --verify): the cycle-skipping loop must
-    // reproduce the per-cycle reference bit for bit, and the reference
-    // must never skip. Besides the four design points, the Sec. V-A1
-    // RPU variants cover the full-width lane, L1-atomics and lane-0
-    // predictor paths.
-    CoreConfig lanes32 = makeRpuConfig();
-    lanes32.lanes = 32;
-    CoreConfig atomics_l1 = makeRpuConfig();
-    atomics_l1.mem.atomicsAtL3 = false;
-    CoreConfig lane0_bp = makeRpuConfig();
-    lane0_bp.majorityVoteBp = false;
+    // 14 x 7 sweep runs as the ctest entry core_event_driven_gate):
+    // the cycle-skipping loop must reproduce the per-cycle reference
+    // bit for bit, and the reference must never skip. Besides the four
+    // design points, the Sec. V-A1 RPU variants cover the full-width
+    // lane, L1-atomics and lane-0 predictor paths.
     const auto &names = svc::serviceNames();
     std::vector<std::string> picks = {names.front(), names.back()};
     for (const auto &name : picks) {
         auto svc = svc::buildService(name);
         TimingOptions opt;
         opt.requests = 32;
-        for (auto cfg : {makeCpuConfig(), makeSmt8Config(),
-                         makeRpuConfig(), makeGpuConfig(), lanes32,
-                         atomics_l1, lane0_bp}) {
+        for (const auto &point : bench::designPoints()) {
+            CoreConfig cfg = point.cfg;
             cfg.eventDriven = false;
             auto ref = runTiming(*svc, cfg, opt);
             cfg.eventDriven = true;

@@ -380,7 +380,7 @@ oneReplicaAt5k(uint64_t requests)
 
 } // namespace
 
-TEST(Uqsim, RegistryAndTierBreakdown)
+TEST(OneReplica, RegistryAndTierBreakdown)
 {
     obs::Registry reg;
     sys::SysResult r;
@@ -413,7 +413,7 @@ TEST(Uqsim, RegistryAndTierBreakdown)
 }
 
 #if SIMR_OBS_TRACE
-TEST(Uqsim, EmitsBalancedTimeline)
+TEST(OneReplica, EmitsBalancedTimeline)
 {
     obs::Registry reg;
     obs::Tracer tr;
@@ -833,10 +833,6 @@ TEST(SpanRecorder, SinksDoNotPerturbExecution)
     auto traced = measureEfficiency(*svc, batch::Policy::PerApiArgSize,
                                     simt::ReconvPolicy::MinSpPc, 32,
                                     256, 42, &tee);
-    EXPECT_EQ(plain.stats.batchOps, traced.stats.batchOps);
-    EXPECT_EQ(plain.stats.scalarOps, traced.stats.scalarOps);
-    EXPECT_EQ(plain.stats.maskedSlots, traced.stats.maskedSlots);
-    EXPECT_EQ(plain.stats.divergeEvents, traced.stats.divergeEvents);
-    EXPECT_EQ(plain.stats.reconvMerges, traced.stats.reconvMerges);
+    EXPECT_TRUE(plain.stats == traced.stats);
 }
 #endif

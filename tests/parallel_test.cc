@@ -8,8 +8,10 @@
  * reusable spin barrier.
  */
 
+#include <algorithm>
 #include <atomic>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -145,20 +147,12 @@ TEST(CellSeed, PureFunctionOfIdentity)
 namespace
 {
 
-/** The stats the determinism contract pins, compared bit-for-bit. */
+/** The model output the determinism contract pins, bit-for-bit, plus
+ *  the energy derived from it. */
 void
 expectIdenticalRuns(const simr::TimingRun &a, const simr::TimingRun &b)
 {
-    EXPECT_EQ(a.core.cycles, b.core.cycles);
-    EXPECT_EQ(a.core.batchOps, b.core.batchOps);
-    EXPECT_EQ(a.core.scalarInsts, b.core.scalarInsts);
-    EXPECT_EQ(a.core.requests, b.core.requests);
-    EXPECT_EQ(a.core.reqLatency.count(), b.core.reqLatency.count());
-    EXPECT_EQ(a.core.reqLatency.mean(), b.core.reqLatency.mean());
-    EXPECT_EQ(a.core.reqLatency.percentile(0.99),
-              b.core.reqLatency.percentile(0.99));
-    EXPECT_EQ(a.core.l1Stats.accesses, b.core.l1Stats.accesses);
-    EXPECT_EQ(a.core.l1Stats.misses, b.core.l1Stats.misses);
+    EXPECT_TRUE(simr::core::sameOutput(a.core, b.core));
     EXPECT_EQ(a.energy.total(), b.energy.total());
     EXPECT_EQ(a.reqPerJoule(), b.reqPerJoule());
 }
@@ -177,6 +171,13 @@ TEST(RunCells, DeterministicAcrossThreadCounts)
         cells.push_back({name, core::makeCpuConfig(), opt});
         cells.push_back({name, core::makeRpuConfig(), opt});
     }
+    // And the full RPU sweep fully live: with the trace caches on, a
+    // later sweep would replay the serial sweep's captures instead of
+    // running the harness's own workers end to end.
+    TimingOptions live = opt;
+    live.useTraceCache = false;
+    for (const auto &name : svc::serviceNames())
+        cells.push_back({name, core::makeRpuConfig(), live});
 
     auto serial = runCells(cells, 1);
     int hw = hardwareThreads();
@@ -188,10 +189,15 @@ TEST(RunCells, DeterministicAcrossThreadCounts)
         expectIdenticalRuns(serial[i], parallel[i]);
     }
 
-    // And a second parallel sweep agrees too (no run-to-run jitter).
-    auto again = runCells(cells, hw > 2 ? 2 : hw);
-    for (size_t i = 0; i < serial.size(); ++i)
-        expectIdenticalRuns(serial[i], again[i]);
+    // And further parallel sweeps agree too (no run-to-run jitter).
+    for (int threads : {2, 4}) {
+        auto again = runCells(cells, std::min(threads, hw));
+        for (size_t i = 0; i < serial.size(); ++i) {
+            SCOPED_TRACE("cell " + std::to_string(i) + ", " +
+                         std::to_string(threads) + " threads");
+            expectIdenticalRuns(serial[i], again[i]);
+        }
+    }
 }
 
 TEST(SpscRing, FifoOrderAndCapacityRounding)

@@ -19,12 +19,11 @@
 
 #include <cinttypes>
 #include <cstdio>
+#include <string>
 #include <vector>
 
+#include "cells.h"
 #include "golden_hash.h"
-#include "obs/journey.h"
-#include "obs/metrics.h"
-#include "sys/cluster.h"
 
 using namespace simr;
 using namespace simr::sys;
@@ -82,27 +81,21 @@ hashCluster(const ClusterResult &r, const std::vector<obs::Journey> &js)
     return f.value();
 }
 
-struct Cell
+struct GoldenCell
 {
-    const char *label;
+    std::string label;
     ClusterConfig cfg;
 };
 
-/** The four sys_pdes_gate cells at its default seed, then the three
- *  Fig. 22 systems of the 1024-server benchmark shape (same servers
- *  per tier, same 100 requests per client) cut to 20k requests. */
-std::vector<Cell>
+/** The four sys_pdes_gate cells at its seed, then the three Fig. 22
+ *  systems of the 1024-server benchmark shape (same servers per tier,
+ *  same 100 requests per client) cut to 20k requests. */
+std::vector<GoldenCell>
 cells()
 {
-    ClusterConfig gate;
-    gate.webServers = 8;
-    gate.userServers = 6;
-    gate.mcrouterServers = 4;
-    gate.memcServers = 4;
-    gate.storageServers = 2;
-    gate.users = 2000;
-    gate.requests = 20000;
-    gate.seed = 42;
+    std::vector<GoldenCell> out;
+    for (const bench::ClusterCell &c : bench::pdesGateCells(42))
+        out.push_back({std::string("gate ") + c.name, c.cfg});
 
     ClusterConfig big;
     big.webServers = 64;
@@ -114,49 +107,29 @@ cells()
     big.requests = 20000;
     big.qps = 3.0e6;
     big.seed = 42;
-
-    std::vector<Cell> out;
-    auto add = [&out](const char *label, ClusterConfig c, bool rpu,
-                      bool split, double qps) {
+    auto add = [&out, &big](const char *label, bool rpu, bool split) {
+        ClusterConfig c = big;
         c.base.rpu = rpu;
         c.base.batchSplit = split;
-        c.qps = qps;
         out.push_back({label, c});
     };
-    add("gate rpu-split", gate, true, true, 150000);
-    add("gate rpu-nosplit", gate, true, false, 150000);
-    add("gate cpu", gate, false, true, 80000);
-    ClusterConfig bursty = gate;
-    bursty.base.memcHitRate = 0.7;
-    bursty.burstProb = 0.2;
-    bursty.mailboxCapacity = 2;
-    add("gate bursty-overflow", bursty, true, true, 150000);
-    add("1024 cpu", big, false, false, big.qps);
-    add("1024 rpu-split", big, true, true, big.qps);
-    add("1024 rpu-nosplit", big, true, false, big.qps);
+    add("1024 cpu", false, false);
+    add("1024 rpu-split", true, true);
+    add("1024 rpu-nosplit", true, false);
     return out;
 }
 
 /** One run with the sampled journey recorder in scope; shards == 0 is
  *  the sequential reference engine. */
 uint64_t
-runAndHash(ClusterConfig cfg, int shards)
+runAndHash(const ClusterConfig &cfg, int shards)
 {
-    obs::Registry reg;
-    obs::JourneyRecorder rec(obs::JourneyMode::Sampled, 256,
-                             0x5eed5eedULL);
-    obs::Scope scope(&reg, nullptr, &rec);
-    ClusterResult r;
-    if (shards == 0) {
-        r = runClusterSequential(cfg);
-    } else {
-        cfg.shards = shards;
-        cfg.threads = 1;
-        r = runCluster(cfg);
+    std::vector<obs::Journey> js;
+    const ClusterResult r = bench::runEngine(cfg, shards, 1, &js);
+    if (shards != 0) {
         EXPECT_EQ(r.pdes.shards, shards);
     }
     EXPECT_EQ(r.sys.e2eUs.count(), cfg.requests);
-    const std::vector<obs::Journey> js = rec.snapshot();
     EXPECT_FALSE(js.empty());
     return hashCluster(r, js);
 }
@@ -197,6 +170,6 @@ TEST(SysGolden, EveryReportedFieldMatchesRecordedHashes)
         for (size_t c = 0; c < kNumCells; ++c)
             std::printf("    0x%016" PRIx64 "ULL, 0x%016" PRIx64
                         "ULL  // %s\n",
-                        got[c][0], got[c][1], cs[c].label);
+                        got[c][0], got[c][1], cs[c].label.c_str());
     }
 }

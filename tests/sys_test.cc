@@ -1,7 +1,7 @@
 /**
  * @file
- * Tests for the system simulator (sys/cluster.h). The Uqsim suites run
- * uqSim's shape of the User scenario (oneReplica(): one server per
+ * Tests for the system simulator (sys/cluster.h). The OneReplica suites
+ * run uqSim's shape of the User scenario (oneReplica(): one server per
  * tier, one client stream): unloaded latency composition, queueing
  * under load, batch splitting effects, throughput relationships, the
  * Fig. 22 verdict, and journey capture -- exact per-request latency
@@ -51,7 +51,7 @@ run(const ClusterConfig &cfg)
 
 } // namespace
 
-TEST(Uqsim, UnloadedCpuLatencyComposition)
+TEST(OneReplica, UnloadedCpuLatencyComposition)
 {
     auto r = run(base(1, false, true));
     // Hit path: 4 tier latencies + 5 network hops.
@@ -64,20 +64,20 @@ TEST(Uqsim, UnloadedCpuLatencyComposition)
     EXPECT_LT(r.p99Us(), hit + 1000 + 3 * 60 + 100);
 }
 
-TEST(Uqsim, LatencyGrowsWithLoad)
+TEST(OneReplica, LatencyGrowsWithLoad)
 {
     auto lo = run(base(2, false, true));
     auto mid = run(base(15, false, true));
     EXPECT_GT(mid.meanUs(), lo.meanUs());
 }
 
-TEST(Uqsim, OverloadExplodes)
+TEST(OneReplica, OverloadExplodes)
 {
     auto over = run(base(40, false, true));
     EXPECT_GT(over.meanUs(), 20.0 * 1000.0) << "way past capacity";
 }
 
-TEST(Uqsim, RpuSustainsHigherLoad)
+TEST(OneReplica, RpuSustainsHigherLoad)
 {
     // At 40 kQPS the CPU system has collapsed; the RPU system hasn't.
     auto cpu = run(base(40, false, true));
@@ -86,7 +86,7 @@ TEST(Uqsim, RpuSustainsHigherLoad)
     EXPECT_LT(rpu.p99Us(), 2500.0);
 }
 
-TEST(Uqsim, NoSplitRaisesAverageNotTail)
+TEST(OneReplica, NoSplitRaisesAverageNotTail)
 {
     auto split = run(base(30, true, true));
     auto nosplit = run(base(30, true, false));
@@ -97,7 +97,7 @@ TEST(Uqsim, NoSplitRaisesAverageNotTail)
     EXPECT_NEAR(nosplit.p99Us(), split.p99Us(), 600.0);
 }
 
-TEST(Uqsim, SplitOrphansConsumeCapacity)
+TEST(OneReplica, SplitOrphansConsumeCapacity)
 {
     // With splitting, orphan re-execution costs capacity: saturation
     // arrives earlier than without splitting.
@@ -106,7 +106,7 @@ TEST(Uqsim, SplitOrphansConsumeCapacity)
     EXPECT_GT(split.meanUs(), nosplit.meanUs());
 }
 
-TEST(Uqsim, HitRateControlsTail)
+TEST(OneReplica, HitRateControlsTail)
 {
     auto cfg = base(5, false, true);
     cfg.base.memcHitRate = 1.0;
@@ -114,7 +114,7 @@ TEST(Uqsim, HitRateControlsTail)
     EXPECT_LT(all_hit.p99Us(), 1000.0) << "no storage visits, no tail";
 }
 
-TEST(Uqsim, BatchFormationAddsBoundedDelay)
+TEST(OneReplica, BatchFormationAddsBoundedDelay)
 {
     // At low load, RPU batches emit on timeout: the extra latency is
     // bounded by the batching window.
@@ -123,13 +123,13 @@ TEST(Uqsim, BatchFormationAddsBoundedDelay)
     EXPECT_LT(rpu.meanUs(), cpu.meanUs() + 100.0 + 200.0);
 }
 
-TEST(Uqsim, AchievedMatchesOfferedBelowSaturation)
+TEST(OneReplica, AchievedMatchesOfferedBelowSaturation)
 {
     auto r = run(base(10, false, true));
     EXPECT_NEAR(r.achievedQps, 10000.0, 1500.0);
 }
 
-TEST(Uqsim, DeterministicForSeed)
+TEST(OneReplica, DeterministicForSeed)
 {
     auto a = run(base(10, true, true));
     auto b = run(base(10, true, true));
@@ -178,7 +178,7 @@ runWithJourneys(const ClusterConfig &cfg, obs::JourneyRecorder *rec)
 
 } // namespace
 
-TEST(UqsimJourneys, DecomposeExactlyToEndToEndLatency)
+TEST(OneReplicaJourneys, DecomposeExactlyToEndToEndLatency)
 {
     obs::JourneyRecorder rec(obs::JourneyMode::Sampled, 128);
     auto r = runWithJourneys(base(20, true, true), &rec);
@@ -211,7 +211,7 @@ TEST(UqsimJourneys, DecomposeExactlyToEndToEndLatency)
     }
 }
 
-TEST(UqsimJourneys, AllModeCapturesEveryRequest)
+TEST(OneReplicaJourneys, AllModeCapturesEveryRequest)
 {
     ClusterConfig cfg = base(20, true, true);
     cfg.requests = 4000;
@@ -225,7 +225,7 @@ TEST(UqsimJourneys, AllModeCapturesEveryRequest)
         EXPECT_EQ(journeys[i].reqId, i);
 }
 
-TEST(UqsimJourneys, FlagsReflectTheScenario)
+TEST(OneReplicaJourneys, FlagsReflectTheScenario)
 {
     // Split RPU system: misses visit storage (tier 4) as orphans;
     // hits complete at the memcached tier and never block.
@@ -267,10 +267,10 @@ TEST(UqsimJourneys, FlagsReflectTheScenario)
     EXPECT_GT(blocked, 0u);
 }
 
-TEST(UqsimJourneys, CaptureNeverPerturbsSysResult)
+TEST(OneReplicaJourneys, CaptureNeverPerturbsSysResult)
 {
-    // The no-perturbation invariant at test scale (bench_obs
-    // --verify-journeys re-checks it across thread counts): every
+    // The no-perturbation invariant at test scale (ctest
+    // journey_determinism_gate re-checks it across thread counts): every
     // histogram sample and tier statistic is bit-identical with
     // journeys off, sampled and full.
     ClusterConfig cfg = base(20, true, true);
@@ -282,7 +282,7 @@ TEST(UqsimJourneys, CaptureNeverPerturbsSysResult)
     auto full = runWithJourneys(cfg, &all);
     for (const auto *r : {&mid, &full}) {
         EXPECT_DOUBLE_EQ(r->achievedQps, off.achievedQps);
-        EXPECT_TRUE(r->e2eUs.identicalTo(off.e2eUs));
+        EXPECT_TRUE(r->e2eUs == off.e2eUs);
         ASSERT_EQ(r->tiers.size(), off.tiers.size());
         for (size_t t = 0; t < off.tiers.size(); ++t) {
             EXPECT_EQ(r->tiers[t].waitUs.count(),
@@ -406,38 +406,6 @@ runClusterSequentialInScope(const ClusterConfig &cfg)
     return runClusterSequential(cfg);
 }
 
-/** Bit-identity over everything the cluster scenario reports
- *  (pdes stats excluded: they describe the engine, not the model). */
-void
-expectSameCluster(const ClusterResult &a, const ClusterResult &b)
-{
-    EXPECT_EQ(a.servers, b.servers);
-    EXPECT_EQ(a.batches, b.batches);
-    EXPECT_EQ(a.memcMisses, b.memcMisses);
-    EXPECT_EQ(a.splitOrphans, b.splitOrphans);
-    EXPECT_EQ(a.sys.offeredQps, b.sys.offeredQps);
-    EXPECT_EQ(a.sys.achievedQps, b.sys.achievedQps);
-    EXPECT_TRUE(a.sys.e2eUs.identicalTo(b.sys.e2eUs));
-    ASSERT_EQ(a.sys.tiers.size(), b.sys.tiers.size());
-    for (size_t t = 0; t < a.sys.tiers.size(); ++t) {
-        SCOPED_TRACE("tier " + a.sys.tiers[t].name);
-        const RunningStat &aw = a.sys.tiers[t].waitUs;
-        const RunningStat &bw = b.sys.tiers[t].waitUs;
-        EXPECT_EQ(a.sys.tiers[t].name, b.sys.tiers[t].name);
-        EXPECT_EQ(aw.count(), bw.count());
-        EXPECT_EQ(aw.sum(), bw.sum());
-        EXPECT_EQ(aw.mean(), bw.mean());
-        EXPECT_EQ(aw.min(), bw.min());
-        EXPECT_EQ(aw.max(), bw.max());
-        EXPECT_EQ(aw.variance(), bw.variance());
-        const RunningStat &as = a.sys.tiers[t].serviceUs;
-        const RunningStat &bs = b.sys.tiers[t].serviceUs;
-        EXPECT_EQ(as.count(), bs.count());
-        EXPECT_EQ(as.sum(), bs.sum());
-        EXPECT_EQ(as.variance(), bs.variance());
-    }
-}
-
 } // namespace
 
 TEST(ClusterPdes, ShardAndThreadCountIndependence)
@@ -454,9 +422,9 @@ TEST(ClusterPdes, ShardAndThreadCountIndependence)
             for (int threads : {1, 4}) {
                 SCOPED_TRACE(std::to_string(shards) + " shards, " +
                              std::to_string(threads) + " threads");
-                expectSameCluster(
+                EXPECT_TRUE(sameOutput(
                     ref, runSharded(smallCluster(rpu, true), shards,
-                                    threads));
+                                    threads)));
             }
     }
 }
@@ -473,7 +441,7 @@ TEST(ClusterPdes, ZeroLookaheadDegeneratesToSequential)
     EXPECT_EQ(r.pdes.shards, 1);
     EXPECT_EQ(r.pdes.workers, 1);
     EXPECT_EQ(r.pdes.mailboxSends, 0u);
-    expectSameCluster(ref, r);
+    EXPECT_TRUE(sameOutput(ref, r));
 }
 
 TEST(ClusterPdes, PendingEventsTrackInFlightWorkNotOfferedLoad)
@@ -511,8 +479,8 @@ TEST(ClusterPdesDeath, VanishingLookaheadIsFatalNotALivelock)
 
     // A lookahead that still advances the clock stays exact.
     cfg.base.netUs = 1e-6;
-    expectSameCluster(runClusterSequentialInScope(cfg),
-                      runSharded(cfg, 4, 1));
+    EXPECT_TRUE(sameOutput(runClusterSequentialInScope(cfg),
+                           runSharded(cfg, 4, 1)));
 }
 
 TEST(ClusterPdes, MailboxOverflowBackpressureIsInvisible)
@@ -526,7 +494,7 @@ TEST(ClusterPdes, MailboxOverflowBackpressureIsInvisible)
     ClusterResult r = runSharded(cfg, 16, 4);
     EXPECT_GT(r.pdes.mailboxSends, 0u);
     EXPECT_GT(r.pdes.mailboxOverflows, 0u);
-    expectSameCluster(ref, r);
+    EXPECT_TRUE(sameOutput(ref, r));
 }
 
 namespace
@@ -693,7 +661,7 @@ TEST(ClusterJourneys, CaptureNeverPerturbsClusterResult)
     ClusterResult off = runClusterSequentialInScope(cfg);
     obs::JourneyRecorder rec(obs::JourneyMode::All, 64);
     ClusterResult full = runClusterWithJourneys(cfg, 8, 4, &rec);
-    expectSameCluster(off, full);
+    EXPECT_TRUE(sameOutput(off, full));
 }
 
 // ---------------------------------------------------------------------
