@@ -119,12 +119,13 @@ main()
     Table t("Core simulation speed: 14-service sweep, per-cycle vs "
             "event-driven (" + std::to_string(opt.requests) +
             " requests/service)");
-    t.header({"config", "ref (s)", "event (s)", "speedup", "ksim-inst/s",
-              "skipped", "identical"});
+    t.header({"config", "ref (s)", "event (s)", "speedup",
+              "ref ksim-inst/s", "event ksim-inst/s", "skipped",
+              "identical"});
     for (const auto &r : rows) {
         t.row({r.name, Table::num(r.refSecs, 2), Table::num(r.eventSecs, 2),
                Table::mult(r.refSecs / r.eventSecs),
-               Table::num(r.kopsEvent, 0),
+               Table::num(r.kopsRef, 0), Table::num(r.kopsEvent, 0),
                Table::pct(r.skippedFrac), r.identical ? "yes" : "NO"});
     }
     t.print();
@@ -133,15 +134,16 @@ main()
         "\"requests\": " + std::to_string(opt.requests) + ", \"configs\": [";
     for (size_t i = 0; i < rows.size(); ++i) {
         const auto &r = rows[i];
-        char buf[256];
+        char buf[320];
         std::snprintf(buf, sizeof(buf),
                       "{\"name\": \"%s\", \"ref_seconds\": %.3f, "
                       "\"event_seconds\": %.3f, \"speedup\": %.2f, "
+                      "\"kops_ref\": %.0f, "
                       "\"ksim_insts_per_sec\": %.0f, "
                       "\"skipped_cycle_frac\": %.4f, \"identical\": %s}",
                       r.name.c_str(), r.refSecs, r.eventSecs,
-                      r.refSecs / r.eventSecs, r.kopsEvent, r.skippedFrac,
-                      r.identical ? "true" : "false");
+                      r.refSecs / r.eventSecs, r.kopsRef, r.kopsEvent,
+                      r.skippedFrac, r.identical ? "true" : "false");
         json += (i ? ", " : "") + std::string(buf);
     }
     json += "], \"all_identical\": ";

@@ -14,6 +14,7 @@
 #include <map>
 #include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace simr
@@ -100,6 +101,16 @@ class Histogram
 {
   public:
     Histogram() = default;
+
+    /**
+     * Adopt `samples` without copying them, with `stat` their running
+     * statistics as the caller folded them (say per fixed chunk, merged
+     * in chunk order: a fold add() one sample at a time would round
+     * differently). `stat` must count exactly these samples.
+     */
+    Histogram(std::vector<double> samples, const RunningStat &stat)
+        : samples_(std::move(samples)), stat_(stat) {}
+
     Histogram(const Histogram &o)
         : samples_(o.samples_), sorted_(o.sorted_), stat_(o.stat_) {}
     Histogram(Histogram &&o) noexcept

@@ -86,6 +86,14 @@ activeRecorder()
     return r && r->mode() != obs::JourneyMode::Off ? r : nullptr;
 }
 
+/** Release a column's memory (clear() keeps the capacity). */
+template <class T>
+void
+release(std::vector<T> &v)
+{
+    std::vector<T>().swap(v);
+}
+
 class ClusterModel : public Model
 {
   public:
@@ -121,9 +129,10 @@ class ClusterModel : public Model
     initialEvents() const
     {
         std::vector<Event> out;
-        for (uint64_t b = 0; b < nBatches_; ++b)
-            if (b == 0 || webOfBatch_[b] != webOfBatch_[b - 1])
-                out.push_back(webArrival(b));
+        for (uint32_t w = 0; w < tierCount_[kTierWeb]; ++w)
+            if (webBatch_[w] < webBatch_[w + 1])
+                out.push_back(
+                    webArrival(webBatch_[w], tierBase_[kTierWeb] + w));
         return out;
     }
 
@@ -176,20 +185,18 @@ class ClusterModel : public Model
         return u > cfg_.base.memcHitRate;
     }
 
-    /** Batch b reaching its home web server at its emit time. */
+    /** Batch b reaching its home web server `web` at its emit time. */
     Event
-    webArrival(uint64_t b) const
+    webArrival(uint64_t b, uint32_t web) const
     {
-        return {emit_[b], b * kKeyStride, webOfBatch_[b], kTierWeb, b, 0};
+        return {emit_[b], b * kKeyStride, web, kTierWeb, b, 0};
     }
 
-    /** Destination node of a batch at a tier: its home web server at
-     *  tier 0, a per-(batch, tier) hash pick elsewhere. */
+    /** Destination node of a batch at a tier past the web tier: a
+     *  per-(batch, tier) hash pick. */
     uint32_t
     routeNode(uint64_t b, int tier) const
     {
-        if (tier == kTierWeb)
-            return webOfBatch_[b];
         return tierBase_[tier] +
                static_cast<uint32_t>(
                    mix64(routeSalt_ ^
@@ -212,9 +219,9 @@ class ClusterModel : public Model
 
     void completeBatch(uint64_t b, Who who, uint64_t misses,
                        double done, double reconv, ShardCtx &cx);
-    void buildJourney(uint32_t rid, uint64_t b, uint32_t n,
-                      bool is_miss, bool blocked, double done,
-                      double reconv, uint64_t key);
+    void buildJourney(uint32_t rid, double arrival, uint64_t b,
+                      uint32_t n, bool is_miss, bool blocked,
+                      double done, double reconv, uint64_t key);
 
     ClusterConfig cfg_;
     obs::JourneyRecorder *jrec_;
@@ -228,17 +235,20 @@ class ClusterModel : public Model
     uint32_t totalNodes_ = 0;
     std::vector<NodeState> nodes_;
 
-    // Offered load, columnar (read-only during the run).
-    std::vector<double> arrival_;       ///< per request, by reqId
-    std::vector<uint32_t> reqFlat_;     ///< reqIds, batch-contiguous
-    std::vector<uint64_t> batchFirst_;  ///< batch -> [first, first+1)
+    // Offered load in flat columns: one slice per web server
+    // (server-major), time-sorted within it, tiled by its batches.
+    // Only timeUs_ changes during the run, one disjoint slot per
+    // completing request.
+    std::vector<double> timeUs_;        ///< per request: arrival, then
+                                        ///  end-to-end latency
+    std::vector<uint32_t> reqFlat_;     ///< per request: its reqId
+    std::vector<uint32_t> batchFirst_;  ///< batch -> [first, first+1)
     std::vector<double> emit_;          ///< batch emit time
-    std::vector<uint32_t> webOfBatch_;  ///< batch home web node
+    std::vector<uint32_t> webBatch_;    ///< web server -> [first batch,
+                                        ///  next server's first)
     uint64_t nBatches_ = 0;
     double minArrival_ = 0;
 
-    // Run outputs.
-    std::vector<double> e2e_;     ///< per request; disjoint writes
     std::vector<Flight> flights_; ///< per batch, only with journeys
     std::vector<ShardCtx> ctx_;
 };
@@ -312,14 +322,14 @@ ClusterModel::traceArrivals(uint64_t b) const
     if (cfg_.base.rpu && cfg_.base.batchSize > 1) {
         // Batches tile the server's time-sorted arrivals: the first
         // request opened the batch window.
-        const double opened = arrival_[reqFlat_[first]];
+        const double opened = timeUs_[first];
         tr_->complete("form batch " + std::to_string(b), "batching",
                       opened, emit_[b] - opened, kSysPid, kTidBatchForm,
                       {{"size", obs::jnum(last - first)}});
     }
     for (uint64_t i = first; i < last; ++i)
-        tr_->asyncBegin("req", "request", reqFlat_[i],
-                        arrival_[reqFlat_[i]], kSysPid);
+        tr_->asyncBegin("req", "request", reqFlat_[i], timeUs_[i],
+                        kSysPid);
 }
 
 /** The closing async span of a request completeBatch completes. */
@@ -335,8 +345,6 @@ ClusterModel::buildLoad(int threads)
     const uint64_t nreq = cfg_.requests;
     const uint64_t users = cfg_.users;
     const uint32_t nweb = static_cast<uint32_t>(cfg_.webServers);
-    arrival_.resize(nreq);
-    e2e_.assign(nreq, 0.0);
 
     // Chunk boundaries are functions of the problem size only, so
     // every parallel pass below lands identical bits at any thread
@@ -345,47 +353,15 @@ ClusterModel::buildLoad(int threads)
         static_cast<size_t>(std::min<uint64_t>(users, 256));
     auto clientBegin = [&](size_t k) { return users * k / nchunks; };
 
-    // 1. Per-client open-loop Poisson streams, identity-derived seeds.
-    const double mean_gap = static_cast<double>(users) * 1e6 / cfg_.qps;
-    std::vector<double> chunkMin(nchunks, kInf);
+    // 1. Slice layout: a counting pass places each web server's slice
+    // (client -> home server by hash) and, within it, each chunk's
+    // clients in client order, i.e. reqId order. cur[k * nweb + w] is
+    // chunk k's request count for server w, then its next slot there.
+    std::vector<uint64_t> cur(nchunks * nweb, 0);
     parallelFor(
         nchunks,
         [&](size_t k) {
-            double lo = kInf;
-            for (uint64_t c = clientBegin(k); c < clientBegin(k + 1);
-                 ++c) {
-                uint64_t cnt = clientCount(c);
-                if (cnt == 0)
-                    continue;
-                Rng rng(mix64(cfg_.seed ^ 0x636c69656e747374ULL) ^
-                        mix64(c));
-                uint64_t off = clientOffset(c);
-                double t = 0;
-                for (uint64_t i = 0; i < cnt; ++i) {
-                    double g = rng.exponential(mean_gap);
-                    if (cfg_.burstProb > 0 &&
-                        rng.chance(cfg_.burstProb))
-                        g /= cfg_.burstScale;
-                    t += g;
-                    arrival_[off + i] = t;
-                }
-                lo = std::min(lo, arrival_[off]);
-            }
-            chunkMin[k] = lo;
-        },
-        threads);
-    minArrival_ = kInf;
-    for (double v : chunkMin)
-        minArrival_ = std::min(minArrival_, v);
-
-    // 2. Deterministic counting sort of requests into web-server
-    // slices (client -> home server by hash; within a server, client
-    // order, i.e. reqId order, before the time sort).
-    std::vector<uint64_t> cnt(nchunks * nweb, 0);
-    parallelFor(
-        nchunks,
-        [&](size_t k) {
-            uint64_t *row = &cnt[k * nweb];
+            uint64_t *row = &cur[k * nweb];
             for (uint64_t c = clientBegin(k); c < clientBegin(k + 1);
                  ++c)
                 row[webOf(c)] += clientCount(c);
@@ -396,100 +372,102 @@ ClusterModel::buildLoad(int threads)
         uint64_t run = 0;
         for (uint32_t w = 0; w < nweb; ++w) {
             serverOff[w] = run;
-            for (size_t k = 0; k < nchunks; ++k) {
-                uint64_t v = cnt[k * nweb + w];
-                cnt[k * nweb + w] = run;
-                run += v;
-            }
+            for (size_t k = 0; k < nchunks; ++k)
+                run += std::exchange(cur[k * nweb + w], run);
         }
         serverOff[nweb] = run;
     }
-    std::vector<std::pair<double, uint32_t>> byServer(nreq);
+
+    // 2. Per-client open-loop Poisson streams, identity-derived seeds,
+    // written with their reqIds straight into the home server's slice.
+    timeUs_.resize(nreq);
+    reqFlat_.resize(nreq);
+    const double mean_gap = static_cast<double>(users) * 1e6 / cfg_.qps;
+    std::vector<double> chunkMin(nchunks, kInf);
     parallelFor(
         nchunks,
         [&](size_t k) {
-            uint64_t *row = &cnt[k * nweb];
+            uint64_t *row = &cur[k * nweb];
+            double lo = kInf;
             for (uint64_t c = clientBegin(k); c < clientBegin(k + 1);
                  ++c) {
-                uint32_t w = webOf(c);
-                uint64_t off = clientOffset(c);
-                uint64_t n = clientCount(c);
-                uint64_t cur = row[w];
-                for (uint64_t i = 0; i < n; ++i, ++cur)
-                    byServer[cur] = {arrival_[off + i],
-                                     static_cast<uint32_t>(off + i)};
-                row[w] = cur;
+                const uint64_t n = clientCount(c);
+                if (n == 0)
+                    continue;
+                Rng rng(mix64(cfg_.seed ^ 0x636c69656e747374ULL) ^
+                        mix64(c));
+                const uint64_t off = clientOffset(c);
+                const uint32_t w = webOf(c);
+                const uint64_t at = row[w];
+                double t = 0;
+                for (uint64_t i = 0; i < n; ++i) {
+                    double g = rng.exponential(mean_gap);
+                    if (cfg_.burstProb > 0 &&
+                        rng.chance(cfg_.burstProb))
+                        g /= cfg_.burstScale;
+                    t += g;
+                    timeUs_[at + i] = t;
+                    reqFlat_[at + i] = static_cast<uint32_t>(off + i);
+                }
+                row[w] = at + n;
+                lo = std::min(lo, timeUs_[at]);
             }
+            chunkMin[k] = lo;
         },
         threads);
+    minArrival_ = kInf;
+    for (double v : chunkMin)
+        minArrival_ = std::min(minArrival_, v);
 
-    // 3. Per-server arrival sort, then each server's batch count.
+    // 3. Per-server time sort, in place, then each server's batch
+    // count.
     const int bsize = cfg_.base.rpu ? cfg_.base.batchSize : 1;
     const double timeout = cfg_.base.batchTimeoutUs;
-    auto arrivalsOf = [&](size_t w) {
-        return byServer.begin() + static_cast<ptrdiff_t>(serverOff[w]);
+    auto sliceSize = [&](size_t w) {
+        return static_cast<size_t>(serverOff[w + 1] - serverOff[w]);
     };
     auto timesOf = [&](size_t w) {
-        return [lo = arrivalsOf(w)](size_t i) {
-            return lo[static_cast<ptrdiff_t>(i)].first;
+        return [lo = timeUs_.data() + serverOff[w]](size_t i) {
+            return lo[i];
         };
     };
-    std::vector<uint64_t> bOff(nweb + 1, 0);
+    webBatch_.assign(nweb + 1, 0);
     parallelFor(
         nweb,
         [&](size_t w) {
-            // (time, reqId): total, deterministic. A server fed by one
-            // client (oneReplica's shape) is already in order.
-            if (!std::is_sorted(arrivalsOf(w), arrivalsOf(w + 1)))
-                std::sort(arrivalsOf(w), arrivalsOf(w + 1));
-            uint64_t count = 0;
-            forEachBatchWindow(serverOff[w + 1] - serverOff[w], bsize,
-                               timeout, timesOf(w),
+            sortArrivals(timeUs_.data() + serverOff[w],
+                         reqFlat_.data() + serverOff[w], sliceSize(w));
+            uint32_t count = 0;
+            forEachBatchWindow(sliceSize(w), bsize, timeout, timesOf(w),
                                [&count](size_t, size_t, double) {
                                    ++count;
                                });
-            bOff[w + 1] = count;
+            webBatch_[w + 1] = count;
         },
         threads);
 
     // 4. Form each server's batches again, straight into dense global
     // batch ids (server-major, time-ordered within a server): no
     // per-server window lists, which at bsize 1 (the CPU systems, one
-    // batch per request) would hold one entry per request. reqFlat_ is
-    // exactly the byServer order: batches tile each server's slice.
+    // batch per request) would hold one entry per request.
     for (uint32_t w = 0; w < nweb; ++w)
-        bOff[w + 1] += bOff[w];
-    nBatches_ = bOff[nweb];
+        webBatch_[w + 1] += webBatch_[w];
+    nBatches_ = webBatch_[nweb];
     batchFirst_.resize(nBatches_ + 1);
-    batchFirst_[nBatches_] = nreq;
+    batchFirst_[nBatches_] = static_cast<uint32_t>(nreq);
     emit_.resize(nBatches_);
-    webOfBatch_.resize(nBatches_);
     parallelFor(
         nweb,
         [&](size_t w) {
-            const uint32_t web =
-                tierBase_[kTierWeb] + static_cast<uint32_t>(w);
-            uint64_t gb = bOff[w];
-            forEachBatchWindow(serverOff[w + 1] - serverOff[w], bsize,
-                               timeout, timesOf(w),
-                               [&](size_t begin, size_t, double emit) {
-                                   batchFirst_[gb] = serverOff[w] + begin;
-                                   emit_[gb] = emit;
-                                   webOfBatch_[gb] = web;
-                                   ++gb;
-                               });
-        },
-        threads);
-    reqFlat_.resize(nreq);
-    const size_t rchunks =
-        static_cast<size_t>(std::min<uint64_t>(nreq, 256));
-    parallelFor(
-        rchunks,
-        [&](size_t k) {
-            uint64_t lo = nreq * k / rchunks;
-            uint64_t hi = nreq * (k + 1) / rchunks;
-            for (uint64_t i = lo; i < hi; ++i)
-                reqFlat_[i] = byServer[i].second;
+            uint32_t gb = webBatch_[w];
+            forEachBatchWindow(
+                sliceSize(w), bsize, timeout, timesOf(w),
+                [&](size_t begin, size_t, double emit) {
+                    batchFirst_[gb] =
+                        static_cast<uint32_t>(serverOff[w] + begin);
+                    emit_[gb] = emit;
+                    ++gb;
+                });
         },
         threads);
 }
@@ -523,14 +501,14 @@ ClusterModel::apply(const Event &ev, EventSink &sink, int shard)
     if (tr_ && tier == kTierWeb)
         traceArrivals(b);
 
-    if (tier == kTierWeb && b + 1 < nBatches_ &&
-        webOfBatch_[b + 1] == ev.node) {
+    if (tier == kTierWeb &&
+        b + 1 < webBatch_[ev.node - tierBase_[kTierWeb] + 1]) {
         // Stream the server's next batch. Batch ids are server-major
         // and a server's emit times never decrease, so (time, key)
         // puts every later batch after this one: scheduling it now
         // changes no event's place in any node's order. Same node,
         // so it never crosses a shard.
-        sink.emit(webArrival(b + 1));
+        sink.emit(webArrival(b + 1, ev.node));
     }
 
     if (tier < 3) {
@@ -606,23 +584,26 @@ ClusterModel::completeBatch(uint64_t b, Who who, uint64_t misses,
             continue;
         if (who == Who::kMisses && !m)
             continue;
-        double e2e = done - arrival_[rid];
-        e2e_[rid] = e2e;
+        // The request's slot trades its arrival for its latency.
+        const double arrival = timeUs_[i];
+        const double e2e = done - arrival;
+        timeUs_[i] = e2e;
         if (tr_)
             traceEnd(rid, done);
         if (cur) {
             uint64_t key;
             if (cur->offer(rid, e2e, &key))
-                buildJourney(rid, b, n, m, any_miss && !m && reconv > 0,
-                             done, reconv, key);
+                buildJourney(rid, arrival, b, n, m,
+                             any_miss && !m && reconv > 0, done, reconv,
+                             key);
         }
     }
 }
 
 void
-ClusterModel::buildJourney(uint32_t rid, uint64_t b, uint32_t n,
-                           bool is_miss, bool blocked, double done,
-                           double reconv, uint64_t key)
+ClusterModel::buildJourney(uint32_t rid, double arrival, uint64_t b,
+                           uint32_t n, bool is_miss, bool blocked,
+                           double done, double reconv, uint64_t key)
 {
     // Tier times from the service starts, with the engine's own double
     // operations: done = start + latency, and each hop adds netUs to
@@ -651,7 +632,7 @@ ClusterModel::buildJourney(uint32_t rid, uint64_t b, uint32_t n,
         j.events.push_back({obs::journeyTicks(us), aux, k,
                             static_cast<int8_t>(tier), foreign});
     };
-    ev(obs::JStage::Arrival, arrival_[rid], -1);
+    ev(obs::JStage::Arrival, arrival, -1);
     ev(obs::JStage::BatchFormed, emit_[b], -1, b);
     for (int k = 0; k < kTierStorage; ++k) {
         ev(obs::JStage::TierEnqueue, enq[k], k);
@@ -679,6 +660,10 @@ void
 ClusterModel::finish(ClusterResult *res, int threads)
 {
     const uint64_t nreq = cfg_.requests;
+    // The load's footprint by capacity, so a regrowth shows.
+    auto bytes = [](const auto &v) { return v.capacity() * sizeof(v[0]); };
+    const size_t load_bytes = bytes(timeUs_) + bytes(reqFlat_) +
+        bytes(batchFirst_) + bytes(emit_) + bytes(webBatch_);
     res->servers = totalNodes_;
     res->batches = nBatches_;
     double max_completion = 0;
@@ -707,25 +692,45 @@ ClusterModel::finish(ClusterResult *res, int threads)
         res->sys.tiers.push_back(std::move(ts));
     }
 
-    // End-to-end histogram from fixed reqId-ordered chunks, merged in
-    // chunk order: bit-identical at any thread count (and between the
-    // sequential and sharded engines, which both run this fold).
+    // The latencies back in reqId order. The batch columns go before
+    // the scatter and the flat ones right after it, so this step
+    // holds at most 20 bytes per request.
+    release(batchFirst_);
+    release(emit_);
+    release(webBatch_);
+    std::vector<double> e2e(nreq);
+    const size_t rchunks =
+        static_cast<size_t>(std::min<uint64_t>(nreq, 256));
+    parallelFor(
+        rchunks,
+        [&](size_t k) {
+            for (uint64_t i = nreq * k / rchunks;
+                 i < nreq * (k + 1) / rchunks; ++i)
+                e2e[reqFlat_[i]] = timeUs_[i];
+        },
+        threads);
+    release(timeUs_);
+    release(reqFlat_);
+
+    // End-to-end histogram: running statistics of fixed reqId-ordered
+    // chunks, merged in chunk order -- bit-identical at any thread
+    // count (and between the sequential and sharded engines, which
+    // both run this fold) -- over the samples adopted whole.
     const size_t hchunks =
         static_cast<size_t>(std::min<uint64_t>(nreq, 64));
-    if (hchunks > 0) {
-        std::vector<Histogram> parts(hchunks);
-        parallelFor(
-            hchunks,
-            [&](size_t k) {
-                uint64_t lo = nreq * k / hchunks;
-                uint64_t hi = nreq * (k + 1) / hchunks;
-                for (uint64_t i = lo; i < hi; ++i)
-                    parts[k].add(e2e_[i]);
-            },
-            threads);
-        for (const Histogram &p : parts)
-            res->sys.e2eUs.merge(p);
-    }
+    std::vector<RunningStat> parts(hchunks);
+    parallelFor(
+        hchunks,
+        [&](size_t k) {
+            for (uint64_t i = nreq * k / hchunks;
+                 i < nreq * (k + 1) / hchunks; ++i)
+                parts[k].add(e2e[i]);
+        },
+        threads);
+    RunningStat e2e_stat;
+    for (const RunningStat &p : parts)
+        e2e_stat.merge(p);
+    res->sys.e2eUs = Histogram(std::move(e2e), e2e_stat);
 
     // Registry exposition, caller thread.
     obs::Registry *reg = obs::Scope::registry();
@@ -736,6 +741,7 @@ ClusterModel::finish(ClusterResult *res, int threads)
     reg->counter("sys.servers")->inc(totalNodes_);
     reg->gauge("sys.offered_qps")->set(res->sys.offeredQps);
     reg->gauge("sys.achieved_qps")->set(res->sys.achievedQps);
+    reg->gauge("sys.load_bytes")->set(static_cast<double>(load_bytes));
     reg->hist("sys.e2e_us")->record(res->sys.e2eUs);
     for (const auto &tier : res->sys.tiers) {
         obs::ShardedHist *wait =

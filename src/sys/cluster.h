@@ -36,7 +36,11 @@
  * each web server has one pending batch arrival at a time, and handling
  * it schedules the same server's next batch -- the one emit that stays
  * on its node instead of crossing the network. The event queues thus
- * hold in-flight work (PdesStats::peakQueued), not the whole run.
+ * hold in-flight work (PdesStats::peakQueued), not the whole run. The
+ * load itself sits in flat columns, one time-sorted slice per web
+ * server; a completing request's slot trades its arrival for its
+ * latency. At one request per batch that is 24 bytes per request
+ * (the sys.load_bytes gauge).
  *
  * Determinism: all randomness is either per-client streams with
  * identity-derived seeds (arrival processes) or stateless hashes of

@@ -1,15 +1,20 @@
 /**
  * @file
  * Building blocks of the system simulator (cluster.cc): the
- * rate-and-latency service station (the per-server actor state) and
- * the batch-formation pass over a server's time-sorted arrivals.
+ * rate-and-latency service station (the per-server actor state), the
+ * time sort of a server's arrivals and the batch-formation pass over
+ * them.
  */
 
 #ifndef SIMR_SYS_STATION_H
 #define SIMR_SYS_STATION_H
 
 #include <algorithm>
+#include <bit>
 #include <cstddef>
+#include <cstdint>
+#include <utility>
+#include <vector>
 
 #include "common/logging.h"
 #include "common/stats.h"
@@ -85,6 +90,56 @@ class Station
     double latency_;
     double nextFree_ = 0;
 };
+
+/**
+ * Put one web server's `n` arrivals in (time, reqId) order: `time[i]`
+ * is arrival i, `id[i]` its request id, and the slice comes filled in
+ * ascending id order. The sort is stable on time alone, so ties keep
+ * id order and the result is what std::sort of (time, id) pairs gives,
+ * without building the pairs. An LSD radix sort on the bits of the
+ * times (non-negative doubles order like their bit patterns), one byte
+ * a pass, skipping each byte every time shares; scratch is the slice's
+ * size. A slice already in time order (a server fed by one client)
+ * returns untouched.
+ */
+inline void
+sortArrivals(double *time, uint32_t *id, size_t n)
+{
+    if (std::is_sorted(time, time + n))
+        return;
+    auto bits = [](double t) { return std::bit_cast<uint64_t>(t); };
+    constexpr int kPasses = 8;
+    uint32_t count[kPasses][256] = {};
+    for (size_t i = 0; i < n; ++i) {
+        uint64_t u = bits(time[i]);
+        for (int d = 0; d < kPasses; ++d)
+            ++count[d][(u >> (8 * d)) & 255];
+    }
+    std::vector<double> tbuf(n);
+    std::vector<uint32_t> ibuf(n);
+    double *ts = time, *td = tbuf.data();
+    uint32_t *is = id, *idst = ibuf.data();
+    for (int d = 0; d < kPasses; ++d) {
+        uint32_t *c = count[d];
+        const int shift = 8 * d;
+        if (c[(bits(ts[0]) >> shift) & 255] == n)
+            continue;
+        uint32_t run = 0;
+        for (int b = 0; b < 256; ++b)
+            run += std::exchange(c[b], run);
+        for (size_t i = 0; i < n; ++i) {
+            uint32_t at = c[(bits(ts[i]) >> shift) & 255]++;
+            td[at] = ts[i];
+            idst[at] = is[i];
+        }
+        std::swap(ts, td);
+        std::swap(is, idst);
+    }
+    if (ts != time) {
+        std::copy(ts, ts + n, time);
+        std::copy(is, is + n, id);
+    }
+}
 
 /**
  * Batch formation (size or timeout) over `n` time-sorted arrivals,

@@ -8,22 +8,29 @@
  * decomposition, scenario-consistent journey flags, and the
  * no-perturbation invariant (SysResult bit-identical with journeys
  * off, sampled or full). The Cluster suites replicate the tiers and
- * check the sharded PDES engine against the sequential reference.
+ * check the sharded PDES engine against the sequential reference, and
+ * pin the offered load's footprint; ArrivalOrder checks the per-server
+ * time sort against std::sort of (time, reqId) pairs.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
 #include <map>
 #include <tuple>
+#include <utility>
 #include <vector>
 
+#include "common/rng.h"
 #include "obs/anatomy.h"
 #include "obs/journey.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "sys/cluster.h"
 #include "sys/pdes.h"
+#include "sys/station.h"
 
 using namespace simr;
 using namespace simr::sys;
@@ -133,8 +140,7 @@ TEST(OneReplica, DeterministicForSeed)
 {
     auto a = run(base(10, true, true));
     auto b = run(base(10, true, true));
-    EXPECT_DOUBLE_EQ(a.meanUs(), b.meanUs());
-    EXPECT_DOUBLE_EQ(a.p99Us(), b.p99Us());
+    EXPECT_TRUE(a == b);
 }
 
 TEST(Fig22, RpuSplitSustainsThreeTimesCpuLoadAtQos)
@@ -280,19 +286,8 @@ TEST(OneReplicaJourneys, CaptureNeverPerturbsSysResult)
     auto mid = runWithJourneys(cfg, &sampled);
     obs::JourneyRecorder all(obs::JourneyMode::All, 64);
     auto full = runWithJourneys(cfg, &all);
-    for (const auto *r : {&mid, &full}) {
-        EXPECT_DOUBLE_EQ(r->achievedQps, off.achievedQps);
-        EXPECT_TRUE(r->e2eUs == off.e2eUs);
-        ASSERT_EQ(r->tiers.size(), off.tiers.size());
-        for (size_t t = 0; t < off.tiers.size(); ++t) {
-            EXPECT_EQ(r->tiers[t].waitUs.count(),
-                      off.tiers[t].waitUs.count());
-            EXPECT_DOUBLE_EQ(r->tiers[t].waitUs.sum(),
-                             off.tiers[t].waitUs.sum());
-            EXPECT_DOUBLE_EQ(r->tiers[t].serviceUs.sum(),
-                             off.tiers[t].serviceUs.sum());
-        }
-    }
+    EXPECT_TRUE(mid == off);
+    EXPECT_TRUE(full == off);
 }
 
 // ---------------------------------------------------------------------
@@ -495,6 +490,153 @@ TEST(ClusterPdes, MailboxOverflowBackpressureIsInvisible)
     EXPECT_GT(r.pdes.mailboxSends, 0u);
     EXPECT_GT(r.pdes.mailboxOverflows, 0u);
     EXPECT_TRUE(sameOutput(ref, r));
+}
+
+namespace
+{
+
+/** Clients per web server under cluster.cc's consistent-hash pick
+ *  (mix64 of a seed-derived salt and the client id), used only to
+ *  assert the shape of a cell. */
+std::vector<uint64_t>
+clientsPerWebServer(const ClusterConfig &cfg)
+{
+    std::vector<uint64_t> n(static_cast<size_t>(cfg.webServers), 0);
+    const uint64_t salt = mix64(cfg.seed ^ 0x7765625f73727677ULL);
+    for (uint64_t c = 0; c < cfg.users; ++c)
+        ++n[mix64(salt ^ c) % n.size()];
+    return n;
+}
+
+} // namespace
+
+TEST(ClusterPdes, MixedClientSlicesMatchSequential)
+{
+    // Web servers fed by one client keep their arrival slice as
+    // generated; the others time-sort theirs. Both kinds in one run,
+    // sharded across workers, must still match the sequential engine.
+    for (bool rpu : {false, true}) {
+        SCOPED_TRACE(rpu ? "rpu" : "cpu");
+        ClusterConfig cfg = smallCluster(rpu, true);
+        cfg.webServers = 8;
+        cfg.users = 12;
+        const std::vector<uint64_t> clients = clientsPerWebServer(cfg);
+        ASSERT_NE(std::count(clients.begin(), clients.end(), 1u), 0);
+        ASSERT_TRUE(std::any_of(clients.begin(), clients.end(),
+                                [](uint64_t c) { return c > 1; }));
+        EXPECT_TRUE(sameOutput(runClusterSequentialInScope(cfg),
+                               runSharded(cfg, 4, 4)));
+    }
+}
+
+TEST(ClusterLoad, AtMost24BytesPerRequest)
+{
+    // One request per batch (the CPU systems): per request its arrival
+    // (then latency) and reqId, a 32-bit batch start and an emit time,
+    // plus one batch range per web server. sys.load_bytes reports the
+    // columns' capacity, so a regrowth fails here.
+    ClusterConfig cfg = smallCluster(false, true);
+    obs::Registry reg;
+    {
+        obs::Scope scope(&reg);
+        ASSERT_EQ(runClusterSequential(cfg).batches, cfg.requests);
+    }
+    const double bytes = reg.gauge("sys.load_bytes")->value();
+    const double n = static_cast<double>(cfg.requests);
+    EXPECT_GE(bytes, 12 * n);
+    EXPECT_LE(bytes, 24 * n + 1024);
+}
+
+// ---------------------------------------------------------------------
+// Per-server arrival order: sortArrivals against std::sort of
+// (time, reqId) pairs.
+// ---------------------------------------------------------------------
+
+namespace
+{
+
+/** A web server's arrival slice: times and their reqIds. */
+struct Slice
+{
+    std::vector<double> time;
+    std::vector<uint32_t> id;
+};
+
+/** `clients` Poisson streams of `per` requests, appended client by
+ *  client with ascending reqIds, as cluster.cc fills a slice. `grid`
+ *  > 0 rounds every time down to that step, so clients collide on
+ *  exact times. */
+Slice
+makeSlice(int clients, int per, double mean_gap, double burst_prob,
+          double grid, uint64_t seed)
+{
+    Slice s;
+    for (int c = 0; c < clients; ++c) {
+        Rng rng(mix64(seed) ^ mix64(static_cast<uint64_t>(c)));
+        double t = 0;
+        for (int i = 0; i < per; ++i) {
+            double g = rng.exponential(mean_gap);
+            if (burst_prob > 0 && rng.chance(burst_prob))
+                g /= 8;
+            t += g;
+            s.time.push_back(grid > 0 ? std::floor(t / grid) * grid : t);
+            s.id.push_back(static_cast<uint32_t>(s.id.size()));
+        }
+    }
+    return s;
+}
+
+void
+expectSortsLikePairs(Slice s)
+{
+    std::vector<std::pair<double, uint32_t>> want;
+    for (size_t i = 0; i < s.time.size(); ++i)
+        want.push_back({s.time[i], s.id[i]});
+    std::sort(want.begin(), want.end());
+    sortArrivals(s.time.data(), s.id.data(), s.time.size());
+    ASSERT_EQ(s.time.size(), want.size());
+    for (size_t i = 0; i < want.size(); ++i) {
+        ASSERT_EQ(std::bit_cast<uint64_t>(s.time[i]),
+                  std::bit_cast<uint64_t>(want[i].first))
+            << "slot " << i;
+        ASSERT_EQ(s.id[i], want[i].second) << "slot " << i;
+    }
+}
+
+} // namespace
+
+TEST(ArrivalOrder, EmptyAndOneElementSlices)
+{
+    expectSortsLikePairs({});
+    expectSortsLikePairs({{42.5}, {7}});
+}
+
+TEST(ArrivalOrder, OneClientRunIsAlreadySorted)
+{
+    Slice s = makeSlice(1, 5000, 50.0, 0.0, 0.0, 1);
+    ASSERT_TRUE(std::is_sorted(s.time.begin(), s.time.end()));
+    expectSortsLikePairs(s);
+}
+
+TEST(ArrivalOrder, ExactTiesAcrossClientsKeepReqIdOrder)
+{
+    // Times on a 4 us grid: most slots tie with another client's.
+    Slice s = makeSlice(40, 200, 20.0, 0.0, 4.0, 2);
+    std::vector<double> t = s.time;
+    std::sort(t.begin(), t.end());
+    ASSERT_LT(std::unique(t.begin(), t.end()) - t.begin(),
+              static_cast<ptrdiff_t>(t.size() / 2));
+    expectSortsLikePairs(s);
+}
+
+TEST(ArrivalOrder, BurstyManyClientLoad)
+{
+    // Bursts shrink gaps 8x. The times run from fractions of a
+    // microsecond past 2 us (the top byte changes there) up to
+    // milliseconds, so every byte of them varies.
+    expectSortsLikePairs(makeSlice(100, 100, 400.0, 0.3, 0.0, 3));
+    expectSortsLikePairs(makeSlice(50, 40, 0.5, 0.3, 0.0, 5));
+    expectSortsLikePairs(makeSlice(3, 7, 1e-3, 0.5, 0.0, 4));
 }
 
 namespace
