@@ -37,8 +37,11 @@ constexpr int kTidFirstNode = 2;
 /** Event kinds: 0..4 = batch arrival at that tier; 5 = orphan-capacity
  *  charge at the user tier. Event keys are batch * kKeyStride + kind,
  *  so every event of a run has a unique identity-derived key (a batch
- *  visits each tier at most once and is charged at most once). */
-constexpr uint32_t kKindCharge = 5;
+ *  visits each tier at most once and is charged at most once), and the
+ *  key alone names the batch and the kind. An event's aux is the
+ *  batch's memcached miss count where one travels (the charge and the
+ *  storage visit). */
+constexpr uint64_t kKindCharge = 5;
 constexpr uint64_t kKeyStride = 8;
 
 /** A simulated server: its service station plus its share of the tier
@@ -189,7 +192,7 @@ class ClusterModel : public Model
     Event
     webArrival(uint64_t b, uint32_t web) const
     {
-        return {emit_[b], b * kKeyStride, web, kTierWeb, b, 0};
+        return {emit_[b], b * kKeyStride + kTierWeb, web, 0};
     }
 
     /** Destination node of a batch at a tier past the web tier: a
@@ -477,10 +480,11 @@ ClusterModel::apply(const Event &ev, EventSink &sink, int shard)
 {
     ShardCtx &cx = ctx_[static_cast<size_t>(shard)];
     NodeState &nd = nodes_[ev.node];
-    const uint64_t b = ev.batch;
+    const uint64_t b = ev.key / kKeyStride;
+    const uint64_t kind = ev.key % kKeyStride;
     const double net = cfg_.base.netUs;
 
-    if (ev.kind == kKindCharge) {
+    if (kind == kKindCharge) {
         // Split orphans re-execute alone at low SIMT efficiency,
         // consuming extra user-tier capacity (Fig. 17b).
         nd.station.charge(static_cast<double>(ev.aux) *
@@ -488,7 +492,7 @@ ClusterModel::apply(const Event &ev, EventSink &sink, int shard)
         return;
     }
 
-    int tier = static_cast<int>(ev.kind);
+    int tier = static_cast<int>(kind);
     uint64_t first = batchFirst_[b];
     uint64_t last = batchFirst_[b + 1];
     int n = tier == kTierStorage ? static_cast<int>(ev.aux)
@@ -506,8 +510,9 @@ ClusterModel::apply(const Event &ev, EventSink &sink, int shard)
         // Stream the server's next batch. Batch ids are server-major
         // and a server's emit times never decrease, so (time, key)
         // puts every later batch after this one: scheduling it now
-        // changes no event's place in any node's order. Same node,
-        // so it never crosses a shard.
+        // changes no event's place in any node's order. It goes to
+        // this same node, the one emit the kernel lets land inside
+        // the current window.
         sink.emit(webArrival(b + 1, ev.node));
     }
 
@@ -516,8 +521,7 @@ ClusterModel::apply(const Event &ev, EventSink &sink, int shard)
         // is the kernel's lookahead, so this emit is always legal.
         sink.emit({done + net,
                    b * kKeyStride + static_cast<uint64_t>(tier + 1),
-                   routeNode(b, tier + 1),
-                   static_cast<uint32_t>(tier + 1), b, 0});
+                   routeNode(b, tier + 1), 0});
         return;
     }
 
@@ -537,15 +541,15 @@ ClusterModel::apply(const Event &ev, EventSink &sink, int shard)
         if (cfg_.base.rpu && cfg_.base.batchSplit) {
             cx.orphans += static_cast<uint64_t>(misses);
             sink.emit({bt, b * kKeyStride + kKindCharge,
-                       routeNode(b, kTierUser), kKindCharge, b,
-                       static_cast<uint64_t>(misses)});
+                       routeNode(b, kTierUser),
+                       static_cast<uint32_t>(misses)});
         }
         if (split && misses < n)
             completeBatch(b, Who::kHits, static_cast<uint64_t>(misses),
                           hit_done, 0, cx);
         sink.emit({bt + net, b * kKeyStride + kTierStorage,
-                   routeNode(b, kTierStorage), kTierStorage, b,
-                   static_cast<uint64_t>(misses)});
+                   routeNode(b, kTierStorage),
+                   static_cast<uint32_t>(misses)});
         return;
     }
 

@@ -16,7 +16,7 @@ namespace
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-/** std::priority_queue is a max-heap; invert eventBefore for min. */
+/** The std heaps are max-heaps; invert eventBefore for min. */
 struct EventAfter
 {
     bool operator()(const Event &a, const Event &b) const
@@ -57,10 +57,29 @@ runSequential(Model &m, std::vector<Event> initial)
     return stats;
 }
 
-/** One shard: local heap plus per-source mailboxes (ring + spill). */
-struct Shard
+/** Push onto a node's (time, key) min-heap. */
+void
+pushEvent(std::vector<Event> &heap, const Event &ev)
 {
-    EventHeap heap;
+    heap.push_back(ev);
+    std::push_heap(heap.begin(), heap.end(), EventAfter());
+}
+
+/**
+ * One shard: a min-heap per owned node, the owned nodes whose heap is
+ * non-empty, and per-source mailboxes (ring + spill). Nodes are dealt
+ * round-robin: node n belongs to shard n % shards, whose heap
+ * n / shards is its own. A window visits only the listed nodes, so a
+ * shard's cost per window tracks its pending work, not its node count.
+ * Cache-line aligned: the counters one worker bumps per event never
+ * share a line with the heaps another worker's shard is reading.
+ */
+struct alignas(64) Shard
+{
+    std::vector<std::vector<Event>> heaps;
+    std::vector<uint32_t> pending;  ///< heap indices of non-empty heaps
+    double earliest = kInf;         ///< earliest pending event time
+    uint64_t queued = 0;            ///< events over all the heaps
 
     /** Inbound mailboxes, one per source shard. Ring pushes are
      *  lock-free; a full ring spills into `spill`, written by the
@@ -72,7 +91,19 @@ struct Shard
     uint64_t events = 0;
     uint64_t sends = 0;
     uint64_t overflows = 0;
-    uint64_t peak = 0;  ///< heap size, sampled before each pop
+    uint64_t peak = 0;  ///< `queued`, sampled before each pop
+
+    /** An event for another node than the one being applied. */
+    void
+    add(const Event &ev, uint32_t local)
+    {
+        std::vector<Event> &heap = heaps[local];
+        if (heap.empty())
+            pending.push_back(local);
+        pushEvent(heap, ev);
+        ++queued;
+        earliest = std::min(earliest, ev.time);
+    }
 };
 
 /** Worker-side emit routing for one shard being processed. */
@@ -86,27 +117,40 @@ class ShardSink : public EventSink
     {
     }
 
+    /** The node whose events apply() is handling. */
+    uint32_t node = 0;
+
     void
     emit(const Event &ev) override
     {
-        int dst = shardOfNode(ev.node, nshards_);
-        if (dst == src_) {
-            shards_[static_cast<size_t>(src_)].heap.push(ev);
+        const uint32_t ns = static_cast<uint32_t>(nshards_);
+        const uint32_t local = ev.node / ns;
+        Shard &s = shards_[static_cast<size_t>(src_)];
+        if (ev.node == node) {
+            // The node is mid-drain, so it stays listed even while its
+            // heap is momentarily empty.
+            pushEvent(s.heaps[local], ev);
+            ++s.queued;
             return;
         }
-        // Conservative-lookahead contract: anything crossing a shard
-        // boundary must land at or beyond the current window's end.
+        // Conservative-lookahead contract: an event for any other node
+        // must land at or beyond the current window's end, so no node's
+        // in-window events change while its shard drains it.
         simr_assert(ev.time >= windowEnd_,
-                    "cross-shard event inside the lookahead window");
-        Shard &s = shards_[static_cast<size_t>(src_)];
+                    "cross-node event inside the lookahead window");
+        const int dst = static_cast<int>(ev.node - local * ns);
+        if (dst == src_) {
+            s.add(ev, local);
+            return;
+        }
         Shard &d = shards_[static_cast<size_t>(dst)];
         ++s.sends;
         if (!d.rings[static_cast<size_t>(src_)]->push(ev)) {
             // Bounded-mailbox backpressure: spill to the per-edge
             // overflow vector (drained at the next barrier) and count
             // it. Delivery order is irrelevant -- the destination
-            // re-sorts into its heap -- so the spill changes nothing
-            // but the transport.
+            // re-sorts into its node heaps -- so the spill changes
+            // nothing but the transport.
             d.spill[static_cast<size_t>(src_)].push_back(ev);
             ++s.overflows;
         }
@@ -118,6 +162,45 @@ class ShardSink : public EventSink
     int nshards_;
     double windowEnd_;
 };
+
+/**
+ * Apply every event of shard `s` with time < window_end: each pending
+ * node in turn, its events in (time, key) order. Nodes whose heap
+ * empties leave the pending list; a node another node emitted to joins
+ * it (at its end, so this pass visits it too). `earliest` is rebuilt
+ * from the heads left behind and the emits that joined.
+ */
+void
+drainWindow(Model &m, std::vector<Shard> &shards, int s, int nshards,
+            double window_end)
+{
+    Shard &sh = shards[static_cast<size_t>(s)];
+    ShardSink sink(shards, s, nshards, window_end);
+    const uint32_t ns = static_cast<uint32_t>(nshards);
+    sh.earliest = kInf;
+    size_t kept = 0;
+    for (size_t i = 0; i < sh.pending.size(); ++i) {
+        const uint32_t local = sh.pending[i];
+        std::vector<Event> &heap = sh.heaps[local];
+        if (heap.front().time < window_end) {
+            sink.node = local * ns + static_cast<uint32_t>(s);
+            do {
+                sh.peak = std::max(sh.peak, sh.queued);
+                std::pop_heap(heap.begin(), heap.end(), EventAfter());
+                const Event ev = heap.back();
+                heap.pop_back();
+                --sh.queued;
+                ++sh.events;
+                m.apply(ev, sink, s);
+            } while (!heap.empty() && heap.front().time < window_end);
+            if (heap.empty())
+                continue;
+        }
+        sh.earliest = std::min(sh.earliest, heap.front().time);
+        sh.pending[kept++] = local;
+    }
+    sh.pending.resize(kept);
+}
 
 } // namespace
 
@@ -138,8 +221,10 @@ runPdes(Model &m, std::vector<Event> initial, const PdesConfig &cfg)
     int workers = std::max(1, std::min(cfg.threads, nshards));
     m.prepare(nshards, workers);
 
+    const uint32_t ns = static_cast<uint32_t>(nshards);
     std::vector<Shard> shards(static_cast<size_t>(nshards));
     for (Shard &s : shards) {
+        s.heaps.resize((m.nodeCount() + ns - 1) / ns);
         s.rings.reserve(static_cast<size_t>(nshards));
         for (int i = 0; i < nshards; ++i)
             s.rings.push_back(std::make_unique<SpscRing<Event>>(
@@ -147,8 +232,7 @@ runPdes(Model &m, std::vector<Event> initial, const PdesConfig &cfg)
         s.spill.resize(static_cast<size_t>(nshards));
     }
     for (const Event &ev : initial)
-        shards[static_cast<size_t>(shardOfNode(ev.node, nshards))]
-            .heap.push(ev);
+        shards[ev.node % ns].add(ev, ev.node / ns);
     initial.clear();
 
     // Window-loop shared state. localMin is written by each worker
@@ -162,23 +246,22 @@ runPdes(Model &m, std::vector<Event> initial, const PdesConfig &cfg)
 
     auto workerLoop = [&](int w) {
         for (;;) {
-            // Phase A: drain inbound mail into owned heaps (the
-            // previous window's barrier published it), then publish
-            // this worker's earliest pending event time.
+            // Phase A: drain inbound mail into the owned node heaps
+            // (the previous window's barrier published it), then
+            // publish this worker's earliest pending event time.
             double lmin = kInf;
             for (int s = w; s < nshards; s += workers) {
                 Shard &sh = shards[static_cast<size_t>(s)];
                 Event ev;
                 for (int src = 0; src < nshards; ++src) {
                     while (sh.rings[static_cast<size_t>(src)]->pop(&ev))
-                        sh.heap.push(ev);
+                        sh.add(ev, ev.node / ns);
                     auto &spill = sh.spill[static_cast<size_t>(src)];
                     for (const Event &e : spill)
-                        sh.heap.push(e);
+                        sh.add(e, e.node / ns);
                     spill.clear();
                 }
-                if (!sh.heap.empty())
-                    lmin = std::min(lmin, sh.heap.top().time);
+                lmin = std::min(lmin, sh.earliest);
             }
             localMin[static_cast<size_t>(w)] = lmin;
             barrier.arriveAndWait();
@@ -207,22 +290,13 @@ runPdes(Model &m, std::vector<Event> initial, const PdesConfig &cfg)
             if (done)
                 return;
 
-            // Phase C: process every owned event inside the window in
-            // (time, key) order. Local emits may re-enter the heap and
-            // still be processed this window; cross-shard emits travel
-            // by mailbox and are only visible after the next barrier.
-            for (int s = w; s < nshards; s += workers) {
-                Shard &sh = shards[static_cast<size_t>(s)];
-                ShardSink sink(shards, s, nshards, windowEnd);
-                while (!sh.heap.empty() &&
-                       sh.heap.top().time < windowEnd) {
-                    sh.peak = std::max<uint64_t>(sh.peak, sh.heap.size());
-                    Event ev = sh.heap.top();
-                    sh.heap.pop();
-                    ++sh.events;
-                    m.apply(ev, sink, s);
-                }
-            }
+            // Phase C: process every owned event inside the window,
+            // node by node, each node's in (time, key) order. A node's
+            // emits to itself may still be processed this window;
+            // cross-shard emits travel by mailbox and are only visible
+            // after the next barrier.
+            for (int s = w; s < nshards; s += workers)
+                drainWindow(m, shards, s, nshards, windowEnd);
             barrier.arriveAndWait();
         }
     };

@@ -4,29 +4,38 @@
  * system-level cluster simulator.
  *
  * The model is a set of actor nodes (simulated servers) exchanging
- * timestamped events. Nodes are partitioned into shards; each shard
- * owns a local event queue (a binary heap ordered by (time, key)) and
- * advances inside a conservative lookahead window: with L the minimum
- * latency of any cross-shard edge (the cluster's network hop), every
- * event a remote shard can still send into the window [T, T+L) must
- * carry a timestamp >= T + L, so each shard may process its local
- * events with time < T + L without ever seeing a straggler. Windows
- * are separated by barriers at which cross-shard events -- carried by
- * bounded lock-free SPSC mailboxes with overflow-spill backpressure --
- * are drained into the destination heaps.
+ * timestamped events. Nodes are partitioned round-robin into shards;
+ * a shard keeps one small (time, key) min-heap per owned node, the
+ * list of its nodes with pending events and its earliest pending
+ * time, and advances inside a conservative lookahead window. The
+ * lookahead L bounds every edge between two distinct nodes, not only
+ * the edges that cross a shard: an event a node emits to another node
+ * lands at or past the end of the current window [T, T+L) (asserted
+ * at emit), and only a node's events to itself may land inside it. So
+ * when a window opens, every event any node will handle inside it is
+ * either already in that node's heap or one the node emits to itself
+ * during the window, and the shard takes its pending nodes one at a
+ * time, popping and applying each node's events with time < T + L in
+ * (time, key) order; a self-emit inside the window goes back into the
+ * node's own heap and is popped in its turn. Windows are separated by
+ * barriers at which cross-shard events -- carried by bounded lock-free
+ * SPSC mailboxes with overflow-spill backpressure -- are drained into
+ * the destination nodes' heaps.
  *
  * Determinism contract (the sys_pdes_gate): each node processes its
  * events in global (time, key) order no matter how nodes are sharded
  * or how shards are spread over workers, because (a) keys are unique
  * and derived from event identity, never from arrival order or a
  * global counter, (b) mailbox delivery order is irrelevant -- received
- * events are re-sorted into the destination heap -- and (c) a model's
- * per-node state is touched only by that node's events. A model whose
- * apply() draws randomness from identity-derived hashes (never a
- * shared sequential Rng) therefore produces bit-identical results at
- * any shard count and any worker count, including the single-shard
- * degenerate case, which short-circuits to the plain sequential
- * event loop (runPdes with shards == 1 IS the sequential engine).
+ * events are re-sorted into the destination node's heap -- and (c) a
+ * model's per-node state is touched only by that node's events, so
+ * the order in which a shard visits its nodes inside a window is
+ * irrelevant too. A model whose apply() draws randomness from
+ * identity-derived hashes (never a shared sequential Rng) therefore
+ * produces bit-identical results at any shard count and any worker
+ * count, including the single-shard degenerate case, which
+ * short-circuits to the plain sequential event loop over one heap
+ * (runPdes with shards == 1 IS the sequential engine).
  *
  * Zero lookahead cannot be windowed conservatively, so it degrades to
  * the sequential engine (shards forced to 1) rather than to a wrong
@@ -45,20 +54,22 @@ namespace simr::sys
 {
 
 /**
- * One timestamped event. `key` is the deterministic total-order
- * tie-break for simultaneous events: models must make it unique per
- * event and derive it from event identity (e.g. batch id and hop
- * index), never from emission order.
+ * One timestamped event, 24 bytes: {time, key, node, aux}. `key` is
+ * the deterministic total-order tie-break for simultaneous events:
+ * models must make it unique per event and derive it from event
+ * identity (e.g. batch id and hop index), never from emission order.
+ * Being identity, it is also where a model keeps the event's kind and
+ * subject (the cluster: batch * stride + kind); `aux` carries one more
+ * word of payload.
  */
 struct Event
 {
-    double time = 0;     ///< simulated microseconds
-    uint64_t key = 0;    ///< unique identity-derived tie-break
-    uint32_t node = 0;   ///< destination node (actor) id
-    uint32_t kind = 0;   ///< model-defined event type
-    uint64_t batch = 0;  ///< model payload: batch id
-    uint64_t aux = 0;    ///< model payload: kind-specific word
+    double time = 0;    ///< simulated microseconds
+    uint64_t key = 0;   ///< unique identity-derived tie-break
+    uint32_t node = 0;  ///< destination node (actor) id
+    uint32_t aux = 0;   ///< model payload: kind-specific word
 };
+static_assert(sizeof(Event) == 24, "Event is three 8-byte words");
 
 /** Deterministic event order: earlier time first, then smaller key. */
 inline bool
@@ -85,7 +96,9 @@ class EventSink
  * context indexed by `shard`, and state reachable only through the
  * event's own causal chain (the kernel's mailbox/barrier handoff
  * publishes writes of causally earlier events). It must not touch
- * other nodes' state.
+ * other nodes' state, and every event it emits to another node must
+ * land at least one lookahead after ev.time; only its emits to ev.node
+ * itself may come sooner.
  */
 class Model
 {
@@ -103,7 +116,9 @@ class Model
 /** Kernel knobs. */
 struct PdesConfig
 {
-    double lookaheadUs = 0;  ///< min cross-shard edge latency; <= 0
+    double lookaheadUs = 0;  ///< min latency of any edge between two
+                             ///  distinct nodes: every cross-node
+                             ///  emit lands >= the window end; <= 0
                              ///  forces the sequential single shard
     int shards = 1;          ///< event-queue partitions (>= 1)
     int threads = 1;         ///< worker cap; effective workers =
@@ -118,22 +133,16 @@ struct PdesStats
     uint64_t windows = 0;          ///< lookahead windows executed
     uint64_t mailboxSends = 0;     ///< cross-shard events via rings
     uint64_t mailboxOverflows = 0; ///< ring-full spills (backpressure)
-    uint64_t peakQueued = 0;       ///< most events one shard's queue
-                                   ///  held at once
+    uint64_t peakQueued = 0;       ///< most events one shard held
+                                   ///  pending at once, over all its
+                                   ///  node heaps
     int shards = 1;                ///< effective shard count
     int workers = 1;               ///< effective worker count
 };
 
-/** Shard owning a node: round-robin, the kernel's partition map. */
-inline int
-shardOfNode(uint32_t node, int shards)
-{
-    return static_cast<int>(node % static_cast<uint32_t>(shards));
-}
-
 /**
  * Run the model to completion from the initial event population.
- * Destroys `initial` (moved into the shard heaps). The heaps hold only
+ * Destroys `initial` (moved into the node heaps). The heaps hold only
  * pending events, so a model that seeds its sources and lets each
  * source event schedule its successor on the same node (the cluster's
  * web servers) keeps them proportional to in-flight work rather than

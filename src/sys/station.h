@@ -10,9 +10,9 @@
 #define SIMR_SYS_STATION_H
 
 #include <algorithm>
-#include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -91,53 +91,84 @@ class Station
     double nextFree_ = 0;
 };
 
+/** A bucket of sortArrivals holding more arrivals than this is sorted
+ *  by std::stable_sort rather than by insertion. */
+inline constexpr size_t kArrivalBucketLimit = 32;
+
 /**
  * Put one web server's `n` arrivals in (time, reqId) order: `time[i]`
- * is arrival i, `id[i]` its request id, and the slice comes filled in
- * ascending id order. The sort is stable on time alone, so ties keep
- * id order and the result is what std::sort of (time, id) pairs gives,
- * without building the pairs. An LSD radix sort on the bits of the
- * times (non-negative doubles order like their bit patterns), one byte
- * a pass, skipping each byte every time shares; scratch is the slice's
- * size. A slice already in time order (a server fed by one client)
- * returns untouched.
+ * is arrival i (finite, non-negative), `id[i]` its request id, and the
+ * slice comes filled in ascending id order. The sort is stable on time
+ * alone, so ties keep id order and the result is what std::sort of
+ * (time, id) pairs gives, without building the pairs. A bucket sort:
+ * n equal-width buckets span [min, max] under a monotone map (a later
+ * time never lands in an earlier bucket). A counting pass sizes the
+ * buckets and a stable scatter fills them in slice order; buckets of
+ * more than kArrivalBucketLimit arrivals (bunched times) are then
+ * stable-sorted, and one insertion pass orders the rest, whose moves
+ * never cross a bucket boundary. Scratch is 16 bytes per arrival. A
+ * slice already in time order (a server fed by one client) returns
+ * untouched.
  */
 inline void
 sortArrivals(double *time, uint32_t *id, size_t n)
 {
     if (std::is_sorted(time, time + n))
         return;
-    auto bits = [](double t) { return std::bit_cast<uint64_t>(t); };
-    constexpr int kPasses = 8;
-    uint32_t count[kPasses][256] = {};
+    const auto [lo_at, hi_at] = std::minmax_element(time, time + n);
+    const double lo = *lo_at;
+    // Unsorted, so hi > lo. A sub-normal span would overflow the scale;
+    // capped, it puts every arrival in the first bucket.
+    const double scale =
+        std::min(static_cast<double>(n) / (*hi_at - lo), 0x1p1000);
+    auto bucket = [lo, scale, n](double t) {
+        return std::min(n - 1, static_cast<size_t>((t - lo) * scale));
+    };
+    // at[b]: bucket b's size, then its next free slot, then its end.
+    std::vector<uint32_t> at(n, 0);
+    for (size_t i = 0; i < n; ++i)
+        ++at[bucket(time[i])];
+    bool crowded = false;
+    uint32_t run = 0;
+    for (size_t b = 0; b < n; ++b) {
+        crowded |= at[b] > kArrivalBucketLimit;
+        run += std::exchange(at[b], run);
+    }
+    const std::vector<double> tsrc(time, time + n);
+    const std::vector<uint32_t> isrc(id, id + n);
     for (size_t i = 0; i < n; ++i) {
-        uint64_t u = bits(time[i]);
-        for (int d = 0; d < kPasses; ++d)
-            ++count[d][(u >> (8 * d)) & 255];
+        const uint32_t slot = at[bucket(tsrc[i])]++;
+        time[slot] = tsrc[i];
+        id[slot] = isrc[i];
     }
-    std::vector<double> tbuf(n);
-    std::vector<uint32_t> ibuf(n);
-    double *ts = time, *td = tbuf.data();
-    uint32_t *is = id, *idst = ibuf.data();
-    for (int d = 0; d < kPasses; ++d) {
-        uint32_t *c = count[d];
-        const int shift = 8 * d;
-        if (c[(bits(ts[0]) >> shift) & 255] == n)
-            continue;
-        uint32_t run = 0;
-        for (int b = 0; b < 256; ++b)
-            run += std::exchange(c[b], run);
-        for (size_t i = 0; i < n; ++i) {
-            uint32_t at = c[(bits(ts[i]) >> shift) & 255]++;
-            td[at] = ts[i];
-            idst[at] = is[i];
+    if (crowded) {
+        std::vector<std::pair<double, uint32_t>> v;
+        for (size_t b = 0, begin = 0; b < n; begin = at[b++]) {
+            if (at[b] - begin <= kArrivalBucketLimit)
+                continue;
+            v.clear();
+            for (size_t i = begin; i < at[b]; ++i)
+                v.push_back({time[i], id[i]});
+            std::stable_sort(v.begin(), v.end(),
+                             [](const auto &x, const auto &y) {
+                                 return x.first < y.first;
+                             });
+            for (size_t i = begin; i < at[b]; ++i)
+                std::tie(time[i], id[i]) = v[i - begin];
         }
-        std::swap(ts, td);
-        std::swap(is, idst);
     }
-    if (ts != time) {
-        std::copy(ts, ts + n, time);
-        std::copy(is, is + n, id);
+    for (size_t i = 1; i < n; ++i) {
+        const double t = time[i];
+        if (!(t < time[i - 1]))
+            continue;
+        const uint32_t r = id[i];
+        size_t j = i;
+        do {
+            time[j] = time[j - 1];
+            id[j] = id[j - 1];
+        } while (--j > 0 && t < time[j - 1]);
+        time[j] = t;
+        id[j] = r;
     }
 }
 

@@ -639,6 +639,46 @@ TEST(ArrivalOrder, BurstyManyClientLoad)
     expectSortsLikePairs(makeSlice(3, 7, 1e-3, 0.5, 0.0, 4));
 }
 
+TEST(ArrivalOrder, BunchedTimesWithOneFarOutlier)
+{
+    // 3000 times within about a tenth of a microsecond and one a second
+    // later: the equal-width buckets are each a third of a millisecond
+    // wide, so the whole bunch shares the first bucket, far past
+    // kArrivalBucketLimit, and the crowded-bucket sort orders it.
+    Slice s = makeSlice(30, 100, 1e-3, 0.3, 0.0, 6);
+    const double bunch_end = *std::max_element(s.time.begin(), s.time.end());
+    s.time.push_back(1e6);
+    s.id.push_back(static_cast<uint32_t>(s.id.size()));
+    ASSERT_LT(bunch_end, 1e6 / static_cast<double>(s.time.size()));
+    ASSERT_GT(s.time.size(), 10 * kArrivalBucketLimit);
+    expectSortsLikePairs(s);
+}
+
+TEST(ArrivalOrder, SubNormalTimeSpan)
+{
+    // max - min is sub-normal, so n / (max - min) overflows a double:
+    // the bucket map must stay finite and in range.
+    expectSortsLikePairs({{1e-323, 5e-324, 0.0}, {0, 1, 2}});
+}
+
+TEST(ArrivalOrder, ExactTiesAcrossManyClientsInCrowdedBuckets)
+{
+    // 2000 clients of 3 requests on a 50 us grid: a handful of distinct
+    // times, each shared by hundreds of clients, so every occupied
+    // bucket is crowded and its ties must keep reqId order through the
+    // crowded-bucket sort as well.
+    Slice s = makeSlice(2000, 3, 20.0, 0.0, 50.0, 7);
+    std::map<double, size_t> ties;
+    for (double t : s.time)
+        ++ties[t];
+    ASSERT_LT(ties.size(), 20u);
+    size_t most = 0;
+    for (const auto &[t, k] : ties)
+        most = std::max(most, k);
+    ASSERT_GT(most, 10 * kArrivalBucketLimit);
+    expectSortsLikePairs(s);
+}
+
 namespace
 {
 
@@ -647,15 +687,27 @@ namespace
  * ring of nodes, each hop exactly one lookahead L later. With zero
  * service latency every cross-shard event lands EXACTLY on its source
  * window's end -- the boundary the conservative contract (>=, strict <
- * on processing) must handle. Each node logs its (time, key) sequence.
+ * on processing) must handle. With `selfHops` each arrival also makes
+ * in-window work on its own node: it emits three zero-delay self-events
+ * at its own time, keys in descending order; the smallest forwards the
+ * token and the middle one schedules a last self-event half a
+ * lookahead later. Each node logs its (time, key) sequence.
  */
 struct ChainModel : sys::Model
 {
+    /** Keys per hop with selfHops: 0 the arrival, 1-3 the zero-delay
+     *  self-events, 4 the half-lookahead one. */
+    static constexpr uint64_t kStages = 8;
+
     uint32_t nnodes;
     double net;
+    bool selfHops;
     std::vector<std::vector<std::pair<double, uint64_t>>> log;
 
-    ChainModel(uint32_t n, double l) : nnodes(n), net(l), log(n) {}
+    ChainModel(uint32_t n, double l, bool self_hops)
+        : nnodes(n), net(l), selfHops(self_hops), log(n)
+    {
+    }
 
     uint32_t nodeCount() const override { return nnodes; }
     void prepare(int, int) override {}
@@ -664,10 +716,94 @@ struct ChainModel : sys::Model
     apply(const sys::Event &ev, sys::EventSink &sink, int) override
     {
         log[ev.node].push_back({ev.time, ev.key});
-        if (ev.aux == 0)
+        const uint32_t next = (ev.node + 1) % nnodes;
+        if (!selfHops) {
+            if (ev.aux > 0)
+                sink.emit({ev.time + net, ev.key + 1, next, ev.aux - 1});
             return;
-        sink.emit({ev.time + net, ev.key + 1,
-                   (ev.node + 1) % nnodes, 0, ev.batch, ev.aux - 1});
+        }
+        const uint64_t hop = ev.key / kStages;
+        switch (ev.key % kStages) {
+        case 0:
+            for (uint64_t stage : {3, 2, 1})
+                sink.emit({ev.time, hop * kStages + stage, ev.node, ev.aux});
+            break;
+        case 1:
+            if (ev.aux > 0)
+                sink.emit({ev.time + net, (hop + 1) * kStages, next,
+                           ev.aux - 1});
+            break;
+        case 2:
+            sink.emit({ev.time + net / 2, hop * kStages + 4, ev.node,
+                       ev.aux});
+            break;
+        }
+    }
+};
+
+/**
+ * 16 tokens x 12 hops on an 8-node ring, every hop landing exactly at
+ * the emitting window's end. The sharded runs must log the very same
+ * per-node (time, key) sequences as the sequential one, and
+ * conservative windowing must advance exactly one time step per window
+ * (hops + 1 windows: nothing is processed early, nothing is starved).
+ */
+void
+expectChainMatchesSequential(bool self_hops)
+{
+    const uint32_t nodes = 8;
+    const uint32_t origins = 16, hops = 12;
+    const double net = 5.0;
+    const uint64_t stride = self_hops ? ChainModel::kStages : 1;
+    const uint64_t per_hop = self_hops ? 5 : 1;
+    auto initial = [&] {
+        std::vector<sys::Event> evs;
+        for (uint32_t o = 0; o < origins; ++o)
+            evs.push_back({0.0, o * (hops + 1) * stride, o % nodes, hops});
+        return evs;
+    };
+
+    ChainModel ref(nodes, net, self_hops);
+    sys::PdesConfig seq;
+    seq.lookaheadUs = net;
+    sys::PdesStats seq_stats = sys::runPdes(ref, initial(), seq);
+    EXPECT_EQ(seq_stats.events, origins * (hops + 1) * per_hop);
+
+    for (int shards : {2, 4, 8})
+        for (int threads : {1, 3}) {
+            SCOPED_TRACE(std::to_string(shards) + " shards, " +
+                         std::to_string(threads) + " threads");
+            ChainModel m(nodes, net, self_hops);
+            sys::PdesConfig pc;
+            pc.lookaheadUs = net;
+            pc.shards = shards;
+            pc.threads = threads;
+            pc.mailboxCapacity = 4;
+            sys::PdesStats st = sys::runPdes(m, initial(), pc);
+            EXPECT_EQ(st.events, origins * (hops + 1) * per_hop);
+            EXPECT_EQ(st.windows, hops + 1);
+            EXPECT_GT(st.mailboxSends, 0u);
+            EXPECT_EQ(m.log, ref.log);
+        }
+}
+
+/** Node 0 sends node `to` one event half a lookahead after its own: a
+ *  cross-node emit inside the window, which the kernel forbids. */
+struct EarlyEmitModel : sys::Model
+{
+    uint32_t to;
+    double net;
+
+    EarlyEmitModel(uint32_t t, double l) : to(t), net(l) {}
+
+    uint32_t nodeCount() const override { return to + 1; }
+    void prepare(int, int) override {}
+
+    void
+    apply(const sys::Event &ev, sys::EventSink &sink, int) override
+    {
+        if (ev.node == 0)
+            sink.emit({ev.time + net / 2, ev.key + 1, to, 0});
     }
 };
 
@@ -675,46 +811,34 @@ struct ChainModel : sys::Model
 
 TEST(ClusterPdes, CrossShardEventExactlyAtWindowBoundary)
 {
-    // 16 tokens x 12 hops on an 8-node ring, every hop landing exactly
-    // at the emitting window's end. The sharded runs must log the very
-    // same per-node (time, key) sequences as the sequential one, and
-    // conservative windowing must advance exactly one time step per
-    // window (hops + 1 windows: nothing is processed early, nothing
-    // is starved).
-    const uint32_t nodes = 8;
-    const uint64_t origins = 16, hops = 12;
-    const double net = 5.0;
-    auto initial = [&] {
-        std::vector<sys::Event> evs;
-        for (uint64_t o = 0; o < origins; ++o)
-            evs.push_back({0.0, o * (hops + 1),
-                           static_cast<uint32_t>(o % nodes), 0, o,
-                           hops});
-        return evs;
-    };
+    expectChainMatchesSequential(false);
+}
 
-    ChainModel ref(nodes, net);
-    sys::PdesConfig seq;
-    seq.lookaheadUs = net;
-    sys::PdesStats seq_stats = sys::runPdes(ref, initial(), seq);
-    EXPECT_EQ(seq_stats.events, origins * (hops + 1));
+TEST(ClusterPdes, InWindowSelfEmitsKeepEachNodesOrder)
+{
+    // A node drains its own heap inside a window, so its zero-delay
+    // self-events, emitted in descending key order at one time, and
+    // its later in-window self-event must pop in (time, key) order,
+    // interleaved with the other token on the same node exactly as in
+    // the sequential run.
+    expectChainMatchesSequential(true);
+}
 
-    for (int shards : {2, 4, 8})
-        for (int threads : {1, 3}) {
-            SCOPED_TRACE(std::to_string(shards) + " shards, " +
-                         std::to_string(threads) + " threads");
-            ChainModel m(nodes, net);
-            sys::PdesConfig pc;
-            pc.lookaheadUs = net;
-            pc.shards = shards;
-            pc.threads = threads;
-            pc.mailboxCapacity = 4;
-            sys::PdesStats st = sys::runPdes(m, initial(), pc);
-            EXPECT_EQ(st.events, origins * (hops + 1));
-            EXPECT_EQ(st.windows, hops + 1);
-            EXPECT_GT(st.mailboxSends, 0u);
-            EXPECT_EQ(m.log, ref.log);
-        }
+TEST(ClusterPdesDeath, CrossNodeEmitInsideTheWindowIsFatalOnOneShard)
+{
+    // Node `shards` shares node 0's shard, so the early emit crosses no
+    // shard boundary; the per-node contract must still catch it, since
+    // the receiving node may already have been drained this window.
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    for (int shards : {2, 4}) {
+        SCOPED_TRACE(std::to_string(shards) + " shards");
+        EarlyEmitModel m(static_cast<uint32_t>(shards), 5.0);
+        sys::PdesConfig pc;
+        pc.lookaheadUs = 5.0;
+        pc.shards = shards;
+        EXPECT_DEATH(sys::runPdes(m, {{0.0, 0, 0, 0}}, pc),
+                     "cross-node event inside the lookahead window");
+    }
 }
 
 // ---------------------------------------------------------------------
