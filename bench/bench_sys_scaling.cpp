@@ -93,14 +93,11 @@ runScaling(uint64_t seed)
            same_hw ? "yes" : "NO"});
     t.print();
     std::printf("cluster: %llu batches, peak queue %llu events, %llu "
-                "windows, %llu mailbox sends (%llu spills), p99 %.0f "
-                "us\n",
+                "windows, %llu mailbox sends, p99 %.0f us\n",
                 static_cast<unsigned long long>(seq.batches),
                 static_cast<unsigned long long>(seq.pdes.peakQueued),
                 static_cast<unsigned long long>(par.pdes.windows),
                 static_cast<unsigned long long>(par.pdes.mailboxSends),
-                static_cast<unsigned long long>(
-                    par.pdes.mailboxOverflows),
                 seq.sys.p99Us());
     if (hw < par_threads)
         std::printf("note: only %d hardware thread(s) -- speedup is "

@@ -186,7 +186,8 @@ struct ClusterCell
 /**
  * The four sys_pdes_gate cells, 22 servers and 2000 users each:
  * RPU with and without batch splitting, CPU, and a bursty RPU cell
- * whose 2-slot mailboxes overflow into the spill path.
+ * (bursty arrivals and a 70% memcached hit rate) whose cross-shard
+ * traffic comes in bunches.
  */
 inline std::vector<ClusterCell>
 pdesGateCells(uint64_t seed)
@@ -215,8 +216,7 @@ pdesGateCells(uint64_t seed)
     sys::ClusterConfig bursty = base;
     bursty.base.memcHitRate = 0.7;
     bursty.burstProb = 0.2;
-    bursty.mailboxCapacity = 2;
-    add("bursty-overflow", bursty, true, true, 150000);
+    add("bursty", bursty, true, true, 150000);
     return cells;
 }
 

@@ -519,7 +519,6 @@ cmdCluster(int argc, char **argv)
                std::to_string(r.pdes.workers)});
     t.row({"lookahead windows", std::to_string(r.pdes.windows)});
     t.row({"mailbox sends", std::to_string(r.pdes.mailboxSends)});
-    t.row({"mailbox spills", std::to_string(r.pdes.mailboxOverflows)});
     Table b("per-tier breakdown");
     b.header({"tier", "mean wait (us)", "mean service (us)"});
     for (const auto &tier : r.sys.tiers)
@@ -625,16 +624,6 @@ cmdTrace(const std::string &target, int argc, char **argv)
     obs::Tracer tracer;
     obs::Scope scope(&reg, &tracer);
 
-    // Fetch through the scope: compiled-out builds (SIMR_OBS_TRACE=0)
-    // return null here and cannot trace.
-    obs::Tracer *tr = obs::Scope::tracer();
-    if (!tr) {
-        std::fprintf(stderr,
-                     "tracing is compiled out (SIMR_OBS_TRACE=0); "
-                     "rebuild with -DSIMR_OBS_TRACE=ON\n");
-        return 1;
-    }
-
     std::string out = flag(argc, argv, "--out", "run.json");
     int requests = std::stoi(flag(argc, argv, "--requests", "256"));
     int top_n = std::stoi(flag(argc, argv, "--top", "5"));
@@ -646,7 +635,7 @@ cmdTrace(const std::string &target, int argc, char **argv)
         if (!svc)
             return 2;
         obs::BatchAnatomyRecorder chip;
-        traceChipLevel(*svc, "user", tr, svc->traits().tunedBatch,
+        traceChipLevel(*svc, "user", &tracer, svc->traits().tunedBatch,
                        requests, top_n, &chip);
 
         // Cluster level: the User scenario on the RPU system at one
@@ -658,7 +647,7 @@ cmdTrace(const std::string &target, int argc, char **argv)
         obs::JourneyRecorder jrec(obs::journeyModeFromEnv(), 64);
         sys::SysResult r;
         {
-            obs::Scope jscope(&reg, tr, &jrec);
+            obs::Scope jscope(&reg, &tracer, &jrec);
             r = sys::runCluster(cfg).sys;
         }
         std::printf("cluster: %.0f offered qps, %.0f achieved, "
@@ -685,10 +674,10 @@ cmdTrace(const std::string &target, int argc, char **argv)
                 const auto &row =
                     rows[static_cast<size_t>(j.batchId) % rows.size()];
                 uint64_t id = 0x1000000 + j.reqId;
-                tr->flowStart("batch link", "link", id,
-                              obs::journeyUs(user_start->tick), 2, 3);
-                tr->flowEnd("batch link", "link", id,
-                            static_cast<double>(row.startOp), 1, 1);
+                tracer.flowStart("batch link", "link", id,
+                                 obs::journeyUs(user_start->tick), 2, 3);
+                tracer.flowEnd("batch link", "link", id,
+                               static_cast<double>(row.startOp), 1, 1);
                 ++emitted;
             }
         }
@@ -702,7 +691,7 @@ cmdTrace(const std::string &target, int argc, char **argv)
             return usage();
         int width = std::min(cfg.batchWidth,
                              svc->traits().tunedBatch);
-        traceChipLevel(*svc, target, tr, width, requests, top_n);
+        traceChipLevel(*svc, target, &tracer, width, requests, top_n);
     }
 
     if (!tracer.writeFile(out)) {

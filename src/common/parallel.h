@@ -175,83 +175,6 @@ class SpinBarrier
 };
 
 /**
- * Bounded lock-free single-producer / single-consumer ring buffer: the
- * cross-shard mailbox primitive of the PDES engine. push() may only be
- * called by one thread at a time and pop() by one thread at a time
- * (they may be different threads, concurrently). A full ring rejects
- * the push -- callers provide their own backpressure (the PDES engine
- * spills to a per-edge overflow vector and counts the event).
- *
- * The producer's release store of tail_ publishes the slot contents to
- * the consumer's acquire load; the consumer's release store of head_
- * returns the slot to the producer. T must be trivially copyable in
- * spirit (it is copied in and out of slots that are reused without
- * destruction in between).
- */
-template <typename T>
-class SpscRing
-{
-  public:
-    /** @param capacity maximum resident elements; rounded up to a
-     *  power of two (>= 2). */
-    explicit SpscRing(size_t capacity)
-    {
-        size_t cap = 2;
-        while (cap < capacity)
-            cap <<= 1;
-        buf_.resize(cap);
-        mask_ = cap - 1;
-    }
-
-    SpscRing(const SpscRing &) = delete;
-    SpscRing &operator=(const SpscRing &) = delete;
-
-    size_t capacity() const { return buf_.size(); }
-
-    /** Producer side. Returns false (and copies nothing) when full. */
-    bool
-    push(const T &v)
-    {
-        uint64_t t = tail_.load(std::memory_order_relaxed);
-        uint64_t h = head_.load(std::memory_order_acquire);
-        if (t - h == buf_.size())
-            return false;
-        buf_[t & mask_] = v;
-        tail_.store(t + 1, std::memory_order_release);
-        return true;
-    }
-
-    /** Consumer side. Returns false when empty. */
-    bool
-    pop(T *out)
-    {
-        uint64_t h = head_.load(std::memory_order_relaxed);
-        uint64_t t = tail_.load(std::memory_order_acquire);
-        if (h == t)
-            return false;
-        *out = buf_[h & mask_];
-        head_.store(h + 1, std::memory_order_release);
-        return true;
-    }
-
-    /** Racy size estimate (exact when producer and consumer are
-     *  quiescent, e.g. between barrier-separated phases). */
-    size_t
-    size() const
-    {
-        return static_cast<size_t>(
-            tail_.load(std::memory_order_acquire) -
-            head_.load(std::memory_order_acquire));
-    }
-
-  private:
-    std::vector<T> buf_;
-    size_t mask_ = 0;
-    alignas(64) std::atomic<uint64_t> head_{0};  ///< consumer cursor
-    alignas(64) std::atomic<uint64_t> tail_{0};  ///< producer cursor
-};
-
-/**
  * Map fn over items, returning results in input order regardless of the
  * execution interleaving. fn must be safe to call concurrently.
  */

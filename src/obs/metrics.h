@@ -34,11 +34,6 @@
 
 #include "common/stats.h"
 
-/** Compile-time trace-sink switch (CMake -DSIMR_OBS_TRACE=OFF). */
-#ifndef SIMR_OBS_TRACE
-#define SIMR_OBS_TRACE 1
-#endif
-
 namespace simr::obs
 {
 
@@ -163,9 +158,8 @@ class Registry
  * RAII thread-local observability scope. Instrumented code records into
  * Scope::registry() and emits spans through Scope::tracer(); installing
  * a Scope redirects both for the current thread until it is destroyed.
- * Default: the global registry, and no tracer (span emission compiles
- * down to a null-pointer check; with SIMR_OBS_TRACE=0 it is compiled
- * out entirely).
+ * Default: the global registry, and no tracer (span emission costs a
+ * call and a null-pointer check).
  */
 class Scope
 {

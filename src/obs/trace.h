@@ -20,10 +20,9 @@
  * its own simulated microseconds, so its timeline is physically
  * meaningful.
  *
- * Compile-time sink selection: with -DSIMR_OBS_TRACE=0 the Scope never
- * exposes a tracer, every emission site short-circuits on a constant
- * null, and instrumented binaries are bit-identical in behaviour to
- * pre-observability ones.
+ * Sink selection: the Scope exposes a tracer only while one is
+ * installed, every emission site short-circuits on a null one, and a
+ * traced run simulates exactly what an untraced one does.
  */
 
 #ifndef SIMR_OBS_TRACE_H

@@ -58,7 +58,7 @@ struct NodeState
  *  (every other tier time follows from these and the model's
  *  latencies). Allocated only when a JourneyRecorder is recording;
  *  written along the batch's causal event chain, so the kernel's
- *  mailbox/barrier handoff publishes it. */
+ *  barrier handoff publishes it. */
 struct Flight
 {
     double start[kTiers] = {};
@@ -117,9 +117,8 @@ class ClusterModel : public Model
     uint32_t nodeCount() const override { return totalNodes_; }
 
     void
-    prepare(int shards, int workers) override
+    prepare(int shards) override
     {
-        (void)workers;
         ctx_.assign(static_cast<size_t>(shards), ShardCtx());
     }
 
@@ -769,7 +768,6 @@ runClusterImpl(const ClusterConfig &cfg, int shards, int threads)
     pc.lookaheadUs = cfg.base.netUs;
     pc.shards = shards;
     pc.threads = threads;
-    pc.mailboxCapacity = cfg.mailboxCapacity;
     ClusterResult res;
     res.pdes = runPdes(model, model.initialEvents(), pc);
     model.finish(&res, threads);
@@ -818,7 +816,6 @@ ClusterConfig::validate() const
     simr_assert(burstScale >= 1, "burstScale must be >= 1");
     simr_assert(shards >= 0, "shards must be >= 0 (0 = auto)");
     simr_assert(threads >= 0, "threads must be >= 0 (0 = auto)");
-    simr_assert(mailboxCapacity >= 1, "mailboxCapacity must be >= 1");
 }
 
 ClusterConfig

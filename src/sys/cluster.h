@@ -176,7 +176,6 @@ struct ClusterConfig
     // Engine.
     int shards = 0;   ///< 0: defaultThreads() (SIMR_THREADS-aware)
     int threads = 0;  ///< 0: defaultThreads() (SIMR_THREADS-aware)
-    int mailboxCapacity = 256;  ///< ring slots per shard pair
 
     /** Die loudly on zero-capacity tiers, empty graphs or loads,
      *  negative latencies and other nonsense. */

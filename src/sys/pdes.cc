@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <memory>
 #include <queue>
 
 #include "common/logging.h"
@@ -32,7 +31,7 @@ using EventHeap =
 PdesStats
 runSequential(Model &m, std::vector<Event> initial)
 {
-    m.prepare(1, 1);
+    m.prepare(1);
 
     struct SeqSink : EventSink
     {
@@ -67,7 +66,7 @@ pushEvent(std::vector<Event> &heap, const Event &ev)
 
 /**
  * One shard: a min-heap per owned node, the owned nodes whose heap is
- * non-empty, and per-source mailboxes (ring + spill). Nodes are dealt
+ * non-empty, and an outbox per destination shard. Nodes are dealt
  * round-robin: node n belongs to shard n % shards, whose heap
  * n / shards is its own. A window visits only the listed nodes, so a
  * shard's cost per window tracks its pending work, not its node count.
@@ -81,16 +80,16 @@ struct alignas(64) Shard
     double earliest = kInf;         ///< earliest pending event time
     uint64_t queued = 0;            ///< events over all the heaps
 
-    /** Inbound mailboxes, one per source shard. Ring pushes are
-     *  lock-free; a full ring spills into `spill`, written by the
-     *  source worker before the window barrier and drained by this
-     *  shard's worker after it (the barrier publishes the writes). */
-    std::vector<std::unique_ptr<SpscRing<Event>>> rings;
-    std::vector<std::vector<Event>> spill;
+    /** Cross-shard events emitted in the current window, one vector
+     *  per destination shard. Only this shard's worker appends, while
+     *  it processes the window; the destination's worker drains and
+     *  clears the vector after the barrier that ends the window, and
+     *  that barrier publishes the plain writes. Kept on the sender so
+     *  the workers appending never write to each other's vectors. */
+    std::vector<std::vector<Event>> outbox;
 
     uint64_t events = 0;
     uint64_t sends = 0;
-    uint64_t overflows = 0;
     uint64_t peak = 0;  ///< `queued`, sampled before each pop
 
     /** An event for another node than the one being applied. */
@@ -110,10 +109,8 @@ struct alignas(64) Shard
 class ShardSink : public EventSink
 {
   public:
-    ShardSink(std::vector<Shard> &shards, int src, int nshards,
-              double window_end)
-        : shards_(shards), src_(src), nshards_(nshards),
-          windowEnd_(window_end)
+    ShardSink(Shard &shard, int src, int nshards, double window_end)
+        : s_(shard), src_(src), nshards_(nshards), windowEnd_(window_end)
     {
     }
 
@@ -125,12 +122,11 @@ class ShardSink : public EventSink
     {
         const uint32_t ns = static_cast<uint32_t>(nshards_);
         const uint32_t local = ev.node / ns;
-        Shard &s = shards_[static_cast<size_t>(src_)];
         if (ev.node == node) {
             // The node is mid-drain, so it stays listed even while its
             // heap is momentarily empty.
-            pushEvent(s.heaps[local], ev);
-            ++s.queued;
+            pushEvent(s_.heaps[local], ev);
+            ++s_.queued;
             return;
         }
         // Conservative-lookahead contract: an event for any other node
@@ -140,24 +136,15 @@ class ShardSink : public EventSink
                     "cross-node event inside the lookahead window");
         const int dst = static_cast<int>(ev.node - local * ns);
         if (dst == src_) {
-            s.add(ev, local);
+            s_.add(ev, local);
             return;
         }
-        Shard &d = shards_[static_cast<size_t>(dst)];
-        ++s.sends;
-        if (!d.rings[static_cast<size_t>(src_)]->push(ev)) {
-            // Bounded-mailbox backpressure: spill to the per-edge
-            // overflow vector (drained at the next barrier) and count
-            // it. Delivery order is irrelevant -- the destination
-            // re-sorts into its node heaps -- so the spill changes
-            // nothing but the transport.
-            d.spill[static_cast<size_t>(src_)].push_back(ev);
-            ++s.overflows;
-        }
+        ++s_.sends;
+        s_.outbox[static_cast<size_t>(dst)].push_back(ev);
     }
 
   private:
-    std::vector<Shard> &shards_;
+    Shard &s_;
     int src_;
     int nshards_;
     double windowEnd_;
@@ -171,11 +158,9 @@ class ShardSink : public EventSink
  * from the heads left behind and the emits that joined.
  */
 void
-drainWindow(Model &m, std::vector<Shard> &shards, int s, int nshards,
-            double window_end)
+drainWindow(Model &m, Shard &sh, int s, int nshards, double window_end)
 {
-    Shard &sh = shards[static_cast<size_t>(s)];
-    ShardSink sink(shards, s, nshards, window_end);
+    ShardSink sink(sh, s, nshards, window_end);
     const uint32_t ns = static_cast<uint32_t>(nshards);
     sh.earliest = kInf;
     size_t kept = 0;
@@ -208,8 +193,6 @@ PdesStats
 runPdes(Model &m, std::vector<Event> initial, const PdesConfig &cfg)
 {
     simr_assert(cfg.shards >= 1, "PDES shard count must be >= 1");
-    simr_assert(cfg.mailboxCapacity >= 1,
-                "PDES mailbox capacity must be >= 1");
     int nshards = cfg.shards;
     // Zero lookahead admits no conservative window: degenerate to the
     // sequential engine rather than to an incorrect parallel one.
@@ -219,84 +202,76 @@ runPdes(Model &m, std::vector<Event> initial, const PdesConfig &cfg)
         return runSequential(m, std::move(initial));
 
     int workers = std::max(1, std::min(cfg.threads, nshards));
-    m.prepare(nshards, workers);
+    m.prepare(nshards);
 
     const uint32_t ns = static_cast<uint32_t>(nshards);
     std::vector<Shard> shards(static_cast<size_t>(nshards));
     for (Shard &s : shards) {
         s.heaps.resize((m.nodeCount() + ns - 1) / ns);
-        s.rings.reserve(static_cast<size_t>(nshards));
-        for (int i = 0; i < nshards; ++i)
-            s.rings.push_back(std::make_unique<SpscRing<Event>>(
-                static_cast<size_t>(cfg.mailboxCapacity)));
-        s.spill.resize(static_cast<size_t>(nshards));
+        s.outbox.resize(ns);
     }
     for (const Event &ev : initial)
         shards[ev.node % ns].add(ev, ev.node / ns);
     initial.clear();
 
-    // Window-loop shared state. localMin is written by each worker
-    // before barrier A and reduced by worker 0 between barriers A and
-    // B; windowEnd is read by everyone after barrier B.
+    // Each worker writes its localMin entry before the first barrier of
+    // a window cycle and every worker reads all of them between the
+    // first and the second, so no entry is rewritten while read.
     std::vector<double> localMin(static_cast<size_t>(workers), kInf);
-    double windowEnd = 0;
-    bool done = false;
-    uint64_t windows = 0;
+    uint64_t windows = 0;  // counted by worker 0 alone
     SpinBarrier barrier(workers);
 
     auto workerLoop = [&](int w) {
         for (;;) {
-            // Phase A: drain inbound mail into the owned node heaps
-            // (the previous window's barrier published it), then
-            // publish this worker's earliest pending event time.
+            // Phase 1: move the events the other shards sent the owned
+            // ones last window into the node heaps (the barrier that
+            // ended the window published them), then publish this
+            // worker's earliest pending event time.
             double lmin = kInf;
             for (int s = w; s < nshards; s += workers) {
                 Shard &sh = shards[static_cast<size_t>(s)];
-                Event ev;
-                for (int src = 0; src < nshards; ++src) {
-                    while (sh.rings[static_cast<size_t>(src)]->pop(&ev))
+                for (Shard &src : shards) {
+                    std::vector<Event> &box =
+                        src.outbox[static_cast<size_t>(s)];
+                    for (const Event &ev : box)
                         sh.add(ev, ev.node / ns);
-                    auto &spill = sh.spill[static_cast<size_t>(src)];
-                    for (const Event &e : spill)
-                        sh.add(e, e.node / ns);
-                    spill.clear();
+                    box.clear();
                 }
                 lmin = std::min(lmin, sh.earliest);
             }
             localMin[static_cast<size_t>(w)] = lmin;
             barrier.arriveAndWait();
 
-            // Phase B: worker 0 reduces the global minimum (exact:
-            // min over doubles is order-free) and opens the window.
+            // Phase 2: every worker reduces the same global minimum
+            // (exact: min over doubles is order-free) and opens the
+            // window, then processes every owned event inside it, node
+            // by node, each node's in (time, key) order. A node's emits
+            // to itself may still be processed this window; cross-shard
+            // emits wait in the sender's outbox for the next phase 1.
+            double gmin = kInf;
+            for (double v : localMin)
+                gmin = std::min(gmin, v);
+            if (gmin == kInf)
+                return;
+            const double window_end = gmin + cfg.lookaheadUs;
             if (w == 0) {
-                double gmin = kInf;
-                for (double v : localMin)
-                    gmin = std::min(gmin, v);
-                done = gmin == kInf;
-                windowEnd = gmin + cfg.lookaheadUs;
                 // A lookahead under half an ulp of the simulated time
-                // rounds away: the window [gmin, windowEnd) would hold
-                // no event and the loop would reopen it forever.
-                if (!done && !(windowEnd > gmin))
+                // rounds away: the window [gmin, window_end) would hold
+                // no event and the loop would reopen it forever. One
+                // worker reports it, since two threads in std::exit at
+                // once is undefined; the others wait for it at the
+                // barrier below.
+                if (!(window_end > gmin))
                     simr_fatal("PDES lookahead %g us vanishes at "
                                "simulated time %.17g us: the window "
                                "[T, T + lookahead) is empty in double "
                                "arithmetic",
                                cfg.lookaheadUs, gmin);
-                if (!done)
-                    ++windows;
+                ++windows;
             }
-            barrier.arriveAndWait();
-            if (done)
-                return;
-
-            // Phase C: process every owned event inside the window,
-            // node by node, each node's in (time, key) order. A node's
-            // emits to itself may still be processed this window;
-            // cross-shard emits travel by mailbox and are only visible
-            // after the next barrier.
             for (int s = w; s < nshards; s += workers)
-                drainWindow(m, shards, s, nshards, windowEnd);
+                drainWindow(m, shards[static_cast<size_t>(s)], s, nshards,
+                            window_end);
             barrier.arriveAndWait();
         }
     };
@@ -317,7 +292,6 @@ runPdes(Model &m, std::vector<Event> initial, const PdesConfig &cfg)
     for (const Shard &s : shards) {
         stats.events += s.events;
         stats.mailboxSends += s.sends;
-        stats.mailboxOverflows += s.overflows;
         stats.peakQueued = std::max(stats.peakQueued, s.peak);
     }
     return stats;

@@ -17,16 +17,21 @@
  * during the window, and the shard takes its pending nodes one at a
  * time, popping and applying each node's events with time < T + L in
  * (time, key) order; a self-emit inside the window goes back into the
- * node's own heap and is popped in its turn. Windows are separated by
- * barriers at which cross-shard events -- carried by bounded lock-free
- * SPSC mailboxes with overflow-spill backpressure -- are drained into
- * the destination nodes' heaps.
+ * node's own heap and is popped in its turn. A shard appends each
+ * event for another shard to a plain outbox vector for that shard.
+ * Two spin barriers make each window's cycle: after the first, every
+ * worker reduces the same global minimum pending time and processes
+ * its shards' window; after the second, every worker drains the
+ * outboxes addressed to its shards into their node heaps and
+ * publishes its own minimum. A window's producers and the next
+ * window's consumers never run at once, so the barrier is the only
+ * handoff.
  *
  * Determinism contract (the sys_pdes_gate): each node processes its
  * events in global (time, key) order no matter how nodes are sharded
  * or how shards are spread over workers, because (a) keys are unique
  * and derived from event identity, never from arrival order or a
- * global counter, (b) mailbox delivery order is irrelevant -- received
+ * global counter, (b) outbox delivery order is irrelevant -- received
  * events are re-sorted into the destination node's heap -- and (c) a
  * model's per-node state is touched only by that node's events, so
  * the order in which a shard visits its nodes inside a window is
@@ -41,7 +46,8 @@
  * the sequential engine (shards forced to 1) rather than to a wrong
  * answer. A positive lookahead so small that T + L rounds back to T
  * opens empty windows; the sharded kernel exits through simr_fatal
- * naming both values rather than spin on them.
+ * naming both values rather than spin on them (worker 0 alone reports
+ * it).
  */
 
 #ifndef SIMR_SYS_PDES_H
@@ -94,8 +100,8 @@ class EventSink
  * The simulated model: node count plus the event handler. apply() runs
  * on a worker thread; it may touch per-node state of ev.node, shard
  * context indexed by `shard`, and state reachable only through the
- * event's own causal chain (the kernel's mailbox/barrier handoff
- * publishes writes of causally earlier events). It must not touch
+ * event's own causal chain (the kernel's barrier handoff publishes
+ * writes of causally earlier events). It must not touch
  * other nodes' state, and every event it emits to another node must
  * land at least one lookahead after ev.time; only its emits to ev.node
  * itself may come sooner.
@@ -108,7 +114,7 @@ class Model
     virtual uint32_t nodeCount() const = 0;
 
     /** Called once before the run with the resolved shard count. */
-    virtual void prepare(int shards, int workers) = 0;
+    virtual void prepare(int shards) = 0;
 
     virtual void apply(const Event &ev, EventSink &sink, int shard) = 0;
 };
@@ -123,7 +129,6 @@ struct PdesConfig
     int shards = 1;          ///< event-queue partitions (>= 1)
     int threads = 1;         ///< worker cap; effective workers =
                              ///  min(threads, shards)
-    int mailboxCapacity = 256;  ///< ring slots per shard pair
 };
 
 /** Kernel diagnostics (scheduling-dependent; never model output). */
@@ -131,8 +136,12 @@ struct PdesStats
 {
     uint64_t events = 0;           ///< apply() calls
     uint64_t windows = 0;          ///< lookahead windows executed
-    uint64_t mailboxSends = 0;     ///< cross-shard events via rings
-    uint64_t mailboxOverflows = 0; ///< ring-full spills (backpressure)
+    uint64_t mailboxSends = 0;     ///< cross-shard events (outbox
+                                   ///  appends)
+    uint64_t mailboxOverflows = 0; ///< always 0: outboxes are
+                                   ///  unbounded and never spill; kept
+                                   ///  because perfbench reports it as
+                                   ///  sys.mailbox_spills
     uint64_t peakQueued = 0;       ///< most events one shard held
                                    ///  pending at once, over all its
                                    ///  node heaps
@@ -148,7 +157,7 @@ struct PdesStats
  * web servers) keeps them proportional to in-flight work rather than
  * to the run length. With cfg.shards == 1
  * (or lookahead <= 0, which forces it) this is the plain sequential
- * event loop: one heap, no windows, no mailboxes -- the reference
+ * event loop: one heap, no windows, no outboxes -- the reference
  * engine the determinism gate compares against.
  */
 PdesStats runPdes(Model &m, std::vector<Event> initial,

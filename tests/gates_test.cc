@@ -231,7 +231,7 @@ TEST(Gates, SysPdes)
     // The sharded engine at shards {1, 4, 16} x workers {1, 4} against
     // the sequential reference: every ClusterResult field but the
     // engine diagnostics, and the sampled journey set.
-    uint64_t bursty_spills = 0;
+    uint64_t sends = 0;
     for (const ClusterCell &cell : pdesGateCells(kGateSeed)) {
         std::vector<obs::Journey> ref_j;
         const sys::ClusterResult ref = runEngine(cell.cfg, 0, 1, &ref_j);
@@ -246,20 +246,20 @@ TEST(Gates, SysPdes)
                 EXPECT_TRUE(js == ref_j)
                     << "cell " << cell.name << " journey set diverged at "
                     << shards << " shards, " << threads << " threads";
-                // The bursty cell's 2-slot mailboxes must overflow at
-                // 16 shards, or the gate stopped covering the spill
-                // path.
-                if (shards == 16 && cell.cfg.mailboxCapacity == 2) {
-                    EXPECT_GT(r.pdes.mailboxOverflows, 0u)
-                        << "no mailbox overflow at " << threads
-                        << " threads (backpressure path untested)";
-                    bursty_spills += r.pdes.mailboxOverflows;
+                // Every sharded cell must hand events across shards,
+                // or the gate stopped covering the outbox transport.
+                if (shards > 1) {
+                    EXPECT_GT(r.pdes.mailboxSends, 0u)
+                        << "cell " << cell.name
+                        << " sent no cross-shard event at " << shards
+                        << " shards, " << threads << " threads";
+                    sends += r.pdes.mailboxSends;
                 }
             }
         }
     }
-    std::printf("sys_pdes_gate: %llu spills in the bursty cell at 16 "
-                "shards\n", static_cast<unsigned long long>(bursty_spills));
+    std::printf("sys_pdes_gate: %llu cross-shard events at 4 and 16 "
+                "shards\n", static_cast<unsigned long long>(sends));
 }
 
 namespace

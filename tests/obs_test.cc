@@ -156,7 +156,6 @@ TEST(Scope, NestsAndRestores)
     EXPECT_EQ(outer.counter("x")->value(), 0u);
 }
 
-#if SIMR_OBS_TRACE
 TEST(Scope, TracerVisibleOnlyInScope)
 {
     EXPECT_EQ(obs::Scope::tracer(), nullptr);
@@ -168,7 +167,6 @@ TEST(Scope, TracerVisibleOnlyInScope)
     }
     EXPECT_EQ(obs::Scope::tracer(), nullptr);
 }
-#endif
 
 TEST(Tracer, GoldenChromeJson)
 {
@@ -412,7 +410,6 @@ TEST(OneReplica, RegistryAndTierBreakdown)
     EXPECT_GT(reg.gauge("sys.achieved_qps")->value(), 0.0);
 }
 
-#if SIMR_OBS_TRACE
 TEST(OneReplica, EmitsBalancedTimeline)
 {
     obs::Registry reg;
@@ -797,7 +794,6 @@ TEST(JourneyMetrics, PublishedIntoRegistry)
     EXPECT_GT(reg.gauge("sys.journey.median.e2e_us")->value(), 0.0);
 }
 
-#if SIMR_OBS_TRACE
 TEST(Tracer, FlowEventsCarryIdsAndPhases)
 {
     obs::Tracer tr;
@@ -815,7 +811,6 @@ TEST(Tracer, FlowEventsCarryIdsAndPhases)
     EXPECT_NE(j.find("\"ph\":\"f\""), std::string::npos);
     EXPECT_NE(j.find("\"id\":9"), std::string::npos);
 }
-#endif
 
 TEST(SpanRecorder, SinksDoNotPerturbExecution)
 {
@@ -835,4 +830,3 @@ TEST(SpanRecorder, SinksDoNotPerturbExecution)
                                     256, 42, &tee);
     EXPECT_TRUE(plain.stats == traced.stats);
 }
-#endif

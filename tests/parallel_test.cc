@@ -3,9 +3,8 @@
  * Tests for the parallel experiment harness: pool lifecycle and
  * exception propagation, parallelFor/parallelMap semantics, and the
  * cell-sweep determinism contract (runCells must produce bit-identical
- * TimingRun statistics at any worker count), plus the PDES
- * synchronization primitives: the bounded SPSC mailbox ring and the
- * reusable spin barrier.
+ * TimingRun statistics at any worker count), plus the PDES kernel's
+ * synchronization primitive, the reusable spin barrier.
  */
 
 #include <algorithm>
@@ -200,59 +199,6 @@ TEST(RunCells, DeterministicAcrossThreadCounts)
     }
 }
 
-TEST(SpscRing, FifoOrderAndCapacityRounding)
-{
-    // Capacity rounds up to a power of two, >= 2.
-    EXPECT_EQ(SpscRing<int>(1).capacity(), 2u);
-    EXPECT_EQ(SpscRing<int>(2).capacity(), 2u);
-    EXPECT_EQ(SpscRing<int>(3).capacity(), 4u);
-    EXPECT_EQ(SpscRing<int>(256).capacity(), 256u);
-
-    SpscRing<int> ring(4);
-    int v = -1;
-    EXPECT_FALSE(ring.pop(&v)) << "empty ring pops nothing";
-    for (int i = 0; i < 4; ++i)
-        EXPECT_TRUE(ring.push(i));
-    EXPECT_FALSE(ring.push(99)) << "full ring rejects the push";
-    for (int i = 0; i < 4; ++i) {
-        ASSERT_TRUE(ring.pop(&v));
-        EXPECT_EQ(v, i) << "FIFO order";
-    }
-    EXPECT_FALSE(ring.pop(&v));
-
-    // Wrap-around: interleaved push/pop far past the capacity.
-    for (int i = 0; i < 1000; ++i) {
-        ASSERT_TRUE(ring.push(i));
-        ASSERT_TRUE(ring.pop(&v));
-        EXPECT_EQ(v, i);
-    }
-}
-
-TEST(SpscRing, ConcurrentProducerConsumer)
-{
-    // One producer, one consumer, a deliberately tiny ring: every
-    // element arrives exactly once, in order, despite constant
-    // full/empty churn.
-    SpscRing<uint64_t> ring(8);
-    const uint64_t n = 20000;
-    std::thread producer([&] {
-        for (uint64_t i = 0; i < n; ++i)
-            while (!ring.push(i))
-                std::this_thread::yield();
-    });
-    uint64_t expect = 0;
-    while (expect < n) {
-        uint64_t v;
-        if (ring.pop(&v)) {
-            ASSERT_EQ(v, expect);
-            ++expect;
-        }
-    }
-    producer.join();
-    uint64_t v;
-    EXPECT_FALSE(ring.pop(&v)) << "nothing left behind";
-}
-
 TEST(SpinBarrier, SinglePartyIsANoop)
 {
     SpinBarrier b(1);
@@ -262,23 +208,26 @@ TEST(SpinBarrier, SinglePartyIsANoop)
 
 TEST(SpinBarrier, SynchronizesPhases)
 {
-    // Each of 4 threads bumps a per-phase counter, then waits. After
-    // the barrier every thread must observe ALL increments of the
-    // phase -- for many consecutive phases (generation reuse).
+    // Each of 4 threads writes the phase into its own plain (not
+    // atomic) slot, then waits. After the barrier every thread must
+    // read ALL slots of the phase -- for many consecutive phases
+    // (generation reuse) -- and the second barrier keeps the next
+    // phase's writes after every read. This is the handoff the PDES
+    // kernel relies on; under TSan a barrier that did not publish the
+    // writes reports a race here.
     const int parties = 4, phases = 50;
     SpinBarrier barrier(parties);
-    std::vector<std::atomic<int>> counts(phases);
-    for (auto &c : counts)
-        c.store(0);
+    std::vector<int> slots(parties, -1);
     std::atomic<int> failures{0};
     std::vector<std::thread> threads;
     for (int t = 0; t < parties; ++t)
-        threads.emplace_back([&] {
+        threads.emplace_back([&, t] {
             for (int p = 0; p < phases; ++p) {
-                counts[static_cast<size_t>(p)].fetch_add(1);
+                slots[static_cast<size_t>(t)] = p;
                 barrier.arriveAndWait();
-                if (counts[static_cast<size_t>(p)].load() != parties)
-                    failures.fetch_add(1);
+                for (int v : slots)
+                    if (v != p)
+                        failures.fetch_add(1);
                 barrier.arriveAndWait();
             }
         });

@@ -141,7 +141,7 @@ constexpr uint64_t kGolden[kNumCells] = {
     0xb2662c1e2875d70bULL,  // gate rpu-split
     0x5cc2aa4c4c4bc236ULL,  // gate rpu-nosplit
     0x1db9340571a338a9ULL,  // gate cpu
-    0x5998aae6c52cbbffULL,  // gate bursty-overflow
+    0x5998aae6c52cbbffULL,  // gate bursty
     0x8645ad4acdd7183eULL,  // 1024 cpu
     0xd9c457738286c52dULL,  // 1024 rpu-split
     0x1b552c68a0d2bf3bULL,  // 1024 rpu-nosplit
