@@ -24,9 +24,9 @@
  * A second section measures the journey recorder (obs/journey.h) on
  * the system simulator at uqSim's shape (sys::oneReplica(): one
  * server per tier, one client stream): the always-on sampled mode
- * against journeys off and SIMR_JOURNEYS=all. Sampled-mode overhead
- * IS gated (<2%; thread cputime over ABBA blocks to shed scheduler
- * noise, order effects and clock drift), and SysResult must be
+ * against journeys off and All mode (every request). Sampled-mode
+ * overhead IS gated (<2%; thread cputime over ABBA blocks to shed
+ * scheduler noise, order effects and clock drift), and SysResult must be
  * bit-identical in all three modes -- recording may never perturb the
  * simulation. The tier-1 test journey_determinism_gate checks that
  * across four scenario cells and harness widths.

@@ -14,7 +14,6 @@
 #include <map>
 #include <string>
 
-#include "common/logging.h"
 #include "common/parallel.h"
 #include "common/table.h"
 #include "energy/area.h"
@@ -34,8 +33,6 @@ CellMemo::run(const std::vector<Cell> &cells)
     std::vector<size_t> at;
     at.reserve(cells.size());
     for (const Cell &c : cells) {
-        simr_assert(!c.opt.observerFor,
-                    "CellMemo: a cell with an observer must run live");
         auto it = std::find(cells_.begin(), cells_.end(), c);
         at.push_back(static_cast<size_t>(it - cells_.begin()));
         if (it == cells_.end())

@@ -19,7 +19,7 @@ namespace simr::bench
 /**
  * The timing run of every cell simulated so far, found by cell identity
  * (Cell's operator==: the service, the CoreConfig and every
- * TimingOptions field but observerFor). A cell's result depends only
+ * TimingOptions field). A cell's result depends only
  * on that identity -- cellSeed derives from it, and the trace caches
  * are bit-identical to live runs -- so a figure handed a memoized run
  * prints what a fresh one would, and each distinct cell of a
@@ -30,8 +30,7 @@ class CellMemo
   public:
     /**
      * Runs of `cells`, in input order. The cells this memo has not run
-     * yet go to one runCells call. Cells with an observer are rejected:
-     * an observer must see a live run.
+     * yet go to one runCells call.
      */
     std::vector<TimingRun> run(const std::vector<Cell> &cells);
 

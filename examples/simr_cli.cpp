@@ -18,6 +18,7 @@
  *            [--requests N] [--threads N]
  *   simr_cli trace <service>|social_network [--out FILE]
  *            [--config rpu|gpu] [--requests N] [--qps N]
+ *            [--mode off|sampled|all]
  *   simr_cli anatomy social_network [--json] [--qps N] [--requests N]
  *            [--mode off|sampled|all] [--servers N] [--shards N]
  *   simr_cli hotspots <service>|--all [--top N] [--requests N]
@@ -102,6 +103,8 @@ usage()
         "           [--threads N]\n"
         "  simr_cli trace <service>|social_network [--out FILE]\n"
         "           [--config rpu|gpu] [--requests N] [--qps N]\n"
+        "           [--mode off|sampled|all]   (social_network's\n"
+        "           journey capture, sampled by default)\n"
         "  simr_cli anatomy social_network [--json] [--qps N]\n"
         "           [--requests N] [--mode off|sampled|all]\n"
         "           [--servers N] [--shards N]   (one server per\n"
@@ -614,8 +617,8 @@ traceChipLevel(const svc::Service &svc, const std::string &name,
  * `social_network` is the end-to-end Fig. 22 view: the User scenario
  * at one server per tier (per-server queueing in simulated
  * microseconds) plus a chip-level lockstep trace of the `user`
- * logic-tier service. Any other service name gives the chip-level view
- * alone.
+ * logic-tier service, with journeys captured in --mode. Any other
+ * service name gives the chip-level view alone.
  */
 int
 cmdTrace(const std::string &target, int argc, char **argv)
@@ -627,6 +630,8 @@ cmdTrace(const std::string &target, int argc, char **argv)
     std::string out = flag(argc, argv, "--out", "run.json");
     int requests = std::stoi(flag(argc, argv, "--requests", "256"));
     int top_n = std::stoi(flag(argc, argv, "--top", "5"));
+    obs::JourneyMode mode =
+        obs::journeyModeFromName(flag(argc, argv, "--mode", "sampled"));
 
     if (target == "social_network") {
         // Chip level: the logic tier the scenario batches for, with the
@@ -644,7 +649,7 @@ cmdTrace(const std::string &target, int argc, char **argv)
         cfg.qps = std::stod(flag(argc, argv, "--qps", "10000"));
         cfg.requests = static_cast<uint64_t>(requests) * 8;
         cfg.base.rpu = true;
-        obs::JourneyRecorder jrec(obs::journeyModeFromEnv(), 64);
+        obs::JourneyRecorder jrec(mode, 64);
         sys::SysResult r;
         {
             obs::Scope jscope(&reg, &tracer, &jrec);
@@ -699,8 +704,8 @@ cmdTrace(const std::string &target, int argc, char **argv)
                      out.c_str());
         return 4;
     }
-    std::printf("wrote %zu trace events to %s (%zu dropped)\n",
-                tracer.size(), out.c_str(), tracer.dropped());
+    std::printf("wrote %zu trace events to %s\n", tracer.size(),
+                out.c_str());
     std::printf("open in https://ui.perfetto.dev (or "
                 "chrome://tracing)\n");
     return dumpMetricsIfAsked(argc, argv) ? 0 : 4;
@@ -727,11 +732,8 @@ cmdAnatomy(const std::string &target, int argc, char **argv)
     bool json = has(argc, argv, "--json");
     double qps = std::stod(flag(argc, argv, "--qps", "10000"));
     int requests = std::stoi(flag(argc, argv, "--requests", "20000"));
-    std::string mode_s = flag(argc, argv, "--mode", "");
-    obs::JourneyMode mode = mode_s == "off" ? obs::JourneyMode::Off :
-        mode_s == "all" ? obs::JourneyMode::All :
-        mode_s == "sampled" ? obs::JourneyMode::Sampled :
-        obs::journeyModeFromEnv();
+    obs::JourneyMode mode =
+        obs::journeyModeFromName(flag(argc, argv, "--mode", "sampled"));
 
     obs::Registry reg;
     obs::Scope scope(&reg);

@@ -95,7 +95,7 @@ BatchingServer::formBatches(const std::vector<svc::Request> &arrivals) const
     obs::Registry *reg = obs::Scope::registry();
     obs::Counter *formed = reg->counter("batch.formed");
     obs::Counter *partial = reg->counter("batch.partial");
-    obs::ShardedHist *fill = reg->hist("batch.fill");
+    obs::Hist *fill = reg->hist("batch.fill");
     formed->inc(out.size());
     for (const auto &b : out) {
         if (b.size() < batchSize_)

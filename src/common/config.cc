@@ -29,24 +29,6 @@ envInt(const char *name, int64_t fallback, int64_t min)
     return x;
 }
 
-double
-envDouble(const char *name, double fallback)
-{
-    const char *v = std::getenv(name);
-    if (!v || !*v)
-        return fallback;
-    return std::strtod(v, nullptr);
-}
-
-std::string
-envStr(const char *name, const std::string &fallback)
-{
-    const char *v = std::getenv(name);
-    if (!v || !*v)
-        return fallback;
-    return v;
-}
-
 RunScale
 RunScale::fromEnv()
 {

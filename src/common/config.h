@@ -10,7 +10,6 @@
 
 #include <cstdint>
 #include <limits>
-#include <string>
 
 namespace simr
 {
@@ -23,12 +22,6 @@ namespace simr
  */
 int64_t envInt(const char *name, int64_t fallback,
                int64_t min = std::numeric_limits<int64_t>::min());
-
-/** Read a double environment variable, falling back to a default. */
-double envDouble(const char *name, double fallback);
-
-/** Read a string environment variable, falling back to a default. */
-std::string envStr(const char *name, const std::string &fallback);
 
 /**
  * Global run-scale knobs.

@@ -1,17 +1,12 @@
 #include "common/parallel.h"
 
+#include <exception>
+
 #include "common/config.h"
 #include "common/logging.h"
 
 namespace simr
 {
-
-namespace
-{
-
-std::atomic<int> g_thread_override{0};
-
-} // namespace
 
 int
 hardwareThreads()
@@ -23,100 +18,10 @@ hardwareThreads()
 int
 defaultThreads()
 {
-    int override = g_thread_override.load(std::memory_order_relaxed);
-    if (override > 0)
-        return override;
     int64_t env = envInt("SIMR_THREADS", 0, 0);
     if (env > 0)
         return static_cast<int>(env);
     return hardwareThreads();
-}
-
-void
-setDefaultThreads(int threads)
-{
-    g_thread_override.store(threads > 0 ? threads : 0,
-                            std::memory_order_relaxed);
-}
-
-ThreadPool::ThreadPool(int threads)
-{
-    nthreads_ = threads > 0 ? threads : defaultThreads();
-    workers_.reserve(static_cast<size_t>(nthreads_));
-    for (int i = 0; i < nthreads_; ++i)
-        workers_.emplace_back([this] { workerLoop(); });
-}
-
-ThreadPool::~ThreadPool()
-{
-    shutdown();
-}
-
-void
-ThreadPool::run(std::function<void()> task)
-{
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        simr_assert(!stopping_, "task submitted to a stopped pool");
-        queue_.push_back(std::move(task));
-        ++outstanding_;
-    }
-    workCv_.notify_one();
-}
-
-void
-ThreadPool::wait()
-{
-    std::unique_lock<std::mutex> lock(mu_);
-    idleCv_.wait(lock, [this] { return outstanding_ == 0; });
-    if (firstError_) {
-        std::exception_ptr err = firstError_;
-        firstError_ = nullptr;
-        lock.unlock();
-        std::rethrow_exception(err);
-    }
-}
-
-void
-ThreadPool::shutdown()
-{
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        if (stopping_ && workers_.empty())
-            return;
-        stopping_ = true;
-    }
-    workCv_.notify_all();
-    for (auto &w : workers_)
-        w.join();
-    workers_.clear();
-}
-
-void
-ThreadPool::workerLoop()
-{
-    std::unique_lock<std::mutex> lock(mu_);
-    while (true) {
-        workCv_.wait(lock,
-                     [this] { return stopping_ || !queue_.empty(); });
-        if (queue_.empty()) {
-            // stopping_ with a drained queue: exit.
-            return;
-        }
-        std::function<void()> task = std::move(queue_.front());
-        queue_.pop_front();
-        lock.unlock();
-        try {
-            task();
-        } catch (...) {
-            std::lock_guard<std::mutex> guard(mu_);
-            if (!firstError_)
-                firstError_ = std::current_exception();
-        }
-        lock.lock();
-        if (--outstanding_ == 0)
-            idleCv_.notify_all();
-    }
 }
 
 void
@@ -129,33 +34,39 @@ parallelFor(size_t n, const std::function<void(size_t)> &body,
     if (t > static_cast<int>(n))
         t = static_cast<int>(n);
     if (t <= 1) {
-        // Serial fallback: same thread, same order, no pool.
+        // Serial fallback: same thread, same order, no workers.
         for (size_t i = 0; i < n; ++i)
             body(i);
         return;
     }
 
-    // Chunked self-scheduling: each pool task claims indices from the
-    // shared counter until the range is exhausted or a peer failed.
+    // Self-scheduling: each worker claims indices from the shared
+    // counter until the range is exhausted or a body has thrown.
     std::atomic<size_t> next{0};
     std::atomic<bool> failed{false};
-    ThreadPool pool(t);
-    for (int w = 0; w < t; ++w) {
-        pool.run([&] {
-            size_t i;
-            while (!failed.load(std::memory_order_relaxed) &&
-                   (i = next.fetch_add(1, std::memory_order_relaxed)) <
-                       n) {
-                try {
-                    body(i);
-                } catch (...) {
-                    failed.store(true, std::memory_order_relaxed);
-                    throw;
-                }
+    std::exception_ptr first_error;  // written by the first body to throw
+    auto work = [&] {
+        size_t i;
+        while (!failed.load(std::memory_order_relaxed) &&
+               (i = next.fetch_add(1, std::memory_order_relaxed)) < n) {
+            try {
+                body(i);
+            } catch (...) {
+                if (!failed.exchange(true, std::memory_order_relaxed))
+                    first_error = std::current_exception();
             }
-        });
+        }
+    };
+    {
+        // A jthread joins on destruction, so the workers are joined
+        // before the state they share goes, even if starting one fails.
+        std::vector<std::jthread> workers;
+        workers.reserve(static_cast<size_t>(t));
+        for (int w = 0; w < t; ++w)
+            workers.emplace_back(work);
     }
-    pool.wait();
+    if (first_error)
+        std::rethrow_exception(first_error);
 }
 
 } // namespace simr

@@ -1,38 +1,36 @@
 /**
  * @file
- * Shared-queue thread pool and data-parallel helpers for the experiment
- * harness.
+ * Data-parallel helpers for the experiment harness, and the spin
+ * barrier of the PDES kernel.
  *
  * Every reproduction figure iterates embarrassingly-parallel
- * (service x config x policy) cells; this is the fan-out primitive they
- * share. Scheduling is chunked self-scheduling: workers pull the next
- * index from a shared atomic counter, so load balances dynamically while
- * results land in caller-owned, index-addressed slots -- output is
- * bit-identical to the serial order regardless of worker count or
- * interleaving.
+ * (service x config x policy) cells; parallelFor is the fan-out
+ * primitive they share. It starts plain threads for one call and joins
+ * them before it returns. Scheduling is self-scheduling: workers claim
+ * the next index from a shared atomic counter, so load balances
+ * dynamically while results land in caller-owned, index-addressed
+ * slots -- output is bit-identical to the serial order regardless of
+ * worker count or interleaving.
  *
  * Thread-count resolution (first match wins):
  *   1. an explicit `threads` argument > 0,
- *   2. a process-wide override installed with setDefaultThreads(),
- *   3. the SIMR_THREADS environment variable,
- *   4. std::thread::hardware_concurrency().
+ *   2. the SIMR_THREADS environment variable,
+ *   3. std::thread::hardware_concurrency().
  *
  * A resolved count of 1 falls back to a plain serial loop on the calling
  * thread: no threads are spawned, so single-threaded runs behave exactly
  * as before the harness existed (same stack, same debugger experience).
+ * At more than one worker no body runs on the calling thread, so a body
+ * never sees the caller's obs::Scope.
  */
 
 #ifndef SIMR_COMMON_PARALLEL_H
 #define SIMR_COMMON_PARALLEL_H
 
 #include <atomic>
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
-#include <exception>
 #include <functional>
-#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -45,78 +43,21 @@ namespace simr
 int hardwareThreads();
 
 /**
- * Worker count used when a call site passes threads = 0: the
- * setDefaultThreads() override if set, else SIMR_THREADS, else
- * hardwareThreads().
+ * Worker count used when a call site passes threads = 0: SIMR_THREADS
+ * if set and > 0, else hardwareThreads().
  */
 int defaultThreads();
-
-/**
- * Install a process-wide worker-count override (config file / CLI flag
- * plumbing). Pass 0 to clear it and fall back to SIMR_THREADS.
- */
-void setDefaultThreads(int threads);
-
-/**
- * Fixed-size pool of worker threads draining one shared task queue.
- *
- * Tasks run in submission order (pickup order; completion order is
- * scheduling-dependent). The first exception a task throws is captured
- * and rethrown from wait(); later exceptions in the same batch are
- * dropped. The destructor drains the queue and joins the workers.
- */
-class ThreadPool
-{
-  public:
-    /** @param threads worker count; 0 resolves via defaultThreads(). */
-    explicit ThreadPool(int threads = 0);
-
-    /** Drains remaining tasks, joins all workers. */
-    ~ThreadPool();
-
-    ThreadPool(const ThreadPool &) = delete;
-    ThreadPool &operator=(const ThreadPool &) = delete;
-
-    /** Enqueue one task. Must not be called after shutdown(). */
-    void run(std::function<void()> task);
-
-    /**
-     * Block until every queued task has finished; rethrow the first
-     * captured task exception (clearing it, so the pool stays usable).
-     */
-    void wait();
-
-    /**
-     * Drain the queue and join the workers. Idempotent; called by the
-     * destructor. Pending task exceptions are dropped (wait() is the
-     * reporting channel).
-     */
-    void shutdown();
-
-    int threads() const { return nthreads_; }
-
-  private:
-    void workerLoop();
-
-    int nthreads_ = 1;
-    std::vector<std::thread> workers_;
-    std::deque<std::function<void()>> queue_;
-    std::mutex mu_;
-    std::condition_variable workCv_;   ///< queue became non-empty / stop
-    std::condition_variable idleCv_;   ///< outstanding_ hit zero
-    size_t outstanding_ = 0;           ///< queued + running tasks
-    bool stopping_ = false;
-    std::exception_ptr firstError_;
-};
 
 /**
  * Run body(i) for i in [0, n), fanning out over `threads` workers
  * (0 = defaultThreads()). Indices are claimed from a shared atomic
  * counter, one at a time -- the intended grain is a coarse experiment
- * cell, not an array element. Serial at a resolved count of 1.
+ * cell, not an array element. Serial on the caller at a resolved count
+ * of 1; otherwise every body runs on a worker thread started for this
+ * call.
  *
  * The first exception thrown by any body is rethrown on the caller;
- * remaining workers stop claiming new indices once it is recorded.
+ * no worker claims a new index once a body has thrown.
  */
 void parallelFor(size_t n, const std::function<void(size_t)> &body,
                  int threads = 0);

@@ -181,9 +181,8 @@ class Histogram
 
     /**
      * Exact merge of another histogram (samples appended, running
-     * statistics combined via RunningStat::merge). The registry's
-     * per-thread shards aggregate through this on snapshot, so sharding
-     * never changes any reported statistic.
+     * statistics combined via RunningStat::merge). Registry::merge
+     * folds per-cell histograms through this in input order.
      */
     void merge(const Histogram &o);
 

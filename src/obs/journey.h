@@ -24,27 +24,26 @@
  * and one comparison (latency-biased reservoir sampling, A-ES keys:
  * key = latency / Exp(1), deterministic per reqId), and only accepted
  * requests pay for building the event log. The always-on sampled mode
- * stays under the 2% overhead budget (gated by bench_obs);
- * SIMR_JOURNEYS=all captures every request for deep drill-downs.
+ * stays under the 2% overhead budget (gated by bench_obs); All mode
+ * captures every request for deep drill-downs.
  *
  * Determinism: sampling keys depend only on (reqId, latency, seed),
- * never on thread scheduling; each shard keeps its local top-K and
- * snapshot() takes the global top-K of the union (a superset of every
- * shard's local top-K), so the sampled set is identical at any thread
- * count. Recording never perturbs the simulation: the recorder draws
- * nothing from the scenario's Rng and SysResult is bit-identical with
- * journeys off, sampled or full (ctest journey_determinism_gate).
+ * never on thread scheduling. A recorder has one writer; the cluster
+ * gives each PDES shard its own and merges them after the run, and
+ * merge() keeps the top-K of the union (every global winner survives
+ * its own reservoir), so the sampled set is identical however the
+ * requests were split. Recording never perturbs the simulation: the
+ * recorder draws nothing from the scenario's Rng and SysResult is
+ * bit-identical with journeys off, sampled or full (ctest
+ * journey_determinism_gate).
  */
 
 #ifndef SIMR_OBS_JOURNEY_H
 #define SIMR_OBS_JOURNEY_H
 
-#include <atomic>
 #include <bit>
 #include <cmath>
 #include <cstdint>
-#include <limits>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -53,7 +52,7 @@
 namespace simr::obs
 {
 
-/** Journey capture mode (SIMR_JOURNEYS=off|sampled|all). */
+/** Journey capture mode. */
 enum class JourneyMode : uint8_t {
     Off,      ///< recorder inert: the system simulator treats it as
               ///  no recorder, so zero per-request work
@@ -62,10 +61,10 @@ enum class JourneyMode : uint8_t {
 };
 
 /**
- * Parse SIMR_JOURNEYS (unset or empty means `fallback`; "0" is an
- * alias for off). Any other value is fatal.
+ * Parse a mode name: "off", "sampled" or "all". Anything else is
+ * fatal, naming the value.
  */
-JourneyMode journeyModeFromEnv(JourneyMode fallback = JourneyMode::Sampled);
+JourneyMode journeyModeFromName(const std::string &name);
 
 const char *journeyModeName(JourneyMode m);
 
@@ -148,7 +147,7 @@ struct Journey
 };
 
 /**
- * Latency-biased journey reservoir with per-thread shards.
+ * Latency-biased journey reservoir with a single writer.
  *
  * Two-phase protocol for the hot path:
  *
@@ -158,58 +157,93 @@ struct Journey
  *       rec.admit(std::move(j), key);
  *   }
  *
- * offer() costs one hash and one comparison against the calling
- * shard's current admission threshold; admit() inserts into the
- * shard's bounded reservoir, evicting its minimum-key entry. In All
- * mode offer() always accepts. In Off mode it always declines.
+ * offer() costs one hash and one comparison against the current
+ * admission threshold; admit() inserts into the bounded reservoir,
+ * evicting its minimum-key entry. In All mode offer() always accepts.
+ * In Off mode it always declines. One thread at a time may use a
+ * recorder: the cluster gives each PDES shard its own and merges them
+ * on the caller after the run.
  */
 class JourneyRecorder
 {
   public:
     /**
-     * @param mode      capture mode; defaults to SIMR_JOURNEYS (or
-     *                  Sampled when unset)
-     * @param capacity  reservoir size (per shard and for the merged
-     *                  snapshot); ignored in All mode
+     * @param mode      capture mode
+     * @param capacity  reservoir size; ignored in All mode
      * @param seed      sampling-key salt (deterministic per reqId)
      */
-    explicit JourneyRecorder(JourneyMode mode = journeyModeFromEnv(),
-                             size_t capacity = 512,
+    explicit JourneyRecorder(JourneyMode mode, size_t capacity = 512,
                              uint64_t seed = 0x1009e5);
-    ~JourneyRecorder();
     JourneyRecorder(const JourneyRecorder &) = delete;
     JourneyRecorder &operator=(const JourneyRecorder &) = delete;
 
     JourneyMode mode() const { return mode_; }
     size_t capacity() const { return capacity_; }
+    uint64_t seed() const { return seed_; }
 
     /**
      * Phase 1: would a request with this identity and latency be kept?
-     * Counts the request as seen either way. On acceptance fills
-     * `key` for the admit() call. Lock-free: one hash plus a relaxed
-     * load of the calling shard's admission threshold (the shard is
-     * only written by its own thread, so the threshold it reads is
-     * exact, not approximate).
-     *
-     * Hot loops should hoist cursor() and offer through that instead:
-     * this entry point re-resolves the calling thread's shard each
-     * call.
+     * Counts the request as seen either way (Off mode counts nothing).
+     * On acceptance fills `key` for the admit() call. Inline: one hash,
+     * two multiplies, an add and a comparison for most requests.
      */
-    bool offer(uint64_t req_id, double e2e_us, uint64_t *key);
+    bool
+    offer(uint64_t req_id, double e2e_us, uint64_t *key)
+    {
+        if (mode_ != JourneyMode::Sampled) {
+            if (mode_ == JourneyMode::Off)
+                return false;
+            ++seen_;
+            *key = req_id;
+            return true;
+        }
+        ++seen_;
+        if (thr_ != 0) {
+            // Conservative pre-reject, division- and log-free.
+            // Accepting needs E < r where E = -ln(u) and r = e2e/thr;
+            // since 1 - r <= e^-r, any u below 1 - r cannot accept. The
+            // test runs scaled by 2^53 so the hash's mantissa compares
+            // directly against kPreC - e2e * (2^53/thr), one multiply
+            // and one subtract per request. The 1e-9 relative margin in
+            // kPreC swallows floating-point rounding, the +1 in
+            // uniformFor's mantissa and the fact that keyFor's
+            // chord-approximated log never underestimates E, so the
+            // pre-test only rejects requests whose key is certainly at
+            // or below the threshold.
+            uint64_t h = hashFor(req_id, seed_);
+            if (static_cast<double>(h >> 11) < kPreC - e2e_us * inv53_)
+                return false;
+        }
+        uint64_t k = keyFor(req_id, e2e_us, seed_);
+        *key = k;
+        // thr_ == 0 means the reservoir still has room (or its minimum
+        // is the zero-latency key, where a spurious accept is harmless:
+        // admit() re-checks).
+        return thr_ == 0 || k > thr_;
+    }
 
     /** Phase 2: store an accepted journey under its sampling key. */
     void admit(Journey &&j, uint64_t key);
 
-    /** Requests offered (kept or not). */
-    uint64_t seen() const;
+    /**
+     * Fold another recorder of the same mode and seed into this one,
+     * emptying it: seen counts add; in Sampled mode the reservoir
+     * keeps the top-`capacity` keys of the union, in All mode the logs
+     * append. Merging reservoirs that split one offered population
+     * gives the set a single recorder offered all of it would keep.
+     */
+    void merge(JourneyRecorder &&o);
 
-    /** Journeys currently resident across shards. */
-    uint64_t kept() const;
+    /** Requests offered (kept or not). */
+    uint64_t seen() const { return seen_; }
+
+    /** Journeys currently resident. */
+    uint64_t kept() const { return heap_.size() + log_.size(); }
 
     /**
-     * Merged view: the global top-`capacity` journeys by sampling key
-     * (every journey in All mode), sorted by reqId. Deterministic for
-     * a given offered population at any thread count.
+     * The kept journeys -- the top-`capacity` by sampling key in
+     * Sampled mode, every journey in All mode -- sorted by reqId.
+     * Deterministic for a given offered population.
      */
     std::vector<Journey> snapshot() const;
 
@@ -222,139 +256,12 @@ class JourneyRecorder
         Journey journey;
     };
 
-    /** Bounded min-heap-by-key reservoir (one per recording thread). */
-    struct Shard
-    {
-        std::mutex mu;            ///< uncontended except vs. snapshot()
-        std::vector<Entry> heap;  ///< min-heap on key (Sampled mode)
-        std::vector<Journey> log; ///< append log (All mode)
+    /** Sampled-mode insert: push while there is room, else replace the
+     *  minimum key when `key` beats it; keeps the threshold current. */
+    void keep(Entry &&e);
 
-        /** Offers routed to this shard (owner-written, racily read). */
-        std::atomic<uint64_t> seen{0};
-
-        /**
-         * Admission threshold: 0 while the heap has room, else the
-         * heap's minimum key. offer() reads it without the mutex.
-         */
-        std::atomic<uint64_t> threshold{0};
-    };
-
-  public:
-    /**
-     * Per-thread offer cursor. Resolving the calling thread's shard
-     * costs a TLS lookup plus an acquire load, and counting a request
-     * or reading the admission threshold touches the shard's cache
-     * line -- cheap once, but real money when paid per request next to
-     * a ~200ns simulation step. A cursor caches the shard, and
-     * beginGroup(n) amortizes the seen-counter bump and the threshold
-     * snapshot over a whole batch, so the per-request path is fully
-     * inline: one hash, two multiplies, an add and a comparison.
-     * Obtain a cursor once per work region, outside the request loop;
-     * a default-constructed cursor (or one from an Off-mode recorder)
-     * declines every offer.
-     *
-     * A threshold snapshot can only be stale in the conservative
-     * direction (the true threshold only rises), so staleness causes
-     * spurious accepts -- which admit() re-checks under the shard lock
-     * -- never wrongful rejects. The sampled set stays exactly the
-     * global top-K by key.
-     */
-    class Cursor
-    {
-      public:
-        Cursor() = default;
-
-        /**
-         * Announce a run of `n` requests about to be offered: counts
-         * them as seen and snapshots the shard's admission threshold
-         * for the cheap per-request pre-test.
-         */
-        void beginGroup(uint64_t n)
-        {
-            if (!shard_)
-                return;
-            Shard &s = *shard_;
-            // Owner-written counter: plain load+store instead of a
-            // lock-prefixed RMW (seen() tolerates a racy read).
-            s.seen.store(s.seen.load(std::memory_order_relaxed) + n,
-                         std::memory_order_relaxed);
-            // The admission threshold moves only on (rare) admits, so
-            // skip the divide when it hasn't. The poison value
-            // UINT64_MAX can never equal a real threshold -- it is a
-            // NaN bit pattern, and keys are finite non-negative
-            // doubles.
-            uint64_t t = s.threshold.load(std::memory_order_relaxed);
-            if (t != thr_) {
-                thr_ = t;
-                inv53_ =
-                    t ? 0x1.0p53 / std::bit_cast<double>(t) : 0.0;
-            }
-        }
-
-        /** Same contract as JourneyRecorder::offer(); requests must
-         *  have been announced by beginGroup(). */
-        bool offer(uint64_t req_id, double e2e_us, uint64_t *key)
-        {
-            if (mode_ == JourneyMode::All) {
-                *key = req_id;
-                return true;
-            }
-            if (thr_ != 0) {
-                // Conservative pre-reject, division- and log-free.
-                // Accepting needs E < r where E = -ln(u) and
-                // r = e2e/thr; since 1 - r <= e^-r, any u below
-                // 1 - r cannot accept. The test runs scaled by 2^53 so
-                // the hash's mantissa compares directly against
-                // kPreC - e2e * (2^53/thr), one multiply and one
-                // subtract per request. The 1e-9 relative margin in
-                // kPreC swallows floating-point rounding, the +1 in
-                // uniformFor's mantissa and the fact that keyFor's
-                // chord-approximated log never underestimates E, so
-                // the pre-test only rejects requests whose key is
-                // certainly at or below the snapshotted threshold.
-                //
-                // A default-constructed (or Off-mode) cursor lands
-                // here too, with thr_ = UINT64_MAX and inv53_ = +inf:
-                // the pre-test never fires (kPreC - e2e * inf is
-                // -inf or NaN, both incomparable below), and the final
-                // k > UINT64_MAX comparison declines every offer --
-                // the decline path costs no extra branch on the
-                // sampled hot path.
-                uint64_t h = hashFor(req_id, seed_);
-                if (static_cast<double>(h >> 11) <
-                    kPreC - e2e_us * inv53_)
-                    return false;
-            }
-            uint64_t k = keyFor(req_id, e2e_us, seed_);
-            *key = k;
-            // thr_ == 0 means the heap still has room (or its minimum
-            // is the zero-latency key, where a spurious accept is
-            // harmless: admit() re-checks under the lock).
-            return thr_ == 0 || k > thr_;
-        }
-
-      private:
-        friend class JourneyRecorder;
-
-        /** (1 - 1e-9) * 2^53: the scaled pre-reject cutoff. */
-        static constexpr double kPreC = 0.999999999 * 0x1.0p53;
-
-        Shard *shard_ = nullptr;
-        JourneyMode mode_ = JourneyMode::Off;
-        uint64_t seed_ = 0;
-
-        /** UINT64_MAX until beginGroup() snapshots a real threshold:
-         *  an unannounced or Off-mode cursor declines everything. */
-        uint64_t thr_ = UINT64_MAX;
-        double inv53_ =
-            std::numeric_limits<double>::infinity();
-    };
-
-    /** Cursor bound to the calling thread's shard (null in Off mode). */
-    Cursor cursor();
-
-  private:
-    Shard &localShard();
+    /** (1 - 1e-9) * 2^53: the scaled pre-reject cutoff. */
+    static constexpr double kPreC = 0.999999999 * 0x1.0p53;
 
     /** Single-multiply stateless mix (Fibonacci hashing, not full
      *  mix64): this sits on the per-request hot path of the system
@@ -391,7 +298,7 @@ class JourneyRecorder
         // sampling variate and far cheaper than libm next to a ~200ns
         // simulation step. log2 is concave, so the chord never
         // overestimates it and the approximate E never underestimates
-        // the true -ln(u) -- the property Cursor's pre-reject relies
+        // the true -ln(u) -- the property offer()'s pre-reject relies
         // on.
         double u = uniformFor(req_id, seed);
         double log2u = static_cast<double>(std::bit_cast<uint64_t>(u)) *
@@ -409,8 +316,14 @@ class JourneyRecorder
     size_t capacity_;
     uint64_t seed_;
 
-    static constexpr int kMaxShards = 128;
-    mutable std::atomic<Shard *> shards_[kMaxShards] = {};
+    std::vector<Entry> heap_;   ///< min-heap on key (Sampled mode)
+    std::vector<Journey> log_;  ///< append log (All mode)
+    uint64_t seen_ = 0;
+
+    /** Admission threshold: 0 while the heap has room, else its
+     *  minimum key; inv53_ is 2^53 over the key's double value. */
+    uint64_t thr_ = 0;
+    double inv53_ = 0;
 };
 
 } // namespace simr::obs

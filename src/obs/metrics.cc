@@ -8,15 +8,6 @@ namespace simr::obs
 namespace
 {
 
-/** Stable shard index for the calling thread (wraps past kMaxShards). */
-int
-threadShardId()
-{
-    static std::atomic<int> next{0};
-    thread_local int id = next.fetch_add(1, std::memory_order_relaxed);
-    return id;
-}
-
 std::string
 fmtNum(double v)
 {
@@ -31,74 +22,25 @@ thread_local JourneyRecorder *tlJourneys = nullptr;
 
 } // namespace
 
-ShardedHist::~ShardedHist()
+void
+Hist::add(double x)
 {
-    for (auto &s : shards_)
-        delete s.load(std::memory_order_acquire);
-}
-
-ShardedHist::Shard &
-ShardedHist::localShard()
-{
-    int idx = threadShardId() % kMaxShards;
-    Shard *s = shards_[idx].load(std::memory_order_acquire);
-    if (!s) {
-        auto *fresh = new Shard();
-        if (shards_[idx].compare_exchange_strong(
-                s, fresh, std::memory_order_acq_rel)) {
-            s = fresh;
-        } else {
-            // Another thread mapped to the same slot won the race.
-            delete fresh;
-        }
-    }
-    return *s;
+    std::lock_guard<std::mutex> lock(mu_);
+    hist_.add(x);
 }
 
 void
-ShardedHist::add(double x)
+Hist::record(const Histogram &h)
 {
-    Shard &s = localShard();
-    std::lock_guard<std::mutex> lock(s.mu);
-    s.hist.add(x);
-}
-
-void
-ShardedHist::record(const Histogram &h)
-{
-    if (h.count() == 0)
-        return;
-    Shard &s = localShard();
-    std::lock_guard<std::mutex> lock(s.mu);
-    s.hist.merge(h);
+    std::lock_guard<std::mutex> lock(mu_);
+    hist_.merge(h);
 }
 
 Histogram
-ShardedHist::snapshot() const
+Hist::snapshot() const
 {
-    Histogram out;
-    for (const auto &slot : shards_) {
-        Shard *s = slot.load(std::memory_order_acquire);
-        if (!s)
-            continue;
-        std::lock_guard<std::mutex> lock(s->mu);
-        out.merge(s->hist);
-    }
-    return out;
-}
-
-uint64_t
-ShardedHist::count() const
-{
-    uint64_t n = 0;
-    for (const auto &slot : shards_) {
-        Shard *s = slot.load(std::memory_order_acquire);
-        if (!s)
-            continue;
-        std::lock_guard<std::mutex> lock(s->mu);
-        n += s->hist.count();
-    }
-    return n;
+    std::lock_guard<std::mutex> lock(mu_);
+    return hist_;
 }
 
 Counter *
@@ -121,13 +63,13 @@ Registry::gauge(const std::string &name)
     return slot.get();
 }
 
-ShardedHist *
+Hist *
 Registry::hist(const std::string &name)
 {
     std::lock_guard<std::mutex> lock(mu_);
     auto &slot = hists_[name];
     if (!slot)
-        slot = std::make_unique<ShardedHist>();
+        slot = std::make_unique<Hist>();
     return slot.get();
 }
 

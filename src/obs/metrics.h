@@ -1,7 +1,7 @@
 /**
  * @file
- * Unified metrics registry: named counters, gauges and per-thread
- * histogram shards with a stable text + JSON exposition format.
+ * Unified metrics registry: named counters, gauges and histograms
+ * with a stable text + JSON exposition format.
  *
  * The registry replaces ad-hoc counter plumbing across the simulator:
  * the lockstep engines, the batching server, the experiment runner and
@@ -11,11 +11,10 @@
  *
  * Design rules:
  *  - Counters are relaxed atomics: safe from any thread, ~1ns per inc.
- *  - Histograms are sharded per thread: add() touches only the calling
- *    thread's shard (its mutex is uncontended except during snapshot),
- *    and snapshot() merges the shards exactly via RunningStat::merge /
- *    Histogram::merge (Chan's parallel combine), so sharding never
- *    changes the aggregate statistics.
+ *  - A histogram is one Histogram behind one mutex. Only the global
+ *    registry is written from several threads at once -- by fan-outs
+ *    that install no Scope, once per formed batch or per run -- so the
+ *    lock is all the coordination it needs.
  *  - Handles returned by counter()/gauge()/hist() are stable for the
  *    registry's lifetime; hot paths look a handle up once and reuse it.
  *  - Determinism: a Registry written by a single thread and merged
@@ -67,43 +66,22 @@ class Gauge
     std::atomic<double> v_{0.0};
 };
 
-/**
- * Histogram sharded per thread. Each thread appends to its own shard;
- * snapshot() merges every shard (in shard-id order) into one Histogram
- * using the exact RunningStat/Histogram merge, so the aggregate is
- * independent of how samples were spread across threads.
- */
-class ShardedHist
+/** Histogram behind one mutex: safe from any thread. */
+class Hist
 {
   public:
-    ShardedHist() = default;
-    ~ShardedHist();
-    ShardedHist(const ShardedHist &) = delete;
-    ShardedHist &operator=(const ShardedHist &) = delete;
-
-    /** Record one sample into the calling thread's shard. */
+    /** Record one sample. */
     void add(double x);
 
-    /** Merge a whole Histogram into the calling thread's shard. */
+    /** Merge a whole Histogram in (Histogram::merge, exact). */
     void record(const Histogram &h);
 
-    /** Exact merged view of every shard. */
+    /** Copy of every sample recorded so far. */
     Histogram snapshot() const;
 
-    /** Total samples across shards. */
-    uint64_t count() const;
-
   private:
-    struct Shard
-    {
-        std::mutex mu;       ///< uncontended except vs. snapshot()
-        Histogram hist;
-    };
-
-    Shard &localShard();
-
-    static constexpr int kMaxShards = 128;
-    mutable std::atomic<Shard *> shards_[kMaxShards] = {};
+    mutable std::mutex mu_;
+    Histogram hist_;  ///< guarded by mu_
 };
 
 /**
@@ -119,7 +97,7 @@ class Registry
 
     Counter *counter(const std::string &name);
     Gauge *gauge(const std::string &name);
-    ShardedHist *hist(const std::string &name);
+    Hist *hist(const std::string &name);
 
     /**
      * Fold another registry into this one: counters add, gauges take
@@ -151,7 +129,7 @@ class Registry
     mutable std::mutex mu_;   ///< guards the maps, not the metric values
     std::map<std::string, std::unique_ptr<Counter>> counters_;
     std::map<std::string, std::unique_ptr<Gauge>> gauges_;
-    std::map<std::string, std::unique_ptr<ShardedHist>> hists_;
+    std::map<std::string, std::unique_ptr<Hist>> hists_;
 };
 
 /**

@@ -86,10 +86,6 @@ void
 Tracer::push(TraceEvent &&e)
 {
     std::lock_guard<std::mutex> lock(mu_);
-    if (maxEvents_ && events_.size() >= maxEvents_) {
-        ++dropped_;
-        return;
-    }
     events_.push_back(std::move(e));
 }
 
@@ -148,19 +144,6 @@ Tracer::instant(const std::string &name, const std::string &cat,
     e.pid = pid;
     e.tid = tid;
     e.args = std::move(args);
-    push(std::move(e));
-}
-
-void
-Tracer::counter(const std::string &name, double ts_us, int pid,
-                double value)
-{
-    TraceEvent e;
-    e.name = name;
-    e.ph = 'C';
-    e.tsUs = ts_us;
-    e.pid = pid;
-    e.args.emplace_back("value", jnum(value));
     push(std::move(e));
 }
 
@@ -267,13 +250,6 @@ Tracer::size() const
     return events_.size();
 }
 
-size_t
-Tracer::dropped() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return dropped_;
-}
-
 std::string
 Tracer::json() const
 {
@@ -311,7 +287,6 @@ Tracer::clear()
 {
     std::lock_guard<std::mutex> lock(mu_);
     events_.clear();
-    dropped_ = 0;
 }
 
 } // namespace simr::obs

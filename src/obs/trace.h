@@ -9,7 +9,6 @@
  *   X  complete span  (ts + dur)
  *   B / E  nested begin/end span
  *   i  instant event
- *   C  counter sample
  *   b / e  async span (id-matched; overlapping request lifetimes)
  *   s / t / f  flow arrows (id-matched; link spans across tracks, e.g.
  *              a cluster-tier batch to its chip-level issue window)
@@ -64,16 +63,10 @@ struct TraceEvent
     TraceArgs args;
 };
 
-/**
- * Collecting sink. Thread-safe; a cap (maxEvents) turns overflow into
- * counted drops instead of unbounded memory.
- */
+/** Collecting sink. Thread-safe. */
 class Tracer
 {
   public:
-    /** @param max_events 0 = unbounded. */
-    explicit Tracer(size_t max_events = 0) : maxEvents_(max_events) {}
-
     void complete(const std::string &name, const std::string &cat,
                   double ts_us, double dur_us, int pid, int tid,
                   TraceArgs args = {});
@@ -82,8 +75,6 @@ class Tracer
     void end(double ts_us, int pid, int tid);
     void instant(const std::string &name, const std::string &cat,
                  double ts_us, int pid, int tid, TraceArgs args = {});
-    void counter(const std::string &name, double ts_us, int pid,
-                 double value);
     void asyncBegin(const std::string &name, const std::string &cat,
                     uint64_t id, double ts_us, int pid,
                     TraceArgs args = {});
@@ -105,7 +96,6 @@ class Tracer
     void threadName(int pid, int tid, const std::string &name);
 
     size_t size() const;
-    size_t dropped() const;
 
     /** Whole Chrome trace-event page. */
     std::string json() const;
@@ -123,8 +113,6 @@ class Tracer
 
     mutable std::mutex mu_;
     std::vector<TraceEvent> events_;
-    size_t maxEvents_;
-    size_t dropped_ = 0;
 };
 
 } // namespace simr::obs

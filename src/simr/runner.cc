@@ -173,9 +173,7 @@ struct FrontEnd
  * for batch configs, scalar streams otherwise, each unit served from
  * the process-wide StreamCache when an identical cell already ran.
  * Request generation and batching are skipped entirely when every unit
- * hits. Observed runs (opt.observerFor) bypass the stream cache: the
- * observer contract is to see live lockstep events, and a replayed
- * stream has no engine behind it.
+ * hits.
  */
 FrontEnd
 buildFrontEnd(const svc::Service &svc, const core::CoreConfig &cfg,
@@ -184,9 +182,7 @@ buildFrontEnd(const svc::Service &svc, const core::CoreConfig &cfg,
     FrontEnd fe;
     trace::TraceCache *rcache =
         opt.useTraceCache ? trace::TraceCache::process() : nullptr;
-    fe.scache = (opt.useTraceCache && !opt.observerFor)
-        ? StreamCache::process()
-        : nullptr;
+    fe.scache = opt.useTraceCache ? StreamCache::process() : nullptr;
     const uint64_t fp = ca.fingerprint;
 
     if (cfg.batchWidth > 1) {
@@ -233,8 +229,6 @@ buildFrontEnd(const svc::Service &svc, const core::CoreConfig &cfg,
                     opt.alloc),
                 simt::SpinEscapeConfig(), rcache);
             u.engine->setStaticProof(ca.proof);
-            if (opt.observerFor)
-                u.engine->setObserver(opt.observerFor(e));
             u.stream = u.engine.get();
             if (fe.scache != nullptr) {
                 u.capturer = std::make_unique<trace::CapturingStream>(

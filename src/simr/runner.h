@@ -9,7 +9,6 @@
 #ifndef SIMR_SIMR_RUNNER_H
 #define SIMR_SIMR_RUNNER_H
 
-#include <functional>
 #include <vector>
 
 #include "batching/policy.h"
@@ -102,32 +101,12 @@ struct TimingOptions
      * already ran. Replay is bit-identical to live execution (gated by
      * trace_replay_gate), so this only changes wall-clock time; set
      * false to force live interpretation. Ignored when caching is
-     * disabled process-wide via SIMR_TRACE_CACHE=0. Runs with
-     * observerFor bypass the stream level automatically (observers
-     * must see live lockstep events).
+     * disabled process-wide via SIMR_TRACE_CACHE=0.
      */
     bool useTraceCache = true;
-    /**
-     * Optional per-engine lockstep observer factory (batch configs
-     * only). Called once per engine index before execution; returned
-     * pointers must outlive the runTiming call. nullptr results are
-     * fine (that engine is simply unobserved).
-     */
-    std::function<simt::LockstepObserver *(int engine)> observerFor;
 
-    /**
-     * Same run: every field above but observerFor, which a
-     * std::function cannot compare (and an observed run must stay
-     * live, so it is never looked up by value).
-     */
-    bool operator==(const TimingOptions &o) const
-    {
-        return policy == o.policy && reconv == o.reconv &&
-            alloc == o.alloc && requests == o.requests &&
-            seed == o.seed && batchOverride == o.batchOverride &&
-            useTunedBatch == o.useTunedBatch &&
-            useTraceCache == o.useTraceCache;
-    }
+    /** Same run: every field above. */
+    bool operator==(const TimingOptions &) const = default;
 };
 
 /**
@@ -187,8 +166,8 @@ struct Cell
 
     /**
      * Cell identity: the service, every CoreConfig field and every
-     * TimingOptions field but observerFor. Two equal cells run
-     * bit-identically (runCells seeds a cell from its identity alone).
+     * TimingOptions field. Two equal cells run bit-identically
+     * (runCells seeds a cell from its identity alone).
      */
     bool operator==(const Cell &) const = default;
 };

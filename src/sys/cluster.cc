@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -65,16 +66,18 @@ struct Flight
 };
 
 /** Per-shard accumulator. Totals are folded in shard order after the
- *  run; each is partition-invariant (sums and a max), so the fold is
- *  bit-identical at any shard count. Cache-line sized: shards on
- *  different workers never false-share. */
+ *  run; each is partition-invariant (sums and a max, and the journey
+ *  reservoirs' merge), so the fold is bit-identical at any shard
+ *  count. Cache-line aligned: shards on different workers never
+ *  false-share. */
 struct alignas(64) ShardCtx
 {
     uint64_t misses = 0;
     uint64_t orphans = 0;
     double maxCompletion = 0;
-    obs::JourneyRecorder::Cursor jcur;
-    bool jcurReady = false;
+    /** This shard's own reservoir, with the scoped recorder's mode,
+     *  capacity and seed; only while one is recording. */
+    std::unique_ptr<obs::JourneyRecorder> journeys;
 };
 
 enum class Who { kAll, kHits, kMisses };
@@ -119,7 +122,12 @@ class ClusterModel : public Model
     void
     prepare(int shards) override
     {
-        ctx_.assign(static_cast<size_t>(shards), ShardCtx());
+        ctx_.clear();
+        ctx_.resize(static_cast<size_t>(shards));
+        if (jrec_)
+            for (ShardCtx &cx : ctx_)
+                cx.journeys = std::make_unique<obs::JourneyRecorder>(
+                    jrec_->mode(), jrec_->capacity(), jrec_->seed());
     }
 
     void apply(const Event &ev, EventSink &sink, int shard) override;
@@ -207,23 +215,12 @@ class ClusterModel : public Model
                    tierCount_[tier]);
     }
 
-    obs::JourneyRecorder::Cursor &
-    cursorFor(ShardCtx &cx)
-    {
-        // Lazily bound on the owning worker thread (a PDES shard is
-        // pinned to one worker, so the cursor's thread affinity holds).
-        if (!cx.jcurReady) {
-            cx.jcur = jrec_->cursor();
-            cx.jcurReady = true;
-        }
-        return cx.jcur;
-    }
-
     void completeBatch(uint64_t b, Who who, uint64_t misses,
                        double done, double reconv, ShardCtx &cx);
     void buildJourney(uint32_t rid, double arrival, uint64_t b,
                       uint32_t n, bool is_miss, bool blocked,
-                      double done, double reconv, uint64_t key);
+                      double done, double reconv, uint64_t key,
+                      obs::JourneyRecorder &rec);
 
     ClusterConfig cfg_;
     obs::JourneyRecorder *jrec_;
@@ -572,13 +569,7 @@ ClusterModel::completeBatch(uint64_t b, Who who, uint64_t misses,
         cx.maxCompletion = done;
 
     uint32_t n = static_cast<uint32_t>(last - first);
-    obs::JourneyRecorder::Cursor *cur = nullptr;
-    if (jrec_) {
-        cur = &cursorFor(cx);
-        cur->beginGroup(who == Who::kAll    ? n
-                        : who == Who::kHits ? n - misses
-                                            : misses);
-    }
+    obs::JourneyRecorder *rec = cx.journeys.get();
 
     for (uint64_t i = first; i < last; ++i) {
         uint32_t rid = reqFlat_[i];
@@ -593,12 +584,12 @@ ClusterModel::completeBatch(uint64_t b, Who who, uint64_t misses,
         timeUs_[i] = e2e;
         if (tr_)
             traceEnd(rid, done);
-        if (cur) {
+        if (rec) {
             uint64_t key;
-            if (cur->offer(rid, e2e, &key))
+            if (rec->offer(rid, e2e, &key))
                 buildJourney(rid, arrival, b, n, m,
                              any_miss && !m && reconv > 0, done, reconv,
-                             key);
+                             key, *rec);
         }
     }
 }
@@ -606,7 +597,8 @@ ClusterModel::completeBatch(uint64_t b, Who who, uint64_t misses,
 void
 ClusterModel::buildJourney(uint32_t rid, double arrival, uint64_t b,
                            uint32_t n, bool is_miss, bool blocked,
-                           double done, double reconv, uint64_t key)
+                           double done, double reconv, uint64_t key,
+                           obs::JourneyRecorder &rec)
 {
     // Tier times from the service starts, with the engine's own double
     // operations: done = start + latency, and each hop adds netUs to
@@ -656,7 +648,7 @@ ClusterModel::buildJourney(uint32_t rid, double arrival, uint64_t b,
     } else {
         ev(obs::JStage::Completion, done, -1);
     }
-    jrec_->admit(std::move(j), key);
+    rec.admit(std::move(j), key);
 }
 
 void
@@ -670,10 +662,12 @@ ClusterModel::finish(ClusterResult *res, int threads)
     res->servers = totalNodes_;
     res->batches = nBatches_;
     double max_completion = 0;
-    for (const ShardCtx &cx : ctx_) {  // shard order; all folds are
+    for (ShardCtx &cx : ctx_) {        // shard order; all folds are
         res->memcMisses += cx.misses;  // partition-invariant
         res->splitOrphans += cx.orphans;
         max_completion = std::max(max_completion, cx.maxCompletion);
+        if (cx.journeys)
+            jrec_->merge(std::move(*cx.journeys));
     }
 
     res->sys.offeredQps = cfg_.qps;
@@ -747,7 +741,7 @@ ClusterModel::finish(ClusterResult *res, int threads)
     reg->gauge("sys.load_bytes")->set(static_cast<double>(load_bytes));
     reg->hist("sys.e2e_us")->record(res->sys.e2eUs);
     for (const auto &tier : res->sys.tiers) {
-        obs::ShardedHist *wait =
+        obs::Hist *wait =
             reg->hist("sys." + tier.name + ".wait_us");
         reg->gauge("sys." + tier.name + ".wait_mean_us")
             ->set(tier.waitUs.mean());

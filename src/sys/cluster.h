@@ -60,7 +60,10 @@
  *    Off mode counting as none), every request is offered for
  *    per-request causal journey capture (obs/journey.h): arrival,
  *    batch formation, per-tier enqueue/start/done, memcached hit/miss,
- *    storage visits, split retries and reconvergence stalls;
+ *    storage visits, split retries and reconvergence stalls. Each
+ *    shard offers into its own reservoir (the scoped recorder's mode,
+ *    capacity and seed), merged into the scoped one in shard order on
+ *    the calling thread after the run;
  *  - with a tracer in scope, the run emits a Perfetto timeline in
  *    simulated microseconds on pid 2: batch-formation spans (tid 1),
  *    one service-occupancy track per server (tid 2 + node index, so

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <queue>
+#include <thread>
 
 #include "common/logging.h"
 #include "common/parallel.h"
@@ -221,7 +222,11 @@ runPdes(Model &m, std::vector<Event> initial, const PdesConfig &cfg)
     uint64_t windows = 0;  // counted by worker 0 alone
     SpinBarrier barrier(workers);
 
-    auto workerLoop = [&](int w) {
+    // An exception escaping apply() cannot be recovered from: the other
+    // workers would wait for its worker at the barrier forever. So the
+    // loop is noexcept, and such an exception terminates the process on
+    // any worker, the caller's included.
+    auto workerLoop = [&](int w) noexcept {
         for (;;) {
             // Phase 1: move the events the other shards sent the owned
             // ones last window into the node heaps (the barrier that
@@ -276,14 +281,17 @@ runPdes(Model &m, std::vector<Event> initial, const PdesConfig &cfg)
         }
     };
 
-    if (workers == 1) {
-        workerLoop(0);
-    } else {
-        ThreadPool pool(workers);
-        for (int w = 0; w < workers; ++w)
-            pool.run([&, w] { workerLoop(w); });
-        pool.wait();
-    }
+    // The barrier needs all the workers live at once: worker 0 runs on
+    // the caller, the others on threads joined before the fold below.
+    // Failing to start one ends the process (a joinable std::thread is
+    // destroyed), since the started ones could never pass the barrier.
+    std::vector<std::thread> others;
+    others.reserve(static_cast<size_t>(workers - 1));
+    for (int w = 1; w < workers; ++w)
+        others.emplace_back(workerLoop, w);
+    workerLoop(0);
+    for (std::thread &t : others)
+        t.join();
 
     PdesStats stats;
     stats.shards = nshards;

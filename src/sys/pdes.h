@@ -158,7 +158,9 @@ struct PdesStats
  * to the run length. With cfg.shards == 1
  * (or lookahead <= 0, which forces it) this is the plain sequential
  * event loop: one heap, no windows, no outboxes -- the reference
- * engine the determinism gate compares against.
+ * engine the determinism gate compares against. Otherwise worker 0
+ * runs on the calling thread and workers 1..W-1 on threads started and
+ * joined inside the call, so one worker starts no thread.
  */
 PdesStats runPdes(Model &m, std::vector<Event> initial,
                   const PdesConfig &cfg);

@@ -1,7 +1,7 @@
 /**
  * @file
  * Tests for the observability layer: metrics registry (counters,
- * gauges, sharded histograms, merge, exposition pages), thread-local
+ * gauges, histograms, merge, exposition pages), thread-local
  * scoping, the Chrome trace-event tracer (golden-string format check),
  * the divergence profiler's exact-attribution invariant (including the
  * predicted-divergence split against static dataflow hints), the
@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -99,14 +100,14 @@ TEST(Registry, MergeAddsCountersAndHists)
     EXPECT_DOUBLE_EQ(h.mean(), 2.0);
 }
 
-TEST(ShardedHist, ExactUnderThreadPoolContention)
+TEST(Hist, ExactUnderEightWriters)
 {
-    // Hammer one registry from a pool; the merged aggregate must match
-    // the serial reference exactly in count/mean/min/max, because the
-    // shard merge is exact (order within a shard is preserved and
-    // RunningStat::merge is the exact combine).
+    // Hammer one registry from 8 threads at once; the aggregate must
+    // match the serial reference in count/min/max and the median
+    // exactly (every sample lands once), and in the mean up to the
+    // rounding of another summation order.
     obs::Registry reg;
-    obs::ShardedHist *h = reg.hist("contended");
+    obs::Hist *h = reg.hist("contended");
     obs::Counter *c = reg.counter("adds");
     constexpr int kThreads = 8;
     constexpr int kPerThread = 5000;
@@ -201,16 +202,6 @@ TEST(Tracer, EscapesStrings)
     std::string j = tr.json();
     EXPECT_NE(j.find("quote\\\"back\\\\slash\\nnl"),
               std::string::npos);
-}
-
-TEST(Tracer, CapCountsDrops)
-{
-    obs::Tracer tr(2);
-    tr.instant("a", "c", 0, 0, 0);
-    tr.instant("b", "c", 1, 0, 0);
-    tr.instant("c", "c", 2, 0, 0);
-    EXPECT_EQ(tr.size(), 2u);
-    EXPECT_EQ(tr.dropped(), 1u);
 }
 
 namespace
@@ -615,64 +606,50 @@ TEST(JourneyRecorder, OffDeclinesAllCapturesEverything)
         EXPECT_EQ(snap[i].reqId, i);       // sorted by reqId
 }
 
-TEST(JourneyRecorder, ModeFromEnvParsesTheThreeModes)
+TEST(JourneyRecorder, ModeFromNameParsesTheThreeModes)
 {
-    const auto dflt = obs::JourneyMode::Sampled;
-    unsetenv("SIMR_JOURNEYS");
-    EXPECT_EQ(obs::journeyModeFromEnv(dflt), dflt);
-    setenv("SIMR_JOURNEYS", "", 1);
-    EXPECT_EQ(obs::journeyModeFromEnv(dflt), dflt);
-    setenv("SIMR_JOURNEYS", "off", 1);
-    EXPECT_EQ(obs::journeyModeFromEnv(dflt), obs::JourneyMode::Off);
-    setenv("SIMR_JOURNEYS", "0", 1);
-    EXPECT_EQ(obs::journeyModeFromEnv(dflt), obs::JourneyMode::Off);
-    setenv("SIMR_JOURNEYS", "all", 1);
-    EXPECT_EQ(obs::journeyModeFromEnv(dflt), obs::JourneyMode::All);
-    setenv("SIMR_JOURNEYS", "sampled", 1);
-    EXPECT_EQ(obs::journeyModeFromEnv(obs::JourneyMode::Off),
+    EXPECT_EQ(obs::journeyModeFromName("off"), obs::JourneyMode::Off);
+    EXPECT_EQ(obs::journeyModeFromName("sampled"),
               obs::JourneyMode::Sampled);
-    unsetenv("SIMR_JOURNEYS");
+    EXPECT_EQ(obs::journeyModeFromName("all"), obs::JourneyMode::All);
 }
 
-TEST(JourneyRecorderDeath, UnknownModeFromEnvIsFatal)
+TEST(JourneyRecorderDeath, UnknownModeNameIsFatal)
 {
-    // A typo must not silently fall back to the default mode.
-    for (const char *bad : {"al", "ALL", "on", "1"}) {
-        setenv("SIMR_JOURNEYS", bad, 1);
-        EXPECT_EXIT(obs::journeyModeFromEnv(), ::testing::ExitedWithCode(1),
-                    "SIMR_JOURNEYS=.*: expected off\\|sampled\\|all")
+    // A typo must not silently fall back to the default mode, and "0"
+    // is no alias for off.
+    for (const char *bad : {"al", "ALL", "on", "1", "0"}) {
+        EXPECT_EXIT(obs::journeyModeFromName(bad),
+                    ::testing::ExitedWithCode(1),
+                    "journey mode '.*': expected off\\|sampled\\|all")
             << "value '" << bad << "'";
     }
-    setenv("SIMR_JOURNEYS", "al", 1);
-    EXPECT_EXIT(obs::JourneyRecorder(), ::testing::ExitedWithCode(1),
-                "SIMR_JOURNEYS=al");
-    unsetenv("SIMR_JOURNEYS");
+    EXPECT_EXIT(obs::journeyModeFromName("al"),
+                ::testing::ExitedWithCode(1), "journey mode 'al'");
 }
 
 namespace
 {
 
-/** Offer/admit reqIds [0, n) with deterministic synthetic latencies
- *  (heavy tail for ids divisible by 64) from `threads` workers. */
+/** Offer/admit the reqIds i in [0, n) with i % parts == part, with
+ *  deterministic synthetic latencies (heavy tail for ids divisible by
+ *  64). */
 void
-offerStorm(obs::JourneyRecorder *rec, uint64_t n, int threads)
+offerStorm(obs::JourneyRecorder *rec, uint64_t n, uint64_t part = 0,
+           uint64_t parts = 1)
 {
-    parallelFor(static_cast<size_t>(threads), [&](size_t t) {
-        for (uint64_t i = t; i < n; i += threads) {
-            double e2e = i % 64 == 0 ? 10000.0 + i : 10.0 + i % 7;
-            uint64_t key = 0;
-            if (rec->offer(i, e2e, &key)) {
-                obs::Journey j;
-                j.reqId = i;
-                j.events.push_back(
-                    {0, 0, obs::JStage::Arrival, -1, false});
-                j.events.push_back({obs::journeyTicks(e2e), 0,
-                                    obs::JStage::Completion, -1,
-                                    false});
-                rec->admit(std::move(j), key);
-            }
+    for (uint64_t i = part; i < n; i += parts) {
+        double e2e = i % 64 == 0 ? 10000.0 + i : 10.0 + i % 7;
+        uint64_t key = 0;
+        if (rec->offer(i, e2e, &key)) {
+            obs::Journey j;
+            j.reqId = i;
+            j.events.push_back({0, 0, obs::JStage::Arrival, -1, false});
+            j.events.push_back({obs::journeyTicks(e2e), 0,
+                                obs::JStage::Completion, -1, false});
+            rec->admit(std::move(j), key);
         }
-    }, threads);
+    }
 }
 
 std::vector<uint64_t>
@@ -688,21 +665,36 @@ snapshotIds(const obs::JourneyRecorder &rec)
 
 TEST(JourneyRecorder, SampledSetIsThreadCountIndependent)
 {
-    // The sampling decision depends only on (reqId, latency, seed);
-    // the snapshot is the global top-K of the shard union. The same
-    // offered population must therefore yield the identical sampled
-    // set at any thread count and any arrival interleaving.
+    // The sampling decision depends only on (reqId, latency, seed), and
+    // merge() keeps the top-K of the union (Sampled) or appends (All).
+    // Dealing one offered population over 1, 2 or 8 recorders, each
+    // filled by its own thread, and merging them in order must give
+    // what one recorder offered all of it keeps.
     constexpr uint64_t kReqs = 8192;
-    obs::JourneyRecorder serial(obs::JourneyMode::Sampled, 64);
-    offerStorm(&serial, kReqs, 1);
-    EXPECT_EQ(serial.seen(), kReqs);
-    EXPECT_LE(serial.snapshot().size(), 64u);
+    for (obs::JourneyMode mode :
+         {obs::JourneyMode::Sampled, obs::JourneyMode::All}) {
+        SCOPED_TRACE(obs::journeyModeName(mode));
+        obs::JourneyRecorder single(mode, 64);
+        offerStorm(&single, kReqs);
+        EXPECT_EQ(single.seen(), kReqs);
+        EXPECT_EQ(single.kept(),
+                  mode == obs::JourneyMode::All ? kReqs : 64u);
 
-    for (int threads : {2, 8}) {
-        obs::JourneyRecorder par(obs::JourneyMode::Sampled, 64);
-        offerStorm(&par, kReqs, threads);
-        EXPECT_EQ(par.seen(), kReqs);
-        EXPECT_EQ(snapshotIds(par), snapshotIds(serial)) << threads;
+        for (size_t parts : {1, 2, 8}) {
+            std::vector<std::unique_ptr<obs::JourneyRecorder>> recs;
+            for (size_t p = 0; p < parts; ++p)
+                recs.push_back(
+                    std::make_unique<obs::JourneyRecorder>(mode, 64));
+            parallelFor(parts, [&](size_t p) {
+                offerStorm(recs[p].get(), kReqs, p, parts);
+            }, static_cast<int>(parts));
+            obs::JourneyRecorder merged(mode, 64);
+            for (auto &r : recs)
+                merged.merge(std::move(*r));
+            EXPECT_EQ(merged.seen(), single.seen()) << parts;
+            EXPECT_EQ(merged.kept(), single.kept()) << parts;
+            EXPECT_EQ(snapshotIds(merged), snapshotIds(single)) << parts;
+        }
     }
 }
 
@@ -712,7 +704,7 @@ TEST(JourneyRecorder, ReservoirIsLatencyBiased)
     // (weight / Exp(1)) the sampled set must be dominated by them.
     constexpr uint64_t kReqs = 8192;
     obs::JourneyRecorder rec(obs::JourneyMode::Sampled, 64);
-    offerStorm(&rec, kReqs, 1);
+    offerStorm(&rec, kReqs);
     auto snap = rec.snapshot();
     ASSERT_EQ(snap.size(), 64u);
     size_t heavy = 0;
@@ -725,7 +717,7 @@ TEST(JourneyRecorder, ReservoirIsLatencyBiased)
 TEST(JourneyRecorder, ClearResetsEverything)
 {
     obs::JourneyRecorder rec(obs::JourneyMode::Sampled, 4);
-    offerStorm(&rec, 256, 1);
+    offerStorm(&rec, 256);
     EXPECT_GT(rec.seen(), 0u);
     EXPECT_GT(rec.kept(), 0u);
     rec.clear();
@@ -733,7 +725,7 @@ TEST(JourneyRecorder, ClearResetsEverything)
     EXPECT_EQ(rec.kept(), 0u);
     EXPECT_TRUE(rec.snapshot().empty());
     // And it keeps working after the reset.
-    offerStorm(&rec, 256, 1);
+    offerStorm(&rec, 256);
     EXPECT_EQ(rec.seen(), 256u);
     EXPECT_GT(rec.kept(), 0u);
 }
@@ -783,7 +775,7 @@ TEST(BatchAnatomyRecorder, RowsMatchEngineTotals)
 TEST(JourneyMetrics, PublishedIntoRegistry)
 {
     obs::JourneyRecorder rec(obs::JourneyMode::Sampled, 16);
-    offerStorm(&rec, 512, 1);
+    offerStorm(&rec, 512);
     auto rep = obs::buildAnatomy(rec.snapshot());
     obs::Registry reg;
     obs::recordJourneyMetrics(&reg, rec, rep);

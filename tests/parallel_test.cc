@@ -1,7 +1,7 @@
 /**
  * @file
- * Tests for the parallel experiment harness: pool lifecycle and
- * exception propagation, parallelFor/parallelMap semantics, and the
+ * Tests for the parallel experiment harness: parallelFor/parallelMap
+ * semantics and exception propagation, and the
  * cell-sweep determinism contract (runCells must produce bit-identical
  * TimingRun statistics at any worker count), plus the PDES kernel's
  * synchronization primitive, the reusable spin barrier.
@@ -21,61 +21,6 @@
 
 using namespace simr;
 
-TEST(ThreadPool, RunsAllTasks)
-{
-    ThreadPool pool(4);
-    EXPECT_EQ(pool.threads(), 4);
-    std::atomic<int> count{0};
-    for (int i = 0; i < 100; ++i)
-        pool.run([&count] { ++count; });
-    pool.wait();
-    EXPECT_EQ(count.load(), 100);
-}
-
-TEST(ThreadPool, ReusableAfterWait)
-{
-    ThreadPool pool(2);
-    std::atomic<int> count{0};
-    pool.run([&count] { ++count; });
-    pool.wait();
-    pool.run([&count] { ++count; });
-    pool.run([&count] { ++count; });
-    pool.wait();
-    EXPECT_EQ(count.load(), 3);
-}
-
-TEST(ThreadPool, ShutdownDrainsQueue)
-{
-    std::atomic<int> count{0};
-    {
-        ThreadPool pool(2);
-        for (int i = 0; i < 50; ++i)
-            pool.run([&count] { ++count; });
-        // Destructor must drain the queue before joining.
-    }
-    EXPECT_EQ(count.load(), 50);
-}
-
-TEST(ThreadPool, ShutdownIdempotent)
-{
-    ThreadPool pool(2);
-    pool.run([] {});
-    pool.shutdown();
-    pool.shutdown();  // second call is a no-op
-}
-
-TEST(ThreadPool, WaitRethrowsFirstTaskException)
-{
-    ThreadPool pool(2);
-    pool.run([] { throw std::runtime_error("task boom"); });
-    EXPECT_THROW(pool.wait(), std::runtime_error);
-    // The error is cleared by the rethrow: the pool stays usable.
-    std::atomic<int> count{0};
-    pool.run([&count] { ++count; });
-    pool.wait();
-    EXPECT_EQ(count.load(), 1);
-}
-
 TEST(ParallelFor, CoversRangeExactlyOnce)
 {
     std::vector<std::atomic<int>> hits(1000);
@@ -91,6 +36,19 @@ TEST(ParallelFor, SerialFallbackPreservesOrder)
     ASSERT_EQ(order.size(), 10u);
     for (size_t i = 0; i < order.size(); ++i)
         EXPECT_EQ(order[i], i);
+}
+
+TEST(ParallelFor, BodiesNeverRunOnTheCaller)
+{
+    // At more than one worker every body runs on a thread started for
+    // the call, so no body sees an obs::Scope the caller installed.
+    const std::thread::id caller = std::this_thread::get_id();
+    std::atomic<int> on_caller{0};
+    parallelFor(64, [&](size_t) {
+        if (std::this_thread::get_id() == caller)
+            ++on_caller;
+    }, 4);
+    EXPECT_EQ(on_caller.load(), 0);
 }
 
 TEST(ParallelFor, PropagatesBodyException)
@@ -122,14 +80,6 @@ TEST(ParallelMap, ResultsInInputOrder)
     ASSERT_EQ(ys.size(), xs.size());
     for (size_t i = 0; i < ys.size(); ++i)
         EXPECT_EQ(ys[i], 2 * static_cast<int>(i) + 1);
-}
-
-TEST(ParallelConfig, ThreadOverrideWins)
-{
-    setDefaultThreads(3);
-    EXPECT_EQ(defaultThreads(), 3);
-    setDefaultThreads(0);
-    EXPECT_GE(defaultThreads(), 1);
 }
 
 TEST(CellSeed, PureFunctionOfIdentity)
