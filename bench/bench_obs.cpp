@@ -31,10 +31,8 @@
  * simulation. The tier-1 test journey_determinism_gate checks that
  * across four scenario cells and harness widths.
  *
- * All three lockstep modes run the engine live: measureEfficiency
- * would serve an unobserved repeat from the process stream cache,
- * which observed runs bypass, and the sink overhead would then compare
- * replay with live execution.
+ * All three lockstep modes call measureEfficiency, which always runs
+ * the engine live, so the sink overhead compares live runs only.
  *
  * Emits BENCH_obs.json (stdout line + file) with `deterministic` (every
  * no-perturbation check passed) and `within_budget` (the sampled
@@ -53,7 +51,6 @@
 #include <string>
 #include <vector>
 
-#include "analysis/cache.h"
 #include "cells.h"
 #include "common/config.h"
 #include "common/table.h"
@@ -72,32 +69,6 @@ struct ModeResult
     double secs = 0;
     simt::SimtStats stats;
 };
-
-/**
- * One live lockstep pass of the sink table's cell: per-API+arg
- * batching, MinSP-PC reconvergence, 32 wide, with an optional
- * observer. The same path measureEfficiency takes for observed runs,
- * but without its stream cache for unobserved ones.
- */
-simt::SimtStats
-runLockstep(const svc::Service &svc, int requests, uint64_t seed,
-            simt::LockstepObserver *observer)
-{
-    auto ca = analysis::gateAndProve(svc.program());
-    batch::BatchingServer server(batch::Policy::PerApiArgSize, 32);
-    simt::LockstepEngine engine(
-        svc.program(), simt::ReconvPolicy::MinSpPc, 32,
-        makeBatchProvider(
-            svc, server.formBatches(genRequests(svc, requests, seed))));
-    engine.setStaticProof(ca->proof);
-    engine.setObserver(observer);
-    trace::DynOp op;
-    while (engine.next(op)) {
-        // Drain: stats accumulate inside the engine.
-    }
-    obs::recordSimtStats(obs::Scope::registry(), engine.stats());
-    return engine.stats();
-}
 
 /**
  * Thread CPU time. The journey overhead measurement resolves
@@ -158,7 +129,10 @@ main()
                     mode == 0 ? nullptr :
                     mode == 1 ? static_cast<simt::LockstepObserver *>(
                         &prof) : &tee;
-                r.stats = runLockstep(*svc, requests, scale.seed, o);
+                r.stats = measureEfficiency(*svc, batch::Policy::PerApiArgSize,
+                                            simt::ReconvPolicy::MinSpPc, 32,
+                                            requests, scale.seed, o)
+                              .stats;
                 if (mode != 0 &&
                     (prof.totalMaskedSlots() != r.stats.maskedSlots ||
                      prof.totalDivergeEvents() !=

@@ -1,9 +1,10 @@
 /**
  * @file
  * The paper's tables and figures (and the sensitivity studies and
- * extensions beside them), one function each. Timing cells go through
- * the shared CellMemo. Efficiency probes, cache studies and the two
- * extensions that run on the master seed call the runner directly.
+ * extensions beside them), one function each. Timing cells,
+ * efficiency probes and cache studies go through the shared CellMemo.
+ * The tuner and the timing runs of the two extensions that run on the
+ * master seed call the runner directly.
  */
 
 #include "figures.h"
@@ -24,29 +25,70 @@
 namespace simr::bench
 {
 
+namespace
+{
+
+/**
+ * Results of `want`, in input order, from the work `seen` already ran.
+ * The work it has not seen is appended and handed, in one vector, to
+ * `run_fresh`.
+ */
+template <typename Seen, typename Work, typename RunFresh>
+auto
+findOrRun(Seen &seen, const std::vector<Work> &want, RunFresh run_fresh)
+{
+    const size_t first_new = seen.work.size();
+    std::vector<size_t> at;
+    at.reserve(want.size());
+    for (const Work &w : want) {
+        auto it = std::find(seen.work.begin(), seen.work.end(), w);
+        at.push_back(static_cast<size_t>(it - seen.work.begin()));
+        if (it == seen.work.end())
+            seen.work.push_back(w);
+    }
+    std::vector<Work> fresh(seen.work.begin() + first_new, seen.work.end());
+    for (auto &r : run_fresh(fresh))
+        seen.results.push_back(std::move(r));
+
+    decltype(seen.results) out;
+    out.reserve(at.size());
+    for (size_t i : at)
+        out.push_back(seen.results[i]);
+    return out;
+}
+
+} // namespace
+
 std::vector<TimingRun>
 CellMemo::run(const std::vector<Cell> &cells)
 {
-    // Index every requested cell into cells_, appending the unseen
-    // ones; those form the tail that still has to run.
-    size_t first_new = cells_.size();
-    std::vector<size_t> at;
-    at.reserve(cells.size());
-    for (const Cell &c : cells) {
-        auto it = std::find(cells_.begin(), cells_.end(), c);
-        at.push_back(static_cast<size_t>(it - cells_.begin()));
-        if (it == cells_.end())
-            cells_.push_back(c);
-    }
-    std::vector<Cell> fresh(cells_.begin() + first_new, cells_.end());
-    for (TimingRun &r : runCells(fresh))
-        runs_.push_back(std::move(r));
+    return findOrRun(cells_, cells, [](const std::vector<Cell> &fresh) {
+        return runCells(fresh);
+    });
+}
 
-    std::vector<TimingRun> out;
-    out.reserve(at.size());
-    for (size_t i : at)
-        out.push_back(runs_[i]);
-    return out;
+std::vector<EfficiencyResult>
+CellMemo::run(const std::vector<Probe> &probes)
+{
+    return findOrRun(probes_, probes, [](const std::vector<Probe> &fresh) {
+        return parallelMap(fresh, [](const Probe &p) {
+            auto svc = svc::buildService(p.service);
+            return measureEfficiency(*svc, p.policy, p.reconv, p.width,
+                                     p.requests, p.seed);
+        });
+    });
+}
+
+std::vector<CacheStudyResult>
+CellMemo::run(const std::vector<Study> &studies)
+{
+    return findOrRun(studies_, studies, [](const std::vector<Study> &fresh) {
+        return parallelMap(fresh, [](const Study &st) {
+            auto svc = svc::buildService(st.service);
+            return st.batch > 0 ? studyRpuCache(*svc, st.batch, st.opt)
+                                : studyCpuCache(*svc, st.opt);
+        });
+    });
 }
 
 namespace
@@ -130,7 +172,7 @@ kb(uint64_t bytes)
  * ~25% (multi-API Post) to ~99% (branch-free UniqueID).
  */
 void
-fig04(const RunScale &scale, CellMemo &)
+fig04(const RunScale &scale, CellMemo &memo)
 {
     int n = static_cast<int>(scale.requests);
 
@@ -138,12 +180,18 @@ fig04(const RunScale &scale, CellMemo &)
             "(batch=32, " + std::to_string(n) + " requests, MinSP-PC)");
     t.header({"service", "SIMT efficiency", "diverge events/batch"});
 
+    // Fig. 11's naive column: the same probes.
+    const auto &names = svc::serviceNames();
+    std::vector<Probe> probes;
+    for (const auto &name : names)
+        probes.push_back({name, batch::Policy::Naive,
+                          simt::ReconvPolicy::MinSpPc, 32, n, scale.seed});
+    auto results = memo.run(probes);
+
     std::vector<double> effs;
-    for (const auto &name : svc::serviceNames()) {
-        auto svc = svc::buildService(name);
-        auto r = measureEfficiency(*svc, batch::Policy::Naive,
-                                   simt::ReconvPolicy::MinSpPc, 32, n,
-                                   scale.seed);
+    for (size_t i = 0; i < names.size(); ++i) {
+        const std::string &name = names[i];
+        const EfficiencyResult &r = results[i];
         effs.push_back(r.efficiency());
         double dpb = r.stats.batches ?
             static_cast<double>(r.stats.divergeEvents) /
@@ -252,7 +300,7 @@ fig10(const RunScale &scale, CellMemo &memo)
  * batching adds ~20% on average and up to ~5x on Search-leaf and text.
  */
 void
-fig11(const RunScale &scale, CellMemo &)
+fig11(const RunScale &scale, CellMemo &memo)
 {
     int n = static_cast<int>(scale.requests);
 
@@ -261,30 +309,22 @@ fig11(const RunScale &scale, CellMemo &)
     t.header({"service", "naive", "per-api",
               "per-api+arg (ideal stack)", "per-api+arg (MinSP-PC)"});
 
-    // One fan-out cell per (service, policy/reconv) combination.
-    struct EffCell
-    {
-        std::string service;
-        batch::Policy policy;
-        simt::ReconvPolicy reconv;
-    };
+    // One probe per (service, policy/reconv) combination; the naive
+    // column is Fig. 4's.
     const auto &names = svc::serviceNames();
-    std::vector<EffCell> cells;
+    std::vector<Probe> probes;
     for (const auto &name : names) {
-        cells.push_back({name, batch::Policy::Naive,
-                         simt::ReconvPolicy::MinSpPc});
-        cells.push_back({name, batch::Policy::PerApi,
-                         simt::ReconvPolicy::MinSpPc});
-        cells.push_back({name, batch::Policy::PerApiArgSize,
-                         simt::ReconvPolicy::StackIpdom});
-        cells.push_back({name, batch::Policy::PerApiArgSize,
-                         simt::ReconvPolicy::MinSpPc});
+        probes.push_back({name, batch::Policy::Naive,
+                          simt::ReconvPolicy::MinSpPc, 32, n, scale.seed});
+        probes.push_back({name, batch::Policy::PerApi,
+                          simt::ReconvPolicy::MinSpPc, 32, n, scale.seed});
+        probes.push_back({name, batch::Policy::PerApiArgSize,
+                          simt::ReconvPolicy::StackIpdom, 32, n,
+                          scale.seed});
+        probes.push_back({name, batch::Policy::PerApiArgSize,
+                          simt::ReconvPolicy::MinSpPc, 32, n, scale.seed});
     }
-    auto effs = parallelMap(cells, [&](const EffCell &c) {
-        auto svc = svc::buildService(c.service);
-        return measureEfficiency(*svc, c.policy, c.reconv, 32, n,
-                                 scale.seed);
-    });
+    auto effs = memo.run(probes);
 
     std::vector<double> naive_e, api_e, ideal_e, heur_e;
     for (size_t i = 0; i < names.size(); ++i) {
@@ -318,7 +358,7 @@ fig11(const RunScale &scale, CellMemo &)
  * divergent-heap HDSearch-leaf stays close to the CPU.
  */
 void
-fig14(const RunScale &scale, CellMemo &)
+fig14(const RunScale &scale, CellMemo &memo)
 {
     CacheStudyOptions opt;
     opt.requests = 640;
@@ -327,23 +367,21 @@ fig14(const RunScale &scale, CellMemo &)
     Table t("Figure 14: RPU L1 accesses normalized to CPU (640 requests)");
     t.header({"service", "CPU accesses", "RPU accesses", "RPU/CPU",
               "stack-coalesced", "same-word", "divergent"});
+    // The CPU, and the RPU at the tuned batch: one of Fig. 15's studies.
     const auto &names = svc::serviceNames();
-    struct Study
-    {
-        CacheStudyResult cpu, rpu;
-    };
-    auto studies = parallelMap(names, [&](const std::string &name) {
-        auto svc = svc::buildService(name);
-        int bs = svc->traits().tunedBatch;
-        return Study{studyCpuCache(*svc, opt),
-                     studyRpuCache(*svc, bs, opt)};
-    });
+    std::vector<Study> studies;
+    for (const auto &name : names) {
+        studies.push_back({name, 0, opt});
+        studies.push_back(
+            {name, svc::buildService(name)->traits().tunedBatch, opt});
+    }
+    auto results = memo.run(studies);
 
     std::vector<double> ratios;
     for (size_t i = 0; i < names.size(); ++i) {
         const auto &name = names[i];
-        const auto &cpu = studies[i].cpu;
-        const auto &rpu = studies[i].rpu;
+        const auto &cpu = results[2 * i];
+        const auto &rpu = results[2 * i + 1];
         double ratio = static_cast<double>(rpu.l1Accesses) /
             static_cast<double>(cpu.l1Accesses);
         ratios.push_back(ratio);
@@ -371,7 +409,7 @@ fig14(const RunScale &scale, CellMemo &)
  * Search-leaf) thrash at 32 but behave at 8 -- the batch-tuning rule.
  */
 void
-fig15(const RunScale &scale, CellMemo &)
+fig15(const RunScale &scale, CellMemo &memo)
 {
     CacheStudyOptions opt;
     opt.requests = 640;
@@ -380,23 +418,27 @@ fig15(const RunScale &scale, CellMemo &)
     Table t("Figure 15: L1 MPKI, CPU 64KB vs RPU 256KB by batch size");
     t.header({"service", "CPU", "RPU-32", "RPU-16", "RPU-8", "RPU-4"});
 
+    const int sizes[] = {32, 16, 8, 4};
+    CacheStudyOptions copt = opt;
+    copt.l1KB = 64;
+    CacheStudyOptions ropt = opt;
+    ropt.l1KB = 256;
     const auto &names = svc::serviceNames();
-    auto rows = parallelMap(names, [&](const std::string &name) {
-        auto svc = svc::buildService(name);
-        CacheStudyOptions copt = opt;
-        copt.l1KB = 64;
-        auto cpu = studyCpuCache(*svc, copt);
-        std::vector<std::string> row = {name, Table::num(cpu.mpki(), 1)};
-        for (int bs : {32, 16, 8, 4}) {
-            CacheStudyOptions ropt = opt;
-            ropt.l1KB = 256;
-            auto rpu = studyRpuCache(*svc, bs, ropt);
-            row.push_back(Table::num(rpu.mpki(), 1));
-        }
-        return row;
-    });
-    for (const auto &row : rows)
+    std::vector<Study> studies;
+    for (const auto &name : names) {
+        studies.push_back({name, 0, copt});
+        for (int bs : sizes)
+            studies.push_back({name, bs, ropt});
+    }
+    auto results = memo.run(studies);
+
+    const size_t per_service = 1 + std::size(sizes);
+    for (size_t i = 0; i < names.size(); ++i) {
+        std::vector<std::string> row = {names[i]};
+        for (size_t j = 0; j < per_service; ++j)
+            row.push_back(Table::num(results[per_service * i + j].mpki(), 1));
         t.row(row);
+    }
     t.print();
 
     std::printf("paper: leaves (search-leaf, hdsearch-leaf) thrash at "
@@ -1062,7 +1104,7 @@ extMultibatch(const RunScale &scale, CellMemo &)
  * to the CPU. Like extMultibatch it runs on the master seed, directly.
  */
 void
-extGpgpu(const RunScale &scale, CellMemo &)
+extGpgpu(const RunScale &scale, CellMemo &memo)
 {
     TimingOptions opt = timingOptions(scale);
 
@@ -1071,10 +1113,10 @@ extGpgpu(const RunScale &scale, CellMemo &)
     auto rpu = runTiming(*svc, core::makeRpuConfig(), opt);
     auto gpu = runTiming(*svc, core::makeGpuConfig(), opt);
 
-    auto eff = measureEfficiency(*svc, batch::Policy::PerApiArgSize,
-                                 simt::ReconvPolicy::MinSpPc, 32,
-                                 static_cast<int>(scale.timingRequests),
-                                 scale.seed);
+    auto eff = memo.run(std::vector<Probe>{
+        {"gpgpu-saxpy", batch::Policy::PerApiArgSize,
+         simt::ReconvPolicy::MinSpPc, 32,
+         static_cast<int>(scale.timingRequests), scale.seed}})[0];
     std::printf("SPMD kernel SIMT efficiency: %.1f%%\n\n",
                 eff.efficiency() * 100);
 

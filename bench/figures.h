@@ -1,6 +1,6 @@
 /**
  * @file
- * The paper's tables and figures, one function each, and the cell memo
+ * The paper's tables and figures, one function each, and the memo
  * they share. The reproduce driver (reproduce.cpp) maps a name to each
  * function and hands every figure of one run the same memo.
  */
@@ -8,35 +8,73 @@
 #ifndef SIMR_BENCH_FIGURES_H
 #define SIMR_BENCH_FIGURES_H
 
+#include <string>
 #include <vector>
 
 #include "common/config.h"
+#include "simr/cachestudy.h"
 #include "simr/runner.h"
 
 namespace simr::bench
 {
 
+/** One efficiency probe: measureEfficiency's arguments. */
+struct Probe
+{
+    std::string service;      ///< registry name (svc::buildService)
+    batch::Policy policy;
+    simt::ReconvPolicy reconv;
+    int width;
+    int requests;
+    uint64_t seed;
+
+    bool operator==(const Probe &) const = default;
+};
+
+/** One L1 cache study: studyRpuCache at `batch`, or studyCpuCache. */
+struct Study
+{
+    std::string service;      ///< registry name (svc::buildService)
+    int batch;                ///< RPU batch size; 0 = the CPU study
+    CacheStudyOptions opt;
+
+    bool operator==(const Study &) const = default;
+};
+
 /**
- * The timing run of every cell simulated so far, found by cell identity
- * (Cell's operator==: the service, the CoreConfig and every
- * TimingOptions field). A cell's result depends only
- * on that identity -- cellSeed derives from it, and the trace caches
- * are bit-identical to live runs -- so a figure handed a memoized run
- * prints what a fresh one would, and each distinct cell of a
- * reproduction is simulated once.
+ * The result of every piece of work run so far, found by identity: a
+ * timing cell (Cell's operator==: the service, the CoreConfig and every
+ * TimingOptions field), an efficiency probe or a cache study (every
+ * argument). A result depends only on that identity -- cellSeed
+ * derives from it, the trace caches are bit-identical to live runs,
+ * and probes and studies always run live -- so a figure handed a
+ * memoized result prints what a fresh run would, and each distinct
+ * piece of work of a reproduction runs once.
  */
 class CellMemo
 {
   public:
     /**
-     * Runs of `cells`, in input order. The cells this memo has not run
-     * yet go to one runCells call.
+     * Results in input order. The work this memo has not run yet goes
+     * to one fan-out: runCells for cells, one parallelMap for probes
+     * or studies.
      */
     std::vector<TimingRun> run(const std::vector<Cell> &cells);
+    std::vector<EfficiencyResult> run(const std::vector<Probe> &probes);
+    std::vector<CacheStudyResult> run(const std::vector<Study> &studies);
 
   private:
-    std::vector<Cell> cells_;
-    std::vector<TimingRun> runs_;  ///< runs_[i] is the run of cells_[i]
+    /** Work of one kind run so far: results[i] is the run of work[i]. */
+    template <typename Work, typename Result>
+    struct Seen
+    {
+        std::vector<Work> work;
+        std::vector<Result> results;
+    };
+
+    Seen<Cell, TimingRun> cells_;
+    Seen<Probe, EfficiencyResult> probes_;
+    Seen<Study, CacheStudyResult> studies_;
 };
 
 /** One table or figure: prints its tables to stdout. */

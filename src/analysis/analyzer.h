@@ -13,7 +13,8 @@
  * irreducible control flow, lock acquire/release pairing, and memory
  * accesses resolvably inconsistent with the address-space map.
  *
- * simr::runTiming / measureEfficiency gate every program through
+ * Every simr runner entry point (runTiming, runFrontEnd,
+ * measureEfficiency and the cache studies) gates its program through
  * gateOrDie() before simulation, so a service or generator change that
  * breaks an invariant fails loudly instead of skewing results.
  */

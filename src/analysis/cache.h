@@ -1,11 +1,11 @@
 /**
  * @file
  * Process-wide analysis cache: one analyzer Report + StaticProof per
- * program content fingerprint. Runner entry points (measureEfficiency,
- * runFrontEnd, runTiming) and every cell of a sweep re-gate the same
- * service programs; the full analysis (CFG, dominators, two dataflow
- * fixpoints) is pure in the program content, so it is computed once and
- * shared.
+ * program content fingerprint. Runner entry points (runTiming,
+ * runFrontEnd, measureEfficiency, studyRpuCache and studyCpuCache) and
+ * every cell of a sweep re-gate the same service programs; the full
+ * analysis (CFG, dominators, two dataflow fixpoints) is pure in the
+ * program content, so it is computed once and shared.
  */
 
 #ifndef SIMR_ANALYSIS_CACHE_H

@@ -3,7 +3,10 @@
  * Functional cache studies for Figs. 14 and 15: run the address stream
  * (after batching / MCU coalescing / stack interleaving) through an L1
  * model without full pipeline timing, to measure generated traffic and
- * MPKI quickly and in isolation.
+ * MPKI quickly and in isolation. The runner (runner.cc) builds a
+ * study's front end with the same builder as every other chip-level
+ * run, gated like them by analysis::gateAndProve, and always live: a
+ * study consults no process-wide cache.
  */
 
 #ifndef SIMR_SIMR_CACHESTUDY_H
@@ -45,13 +48,22 @@ struct CacheStudyOptions
     batch::Policy policy = batch::Policy::PerApiArgSize;
     mem::AllocPolicy alloc = mem::AllocPolicy::SimrAware;
     bool stackInterleave = true;
+
+    /** Same study: every field above. */
+    bool operator==(const CacheStudyOptions &) const = default;
 };
 
-/** RPU-style study: lockstep batches through MCU + banked L1. */
+/**
+ * RPU-style study: one MinSP-PC lockstep engine, `batch_size` wide,
+ * through the MCU and an 8-bank L1.
+ */
 CacheStudyResult studyRpuCache(const svc::Service &svc, int batch_size,
                                const CacheStudyOptions &opt);
 
-/** CPU-style study: one thread at a time through a private L1. */
+/**
+ * CPU-style study: one scalar stream (glibc-like heap) through a
+ * private one-bank L1.
+ */
 CacheStudyResult studyCpuCache(const svc::Service &svc,
                                const CacheStudyOptions &opt);
 

@@ -1,5 +1,6 @@
 #include "simr/runner.h"
 
+#include <algorithm>
 #include <bit>
 #include <memory>
 #include <string>
@@ -8,6 +9,7 @@
 #include "common/logging.h"
 #include "common/parallel.h"
 #include "obs/divergence.h"
+#include "simr/cachestudy.h"
 #include "simr/streamcache.h"
 #include "trace/replay.h"
 
@@ -100,6 +102,45 @@ foldOp(uint64_t h, const trace::DynOp &op)
 }
 
 /**
+ * The shape of a front end: the lockstep width, or 0 for scalar
+ * streams, and the number of hardware contexts the batches or requests
+ * are dealt across round-robin (one unit per context).
+ */
+struct FrontEndShape
+{
+    int width = 0;
+    int contexts = 1;
+};
+
+/**
+ * A timing cell's front-end shape: lockstep engines for batch configs
+ * (the batch override, else the service's tuned batch when asked, else
+ * the core's width), one per hardware batch context; scalar streams
+ * otherwise, one per SMT context.
+ */
+FrontEndShape
+shapeOf(const svc::Service &svc, const core::CoreConfig &cfg,
+        const TimingOptions &opt)
+{
+    if (cfg.batchWidth <= 1)
+        return {0, std::max(1, cfg.smtThreads)};
+    int width = cfg.batchWidth;
+    if (opt.batchOverride > 0)
+        width = opt.batchOverride;
+    else if (opt.useTunedBatch)
+        width = std::min(width, svc.traits().tunedBatch);
+    return {width, cfg.smtThreads};
+}
+
+/** One lockstep engine `width` lanes wide: a probe's or an RPU study's. */
+FrontEndShape
+oneEngine(int width)
+{
+    simr_assert(width >= 1, "a lockstep front end needs width >= 1");
+    return {width, 1};
+}
+
+/**
  * One front-end unit: whatever produces the DynOp stream one core
  * context drains. Exactly one of {engine, scalar} (live, possibly
  * wrapped by `capturer`) or `replay` (stream-cache hit) is set.
@@ -169,119 +210,161 @@ struct FrontEnd
 };
 
 /**
- * Build the front end runTiming / runFrontEnd drain: lockstep engines
- * for batch configs, scalar streams otherwise, each unit served from
- * the process-wide StreamCache when an identical cell already ran.
- * Request generation and batching are skipped entirely when every unit
- * hits.
+ * Build the DynOp streams of one front end of the given shape: every
+ * chip-level run -- timing cell, front-end sweep, efficiency probe and
+ * cache study -- gets its streams here. With opt.useTraceCache each
+ * unit is served from the process-wide StreamCache when an identical
+ * front end already ran, and live units capture into it and replay
+ * requests through the request-level TraceCache; without it every unit
+ * runs live and no cache is consulted. Lockstep batching always runs
+ * (its batch.* metrics must record identically warm and cold: the
+ * runCells determinism contract; it is microseconds next to the
+ * execution a hit skips); scalar request generation is skipped when
+ * every unit hits.
  */
 FrontEnd
-buildFrontEnd(const svc::Service &svc, const core::CoreConfig &cfg,
+buildFrontEnd(const svc::Service &svc, FrontEndShape shape,
               const TimingOptions &opt, const analysis::CachedAnalysis &ca)
 {
     FrontEnd fe;
     trace::TraceCache *rcache =
         opt.useTraceCache ? trace::TraceCache::process() : nullptr;
     fe.scache = opt.useTraceCache ? StreamCache::process() : nullptr;
-    const uint64_t fp = ca.fingerprint;
+    const bool lockstep = shape.width > 0;
+    const auto n = static_cast<size_t>(shape.contexts);
+    fe.units.resize(n);
 
-    if (cfg.batchWidth > 1) {
-        // RPU / GPU: batch the requests and execute in lockstep. A
-        // core with several hardware batch contexts (the GPU's warp
-        // multithreading) splits the batches across engines.
-        int bsize = cfg.batchWidth;
-        if (opt.batchOverride > 0)
-            bsize = opt.batchOverride;
-        else if (opt.useTunedBatch)
-            bsize = std::min(bsize, svc.traits().tunedBatch);
-        const int n = cfg.smtThreads;
-        fe.units.resize(static_cast<size_t>(n));
-        // Batching always runs, even when every unit replays:
-        // formBatches records the batch.* metrics, and a warm cell's
-        // exposition must stay bit-identical to a cold one (the
-        // runCells determinism contract). It is microseconds next to
-        // the execution the cache skips.
-        auto reqs = genRequests(svc, opt.requests, opt.seed);
-        batch::BatchingServer server(opt.policy, bsize);
+    bool allHit = fe.scache != nullptr;
+    for (size_t i = 0; i < n; ++i) {
+        FrontEndUnit &u = fe.units[i];
+        u.isEngine = lockstep;
+        if (fe.scache == nullptr)
+            continue;
+        u.key = streamKey(svc, ca.fingerprint,
+                          lockstep ? "lockstep" : "scalar",
+                          lockstep ? shape.width : 1, opt, shape.contexts,
+                          static_cast<int>(i));
+        StreamEntry ent;
+        if (fe.scache->lookup(u.key, &ent)) {
+            u.replay = std::make_unique<trace::ReplayStream>(
+                svc.program(), ent.trace);
+            u.cachedStats = ent.stats;
+            u.stream = u.replay.get();
+        } else {
+            allHit = false;
+        }
+    }
+    if (!lockstep && allHit)
+        return fe;
+
+    // A live unit drains its engine or scalar stream, through a
+    // capturer when a stream cache will keep the result.
+    auto attach = [&](FrontEndUnit &u, trace::DynStream &live) {
+        u.stream = &live;
+        if (fe.scache != nullptr) {
+            u.capturer = std::make_unique<trace::CapturingStream>(
+                svc.program(), live);
+            u.stream = u.capturer.get();
+        }
+    };
+    auto reqs = genRequests(svc, opt.requests, opt.seed);
+    if (lockstep) {
+        batch::BatchingServer server(opt.policy, shape.width);
         auto batches = server.formBatches(reqs);
-        std::vector<std::vector<batch::Batch>> per_engine(
-            static_cast<size_t>(n));
+        std::vector<std::vector<batch::Batch>> per_unit(n);
         for (size_t i = 0; i < batches.size(); ++i)
-            per_engine[i % per_engine.size()].push_back(
-                std::move(batches[i]));
-        for (int e = 0; e < n; ++e) {
-            FrontEndUnit &u = fe.units[static_cast<size_t>(e)];
-            u.isEngine = true;
-            u.key = streamKey(svc, fp, "lockstep", bsize, opt, n, e);
-            StreamEntry ent;
-            if (fe.scache != nullptr && fe.scache->lookup(u.key, &ent)) {
-                u.replay = std::make_unique<trace::ReplayStream>(
-                    svc.program(), ent.trace);
-                u.cachedStats = ent.stats;
-                u.stream = u.replay.get();
+            per_unit[i % n].push_back(std::move(batches[i]));
+        for (size_t i = 0; i < n; ++i) {
+            FrontEndUnit &u = fe.units[i];
+            if (u.replay)
                 continue;
-            }
             u.engine = std::make_unique<simt::LockstepEngine>(
-                svc.program(), opt.reconv, bsize,
-                makeBatchProvider(
-                    svc,
-                    std::move(per_engine[static_cast<size_t>(e)]),
-                    opt.alloc),
+                svc.program(), opt.reconv, shape.width,
+                makeBatchProvider(svc, std::move(per_unit[i]), opt.alloc),
                 simt::SpinEscapeConfig(), rcache);
             u.engine->setStaticProof(ca.proof);
-            u.stream = u.engine.get();
-            if (fe.scache != nullptr) {
-                u.capturer = std::make_unique<trace::CapturingStream>(
-                    svc.program(), *u.engine);
-                u.stream = u.capturer.get();
-            }
+            attach(u, *u.engine);
         }
     } else {
-        // Scalar / SMT: requests dealt round-robin across hardware
-        // thread contexts (one context when smtThreads == 1).
-        const int n = std::max(1, cfg.smtThreads);
-        fe.units.resize(static_cast<size_t>(n));
-        bool allHit = fe.scache != nullptr;
-        for (int ti = 0; ti < n; ++ti) {
-            FrontEndUnit &u = fe.units[static_cast<size_t>(ti)];
-            u.key = streamKey(svc, fp, "scalar", 1, opt, n, ti);
-            StreamEntry ent;
-            if (fe.scache != nullptr && fe.scache->lookup(u.key, &ent)) {
-                u.replay = std::make_unique<trace::ReplayStream>(
-                    svc.program(), ent.trace);
-                u.stream = u.replay.get();
-            } else {
-                allHit = false;
-            }
-        }
-        if (!allHit) {
-            auto reqs = genRequests(svc, opt.requests, opt.seed);
-            std::vector<std::vector<svc::Request>> per_thread(
-                static_cast<size_t>(n));
-            for (size_t i = 0; i < reqs.size(); ++i)
-                per_thread[i % per_thread.size()].push_back(reqs[i]);
-            for (int ti = 0; ti < n; ++ti) {
-                FrontEndUnit &u = fe.units[static_cast<size_t>(ti)];
-                if (u.replay)
-                    continue;
-                u.scalar = std::make_unique<trace::ScalarStream>(
-                    svc.program(),
-                    makeScalarProvider(
-                        svc, per_thread[static_cast<size_t>(ti)],
-                        static_cast<uint64_t>(ti), opt.alloc),
-                    rcache);
-                u.scalar->setStaticProof(ca.proof);
-                u.stream = u.scalar.get();
-                if (fe.scache != nullptr) {
-                    u.capturer =
-                        std::make_unique<trace::CapturingStream>(
-                            svc.program(), *u.scalar);
-                    u.stream = u.capturer.get();
-                }
-            }
+        std::vector<std::vector<svc::Request>> per_unit(n);
+        for (size_t i = 0; i < reqs.size(); ++i)
+            per_unit[i % n].push_back(std::move(reqs[i]));
+        for (size_t i = 0; i < n; ++i) {
+            FrontEndUnit &u = fe.units[i];
+            if (u.replay)
+                continue;
+            u.scalar = std::make_unique<trace::ScalarStream>(
+                svc.program(),
+                makeScalarProvider(svc, std::move(per_unit[i]),
+                                   static_cast<uint64_t>(i), opt.alloc),
+                rcache);
+            u.scalar->setStaticProof(ca.proof);
+            attach(u, *u.scalar);
         }
     }
     return fe;
+}
+
+/**
+ * The one drain loop of the push consumers (front-end sweeps,
+ * efficiency probes, cache studies): every unit's stream in unit
+ * order, each op handed to `consume`, then the units folded into `run`
+ * (a timing core pulls its streams itself).
+ */
+template <typename Consume>
+void
+drain(FrontEnd &fe, FrontEndRun *run, Consume &&consume)
+{
+    trace::DynOp op;
+    for (FrontEndUnit &u : fe.units) {
+        while (u.stream->next(op)) {
+            ++run->dynOps;
+            consume(op);
+        }
+        run->requests += u.stream->requestsCompleted();
+    }
+    fe.collect(&run->simt, &run->reuse);
+}
+
+/**
+ * Run a one-context front end through the MCU and an 8-way L1 of
+ * `l1_kb` KB with `banks` banks, counting lane instructions (a scalar
+ * op's mask is 1, so activeLanes() counts it once) and the accesses
+ * before and after coalescing.
+ */
+CacheStudyResult
+studyL1(const svc::Service &svc, FrontEndShape shape,
+        const TimingOptions &opt, mem::AddressMap map, int banks,
+        uint64_t l1_kb)
+{
+    auto ca = analysis::gateAndProve(svc.program());
+    FrontEnd fe = buildFrontEnd(svc, shape, opt, *ca);
+
+    mem::Mcu mcu(map);
+    mem::CacheConfig l1cfg;
+    l1cfg.name = "l1d";
+    l1cfg.sizeBytes = l1_kb * 1024;
+    l1cfg.assoc = 8;
+    l1cfg.banks = banks;
+    mem::Cache l1(l1cfg);
+
+    CacheStudyResult res;
+    std::vector<mem::MemAccess> accesses;
+    FrontEndRun run;
+    drain(fe, &run, [&](const trace::DynOp &op) {
+        res.scalarInsts += static_cast<uint64_t>(op.activeLanes());
+        if (!op.isMem())
+            return;
+        res.laneAccesses += op.addrCount;
+        mcu.coalesce(op, accesses);
+        for (const auto &a : accesses) {
+            ++res.l1Accesses;
+            if (!l1.access(a.paddr, a.isStore))
+                ++res.l1Misses;
+        }
+    });
+    res.mcu = mcu.stats();
+    return res;
 }
 
 } // namespace
@@ -363,51 +446,46 @@ measureEfficiency(const svc::Service &svc, batch::Policy policy,
                   uint64_t seed, simt::LockstepObserver *observer)
 {
     auto ca = analysis::gateAndProve(svc.program());
+    TimingOptions opt;
+    opt.policy = policy;
+    opt.reconv = reconv;
+    opt.requests = n;
+    opt.seed = seed;
+    opt.useTraceCache = false;
+    FrontEnd fe = buildFrontEnd(svc, oneEngine(width), opt, *ca);
+    fe.units.front().engine->setObserver(observer);
+    FrontEndRun run;
+    drain(fe, &run, [](const trace::DynOp &) {});
+    obs::recordSimtStats(obs::Scope::registry(), run.simt);
+    return EfficiencyResult{run.simt};
+}
 
-    // A probe needs only its run's SimtStats, so it keeps a stats
-    // record, not the stream, in the stream cache (same key scheme as a
-    // timing cell: one engine, index 0 of 1). Any entry under the key
-    // serves it: an earlier probe's record or a timing cell's capture.
-    // Observed runs stay live -- observers consume lockstep events,
-    // which a cached record does not produce.
-    StreamCache *scache =
-        observer == nullptr ? StreamCache::process() : nullptr;
+CacheStudyResult
+studyRpuCache(const svc::Service &svc, int batch_size,
+              const CacheStudyOptions &opt)
+{
+    TimingOptions t;
+    t.policy = opt.policy;
+    t.reconv = simt::ReconvPolicy::MinSpPc;
+    t.alloc = opt.alloc;
+    t.requests = opt.requests;
+    t.seed = opt.seed;
+    t.useTraceCache = false;
+    return studyL1(svc, oneEngine(batch_size), t,
+                   mem::AddressMap(opt.stackInterleave, batch_size), 8,
+                   opt.l1KB);
+}
 
-    // Batching runs even on a cache hit so the batch.* metrics record
-    // identically warm and cold (same exposition-determinism contract
-    // as buildFrontEnd).
-    auto reqs = genRequests(svc, n, seed);
-    batch::BatchingServer server(policy, width);
-    auto batches = server.formBatches(reqs);
-
-    std::string key;
-    if (scache != nullptr) {
-        TimingOptions opt;
-        opt.policy = policy;
-        opt.reconv = reconv;
-        opt.requests = n;
-        opt.seed = seed;
-        key = streamKey(svc, ca->fingerprint, "lockstep", width, opt,
-                        1, 0);
-        simt::SimtStats stats;
-        if (scache->lookupStats(key, &stats)) {
-            obs::recordSimtStats(obs::Scope::registry(), stats);
-            return EfficiencyResult{stats};
-        }
-    }
-
-    simt::LockstepEngine engine(svc.program(), reconv, width,
-                                makeBatchProvider(svc, std::move(batches)));
-    engine.setStaticProof(ca->proof);
-    engine.setObserver(observer);
-    trace::DynOp op;
-    while (engine.next(op)) {
-        // Drain: stats accumulate inside the engine.
-    }
-    if (scache != nullptr)
-        scache->insertStats(key, engine.stats());
-    obs::recordSimtStats(obs::Scope::registry(), engine.stats());
-    return EfficiencyResult{engine.stats()};
+CacheStudyResult
+studyCpuCache(const svc::Service &svc, const CacheStudyOptions &opt)
+{
+    TimingOptions t;
+    t.alloc = mem::AllocPolicy::GlibcLike;
+    t.requests = opt.requests;
+    t.seed = opt.seed;
+    t.useTraceCache = false;
+    return studyL1(svc, {0, 1}, t, mem::AddressMap(false, 1), 1,
+                   opt.l1KB);
 }
 
 FrontEndRun
@@ -415,17 +493,11 @@ runFrontEnd(const svc::Service &svc, const core::CoreConfig &cfg,
             const TimingOptions &opt)
 {
     auto ca = analysis::gateAndProve(svc.program());
-    FrontEnd fe = buildFrontEnd(svc, cfg, opt, *ca);
+    FrontEnd fe = buildFrontEnd(svc, shapeOf(svc, cfg, opt), opt, *ca);
     FrontEndRun run;
-    trace::DynOp op;
-    for (FrontEndUnit &u : fe.units) {
-        while (u.stream->next(op)) {
-            ++run.dynOps;
-            run.digest = foldOp(run.digest, op);
-        }
-        run.requests += u.stream->requestsCompleted();
-    }
-    fe.collect(&run.simt, &run.reuse);
+    drain(fe, &run, [&run](const trace::DynOp &op) {
+        run.digest = foldOp(run.digest, op);
+    });
     return run;
 }
 
@@ -437,7 +509,7 @@ runTiming(const svc::Service &svc, const core::CoreConfig &cfg,
 
     TimingRun run;
     core::TimingCore core(cfg);
-    FrontEnd fe = buildFrontEnd(svc, cfg, opt, *ca);
+    FrontEnd fe = buildFrontEnd(svc, shapeOf(svc, cfg, opt), opt, *ca);
     auto streams = fe.streams();
     run.core = core.run(streams);
     fe.collect(&run.simt, &run.reuse);
@@ -527,8 +599,6 @@ recordTraceCacheStats()
             static_cast<double>(scache->opsResident()));
         reg->gauge("trace.stream_entries")->set(
             static_cast<double>(scache->entries()));
-        reg->gauge("trace.stream_stats_entries")->set(
-            static_cast<double>(scache->statsEntries()));
         reg->gauge("trace.stream_evictions")->set(
             static_cast<double>(scache->evictions()));
     }

@@ -53,9 +53,13 @@ struct EfficiencyResult
 
 /**
  * Measure SIMT efficiency of a service under a batching policy and
- * reconvergence scheme, over `n` requests batched `width` wide. An
- * optional observer (obs::DivergenceProfiler, obs::SpanRecorder, ...)
- * sees every lockstep event of the run.
+ * reconvergence scheme, over `n` requests batched `width` wide: one
+ * lockstep engine, built and drained like a one-context RPU front end
+ * (runFrontEnd with the same width, policy, reconvergence, requests and
+ * seed gives the same SimtStats), always live and consulting no
+ * process-wide cache. The stats are also recorded into the scoped
+ * registry. An optional observer (obs::DivergenceProfiler,
+ * obs::SpanRecorder, ...) sees every lockstep event of the run.
  */
 EfficiencyResult measureEfficiency(const svc::Service &svc,
                                    batch::Policy policy,
@@ -100,8 +104,9 @@ struct TimingOptions
      * DynOp streams from simr::StreamCache when an identical cell
      * already ran. Replay is bit-identical to live execution (gated by
      * trace_replay_gate), so this only changes wall-clock time; set
-     * false to force live interpretation. Ignored when caching is
-     * disabled process-wide via SIMR_TRACE_CACHE=0.
+     * false to force live interpretation (efficiency probes and cache
+     * studies always run so). Ignored when caching is disabled
+     * process-wide via SIMR_TRACE_CACHE=0.
      */
     bool useTraceCache = true;
 
@@ -205,8 +210,7 @@ std::vector<TimingRun> runCells(const std::vector<Cell> &cells,
  * trace.stream_misses and trace.stream_* gauges for the stream-level
  * cache (trace.stream_entries, trace.stream_bytes_resident and
  * trace.stream_ops count streams, the last one their ops, so the two
- * give bytes per op; trace.stream_stats_entries counts the efficiency
- * probes' stats records). Callers (simr_cli stats) invoke this once,
+ * give bytes per op). Callers (simr_cli stats) invoke this once,
  * right before exposition; runCells deliberately does not -- cache
  * hit/miss totals depend on cross-thread scheduling, and the per-cell
  * registries it merges must stay bit-identical at any thread count.

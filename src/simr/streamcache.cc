@@ -29,25 +29,6 @@ StreamCache::lookup(const std::string &key, StreamEntry *out)
     return true;
 }
 
-bool
-StreamCache::lookupStats(const std::string &key, simt::SimtStats *out)
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    if (auto it = map_.find(key); it != map_.end()) {
-        touch(it->second);
-        ++hits_;
-        *out = it->second.payload.stats;
-        return true;
-    }
-    if (auto it = stats_.find(key); it != stats_.end()) {
-        ++hits_;
-        *out = it->second;
-        return true;
-    }
-    ++misses_;
-    return false;
-}
-
 void
 StreamCache::insert(const std::string &key, StreamEntry entry)
 {
@@ -61,22 +42,12 @@ StreamCache::insert(const std::string &key, StreamEntry entry)
         touch(it->second);
         return;
     }
-    stats_.erase(key);
     lru_.push_back(key);
     Entry e{std::move(entry), std::prev(lru_.end())};
     bytes_ += e.payload.trace->byteSize();
     ops_ += e.payload.trace->opCount();
     map_.emplace(key, std::move(e));
     evictOverBudget();
-}
-
-void
-StreamCache::insertStats(const std::string &key,
-                         const simt::SimtStats &stats)
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    if (!map_.contains(key))
-        stats_.emplace(key, stats);
 }
 
 void
@@ -107,7 +78,6 @@ StreamCache::clear()
     std::lock_guard<std::mutex> lock(mu_);
     map_.clear();
     lru_.clear();
-    stats_.clear();
     bytes_ = 0;
     ops_ = 0;
 }
@@ -131,13 +101,6 @@ StreamCache::entries() const
 {
     std::lock_guard<std::mutex> lock(mu_);
     return map_.size();
-}
-
-uint64_t
-StreamCache::statsEntries() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return stats_.size();
 }
 
 uint64_t
@@ -168,14 +131,9 @@ StreamCache::process()
     // worker threads may consult the cache during teardown, so it is
     // never destructed. SIMR_TRACE_CACHE=0 disables all trace reuse,
     // stream level included.
-    static StreamCache *cache = []() -> StreamCache * {
-        if (envInt("SIMR_TRACE_CACHE", 1) == 0)
-            return nullptr;
-        size_t mb = static_cast<size_t>(
-            envInt("SIMR_STREAM_CACHE_MB",
-                   static_cast<int64_t>(kDefaultBudget >> 20), 0));
-        return new StreamCache(mb << 20);
-    }();
+    static StreamCache *cache = envInt("SIMR_TRACE_CACHE", 1) == 0
+        ? nullptr
+        : new StreamCache();
     return cache;
 }
 

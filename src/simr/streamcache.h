@@ -1,7 +1,6 @@
 /**
  * @file
- * Process-wide cache of whole front-end DynOp streams, and of the
- * SimtStats of efficiency probes.
+ * Process-wide cache of whole front-end DynOp streams.
  *
  * The request-level trace::TraceCache removes the interpreter from a
  * warm run; this cache removes everything in front of the timing core.
@@ -19,12 +18,6 @@
  * documents), plus the program content fingerprint. Values pair the
  * captured stream with the producing engine's SimtStats, which are
  * equally a pure function of the stream and must be replayed with it.
- *
- * An efficiency probe (measureEfficiency) reads only those stats, so
- * it keeps a stats record -- the SimtStats alone, about a hundred
- * bytes -- under the same key scheme instead of a stream. lookupStats
- * serves a probe from either kind of entry; lookup serves only
- * streams, and a stream inserted later supersedes the record.
  *
  * Replay is gated the same way as request-level replay: the tier-1
  * trace_replay_gate proves warm runs bit-identical to live ones over
@@ -61,8 +54,7 @@ struct StreamEntry
  * Thread-safe LRU cache of StreamEntry keyed by cell-identity strings.
  * Same structure as trace::TraceCache: one mutex around the index,
  * immutable refcounted payloads, byte-budget LRU eviction that never
- * frees a stream a consumer still walks. Stats records sit outside the
- * LRU and the byte budget.
+ * frees a stream a consumer still walks.
  */
 class StreamCache
 {
@@ -73,48 +65,32 @@ class StreamCache
     StreamCache(const StreamCache &) = delete;
     StreamCache &operator=(const StreamCache &) = delete;
 
-    /**
-     * Find a cached stream; a key holding only a stats record misses.
-     * Counts one hit or miss.
-     */
+    /** Find a cached stream. Counts one hit or miss. */
     bool lookup(const std::string &key, StreamEntry *out);
 
     /**
-     * Find the SimtStats under a key, from a stream or a stats record.
-     * Counts one hit or miss, exactly as lookup does.
-     */
-    bool lookupStats(const std::string &key, simt::SimtStats *out);
-
-    /**
-     * Insert a finished capture, superseding a stats record under the
-     * key. First insert wins on concurrent captures of the same key
-     * (maximizing sharing).
+     * Insert a finished capture. First insert wins on concurrent
+     * captures of the same key (maximizing sharing).
      */
     void insert(const std::string &key, StreamEntry entry);
-
-    /** Insert a stats record unless the key already has an entry. */
-    void insertStats(const std::string &key, const simt::SimtStats &stats);
 
     /** Drop everything (benches use this to measure cold vs warm). */
     void clear();
 
-    /** Bytes of the cached streams; stats records add none. */
+    /** Bytes of the cached streams. */
     uint64_t bytesResident() const;
     /** Ops the cached streams hold (bytesResident over it: bytes/op). */
     uint64_t opsResident() const;
     /** Cached streams. */
     uint64_t entries() const;
-    /** Stats records (never evicted: dropping one frees no stream). */
-    uint64_t statsEntries() const;
     size_t budgetBytes() const { return budget_; }
     uint64_t evictions() const;
     uint64_t hits() const;
     uint64_t misses() const;
 
     /**
-     * The process-wide cache, or nullptr when trace reuse is disabled
-     * via SIMR_TRACE_CACHE=0. Budget: SIMR_STREAM_CACHE_MB (default
-     * 2048).
+     * The process-wide cache with the default budget, or nullptr when
+     * trace reuse is disabled via SIMR_TRACE_CACHE=0.
      */
     static StreamCache *process();
 
@@ -133,8 +109,6 @@ class StreamCache
     mutable std::mutex mu_;
     std::unordered_map<std::string, Entry> map_;
     std::list<std::string> lru_;   ///< front = coldest
-    /** Stats records: keys with no stream in map_. */
-    std::unordered_map<std::string, simt::SimtStats> stats_;
     size_t budget_;
     size_t bytes_ = 0;
     uint64_t ops_ = 0;  ///< opCount() summed over map_'s streams

@@ -495,11 +495,8 @@ TraceCache::process()
     static TraceCache *cache = []() -> TraceCache * {
         if (envInt("SIMR_TRACE_CACHE", 1) == 0)
             return nullptr;
-        size_t mb = static_cast<size_t>(
-            envInt("SIMR_TRACE_CACHE_MB",
-                   static_cast<int64_t>(kDefaultBudget >> 20), 0));
         alignas(TraceCache) static unsigned char storage[sizeof(TraceCache)];
-        return ::new (storage) TraceCache(mb << 20);
+        return ::new (storage) TraceCache();
     }();
     return cache;
 }

@@ -369,8 +369,8 @@ class TraceCache
     /// @}
 
     /**
-     * The process-wide cache, or nullptr when disabled via
-     * SIMR_TRACE_CACHE=0. Budget: SIMR_TRACE_CACHE_MB (default 1024).
+     * The process-wide cache with the default budget, or nullptr when
+     * disabled via SIMR_TRACE_CACHE=0.
      */
     static TraceCache *process();
 

@@ -20,6 +20,7 @@
 #include "mem/address_space.h"
 #include "services/basic_service.h"
 #include "services/service.h"
+#include "simr/cachestudy.h"
 #include "simr/runner.h"
 #include "simt/lockstep.h"
 
@@ -451,6 +452,12 @@ TEST(CorruptionDeath, RunnerGateRefusesCorruptProgram)
         measureEfficiency(bad, batch::Policy::PerApiArgSize,
                           simt::ReconvPolicy::StackIpdom, 8, 16, 1),
         ::testing::ExitedWithCode(1), "refusing to simulate");
+    CacheStudyOptions opt;
+    opt.requests = 16;
+    EXPECT_EXIT(studyRpuCache(bad, 8, opt), ::testing::ExitedWithCode(1),
+                "refusing to simulate");
+    EXPECT_EXIT(studyCpuCache(bad, opt), ::testing::ExitedWithCode(1),
+                "refusing to simulate");
 }
 
 // ---------------------------------------------------------------------------

@@ -227,88 +227,37 @@ TEST(GpgpuExtension, SpmdKernelIsSimtPerfect)
 }
 
 // ---------------------------------------------------------------------------
-// Efficiency probes keep stats records, not streams, in the process-wide
-// stream cache; a front end on the probe's key captures the stream.
+// An efficiency probe is the one-context RPU front end of its width,
+// always live: it consults no process-wide cache.
 // ---------------------------------------------------------------------------
 
-namespace
-{
-
-constexpr int kProbeRequests = 96;
-constexpr uint64_t kProbeSeed = 11;
-
-EfficiencyResult
-probeMemc(const svc::Service &svc)
-{
-    return measureEfficiency(svc, batch::Policy::PerApiArgSize,
-                             simt::ReconvPolicy::MinSpPc, 32,
-                             kProbeRequests, kProbeSeed);
-}
-
-} // namespace
-
-TEST(StatsRecord, RepeatedProbeIsAStatsHit)
+TEST(EfficiencyProbe, EqualsRpuFrontEndAndConsultsNoStreamCache)
 {
     StreamCache *cache = StreamCache::process();
     ASSERT_NE(cache, nullptr);
-    cache->clear();
     auto svc = svc::buildService("memc");
-    const uint64_t h0 = cache->hits();
-    const uint64_t m0 = cache->misses();
-    const uint64_t bytes = cache->bytesResident();
-
-    auto first = probeMemc(*svc);
-    EXPECT_EQ(cache->misses() - m0, 1u);
-    EXPECT_EQ(cache->statsEntries(), 1u);
-    EXPECT_EQ(cache->entries(), 0u);
-
-    auto again = probeMemc(*svc);
-    EXPECT_EQ(cache->hits() - h0, 1u);
-    EXPECT_EQ(cache->misses() - m0, 1u);
-    EXPECT_TRUE(again.stats == first.stats);
-    EXPECT_EQ(cache->bytesResident(), bytes);
-}
-
-TEST(StatsRecord, FrontEndOnProbeKeyCapturesThenHits)
-{
-    StreamCache *cache = StreamCache::process();
-    ASSERT_NE(cache, nullptr);
-    cache->clear();
-    auto svc = svc::buildService("memc");
-    auto probe = probeMemc(*svc);
+    ASSERT_NE(svc, nullptr);
 
     // The RPU front end with the probe's width, policy, reconvergence,
-    // requests and seed has the probe's stream key.
+    // requests and seed; it leaves its stream in the cache under the
+    // key the probe would have.
     TimingOptions opt;
     opt.policy = batch::Policy::PerApiArgSize;
     opt.reconv = simt::ReconvPolicy::MinSpPc;
-    opt.requests = kProbeRequests;
-    opt.seed = kProbeSeed;
+    opt.requests = 96;
+    opt.seed = 11;
     opt.batchOverride = 32;
-    const core::CoreConfig rpu = core::makeRpuConfig();
+    auto fe = runFrontEnd(*svc, core::makeRpuConfig(), opt);
 
-    // The record serves no stream: the front end misses, runs live and
-    // captures, and the stream supersedes the record.
-    auto cold = runFrontEnd(*svc, rpu, opt);
-    EXPECT_EQ(cold.reuse.streamMisses, 1u);
-    EXPECT_EQ(cold.reuse.streamHits, 0u);
-    EXPECT_EQ(cache->entries(), 1u);
-    EXPECT_EQ(cache->statsEntries(), 0u);
-    EXPECT_GT(cache->bytesResident(), 0u);
-    EXPECT_TRUE(cold.simt == probe.stats);
-
-    auto warm = runFrontEnd(*svc, rpu, opt);
-    EXPECT_EQ(warm.reuse.streamHits, 1u);
-    EXPECT_EQ(warm.reuse.streamMisses, 0u);
-    EXPECT_EQ(warm.dynOps, cold.dynOps);
-    EXPECT_EQ(warm.digest, cold.digest);
-    EXPECT_TRUE(warm.simt == cold.simt);
-
-    // A probe after the capture reads the stream's stats.
-    const uint64_t h0 = cache->hits();
-    auto again = probeMemc(*svc);
-    EXPECT_EQ(cache->hits() - h0, 1u);
-    EXPECT_TRUE(again.stats == probe.stats);
+    const uint64_t hits = cache->hits();
+    const uint64_t misses = cache->misses();
+    const uint64_t entries = cache->entries();
+    auto probe = measureEfficiency(*svc, opt.policy, opt.reconv, 32,
+                                   opt.requests, opt.seed);
+    EXPECT_TRUE(probe.stats == fe.simt);
+    EXPECT_EQ(cache->hits(), hits);
+    EXPECT_EQ(cache->misses(), misses);
+    EXPECT_EQ(cache->entries(), entries);
 }
 
 // ---------------------------------------------------------------------------

@@ -328,17 +328,6 @@ captureScalarStream(const svc::Service &svc, int requests, uint64_t seed)
     return cap.take();
 }
 
-/** Distinguishable stats for a stats record. */
-simt::SimtStats
-recordStats(uint64_t batches)
-{
-    simt::SimtStats s;
-    s.batches = batches;
-    s.batchOps = 7 * batches;
-    s.scalarOps = 100 * batches;
-    return s;
-}
-
 } // namespace
 
 TEST(StreamCacheTest, LruEvictionKeepsHottest)
@@ -376,81 +365,37 @@ TEST(StreamCacheTest, LruEvictionKeepsHottest)
     EXPECT_FALSE(small.lookup("null", &ent));
 }
 
-TEST(StreamCacheTest, StatsRecordIsNoStream)
-{
-    StreamCache cache;
-    cache.insertStats("probe", recordStats(3));
-    EXPECT_EQ(cache.statsEntries(), 1u);
-    EXPECT_EQ(cache.entries(), 0u);
-
-    // A stream lookup must not be served by a record: it misses, and
-    // counts the miss.
-    StreamEntry ent;
-    EXPECT_FALSE(cache.lookup("probe", &ent));
-    EXPECT_EQ(cache.hits(), 0u);
-    EXPECT_EQ(cache.misses(), 1u);
-}
-
-TEST(StreamCacheTest, LookupStatsServesBothKinds)
+TEST(StreamCacheTest, EntryCarriesProducerStats)
 {
     auto svc = svc::buildService("memc");
     ASSERT_NE(svc, nullptr);
     auto t = captureScalarStream(*svc, 8, 5);
     ASSERT_NE(t, nullptr);
 
+    simt::SimtStats stats;
+    stats.batches = 5;
+    stats.scalarOps = 500;
     StreamCache cache;
-    cache.insertStats("record", recordStats(3));
-    cache.insert("stream", StreamEntry{t, nullptr, recordStats(5)});
-
-    simt::SimtStats s;
-    ASSERT_TRUE(cache.lookupStats("record", &s));
-    EXPECT_EQ(s.batches, 3u);
-    EXPECT_EQ(s.batchOps, 21u);
-    ASSERT_TRUE(cache.lookupStats("stream", &s));
-    EXPECT_EQ(s.batches, 5u);
-    EXPECT_EQ(s.scalarOps, 500u);
-    EXPECT_FALSE(cache.lookupStats("absent", &s));
-    EXPECT_EQ(cache.hits(), 2u);
-    EXPECT_EQ(cache.misses(), 1u);
-}
-
-TEST(StreamCacheTest, StreamSupersedesStatsRecord)
-{
-    auto svc = svc::buildService("memc");
-    ASSERT_NE(svc, nullptr);
-    auto t = captureScalarStream(*svc, 8, 5);
-    ASSERT_NE(t, nullptr);
-
-    StreamCache cache;
-    cache.insertStats("k", recordStats(3));
-    cache.insert("k", StreamEntry{t, nullptr, recordStats(5)});
-    EXPECT_EQ(cache.statsEntries(), 0u);
+    cache.insert("stream", StreamEntry{t, nullptr, stats});
     EXPECT_EQ(cache.entries(), 1u);
 
-    // A later record must not downgrade the stream.
-    cache.insertStats("k", recordStats(9));
-    EXPECT_EQ(cache.statsEntries(), 0u);
+    // A lookup serves the stream with its producer's stats; an absent
+    // key misses. Both count.
     StreamEntry ent;
-    ASSERT_TRUE(cache.lookup("k", &ent));
+    ASSERT_TRUE(cache.lookup("stream", &ent));
     EXPECT_EQ(ent.trace, t);
     EXPECT_EQ(ent.stats.batches, 5u);
-    simt::SimtStats s;
-    ASSERT_TRUE(cache.lookupStats("k", &s));
-    EXPECT_EQ(s.batches, 5u);
-
-    // A second record under a key that has one keeps the first.
-    cache.insertStats("r", recordStats(1));
-    cache.insertStats("r", recordStats(2));
-    ASSERT_TRUE(cache.lookupStats("r", &s));
-    EXPECT_EQ(s.batches, 1u);
+    EXPECT_EQ(ent.stats.scalarOps, 500u);
+    EXPECT_FALSE(cache.lookup("absent", &ent));
+    EXPECT_EQ(cache.hits(), 1u);
+    EXPECT_EQ(cache.misses(), 1u);
 
     cache.clear();
-    EXPECT_EQ(cache.statsEntries(), 0u);
     EXPECT_EQ(cache.entries(), 0u);
-    EXPECT_FALSE(cache.lookupStats("r", &s));
+    EXPECT_FALSE(cache.lookup("stream", &ent));
 }
 
-TEST(StreamCacheTest, StatsRecordsAddNoBytesAndSurviveEviction)
+TEST(StreamCacheTest, BytesResidentFollowsStreams)
 {
     auto svc = svc::buildService("memc");
     ASSERT_NE(svc, nullptr);
@@ -458,13 +403,8 @@ TEST(StreamCacheTest, StatsRecordsAddNoBytesAndSurviveEviction)
     ASSERT_NE(t, nullptr);
 
     // Budget below one stream: every stream insert after the first
-    // evicts, while the records stay.
+    // evicts.
     StreamCache small(t->byteSize() / 2);
-    for (uint64_t i = 0; i < 4; ++i)
-        small.insertStats("record" + std::to_string(i), recordStats(i + 1));
-    EXPECT_EQ(small.bytesResident(), 0u);
-    EXPECT_EQ(small.entries(), 0u);
-
     small.insert("a", StreamEntry{t, nullptr, simt::SimtStats{}});
     EXPECT_EQ(small.bytesResident(), t->byteSize());
     small.insert("b", StreamEntry{captureScalarStream(*svc, 8, 6), nullptr,
@@ -473,12 +413,6 @@ TEST(StreamCacheTest, StatsRecordsAddNoBytesAndSurviveEviction)
                                   simt::SimtStats{}});
     EXPECT_EQ(small.evictions(), 2u);
     EXPECT_EQ(small.entries(), 1u);
-    EXPECT_EQ(small.statsEntries(), 4u);
-    for (uint64_t i = 0; i < 4; ++i) {
-        simt::SimtStats s;
-        ASSERT_TRUE(small.lookupStats("record" + std::to_string(i), &s));
-        EXPECT_EQ(s.batches, i + 1);
-    }
 }
 
 TEST(StreamCacheTest, OpsResidentFollowsStreams)
@@ -490,9 +424,8 @@ TEST(StreamCacheTest, OpsResidentFollowsStreams)
     ASSERT_NE(a, nullptr);
     ASSERT_NE(b, nullptr);
 
-    // Room for both streams: ops add up; records and repeats add none.
+    // Room for both streams: ops add up; a repeat adds none.
     StreamCache cache(a->byteSize() + b->byteSize());
-    cache.insertStats("record", recordStats(1));
     cache.insert("a", StreamEntry{a, nullptr, simt::SimtStats{}});
     cache.insert("a", StreamEntry{b, nullptr, simt::SimtStats{}});
     EXPECT_EQ(cache.opsResident(), a->opCount());
@@ -612,7 +545,7 @@ canonicalTrace(const svc::Service &svc, const trace::ProgramIndex &pi,
 
 } // namespace
 
-TEST(CompiledBatch, UniformBatchEngagesKernelBitIdentical)
+TEST(AllReplayBatch, UniformMatchesLive)
 {
     auto svc = svc::buildService("memc");
     ASSERT_NE(svc, nullptr);
@@ -641,7 +574,7 @@ TEST(CompiledBatch, UniformBatchEngagesKernelBitIdentical)
                                  false);
 }
 
-TEST(CompiledBatch, MixedShapeBatchFallsBackBitIdentical)
+TEST(AllReplayBatch, DivergentMatchesLive)
 {
     auto svc = svc::buildService("memc");
     ASSERT_NE(svc, nullptr);

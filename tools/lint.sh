@@ -13,7 +13,9 @@
 #     two known false-positive patterns are suppressed (throwing
 #     operator new reported as possibly-NULL; shared_ptr control-block
 #     reads reported as uninitialized "'<unknown>'" values) and only
-#     findings located in repo sources gate;
+#     findings located in repo sources gate. The analyzer runs under
+#     LC_ALL=C: in a UTF-8 locale gcc prints curly quotes, which the
+#     "'<unknown>'" filter would not match;
 #  3. clang-tidy over the library, tool and test sources with the
 #     checks pinned in .clang-tidy, warnings treated as errors
 #     (advisory when clang-tidy is not installed -- the container image
@@ -85,7 +87,7 @@ if command -v "$GCC" >/dev/null 2>&1; then
         # Real findings carry a repo-relative path; analyzer noise
         # against libstdc++ internals is attributed to system headers
         # (or bare "cc1plus:") and does not gate.
-        FINDINGS=$("$GCC" -std=c++20 -O1 -fanalyzer \
+        FINDINGS=$(LC_ALL=C "$GCC" -std=c++20 -O1 -fanalyzer \
                        -Wno-analyzer-possible-null-dereference \
                        -I src -c "$f" -o /dev/null 2>&1 |
                    grep -E '^(src|tests|bench|examples)/.*\[-Wanalyzer' |
