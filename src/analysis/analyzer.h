@@ -40,7 +40,7 @@ void gateOrDie(const isa::Program &prog);
 /**
  * PC of the first real instruction at or after `block`: empty blocks
  * are chained through their fall-through edge, mirroring
- * trace::ThreadState::normalize(). This is where the lockstep engine
+ * the landing table of trace::LaneFile. This is where the lockstep engine
  * observably parks/merges threads sent to `block`.
  */
 isa::Pc normalizedBlockPc(const isa::Program &prog, int block);

@@ -93,7 +93,7 @@ struct Diag
  * annotated, what the post-dominator analysis derived, and where the
  * lockstep engine should be observed reconverging (the first real
  * instruction at or after the IPDOM block — empty blocks are chained
- * through exactly like trace::ThreadState::normalize()).
+ * through exactly like trace::LaneFile's landing table).
  */
 struct BranchInfo
 {

@@ -57,6 +57,16 @@ panicImpl(const char *file, int line, const char *fmt, ...)
 }
 
 void
+assertImpl(const char *file, int line, const char *cond, const char *fmt, ...)
+{
+    va_list ap;
+    va_start(ap, fmt);
+    std::string msg = vformat(fmt, ap);
+    va_end(ap);
+    panicImpl(file, line, "assertion '%s' failed: %s", cond, msg.c_str());
+}
+
+void
 fatalImpl(const char *file, int line, const char *fmt, ...)
 {
     va_list ap;

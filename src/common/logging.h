@@ -31,6 +31,8 @@ std::string vformat(const char *fmt, va_list ap);
 void logLine(const char *prefix, const std::string &msg);
 
 [[noreturn]] void panicImpl(const char *file, int line, const char *fmt, ...);
+[[noreturn]] void assertImpl(const char *file, int line, const char *cond,
+                             const char *fmt, ...);
 [[noreturn]] void fatalImpl(const char *file, int line, const char *fmt, ...);
 void warnImpl(const char *fmt, ...);
 void informImpl(const char *fmt, ...);
@@ -51,10 +53,8 @@ void informImpl(const char *fmt, ...);
 #define simr_assert(cond, ...)                                             \
     do {                                                                   \
         if (!(cond)) {                                                     \
-            ::simr::detail::panicImpl(__FILE__, __LINE__,                  \
-                                      "assertion '%s' failed: "           \
-                                      __VA_ARGS__,                         \
-                                      #cond);                              \
+            ::simr::detail::assertImpl(__FILE__, __LINE__, #cond,          \
+                                       __VA_ARGS__);                       \
         }                                                                  \
     } while (0)
 

@@ -11,58 +11,9 @@ namespace simr::simt
 using trace::DynOp;
 using trace::Mask;
 
-namespace
-{
-
-// Position key layout: inverted call depth in bits 44-63, block id in
-// bits 16-43, index in block in bits 0-15.
-constexpr uint64_t kDepthTop = (uint64_t{1} << 20) - 1;
-constexpr int kBlockShift = 16;
-constexpr uint64_t kBlockLimit = uint64_t{1} << 28;
-constexpr uint64_t kIdxLimit = uint64_t{1} << kBlockShift;
-constexpr uint64_t kDepthBits = ~((uint64_t{1} << 44) - 1);
-/** Key of a retired lane: above every live key, never picked. */
-constexpr uint64_t kRetiredKey = ~uint64_t{0};
-
-/**
- * Pack (depth, block, idx) into one position key whose integer order
- * is MinSP-PC order: deeper call levels first, then lower PCs.
- * Program::layout() assigns PCs in block-id order and a lane never
- * rests in an empty block or past a block's end, so (block, idx)
- * orders exactly as the PC does.
- */
-inline uint64_t
-posKey(int depth, int block, size_t idx)
-{
-    simr_dassert(depth >= 0 && static_cast<uint64_t>(depth) <= kDepthTop,
-                 "call depth %d outside the position key", depth);
-    return ((kDepthTop - static_cast<uint64_t>(depth)) << 44) |
-        (static_cast<uint64_t>(block) << kBlockShift) |
-        static_cast<uint64_t>(idx);
-}
-
-inline uint64_t
-laneKey(const trace::LaneExec &t)
-{
-    return posKey(t.callDepth(), t.curBlock(), t.curIdx());
-}
-
-/** The block a key's position is in. */
-int
-keyBlock(uint64_t key)
-{
-    return static_cast<int>((key >> kBlockShift) & (kBlockLimit - 1));
-}
-
-/** The key of `block`'s first instruction at `key`'s call depth. */
-uint64_t
-blockEntryKey(uint64_t key, int block)
-{
-    return (key & kDepthBits) |
-        (static_cast<uint64_t>(block) << kBlockShift);
-}
-
-} // namespace
+using trace::blockEntryKey;
+using trace::keyBlock;
+using trace::kRetiredKey;
 
 LockstepObserver::~LockstepObserver() = default;
 
@@ -100,21 +51,10 @@ LockstepEngine::LockstepEngine(const isa::Program &prog,
                                SpinEscapeConfig spin,
                                trace::TraceCache *cache)
     : prog_(prog), policy_(policy), width_(width),
-      provider_(std::move(provider)), spin_(spin), pi_(prog)
+      provider_(std::move(provider)), spin_(spin), pi_(prog),
+      lanes_(pi_, width, cache)
 {
-    simr_assert(width_ >= 1 && width_ <= trace::kMaxBatch,
-                "batch width out of range");
-    // Every position must fit its key exactly; the largest block id
-    // stays clear of kRetiredKey.
-    simr_assert(static_cast<uint64_t>(prog.numBlocks()) < kBlockLimit,
-                "program has too many blocks for a position key");
-    for (int b = 0; b < prog.numBlocks(); ++b)
-        simr_assert(prog.block(b).insts.size() < kIdxLimit,
-                    "block %d too long for a position key", b);
     stats_.width = width_;
-    lanes_.reserve(static_cast<size_t>(width_));
-    for (int i = 0; i < width_; ++i)
-        lanes_.push_back(std::make_unique<trace::LaneExec>(pi_, cache));
     inits_.reserve(static_cast<size_t>(width_));
 }
 
@@ -127,8 +67,7 @@ LockstepEngine::setStaticProof(
     proof_ = std::move(proof);
     proofApplies_ = proof_ != nullptr &&
         proof_->fingerprint == pi_.fingerprint();
-    for (auto &l : lanes_)
-        l->setStaticProof(proofApplies_ ? proof_ : nullptr);
+    lanes_.setStaticProof(proofApplies_ ? proof_ : nullptr);
 }
 
 void
@@ -161,18 +100,8 @@ LockstepEngine::launchNext()
         }
     }
 
-    liveMask_ = 0;
     batchSize_ = n;
-    for (int i = 0; i < n; ++i) {
-        trace::LaneExec &t = *lanes_[static_cast<size_t>(i)];
-        t.reset(inits_[static_cast<size_t>(i)]);
-        if (t.done()) {
-            keys_[i] = kRetiredKey;
-        } else {
-            keys_[i] = laneKey(t);
-            liveMask_ |= (1u << i);
-        }
-    }
+    liveMask_ = lanes_.launch(inits_.data(), n);
     if (liveMask_ == 0)
         return launchNext();
 
@@ -184,12 +113,9 @@ LockstepEngine::launchNext()
 
     stack_.clear();
     // All live lanes start at main's entry.
-    stack_.push_back({keys_[__builtin_ctz(liveMask_)], -1, liveMask_});
+    stack_.push_back({lanes_.key(__builtin_ctz(liveMask_)), -1, liveMask_});
 
     std::fill(std::begin(ranAt_), std::end(ranAt_), 0);
-    batchOpIdx_ = 0;
-    for (auto &w : lastWriterB_)
-        w = 0;
     windowAtomics_ = 0;
     boostLane_ = -1;
     boostLeft_ = 0;
@@ -200,73 +126,14 @@ LockstepEngine::launchNext()
 void
 LockstepEngine::execGroup(Mask mask, DynOp &op)
 {
-    simr_assert(mask != 0, "executing an empty group");
-    op.si = nullptr;
     op.mask = mask;
-    op.takenMask = 0;
-    op.endMask = 0;
-    op.addrCount = 0;
-    op.dep1 = 0;
-    op.dep2 = 0;
     op.pathSwitch = false;
-    ++batchOpIdx_;
-
-    // Every active lane executes the same static instruction, so the
-    // opInfo lookup is hoisted out of the lane loop: resolved once on
-    // the first lane, reused (isMem here, writesReg below) for the rest.
-    // Only a Ret can finish a request, so only then is done() asked.
-    const isa::OpInfo *info = nullptr;
-    bool ret = false;
-    for (Mask m = mask; m != 0; m &= m - 1) {
-        const int lane = __builtin_ctz(m);
-        const Mask bit = Mask{1} << lane;
-        trace::LaneExec &t = *lanes_[static_cast<size_t>(lane)];
-        trace::StepResult r;
-        t.step(r);
-        if (!op.si) {
-            op.si = r.si;
-            op.pc = r.pc;
-            op.callDepth = r.callDepth;
-            op.accessSize = r.accessSize;
-            info = &isa::opInfo(r.si->op);
-            ret = r.si->op == isa::Op::Ret;
-        } else {
-            simr_assert(op.si == r.si,
-                        "lockstep group executed different instructions");
-        }
-        if (r.taken)
-            op.takenMask |= bit;
-        if (info->isMem) {
-            op.lane[op.addrCount] = static_cast<uint8_t>(lane);
-            op.addr[op.addrCount] = r.addr;
-            ++op.addrCount;
-        }
-        op.dep1 = std::max(op.dep1, r.dep1);
-        op.dep2 = std::max(op.dep2, r.dep2);
-        ranAt_[lane] = batchOpIdx_;
-        if (ret && t.done()) {
-            op.endMask |= bit;
-            liveMask_ &= ~bit;
-            ++completed_;
-            keys_[lane] = kRetiredKey;
-        } else {
-            simr_dassert(!t.done(), "a request finished without a Ret");
-            keys_[lane] = laneKey(t);
-        }
-    }
-
-    // Rewrite dependence distances in batch-op space: the interpreter's
-    // per-thread distances do not account for interleaved paths.
-    auto bdep = [this](isa::RegId r) -> uint16_t {
-        if (r == isa::R_ZERO || lastWriterB_[r] == 0)
-            return 0;
-        uint64_t d = batchOpIdx_ - lastWriterB_[r];
-        return static_cast<uint16_t>(std::min<uint64_t>(d, 0xffff));
-    };
-    op.dep1 = op.dep1 ? bdep(op.si->src1) : 0;
-    op.dep2 = op.dep2 ? bdep(op.si->src2) : 0;
-    if (info->writesReg)
-        lastWriterB_[op.si->dst] = batchOpIdx_;
+    lanes_.step(mask, op);
+    const uint64_t at = lanes_.opCount();
+    for (Mask m = mask; m != 0; m &= m - 1)
+        ranAt_[__builtin_ctz(m)] = at;
+    liveMask_ &= ~op.endMask;
+    completed_ += static_cast<uint64_t>(trace::popcount(op.endMask));
 
     ++stats_.batchOps;
     int active = trace::popcount(mask);
@@ -361,7 +228,7 @@ LockstepEngine::stepStack(DynOp &op)
     Mask survivors = exec_mask & liveMask_;
     for (Mask m = survivors; m != 0; m &= m - 1) {
         const int lane = __builtin_ctz(m);
-        const uint64_t key = keys_[lane];
+        const uint64_t key = lanes_.key(lane);
         int g = 0;
         while (g < ngroups && groups[g].key != key)
             ++g;
@@ -373,7 +240,7 @@ LockstepEngine::stepStack(DynOp &op)
     e.mask = survivors;
 
     // Merge any group that landed on a waiting ancestor's position
-    // (covers empty-arm joins that normalize() chains through).
+    // (covers empty-arm joins the lane file lands lanes past).
     auto merge_down = [&](const Group &g) -> bool {
         if (stack_.size() < 2)
             return false;
@@ -453,22 +320,23 @@ LockstepEngine::stepMinSp(DynOp &op)
     // Pick the executing position: the spin-boosted lane's, or the
     // smallest key -- deepest call level first (MinSP), then minimum
     // PC. Retired lanes hold kRetiredKey, so they never win.
+    const uint64_t *keys = lanes_.keys();
     uint64_t key = kRetiredKey;
     if (boostLeft_ > 0 && boostLane_ >= 0 &&
         (liveMask_ & (1u << boostLane_))) {
-        key = keys_[boostLane_];
+        key = keys[boostLane_];
         --boostLeft_;
     } else {
         boostLeft_ = 0;
         for (int lane = 0; lane < batchSize_; ++lane)
-            key = std::min(key, keys_[lane]);
+            key = std::min(key, keys[lane]);
     }
     simr_assert(key != kRetiredKey, "no lane selected");
 
     // Active set: lanes parked at exactly the picked position.
     Mask active = 0;
     for (int lane = 0; lane < batchSize_; ++lane)
-        active |= static_cast<Mask>(keys_[lane] == key) << lane;
+        active |= static_cast<Mask>(keys[lane] == key) << lane;
 
     execGroup(active, op);
     op.pathSwitch = prevActive_ != 0 && active != prevActive_;
@@ -497,18 +365,17 @@ LockstepEngine::stepMinSp(DynOp &op)
 
     if (spin_.enabled && windowAtomics_ >= spin_.atomicThreshold &&
         boostLeft_ == 0) {
+        const uint64_t now = lanes_.opCount();
         for (Mask m = liveMask_ & ~active; m != 0; m &= m - 1) {
             const int lane = __builtin_ctz(m);
-            if (batchOpIdx_ - ranAt_[lane] < spin_.stagnationSteps)
+            if (now - ranAt_[lane] < spin_.stagnationSteps)
                 continue;
             boostLane_ = lane;
             boostLeft_ = spin_.boostSteps;
-            ranAt_[lane] = batchOpIdx_;
+            ranAt_[lane] = now;
             ++stats_.spinEscapes;
             if (obs_)
-                obs_->onSpinEscape(
-                    lane, lanes_[static_cast<size_t>(lane)]->curPc(),
-                    stats_.batchOps);
+                obs_->onSpinEscape(lane, lanes_.pc(lane), stats_.batchOps);
             if (boostLeft_ > 0)
                 break;
         }

@@ -19,10 +19,11 @@
  *    temporarily prioritizes a starving path, mirroring the
  *    SIMT-induced-deadlock mitigation.
  *
- * Both schemes schedule from one packed position key per lane (see
- * posKey in lockstep.cc), refreshed only for the lanes that just ran:
- * the MinSP-PC pick is the smallest key, and stack-IPDOM groups
- * survivors by equal keys.
+ * Both schemes schedule from the lanes' packed position keys (posKey in
+ * trace/interp.h), which the lane file refreshes only for the lanes it
+ * just stepped: the MinSP-PC pick is the smallest key, and stack-IPDOM
+ * groups survivors by equal keys. Every group op is one LaneFile::step:
+ * the instruction is decoded once and applied over the active mask.
  *
  * The engine doubles as the SIMTec efficiency analyzer: SIMT efficiency
  * is simply sum(active lanes) / (batch ops x batch width).
@@ -179,14 +180,7 @@ class LockstepEngine : public trace::DynStream
     const SimtStats &stats() const { return stats_; }
 
     /** Trace-reuse accounting summed over this engine's lanes. */
-    trace::ReuseStats
-    reuseStats() const
-    {
-        trace::ReuseStats s;
-        for (const auto &l : lanes_)
-            s += l->reuseStats();
-        return s;
-    }
+    trace::ReuseStats reuseStats() const { return lanes_.reuseStats(); }
 
     /** True between batches (the last produced op finished a batch). */
     bool atBatchBoundary() const { return !batchActive_; }
@@ -221,8 +215,8 @@ class LockstepEngine : public trace::DynStream
     void noteDivergence(isa::Pc pc);
 
     /**
-     * Execute `mask` lanes (all at one position), fill `op`, and
-     * refresh the stepped lanes' keys and run stamps.
+     * Execute `mask` lanes (all at one position) as one lane-file step,
+     * fill `op`, and refresh the stepped lanes' run stamps.
      */
     void execGroup(trace::Mask mask, trace::DynOp &op);
 
@@ -239,11 +233,9 @@ class LockstepEngine : public trace::DynStream
     bool batchApiArgUniform_ = false;   ///< current batch shares (api, argLen)
 
     trace::ProgramIndex pi_;
-    std::vector<std::unique_ptr<trace::LaneExec>> lanes_;
+    trace::LaneFile lanes_;
     std::vector<trace::ThreadInit> inits_;  ///< reused across launches
     trace::Mask liveMask_ = 0;
-    /** Per-lane position key; the largest key for a retired lane. */
-    uint64_t keys_[trace::kMaxBatch] = {};
     int batchSize_ = 0;
     bool batchActive_ = false;
     uint64_t completed_ = 0;
@@ -252,13 +244,7 @@ class LockstepEngine : public trace::DynStream
     // Stack-IPDOM state.
     std::vector<StackEntry> stack_;
 
-    // Batch-op-space dependence tracking: producer indices per register
-    // (the per-thread distances from the interpreter do not survive the
-    // interleaving of serialized divergent paths).
-    uint64_t batchOpIdx_ = 0;
-    uint64_t lastWriterB_[isa::kNumRegs] = {};
-
-    // MinSP-PC state. A lane has been idle for batchOpIdx_ - ranAt_
+    // MinSP-PC state. A lane has been idle for lanes_.opCount() - ranAt_
     // steps: ranAt_ is the batch op it last ran at (or was boosted at).
     uint64_t ranAt_[trace::kMaxBatch] = {};
     uint64_t windowAtomics_ = 0;

@@ -1,6 +1,9 @@
 #include "trace/replay.h"
 
+#include <algorithm>
+
 #include "common/logging.h"
+#include "isa/builder.h"
 
 namespace simr::trace
 {
@@ -294,36 +297,169 @@ ReplayStream::next(DynOp &op)
     return true;
 }
 
-void
-LaneExec::reset(const ThreadInit &init)
+// ---------------------------------------------------------------------------
+// The LaneFile's trace-cache lanes
+
+CacheLanes::CacheLanes(const ProgramIndex &pi, int width, TraceCache *cache)
+    : pi(&pi), cache(cache),
+      cursors(static_cast<size_t>(width), ReplayCursor(pi)),
+      inits(static_cast<size_t>(width)), dyn(static_cast<size_t>(width)),
+      writer(isa::kNumRegs * static_cast<size_t>(width))
 {
-    init_ = init;
-    replaying_ = false;
-    capturing_ = false;
-    if (cache_ != nullptr) {
-        bool dedup = false;
-        if (auto t = cache_->lookup(pi_->fingerprint(), init, &dedup)) {
-            replay_.start(std::move(t), init);
-            replaying_ = true;
-            ++stats_.hits;
-            if (dedup)
-                ++stats_.dedupHits;
-            return;
-        }
-        ++stats_.misses;
-        capturing_ = true;
-        builder_.reset(init);
-        if (builder_.staticFastPath())
-            ++stats_.staticCaptures;
-    }
-    live_.reset(init);
+    for (int i = 0; i < width; ++i)
+        builders.emplace_back(pi);
+}
+
+LaneFile::LaneFile(const ProgramIndex &pi, int width, TraceCache *cache)
+    : LaneFile(pi.program(), width)
+{
+    if (cache != nullptr)
+        cache_ = std::make_unique<CacheLanes>(pi, width, cache);
+}
+
+LaneFile::~LaneFile() = default;
+LaneFile::LaneFile(LaneFile &&) noexcept = default;
+LaneFile &LaneFile::operator=(LaneFile &&) noexcept = default;
+
+void
+LaneFile::setStaticProof(std::shared_ptr<const StaticProof> proof)
+{
+    if (!cache_)
+        return;
+    for (CaptureBuilder &b : cache_->builders)
+        b.setStaticProof(proof);
+}
+
+ReuseStats
+LaneFile::reuseStats() const
+{
+    return cache_ ? cache_->stats : ReuseStats{};
 }
 
 void
-LaneExec::finishCapture()
+LaneFile::launchCached(const ThreadInit *inits, int n)
 {
-    cache_->insert(pi_->fingerprint(), init_, builder_.finish());
-    capturing_ = false;
+    CacheLanes &c = *cache_;
+    const auto w = static_cast<size_t>(width_);
+    for (int i = 0; i < n; ++i) {
+        const auto l = static_cast<size_t>(i);
+        const Mask bit = Mask{1} << i;
+        bool dedup = false;
+        if (auto t = c.cache->lookup(c.pi->fingerprint(), inits[i],
+                                     &dedup)) {
+            ReplayCursor &cur = c.cursors[l];
+            cur.start(std::move(t), inits[i]);
+            replaying_ |= bit;
+            key_[l] = cur.done() ? kRetiredKey
+                : posKey(cur.callDepth(), cur.curBlock(), cur.curIdx());
+            ++c.stats.hits;
+            if (dedup)
+                ++c.stats.dedupHits;
+            continue;
+        }
+        ++c.stats.misses;
+        capturing_ |= bit;
+        c.builders[l].reset(inits[i]);
+        if (c.builders[l].staticFastPath())
+            ++c.stats.staticCaptures;
+        c.inits[l] = inits[i];
+        c.dyn[l] = 0;
+        for (size_t r = 0; r < isa::kNumRegs; ++r)
+            c.writer[r * w + l] = 0;
+    }
+}
+
+void
+LaneFile::stepReplaying(Mask mask, DynOp &op, Mask *dep1, Mask *dep2)
+{
+    CacheLanes &c = *cache_;
+    const Mask rep = mask & replaying_;
+    uint64_t addr[kMaxBatch];
+    StepResult r;
+    for (Mask m = rep; m != 0; m &= m - 1) {
+        const int l = __builtin_ctz(m);
+        const Mask bit = Mask{1} << l;
+        ReplayCursor &cur = c.cursors[static_cast<size_t>(l)];
+        cur.step(r);
+        simr_dassert(r.si == op.si,
+                     "lockstep group executed different instructions");
+        if (r.taken)
+            op.takenMask |= bit;
+        if (r.dep1 != 0)
+            *dep1 |= bit;
+        if (r.dep2 != 0)
+            *dep2 |= bit;
+        addr[l] = r.addr;
+        if (cur.done()) {
+            key_[static_cast<size_t>(l)] = kRetiredKey;
+            op.endMask |= bit;
+        } else {
+            key_[static_cast<size_t>(l)] =
+                posKey(cur.callDepth(), cur.curBlock(), cur.curIdx());
+        }
+    }
+    c.stats.replayedOps += static_cast<uint64_t>(popcount(rep));
+    if (!isa::opInfo(op.si->op).isMem)
+        return;
+
+    // Merge into the live lanes' ascending list, from the top down.
+    int from = op.addrCount;
+    int to = popcount(mask);
+    op.addrCount = static_cast<uint8_t>(to);
+    for (Mask m = mask; m != 0;) {
+        const int l = 31 - __builtin_clz(m);
+        m &= ~(Mask{1} << l);
+        --to;
+        if (rep & (Mask{1} << l)) {
+            op.lane[to] = static_cast<uint8_t>(l);
+            op.addr[to] = addr[l];
+        } else {
+            --from;
+            op.lane[to] = op.lane[from];
+            op.addr[to] = op.addr[from];
+        }
+    }
+}
+
+void
+LaneFile::stepCapturing(Mask mask, const DynOp &op)
+{
+    CacheLanes &c = *cache_;
+    const isa::StaticInst &si = *op.si;
+    const auto w = static_cast<size_t>(width_);
+    const bool mem = isa::opInfo(si.op).isMem;
+    const bool writes =
+        isa::opInfo(si.op).writesReg && si.dst != isa::R_ZERO;
+    StepResult r;
+    r.si = op.si;
+    r.pc = op.pc;
+    r.accessSize = op.accessSize;
+    r.callDepth = op.callDepth;
+    for (Mask m = mask & capturing_; m != 0; m &= m - 1) {
+        const int l = __builtin_ctz(m);
+        const auto lane = static_cast<size_t>(l);
+        const Mask bit = Mask{1} << l;
+        const uint64_t dyn = ++c.dyn[lane];
+        auto dep = [&](isa::RegId reg) -> uint16_t {
+            const uint64_t at = c.writer[reg * w + lane];
+            if (reg == isa::R_ZERO || at == 0)
+                return 0;
+            return static_cast<uint16_t>(std::min<uint64_t>(dyn - at, 0xffff));
+        };
+        r.taken = (op.takenMask & bit) != 0;
+        r.addr = mem ? op.addr[popcount(mask & (bit - 1))] : 0;
+        r.dep1 = dep(si.src1);
+        r.dep2 = dep(si.src2);
+        if (writes)
+            c.writer[si.dst * w + lane] = dyn;
+        c.builders[lane].onStep(r);
+        ++c.stats.capturedOps;
+        if (op.endMask & bit) {
+            c.cache->insert(c.pi->fingerprint(), c.inits[lane],
+                            c.builders[lane].finish());
+            capturing_ &= ~bit;
+        }
+    }
 }
 
 } // namespace simr::trace

@@ -18,21 +18,19 @@
  *    recorded (both are pure functions of the op sequence).
  *
  * The cursor therefore mirrors no interpreter bookkeeping: a step is a
- * handful of sequential column reads, ~4x cheaper than a live
- * ThreadState::step. One caveat is inherited from StepResult: call
+ * handful of sequential column reads. One caveat is inherited from StepResult: call
  * depth is clamped at 255, so the callDepth() accessor diverges from a
  * live lane beyond that depth (no service comes near it; the replay
  * gate would catch one).
  *
- * A LaneExec wraps one hardware lane and presents the exact surface the
- * lockstep engine and the scalar stream consume from ThreadState
- * (reset / done / curBlock / curIdx / curPc / callDepth / dynCount /
- * step). Per request it picks one of three modes: replay a TraceCache
- * hit, interpret live while capturing (inserting the finished trace),
- * or interpret live with no capture when the cache is disabled. Live
- * and replayed lanes interleave freely inside one batch -- lanes are
- * independent ThreadStates, so per-lane replay is sound under any
- * scheduling.
+ * A LaneFile built over a TraceCache picks, per request, one of three
+ * modes at launch: replay a TraceCache hit through the lane's cursor,
+ * run live while capturing (inserting the finished trace), or run live
+ * with no capture when the cache is disabled. Two lane masks record
+ * the choice (CacheLanes holds the cursors and builders). Live and
+ * replayed lanes interleave freely inside one group: a replaying
+ * lane's position comes from its trace, so per-lane replay is sound
+ * under any scheduling.
  *
  * The second half is the stream level: a StreamTrace holds one front
  * end's whole DynOp stream, storing only what its ops do not imply.
@@ -45,6 +43,7 @@
 #define SIMR_TRACE_REPLAY_H
 
 #include <cstddef>
+#include <deque>
 
 #include "trace/capture.h"
 #include "trace/dynop.h"
@@ -103,93 +102,26 @@ class ReplayCursor
 };
 
 /**
- * One hardware lane: ThreadState's stepping surface with a TraceCache
- * bolted underneath. With a null cache (or one disabled via
- * SIMR_TRACE_CACHE=0) it degenerates to plain live interpretation.
+ * The trace-cache side of a LaneFile. Per lane it holds a ReplayCursor
+ * for a request served from the cache and a CaptureBuilder for one
+ * being recorded into it; the LaneFile's replaying and capturing masks
+ * say which lanes use which, and every other lane runs plain. A
+ * capturing lane also keeps its own op count and register-writer
+ * stamps: a trace records the thread's own dependence distances, which
+ * scalar streams replay as they are, not the group's.
  */
-class LaneExec
+struct CacheLanes
 {
-  public:
-    LaneExec(const ProgramIndex &pi, TraceCache *cache)
-        : pi_(&pi), cache_(cache), live_(pi.program()), replay_(pi),
-          builder_(pi)
-    {}
+    CacheLanes(const ProgramIndex &pi, int width, TraceCache *cache);
 
-    /** Static proof for capture's tier-1 fast path (may be null). */
-    void setStaticProof(std::shared_ptr<const StaticProof> proof)
-    {
-        builder_.setStaticProof(std::move(proof));
-    }
-
-    /** Start the next request; decides replay vs capture vs plain. */
-    void reset(const ThreadInit &init);
-
-    bool done() const { return replaying_ ? replay_.done() : live_.done(); }
-
-    int
-    curBlock() const
-    {
-        return replaying_ ? replay_.curBlock() : live_.curBlock();
-    }
-
-    size_t
-    curIdx() const
-    {
-        return replaying_ ? replay_.curIdx() : live_.curIdx();
-    }
-
-    isa::Pc
-    curPc() const
-    {
-        return replaying_ ? replay_.curPc() : live_.curPc();
-    }
-
-    int
-    callDepth() const
-    {
-        return replaying_ ? replay_.callDepth() : live_.callDepth();
-    }
-
-    uint64_t
-    dynCount() const
-    {
-        return replaying_ ? replay_.dynCount() : live_.dynCount();
-    }
-
-    /** Execute one op (inline: called once per lane per batch op). */
-    void
-    step(StepResult &out)
-    {
-        if (replaying_) {
-            replay_.step(out);
-            ++stats_.replayedOps;
-            return;
-        }
-        live_.step(out);
-        if (capturing_) {
-            builder_.onStep(out);
-            ++stats_.capturedOps;
-            if (live_.done())
-                finishCapture();
-        }
-    }
-
-    /** Reuse accounting since construction (deterministic per lane). */
-    const ReuseStats &reuseStats() const { return stats_; }
-
-  private:
-    /** Insert the finished live request's trace into the cache. */
-    void finishCapture();
-
-    const ProgramIndex *pi_;
-    TraceCache *cache_;
-    ThreadState live_;
-    ReplayCursor replay_;
-    CaptureBuilder builder_;
-    bool replaying_ = false;
-    bool capturing_ = false;
-    ThreadInit init_{};
-    ReuseStats stats_;
+    const ProgramIndex *pi;
+    TraceCache *cache;
+    std::vector<ReplayCursor> cursors;
+    std::deque<CaptureBuilder> builders;  ///< never moved once built
+    std::vector<ThreadInit> inits;  ///< capturing lanes' requests
+    std::vector<uint64_t> dyn;      ///< capturing lanes' ops since launch
+    std::vector<uint64_t> writer;   ///< [reg][lane] op of the last write
+    ReuseStats stats;
 };
 
 // ---------------------------------------------------------------------------

@@ -4,8 +4,10 @@
  *
  * Timing cores consume DynOps one at a time through this interface. The
  * scalar stream (one hardware thread running requests back-to-back) lives
- * here; the lockstep batch stream lives in src/simt (it needs the SIMT
- * reconvergence machinery).
+ * here: a width-1 LaneFile whose single lane runs one request after
+ * another. The lockstep batch stream lives in src/simt (it needs the
+ * SIMT reconvergence machinery) and steps the same LaneFile at its
+ * batch width.
  */
 
 #ifndef SIMR_TRACE_STREAM_H
@@ -55,14 +57,13 @@ class ScalarStream : public DynStream
     }
 
     /** Trace-reuse accounting for this stream's requests. */
-    const ReuseStats &reuseStats() const { return lane_.reuseStats(); }
+    ReuseStats reuseStats() const { return lane_.reuseStats(); }
 
   private:
     ProgramIndex pi_;
-    LaneExec lane_;
+    LaneFile lane_;
     RequestProvider provider_;
     ThreadInit init_;        ///< reused across requests (no realloc)
-    bool haveRequest_ = false;
     uint64_t completed_ = 0;
 };
 

@@ -16,6 +16,8 @@
 #include "simr/runner.h"
 #include "simt/lockstep.h"
 
+#include "lane_projection.h"
+
 using namespace simr;
 using namespace simr::isa;
 using simt::LockstepEngine;
@@ -232,9 +234,10 @@ TEST(Lockstep, SoloEquivalenceToyProgram)
 
 /**
  * The heavyweight equivalence property, parameterized over every
- * microservice and both reconvergence policies: batched execution
- * retires exactly as many per-thread instructions as solo execution of
- * the same requests, and completes every request.
+ * microservice and both reconvergence policies: each lane's projection
+ * of the lockstep stream (instruction, PC, taken bit, address, call
+ * depth per op) is exactly its request's solo run, and every request
+ * completes.
  */
 class ServiceEquivalenceTest
     : public ::testing::TestWithParam<
@@ -252,30 +255,39 @@ TEST_P(ServiceEquivalenceTest, LockstepMatchesSolo)
     auto reqs = genRequests(*svc, n, 7);
     mem::HeapAllocator alloc(mem::AllocPolicy::SimrAware);
 
-    // Form the batches first so the solo run uses exactly the same
-    // request-to-lane assignment (addresses depend on the lane slot,
-    // and some services branch on loaded, address-derived values).
+    // Form the batches first so the solo runs use exactly the same
+    // request-to-lane assignment as makeBatchProvider (addresses
+    // depend on the lane slot, and some services branch on loaded,
+    // address-derived values).
     batch::BatchingServer server(batch::Policy::PerApiArgSize, 32);
     auto batches = server.formBatches(reqs);
 
+    LockstepEngine e(svc->program(), policy, 32,
+                     makeBatchProvider(*svc, batches));
     uint64_t solo_total = 0;
-    for (const auto &b : batches) {
-        for (size_t lane = 0; lane < b.requests.size(); ++lane) {
-            trace::ThreadState t(svc->program());
-            t.reset(svc::makeThreadInit(*svc, b.requests[lane],
+    size_t checked = 0;
+    projection::projectLanes(
+        e, 32, [&](size_t bi, const std::vector<projection::LaneSteps> &got) {
+            ASSERT_LT(bi, batches.size());
+            const auto &b = batches[bi];
+            for (size_t lane = 0; lane < got.size(); ++lane) {
+                if (lane >= b.requests.size()) {
+                    EXPECT_TRUE(got[lane].empty()) << "idle lane " << lane;
+                    continue;
+                }
+                auto want = projection::soloSteps(
+                    svc->program(),
+                    svc::makeThreadInit(*svc, b.requests[lane],
                                         static_cast<int>(lane), lane,
                                         alloc));
-            trace::StepResult r;
-            while (!t.done())
-                t.step(r);
-            solo_total += t.dynCount();
-        }
-    }
+                solo_total += want.size();
+                EXPECT_TRUE(projection::sameSteps(got[lane], want))
+                    << "batch " << bi << " lane " << lane;
+            }
+            ++checked;
+        });
 
-    LockstepEngine e(svc->program(), policy, 32,
-                     makeBatchProvider(*svc, std::move(batches)));
-    drain(e);
-
+    EXPECT_EQ(checked, batches.size());
     EXPECT_EQ(e.requestsCompleted(), static_cast<uint64_t>(n));
     EXPECT_EQ(e.stats().scalarOps, solo_total)
         << "lockstep must retire exactly the solo per-thread streams";
