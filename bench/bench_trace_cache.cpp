@@ -387,12 +387,12 @@ runBench(const TimingOptions &opt)
         d.row({names[i], Table::pct(dedup[i])});
     d.print();
 
-    uint64_t entries = cache ? cache->entries() : 0;
-    uint64_t bytes = cache ? cache->bytesResident() : 0;
+    uint64_t entries = cache->entries();
+    uint64_t bytes = cache->bytesResident();
     StreamCache *scache = StreamCache::process();
-    uint64_t stream_entries = scache ? scache->entries() : 0;
-    uint64_t stream_bytes = scache ? scache->bytesResident() : 0;
-    uint64_t stream_ops = scache ? scache->opsResident() : 0;
+    uint64_t stream_entries = scache->entries();
+    uint64_t stream_bytes = scache->bytesResident();
+    uint64_t stream_ops = scache->opsResident();
     double max_dedup = 0;
     for (double x : dedup)
         max_dedup = std::max(max_dedup, x);

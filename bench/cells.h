@@ -98,10 +98,8 @@ frontEndSweep(const std::vector<Cell> &cells)
 inline void
 clearCaches()
 {
-    if (trace::TraceCache *c = trace::TraceCache::process())
-        c->clear();
-    if (StreamCache *c = StreamCache::process())
-        c->clear();
+    trace::TraceCache::process()->clear();
+    StreamCache::process()->clear();
 }
 
 /**

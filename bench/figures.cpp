@@ -1,104 +1,83 @@
 /**
  * @file
  * The paper's tables and figures (and the sensitivity studies and
- * extensions beside them), one function each. Timing cells,
- * efficiency probes and cache studies go through the shared CellMemo.
- * The tuner and the timing runs of the two extensions that run on the
- * master seed call the runner directly.
+ * extensions beside them), one Plan each, and runWork, the one
+ * function that runs a piece of work.
  */
 
 #include "figures.h"
 
-#include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <map>
 #include <string>
+#include <type_traits>
+#include <utility>
 
-#include "common/parallel.h"
+#include "common/logging.h"
 #include "common/table.h"
 #include "energy/area.h"
-#include "simr/cachestudy.h"
 #include "simr/tuner.h"
-#include "sys/cluster.h"
 
 namespace simr::bench
 {
 
-namespace
+Result
+runWork(const Work &work)
 {
-
-/**
- * Results of `want`, in input order, from the work `seen` already ran.
- * The work it has not seen is appended and handed, in one vector, to
- * `run_fresh`.
- */
-template <typename Seen, typename Work, typename RunFresh>
-auto
-findOrRun(Seen &seen, const std::vector<Work> &want, RunFresh run_fresh)
-{
-    const size_t first_new = seen.work.size();
-    std::vector<size_t> at;
-    at.reserve(want.size());
-    for (const Work &w : want) {
-        auto it = std::find(seen.work.begin(), seen.work.end(), w);
-        at.push_back(static_cast<size_t>(it - seen.work.begin()));
-        if (it == seen.work.end())
-            seen.work.push_back(w);
-    }
-    std::vector<Work> fresh(seen.work.begin() + first_new, seen.work.end());
-    for (auto &r : run_fresh(fresh))
-        seen.results.push_back(std::move(r));
-
-    decltype(seen.results) out;
-    out.reserve(at.size());
-    for (size_t i : at)
-        out.push_back(seen.results[i]);
-    return out;
+    return std::visit([](const auto &w) -> Result {
+        using W = std::decay_t<decltype(w)>;
+        if constexpr (std::is_same_v<W, LoadPoint>) {
+            sys::ClusterConfig cfg = sys::oneReplica();
+            cfg.qps = w.kqps * 1000;
+            cfg.requests = 30000;
+            cfg.seed = w.seed;
+            cfg.base.rpu = w.rpu;
+            cfg.base.batchSplit = w.split;
+            return sys::runCluster(cfg).sys;
+        } else {
+            auto svc = svc::buildService(w.service);
+            simr_assert(svc != nullptr, "unknown service in a plan");
+            if constexpr (std::is_same_v<W, Cell>)
+                return runTiming(*svc, w.cfg, w.opt);
+            else if constexpr (std::is_same_v<W, Probe>)
+                return measureEfficiency(*svc, w.policy, w.reconv, w.width,
+                                         w.requests, w.seed);
+            else
+                return w.batch > 0 ? studyRpuCache(*svc, w.batch, w.opt)
+                                   : studyCpuCache(*svc, w.opt);
+        }
+    }, work);
 }
 
-} // namespace
-
-std::vector<TimingRun>
-CellMemo::run(const std::vector<Cell> &cells)
+double
+workCost(const Work &work)
 {
-    return findOrRun(cells_, cells, [](const std::vector<Cell> &fresh) {
-        return runCells(fresh);
-    });
-}
-
-std::vector<EfficiencyResult>
-CellMemo::run(const std::vector<Probe> &probes)
-{
-    return findOrRun(probes_, probes, [](const std::vector<Probe> &fresh) {
-        return parallelMap(fresh, [](const Probe &p) {
-            auto svc = svc::buildService(p.service);
-            return measureEfficiency(*svc, p.policy, p.reconv, p.width,
-                                     p.requests, p.seed);
-        });
-    });
-}
-
-std::vector<CacheStudyResult>
-CellMemo::run(const std::vector<Study> &studies)
-{
-    return findOrRun(studies_, studies, [](const std::vector<Study> &fresh) {
-        return parallelMap(fresh, [](const Study &st) {
-            auto svc = svc::buildService(st.service);
-            return st.batch > 0 ? studyRpuCache(*svc, st.batch, st.opt)
-                                : studyCpuCache(*svc, st.opt);
-        });
-    });
+    return std::visit([](const auto &w) -> double {
+        using W = std::decay_t<decltype(w)>;
+        if constexpr (std::is_same_v<W, LoadPoint>) {
+            return 0;
+        } else {
+            auto svc = svc::buildService(w.service);
+            simr_assert(svc != nullptr, "unknown service in a plan");
+            double c = svc->traits().dataIntensive ? 16 : 1;
+            if constexpr (std::is_same_v<W, Cell>)
+                return c * (w.cfg.batchWidth > 1 ? 2 : 8) * w.opt.requests;
+            else if constexpr (std::is_same_v<W, Probe>)
+                return c * w.requests;
+            else
+                return c * w.opt.requests;
+        }
+    }, work);
 }
 
 namespace
 {
 
-/** Results of one service under one core configuration. */
+/** One service's runs under the scalar CPU and one comparison config. */
 struct ChipRun
 {
-    TimingRun cpu;
-    TimingRun other;  ///< SMT8 / RPU / GPU, depending on the figure
+    const TimingRun &cpu;
+    const TimingRun &other;  ///< SMT8 / RPU / GPU, depending on the figure
 
     double energyRatio() const
     {
@@ -112,37 +91,49 @@ struct ChipRun
     }
 };
 
-/** Cycle-level run options at this scale. */
+/** Cycle-level run options at this scale: master seed, live runs. */
 TimingOptions
 timingOptions(const RunScale &scale)
 {
     TimingOptions opt;
     opt.requests = static_cast<int>(scale.timingRequests);
     opt.seed = scale.seed;
+    opt.useTraceCache = false;
     return opt;
 }
 
-/**
- * Every service under the scalar CPU and one comparison config. The
- * CPU cells are ordinary memo cells, so the baselines run once however
- * many figures compare against them.
- */
-std::map<std::string, ChipRun>
-runAllServices(CellMemo &memo, const core::CoreConfig &other_cfg,
-               const TimingOptions &opt)
+/** A sweep's timing cell: `opt` with the seed runCells would give it. */
+Cell
+cell(const std::string &service, const core::CoreConfig &cfg,
+     TimingOptions opt)
 {
-    const auto &names = svc::serviceNames();
-    std::vector<Cell> cells;
-    for (const auto &name : names)
-        cells.push_back({name, other_cfg, opt});
-    for (const auto &name : names)
-        cells.push_back({name, core::makeCpuConfig(), opt});
-    auto runs = memo.run(cells);
+    opt.seed = cellSeed(opt.seed, service, cfg);
+    return {service, cfg, opt};
+}
 
-    std::map<std::string, ChipRun> out;
-    for (size_t i = 0; i < names.size(); ++i)
-        out.emplace(names[i], ChipRun{runs[names.size() + i], runs[i]});
-    return out;
+/**
+ * Append every service under one comparison config, then under the
+ * scalar CPU (which every comparison lists; the driver runs it once);
+ * returns where the block starts.
+ */
+size_t
+planVsCpu(std::vector<Work> &work, const core::CoreConfig &other_cfg,
+          const TimingOptions &opt)
+{
+    size_t first = work.size();
+    for (const auto &name : svc::serviceNames())
+        work.push_back(cell(name, other_cfg, opt));
+    for (const auto &name : svc::serviceNames())
+        work.push_back(cell(name, core::makeCpuConfig(), opt));
+    return first;
+}
+
+/** Service `i` of the planVsCpu block that starts at `first`. */
+ChipRun
+vsCpu(const Results &r, size_t first, size_t i)
+{
+    size_t n = svc::serviceNames().size();
+    return {r.get<TimingRun>(first + n + i), r.get<TimingRun>(first + i)};
 }
 
 /** Geometric mean. */
@@ -163,7 +154,40 @@ kb(uint64_t bytes)
     return std::to_string(bytes / 1024) + "KB";
 }
 
-} // namespace
+/**
+ * Every service on an RPU `base` and `variant` config: the cycles of
+ * each and the variant's slowdown, then the paper's note.
+ */
+Plan
+rpuSlowdown(const RunScale &scale, const core::CoreConfig &base,
+            const core::CoreConfig &variant, std::string title,
+            std::vector<std::string> header, const char *paper)
+{
+    TimingOptions opt = timingOptions(scale);
+    Plan plan;
+    for (const auto &name : svc::serviceNames()) {
+        plan.work.push_back(cell(name, base, opt));
+        plan.work.push_back(cell(name, variant, opt));
+    }
+    plan.print = [=](const Results &runs) {
+        Table t(title);
+        t.header(header);
+        const auto &names = svc::serviceNames();
+        std::vector<double> slow;
+        for (size_t i = 0; i < names.size(); ++i) {
+            uint64_t b = runs.get<TimingRun>(2 * i).core.cycles;
+            uint64_t v = runs.get<TimingRun>(2 * i + 1).core.cycles;
+            double s = static_cast<double>(v) / static_cast<double>(b);
+            slow.push_back(s);
+            t.row({names[i], std::to_string(b), std::to_string(v),
+                   Table::mult(s)});
+        }
+        t.row({"AVERAGE", "", "", Table::mult(geomean(slow))});
+        t.print();
+        std::fputs(paper, stdout);
+    };
+    return plan;
+}
 
 /**
  * Figure 4: SIMT control-flow efficiency of naive (arrival-order)
@@ -171,37 +195,39 @@ kb(uint64_t bytes)
  * latent similarity to motivate the RPU, with per-service spread from
  * ~25% (multi-API Post) to ~99% (branch-free UniqueID).
  */
-void
-fig04(const RunScale &scale, CellMemo &memo)
+Plan
+fig04(const RunScale &scale)
 {
     int n = static_cast<int>(scale.requests);
 
-    Table t("Figure 4: SIMT efficiency of naive batching "
-            "(batch=32, " + std::to_string(n) + " requests, MinSP-PC)");
-    t.header({"service", "SIMT efficiency", "diverge events/batch"});
-
     // Fig. 11's naive column: the same probes.
-    const auto &names = svc::serviceNames();
-    std::vector<Probe> probes;
-    for (const auto &name : names)
-        probes.push_back({name, batch::Policy::Naive,
-                          simt::ReconvPolicy::MinSpPc, 32, n, scale.seed});
-    auto results = memo.run(probes);
+    Plan plan;
+    for (const auto &name : svc::serviceNames())
+        plan.work.push_back(Probe{name, batch::Policy::Naive,
+                                  simt::ReconvPolicy::MinSpPc, 32, n,
+                                  scale.seed});
+    plan.print = [n](const Results &results) {
+        Table t("Figure 4: SIMT efficiency of naive batching "
+                "(batch=32, " + std::to_string(n) +
+                " requests, MinSP-PC)");
+        t.header({"service", "SIMT efficiency", "diverge events/batch"});
+        const auto &names = svc::serviceNames();
+        std::vector<double> effs;
+        for (size_t i = 0; i < names.size(); ++i) {
+            const auto &r = results.get<EfficiencyResult>(i);
+            effs.push_back(r.efficiency());
+            double dpb = r.stats.batches ?
+                static_cast<double>(r.stats.divergeEvents) /
+                static_cast<double>(r.stats.batches) : 0;
+            t.row({names[i], Table::pct(r.efficiency()),
+                   Table::num(dpb, 1)});
+        }
+        t.row({"AVERAGE", Table::pct(geomean(effs)), ""});
+        t.print();
 
-    std::vector<double> effs;
-    for (size_t i = 0; i < names.size(); ++i) {
-        const std::string &name = names[i];
-        const EfficiencyResult &r = results[i];
-        effs.push_back(r.efficiency());
-        double dpb = r.stats.batches ?
-            static_cast<double>(r.stats.divergeEvents) /
-            static_cast<double>(r.stats.batches) : 0;
-        t.row({name, Table::pct(r.efficiency()), Table::num(dpb, 1)});
-    }
-    t.row({"AVERAGE", Table::pct(geomean(effs)), ""});
-    t.print();
-
-    std::printf("paper: ~68%% average naive SIMT efficiency\n");
+        std::printf("paper: ~68%% average naive SIMT efficiency\n");
+    };
+    return plan;
 }
 
 /**
@@ -211,35 +237,37 @@ fig04(const RunScale &scale, CellMemo &memo)
  * threads and DDR6/HBM toward 512+, far past what MIMD cores scale to
  * -- the RPU's thread-density argument.
  */
-void
-fig05(const RunScale &, CellMemo &)
+Plan
+fig05(const RunScale &)
 {
-    struct Gen
-    {
-        const char *name;
-        double gbps;
-    };
-    const Gen gens[] = {
-        {"DDR4-3200 (8ch)", 200},
-        {"DDR5-4800 (8ch)", 307},
-        {"DDR5-7200 (10ch)", 576},
-        {"DDR6 (10ch)", 1100},
-        {"HBM2e (4 stacks)", 1600},
-    };
+    return {{}, [](const Results &) {
+        struct Gen
+        {
+            const char *name;
+            double gbps;
+        };
+        const Gen gens[] = {
+            {"DDR4-3200 (8ch)", 200},
+            {"DDR5-4800 (8ch)", 307},
+            {"DDR5-7200 (10ch)", 576},
+            {"DDR6 (10ch)", 1100},
+            {"HBM2e (4 stacks)", 1600},
+        };
 
-    const double gb_per_thread = 2.0;
-    Table t("Figure 5: off-chip bandwidth and threads/socket to use it");
-    t.header({"memory generation", "BW (GB/s)",
-              "threads @2GB/s/thread", "64-thread MIMD sockets"});
-    for (const auto &g : gens) {
-        double threads = g.gbps / gb_per_thread;
-        t.row({g.name, Table::num(g.gbps, 0), Table::num(threads, 0),
-               Table::num(threads / 64.0, 1)});
-    }
-    t.print();
+        const double gb_per_thread = 2.0;
+        Table t("Figure 5: off-chip bandwidth and threads/socket to use it");
+        t.header({"memory generation", "BW (GB/s)",
+                  "threads @2GB/s/thread", "64-thread MIMD sockets"});
+        for (const auto &g : gens) {
+            double threads = g.gbps / gb_per_thread;
+            t.row({g.name, Table::num(g.gbps, 0), Table::num(threads, 0),
+                   Table::num(threads / 64.0, 1)});
+        }
+        t.print();
 
-    std::printf("paper: DDR5 needs ~256 threads/socket, DDR6/HBM ~512+; "
-                "SIMT thread aggregation scales there, MIMD does not\n");
+        std::printf("paper: DDR5 needs ~256 threads/socket, DDR6/HBM ~512+; "
+                    "SIMT thread aggregation scales there, MIMD does not\n");
+    }};
 }
 
 /**
@@ -248,47 +276,48 @@ fig05(const RunScale &, CellMemo &)
  * consumes ~73% on average; the SIMD-vectorized HDSearch-leaf (~39%)
  * and Recommender-leaf (~60%) are the exceptions; memory ~20% average.
  */
-void
-fig10(const RunScale &scale, CellMemo &memo)
+Plan
+fig10(const RunScale &scale)
 {
     TimingOptions opt = timingOptions(scale);
 
-    Table t("Figure 10: CPU dynamic energy breakdown per pipeline stage");
-    t.header({"service", "frontend+OoO", "execution", "memory"});
+    Plan plan;
+    for (const auto &name : svc::serviceNames())
+        plan.work.push_back(cell(name, core::makeCpuConfig(), opt));
+    plan.print = [](const Results &runs) {
+        Table t("Figure 10: CPU dynamic energy breakdown per pipeline "
+                "stage");
+        t.header({"service", "frontend+OoO", "execution", "memory"});
+        const auto &names = svc::serviceNames();
+        std::vector<double> fe_s, ex_s, me_s;
+        for (size_t i = 0; i < names.size(); ++i) {
+            const auto &name = names[i];
+            const auto &run = runs.get<TimingRun>(i);
+            double dyn = run.energy.dynamicTotal();
+            double fe = (run.energy.frontendOoo + run.energy.simtOverhead) /
+                dyn;
+            double ex = run.energy.execution / dyn;
+            double me = run.energy.memory / dyn;
+            fe_s.push_back(fe);
+            ex_s.push_back(ex);
+            me_s.push_back(me);
+            t.row({name, Table::pct(fe), Table::pct(ex), Table::pct(me)});
+        }
+        double n = static_cast<double>(fe_s.size());
+        double fe_avg = 0, ex_avg = 0, me_avg = 0;
+        for (size_t i = 0; i < fe_s.size(); ++i) {
+            fe_avg += fe_s[i] / n;
+            ex_avg += ex_s[i] / n;
+            me_avg += me_s[i] / n;
+        }
+        t.row({"AVERAGE", Table::pct(fe_avg), Table::pct(ex_avg),
+               Table::pct(me_avg)});
+        t.print();
 
-    const auto &names = svc::serviceNames();
-    std::vector<Cell> cells;
-    for (const auto &name : names)
-        cells.push_back({name, core::makeCpuConfig(), opt});
-    auto runs = memo.run(cells);
-
-    std::vector<double> fe_s, ex_s, me_s;
-    for (size_t i = 0; i < names.size(); ++i) {
-        const auto &name = names[i];
-        const auto &run = runs[i];
-        double dyn = run.energy.dynamicTotal();
-        double fe = (run.energy.frontendOoo + run.energy.simtOverhead) /
-            dyn;
-        double ex = run.energy.execution / dyn;
-        double me = run.energy.memory / dyn;
-        fe_s.push_back(fe);
-        ex_s.push_back(ex);
-        me_s.push_back(me);
-        t.row({name, Table::pct(fe), Table::pct(ex), Table::pct(me)});
-    }
-    double n = static_cast<double>(fe_s.size());
-    double fe_avg = 0, ex_avg = 0, me_avg = 0;
-    for (size_t i = 0; i < fe_s.size(); ++i) {
-        fe_avg += fe_s[i] / n;
-        ex_avg += ex_s[i] / n;
-        me_avg += me_s[i] / n;
-    }
-    t.row({"AVERAGE", Table::pct(fe_avg), Table::pct(ex_avg),
-           Table::pct(me_avg)});
-    t.print();
-
-    std::printf("paper: ~73%% frontend+OoO average; HDSearch-leaf ~39%%, "
-                "Recommender-leaf ~60%%; memory ~20%%\n");
+        std::printf("paper: ~73%% frontend+OoO average; HDSearch-leaf "
+                    "~39%%, Recommender-leaf ~60%%; memory ~20%%\n");
+    };
+    return plan;
 }
 
 /**
@@ -299,55 +328,58 @@ fig10(const RunScale &scale, CellMemo &memo)
  * per-API gives ~2x on memcached and ~4x on Post; argument-size
  * batching adds ~20% on average and up to ~5x on Search-leaf and text.
  */
-void
-fig11(const RunScale &scale, CellMemo &memo)
+Plan
+fig11(const RunScale &scale)
 {
     int n = static_cast<int>(scale.requests);
 
-    Table t("Figure 11: SIMT efficiency by batching policy "
-            "(batch=32, " + std::to_string(n) + " requests)");
-    t.header({"service", "naive", "per-api",
-              "per-api+arg (ideal stack)", "per-api+arg (MinSP-PC)"});
+    // One probe per (service, policy/reconv) column; the naive column
+    // is Fig. 4's.
+    using batch::Policy;
+    using simt::ReconvPolicy;
+    const std::pair<Policy, ReconvPolicy> columns[] = {
+        {Policy::Naive, ReconvPolicy::MinSpPc},
+        {Policy::PerApi, ReconvPolicy::MinSpPc},
+        {Policy::PerApiArgSize, ReconvPolicy::StackIpdom},
+        {Policy::PerApiArgSize, ReconvPolicy::MinSpPc}};
+    Plan plan;
+    for (const auto &name : svc::serviceNames())
+        for (auto [policy, reconv] : columns)
+            plan.work.push_back(
+                Probe{name, policy, reconv, 32, n, scale.seed});
+    plan.print = [n](const Results &effs) {
+        Table t("Figure 11: SIMT efficiency by batching policy "
+                "(batch=32, " + std::to_string(n) + " requests)");
+        t.header({"service", "naive", "per-api",
+                  "per-api+arg (ideal stack)", "per-api+arg (MinSP-PC)"});
+        auto eff = [&effs](size_t i) {
+            return effs.get<EfficiencyResult>(i).efficiency();
+        };
+        const auto &names = svc::serviceNames();
+        std::vector<double> naive_e, api_e, ideal_e, heur_e;
+        for (size_t i = 0; i < names.size(); ++i) {
+            const auto &name = names[i];
+            double naive = eff(4 * i + 0);
+            double api = eff(4 * i + 1);
+            double ideal = eff(4 * i + 2);
+            double heur = eff(4 * i + 3);
+            naive_e.push_back(naive);
+            api_e.push_back(api);
+            ideal_e.push_back(ideal);
+            heur_e.push_back(heur);
+            t.row({name, Table::pct(naive), Table::pct(api),
+                   Table::pct(ideal), Table::pct(heur)});
+        }
+        t.row({"AVERAGE", Table::pct(geomean(naive_e)),
+               Table::pct(geomean(api_e)), Table::pct(geomean(ideal_e)),
+               Table::pct(geomean(heur_e))});
+        t.print();
 
-    // One probe per (service, policy/reconv) combination; the naive
-    // column is Fig. 4's.
-    const auto &names = svc::serviceNames();
-    std::vector<Probe> probes;
-    for (const auto &name : names) {
-        probes.push_back({name, batch::Policy::Naive,
-                          simt::ReconvPolicy::MinSpPc, 32, n, scale.seed});
-        probes.push_back({name, batch::Policy::PerApi,
-                          simt::ReconvPolicy::MinSpPc, 32, n, scale.seed});
-        probes.push_back({name, batch::Policy::PerApiArgSize,
-                          simt::ReconvPolicy::StackIpdom, 32, n,
-                          scale.seed});
-        probes.push_back({name, batch::Policy::PerApiArgSize,
-                          simt::ReconvPolicy::MinSpPc, 32, n, scale.seed});
-    }
-    auto effs = memo.run(probes);
-
-    std::vector<double> naive_e, api_e, ideal_e, heur_e;
-    for (size_t i = 0; i < names.size(); ++i) {
-        const auto &name = names[i];
-        double naive = effs[4 * i + 0].efficiency();
-        double api = effs[4 * i + 1].efficiency();
-        double ideal = effs[4 * i + 2].efficiency();
-        double heur = effs[4 * i + 3].efficiency();
-        naive_e.push_back(naive);
-        api_e.push_back(api);
-        ideal_e.push_back(ideal);
-        heur_e.push_back(heur);
-        t.row({name, Table::pct(naive), Table::pct(api),
-               Table::pct(ideal), Table::pct(heur)});
-    }
-    t.row({"AVERAGE", Table::pct(geomean(naive_e)),
-           Table::pct(geomean(api_e)), Table::pct(geomean(ideal_e)),
-           Table::pct(geomean(heur_e))});
-    t.print();
-
-    std::printf("paper: stack-based 92%%, MinSP-PC 91%% average; per-API "
-                "~2x memcached / ~4x post; arg-size up to ~5x on "
-                "search-leaf and text\n");
+        std::printf("paper: stack-based 92%%, MinSP-PC 91%% average; "
+                    "per-API ~2x memcached / ~4x post; arg-size up to ~5x "
+                    "on search-leaf and text\n");
+    };
+    return plan;
 }
 
 /**
@@ -357,48 +389,51 @@ fig11(const RunScale &scale, CellMemo &memo)
  * on average; stack-heavy Post services coalesce the most, while the
  * divergent-heap HDSearch-leaf stays close to the CPU.
  */
-void
-fig14(const RunScale &scale, CellMemo &memo)
+Plan
+fig14(const RunScale &scale)
 {
     CacheStudyOptions opt;
     opt.requests = 640;
     opt.seed = scale.seed;
 
-    Table t("Figure 14: RPU L1 accesses normalized to CPU (640 requests)");
-    t.header({"service", "CPU accesses", "RPU accesses", "RPU/CPU",
-              "stack-coalesced", "same-word", "divergent"});
     // The CPU, and the RPU at the tuned batch: one of Fig. 15's studies.
-    const auto &names = svc::serviceNames();
-    std::vector<Study> studies;
-    for (const auto &name : names) {
-        studies.push_back({name, 0, opt});
-        studies.push_back(
-            {name, svc::buildService(name)->traits().tunedBatch, opt});
+    Plan plan;
+    for (const auto &name : svc::serviceNames()) {
+        plan.work.push_back(Study{name, 0, opt});
+        plan.work.push_back(
+            Study{name, svc::buildService(name)->traits().tunedBatch, opt});
     }
-    auto results = memo.run(studies);
+    plan.print = [](const Results &results) {
+        Table t("Figure 14: RPU L1 accesses normalized to CPU (640 "
+                "requests)");
+        t.header({"service", "CPU accesses", "RPU accesses", "RPU/CPU",
+                  "stack-coalesced", "same-word", "divergent"});
+        const auto &names = svc::serviceNames();
+        std::vector<double> ratios;
+        for (size_t i = 0; i < names.size(); ++i) {
+            const auto &name = names[i];
+            const auto &cpu = results.get<CacheStudyResult>(2 * i);
+            const auto &rpu = results.get<CacheStudyResult>(2 * i + 1);
+            double ratio = static_cast<double>(rpu.l1Accesses) /
+                static_cast<double>(cpu.l1Accesses);
+            ratios.push_back(ratio);
+            double total = static_cast<double>(rpu.mcu.batchMemInsts);
+            t.row({name,
+                   std::to_string(cpu.l1Accesses),
+                   std::to_string(rpu.l1Accesses),
+                   Table::mult(ratio),
+                   Table::pct(total ? rpu.mcu.stackCoalesced / total : 0),
+                   Table::pct(total ? rpu.mcu.sameWord / total : 0),
+                   Table::pct(total ? rpu.mcu.divergent / total : 0)});
+        }
+        t.row({"AVERAGE", "", "", Table::mult(geomean(ratios)), "", "",
+               ""});
+        t.print();
 
-    std::vector<double> ratios;
-    for (size_t i = 0; i < names.size(); ++i) {
-        const auto &name = names[i];
-        const auto &cpu = results[2 * i];
-        const auto &rpu = results[2 * i + 1];
-        double ratio = static_cast<double>(rpu.l1Accesses) /
-            static_cast<double>(cpu.l1Accesses);
-        ratios.push_back(ratio);
-        double total = static_cast<double>(rpu.mcu.batchMemInsts);
-        t.row({name,
-               std::to_string(cpu.l1Accesses),
-               std::to_string(rpu.l1Accesses),
-               Table::mult(ratio),
-               Table::pct(total ? rpu.mcu.stackCoalesced / total : 0),
-               Table::pct(total ? rpu.mcu.sameWord / total : 0),
-               Table::pct(total ? rpu.mcu.divergent / total : 0)});
-    }
-    t.row({"AVERAGE", "", "", Table::mult(geomean(ratios)), "", "", ""});
-    t.print();
-
-    std::printf("paper: RPU generates ~4x fewer L1 accesses (ratio "
-                "~0.25x) on average\n");
+        std::printf("paper: RPU generates ~4x fewer L1 accesses (ratio "
+                    "~0.25x) on average\n");
+    };
+    return plan;
 }
 
 /**
@@ -408,42 +443,43 @@ fig14(const RunScale &scale, CellMemo &memo)
  * thanks to coalescing; the data-intensive leaves (HDSearch-leaf,
  * Search-leaf) thrash at 32 but behave at 8 -- the batch-tuning rule.
  */
-void
-fig15(const RunScale &scale, CellMemo &memo)
+Plan
+fig15(const RunScale &scale)
 {
     CacheStudyOptions opt;
     opt.requests = 640;
     opt.seed = scale.seed;
-
-    Table t("Figure 15: L1 MPKI, CPU 64KB vs RPU 256KB by batch size");
-    t.header({"service", "CPU", "RPU-32", "RPU-16", "RPU-8", "RPU-4"});
 
     const int sizes[] = {32, 16, 8, 4};
     CacheStudyOptions copt = opt;
     copt.l1KB = 64;
     CacheStudyOptions ropt = opt;
     ropt.l1KB = 256;
-    const auto &names = svc::serviceNames();
-    std::vector<Study> studies;
-    for (const auto &name : names) {
-        studies.push_back({name, 0, copt});
+    Plan plan;
+    for (const auto &name : svc::serviceNames()) {
+        plan.work.push_back(Study{name, 0, copt});
         for (int bs : sizes)
-            studies.push_back({name, bs, ropt});
+            plan.work.push_back(Study{name, bs, ropt});
     }
-    auto results = memo.run(studies);
-
     const size_t per_service = 1 + std::size(sizes);
-    for (size_t i = 0; i < names.size(); ++i) {
-        std::vector<std::string> row = {names[i]};
-        for (size_t j = 0; j < per_service; ++j)
-            row.push_back(Table::num(results[per_service * i + j].mpki(), 1));
-        t.row(row);
-    }
-    t.print();
+    plan.print = [per_service](const Results &results) {
+        Table t("Figure 15: L1 MPKI, CPU 64KB vs RPU 256KB by batch size");
+        t.header({"service", "CPU", "RPU-32", "RPU-16", "RPU-8", "RPU-4"});
+        size_t k = 0;
+        for (const auto &name : svc::serviceNames()) {
+            std::vector<std::string> row = {name};
+            for (size_t j = 0; j < per_service; ++j)
+                row.push_back(
+                    Table::num(results.get<CacheStudyResult>(k++).mpki(), 1));
+            t.row(row);
+        }
+        t.print();
 
-    std::printf("paper: leaves (search-leaf, hdsearch-leaf) thrash at "
-                "batch 32 and recover at batch 8; other services improve "
-                "on the CPU at batch 32\n");
+        std::printf("paper: leaves (search-leaf, hdsearch-leaf) thrash at "
+                    "batch 32 and recover at batch 8; other services "
+                    "improve on the CPU at batch 32\n");
+    };
+    return plan;
 }
 
 /**
@@ -451,32 +487,36 @@ fig15(const RunScale &scale, CellMemo &memo)
  * SMT-8 CPU, normalized to the single-threaded CPU. Paper result: RPU
  * ~5.7x on average (leaves below average), CPU-SMT8 ~1.05x.
  */
-void
-fig19(const RunScale &scale, CellMemo &memo)
+Plan
+fig19(const RunScale &scale)
 {
     TimingOptions opt = timingOptions(scale);
-    auto rpu_runs = runAllServices(memo, core::makeRpuConfig(), opt);
-    auto smt_runs = runAllServices(memo, core::makeSmt8Config(), opt);
+    Plan plan;
+    size_t rpu = planVsCpu(plan.work, core::makeRpuConfig(), opt);
+    size_t smt = planVsCpu(plan.work, core::makeSmt8Config(), opt);
+    plan.print = [requests = opt.requests, rpu, smt](const Results &r) {
+        Table t("Figure 19: requests/joule relative to single-threaded "
+                "CPU (" + std::to_string(requests) + " requests/service)");
+        t.header({"service", "CPU req/J", "RPU", "CPU-SMT8"});
+        const auto &names = svc::serviceNames();
+        std::vector<double> rpu_r, smt_r;
+        for (size_t i = 0; i < names.size(); ++i) {
+            ChipRun rr = vsCpu(r, rpu, i);
+            ChipRun sr = vsCpu(r, smt, i);
+            rpu_r.push_back(rr.energyRatio());
+            smt_r.push_back(sr.energyRatio());
+            t.row({names[i], Table::num(rr.cpu.reqPerJoule(), 0),
+                   Table::mult(rr.energyRatio()),
+                   Table::mult(sr.energyRatio())});
+        }
+        t.row({"AVERAGE", "", Table::mult(geomean(rpu_r)),
+               Table::mult(geomean(smt_r))});
+        t.print();
 
-    Table t("Figure 19: requests/joule relative to single-threaded CPU "
-            "(" + std::to_string(opt.requests) + " requests/service)");
-    t.header({"service", "CPU req/J", "RPU", "CPU-SMT8"});
-    std::vector<double> rpu_r, smt_r;
-    for (const auto &name : svc::serviceNames()) {
-        const auto &rr = rpu_runs.at(name);
-        const auto &sr = smt_runs.at(name);
-        rpu_r.push_back(rr.energyRatio());
-        smt_r.push_back(sr.energyRatio());
-        t.row({name, Table::num(rr.cpu.reqPerJoule(), 0),
-               Table::mult(rr.energyRatio()),
-               Table::mult(sr.energyRatio())});
-    }
-    t.row({"AVERAGE", "", Table::mult(geomean(rpu_r)),
-           Table::mult(geomean(smt_r))});
-    t.print();
-
-    std::printf("paper: RPU ~5.7x, CPU-SMT8 ~1.05x requests/joule vs "
-                "CPU\n");
+        std::printf("paper: RPU ~5.7x, CPU-SMT8 ~1.05x requests/joule vs "
+                    "CPU\n");
+    };
+    return plan;
 }
 
 /**
@@ -485,31 +525,37 @@ fig19(const RunScale &scale, CellMemo &memo)
  * ~1.7x on HDSearch-midtier), within the 2x data-center limit; SMT-8
  * ~5x.
  */
-void
-fig20(const RunScale &scale, CellMemo &memo)
+Plan
+fig20(const RunScale &scale)
 {
     TimingOptions opt = timingOptions(scale);
-    auto rpu_runs = runAllServices(memo, core::makeRpuConfig(), opt);
-    auto smt_runs = runAllServices(memo, core::makeSmt8Config(), opt);
+    Plan plan;
+    size_t rpu = planVsCpu(plan.work, core::makeRpuConfig(), opt);
+    size_t smt = planVsCpu(plan.work, core::makeSmt8Config(), opt);
+    plan.print = [rpu, smt](const Results &r) {
+        Table t("Figure 20: service latency relative to single-threaded "
+                "CPU");
+        t.header({"service", "CPU (us)", "RPU", "CPU-SMT8"});
+        const auto &names = svc::serviceNames();
+        std::vector<double> rpu_r, smt_r;
+        for (size_t i = 0; i < names.size(); ++i) {
+            ChipRun rr = vsCpu(r, rpu, i);
+            ChipRun sr = vsCpu(r, smt, i);
+            rpu_r.push_back(rr.latencyRatio());
+            smt_r.push_back(sr.latencyRatio());
+            t.row({names[i], Table::num(rr.cpu.core.meanLatencyUs(), 2),
+                   Table::mult(rr.latencyRatio()),
+                   Table::mult(sr.latencyRatio())});
+        }
+        t.row({"AVERAGE", "", Table::mult(geomean(rpu_r)),
+               Table::mult(geomean(smt_r))});
+        t.print();
 
-    Table t("Figure 20: service latency relative to single-threaded CPU");
-    t.header({"service", "CPU (us)", "RPU", "CPU-SMT8"});
-    std::vector<double> rpu_r, smt_r;
-    for (const auto &name : svc::serviceNames()) {
-        const auto &rr = rpu_runs.at(name);
-        const auto &sr = smt_runs.at(name);
-        rpu_r.push_back(rr.latencyRatio());
-        smt_r.push_back(sr.latencyRatio());
-        t.row({name, Table::num(rr.cpu.core.meanLatencyUs(), 2),
-               Table::mult(rr.latencyRatio()),
-               Table::mult(sr.latencyRatio())});
-    }
-    t.row({"AVERAGE", "", Table::mult(geomean(rpu_r)),
-           Table::mult(geomean(smt_r))});
-    t.print();
-
-    std::printf("paper: RPU ~1.44x (worst ~1.7x), SMT8 ~5x single-thread "
-                "latency; 2x is the acceptability limit\n");
+        std::printf("paper: RPU ~1.44x (worst ~1.7x), SMT8 ~5x "
+                    "single-thread latency; 2x is the acceptability "
+                    "limit\n");
+    };
+    return plan;
 }
 
 /**
@@ -519,37 +565,41 @@ fig20(const RunScale &scale, CellMemo &memo)
  * contention + single-hop crossbar), plus sub-batch interleaving
  * raising IPC utilization.
  */
-void
-fig21(const RunScale &scale, CellMemo &memo)
+Plan
+fig21(const RunScale &scale)
 {
-    auto runs =
-        runAllServices(memo, core::makeRpuConfig(), timingOptions(scale));
+    Plan plan;
+    size_t rpu =
+        planVsCpu(plan.work, core::makeRpuConfig(), timingOptions(scale));
+    plan.print = [rpu](const Results &runs) {
+        Table t("Figure 21: latency-contributing metrics (RPU vs CPU)");
+        t.header({"service", "L1 traffic", "avg mem latency", "CPU IPC",
+                  "RPU IPC (scalar)", "latency"});
+        const auto &names = svc::serviceNames();
+        std::vector<double> traffic, memlat, lat;
+        for (size_t i = 0; i < names.size(); ++i) {
+            ChipRun r = vsCpu(runs, rpu, i);
+            double tr = static_cast<double>(r.other.core.l1Stats.accesses) /
+                static_cast<double>(r.cpu.core.l1Stats.accesses);
+            double ml = r.other.core.hierStats.avgLatency() /
+                r.cpu.core.hierStats.avgLatency();
+            traffic.push_back(tr);
+            memlat.push_back(ml);
+            lat.push_back(r.latencyRatio());
+            t.row({names[i], Table::mult(tr), Table::mult(ml),
+                   Table::num(r.cpu.core.ipc(), 2),
+                   Table::num(r.other.core.ipc(), 2),
+                   Table::mult(r.latencyRatio())});
+        }
+        t.row({"AVERAGE", Table::mult(geomean(traffic)),
+               Table::mult(geomean(memlat)), "", "",
+               Table::mult(geomean(lat))});
+        t.print();
 
-    Table t("Figure 21: latency-contributing metrics (RPU vs CPU)");
-    t.header({"service", "L1 traffic", "avg mem latency", "CPU IPC",
-              "RPU IPC (scalar)", "latency"});
-    std::vector<double> traffic, memlat, lat;
-    for (const auto &name : svc::serviceNames()) {
-        const auto &r = runs.at(name);
-        double tr = static_cast<double>(r.other.core.l1Stats.accesses) /
-            static_cast<double>(r.cpu.core.l1Stats.accesses);
-        double ml = r.other.core.hierStats.avgLatency() /
-            r.cpu.core.hierStats.avgLatency();
-        traffic.push_back(tr);
-        memlat.push_back(ml);
-        lat.push_back(r.latencyRatio());
-        t.row({name, Table::mult(tr), Table::mult(ml),
-               Table::num(r.cpu.core.ipc(), 2),
-               Table::num(r.other.core.ipc(), 2),
-               Table::mult(r.latencyRatio())});
-    }
-    t.row({"AVERAGE", Table::mult(geomean(traffic)),
-           Table::mult(geomean(memlat)), "", "",
-           Table::mult(geomean(lat))});
-    t.print();
-
-    std::printf("paper: ~0.25x traffic, ~0.75x (1.33x lower) average "
-                "memory latency, CPU IPC 0.3-1, latency ~1.44x\n");
+        std::printf("paper: ~0.25x traffic, ~0.75x (1.33x lower) average "
+                    "memory latency, CPU IPC 0.3-1, latency ~1.44x\n");
+    };
+    return plan;
 }
 
 /**
@@ -567,150 +617,156 @@ fig21(const RunScale &scale, CellMemo &memo)
  * every load point, plus the max load meeting QoS) for CI artifact
  * upload and plotting.
  */
-void
-fig22(const RunScale &scale, CellMemo &)
+Plan
+fig22(const RunScale &scale)
 {
-    std::string json_configs;
-    auto sweep = [&](bool rpu, bool split, Table &t, const char *label,
-                     const char *key) {
-        std::vector<double> loads_kqps =
-            rpu ? std::vector<double>{5, 10, 20, 30, 40, 50, 60, 70, 80,
-                                      90, 100}
-                : std::vector<double>{2, 4, 6, 8, 10, 12, 15, 18, 20, 25};
-        // Load points are independent system simulations: fan them out
-        // and keep the table rows (and max_ok scan) in load order.
-        auto results = parallelMap(loads_kqps, [&](double kqps) {
-            sys::ClusterConfig cfg = sys::oneReplica();
-            cfg.qps = kqps * 1000;
-            cfg.requests = 30000;
-            cfg.seed = scale.seed;
-            cfg.base.rpu = rpu;
-            cfg.base.batchSplit = split;
-            return sys::runCluster(cfg).sys;
-        });
-        double max_ok = 0;
-        std::string points;
-        for (size_t i = 0; i < loads_kqps.size(); ++i) {
-            const auto &r = results[i];
-            t.row({label, Table::num(loads_kqps[i], 0),
-                   Table::num(r.meanUs(), 0),
-                   Table::num(r.p99Us(), 0)});
-            // QoS: tail within ~1.5x the storage-path latency.
-            if (r.p99Us() < 2500)
-                max_ok = loads_kqps[i];
-            char pt[160];
-            std::snprintf(pt, sizeof(pt),
-                          "%s{\"kqps\": %g, \"mean_us\": %.2f, "
-                          "\"p99_us\": %.2f}",
-                          i ? ", " : "", loads_kqps[i], r.meanUs(),
-                          r.p99Us());
-            points += pt;
-        }
-        char cfg_json[256];
-        std::snprintf(cfg_json, sizeof(cfg_json),
-                      "%s\"%s\": {\"max_ok_kqps\": %g, \"points\": [",
-                      json_configs.empty() ? "" : ", ", key, max_ok);
-        json_configs += cfg_json + points + "]}";
-        return max_ok;
+    struct SystemSweep
+    {
+        bool rpu;
+        bool split;
+        const char *label;
+        const char *key;
+        std::vector<double> loadsKqps;
+    };
+    const std::vector<double> rpu_loads = {5,  10, 20, 30, 40, 50,
+                                           60, 70, 80, 90, 100};
+    const std::vector<SystemSweep> systems = {
+        {false, true, "CPU", "cpu",
+         {2, 4, 6, 8, 10, 12, 15, 18, 20, 25}},
+        {true, true, "RPU w/ split", "rpu_split", rpu_loads},
+        {true, false, "RPU w/o split", "rpu_nosplit", rpu_loads},
     };
 
-    Table t("Figure 22: end-to-end latency vs offered load "
-            "(User scenario)");
-    t.header({"system", "load (kQPS)", "avg (us)", "p99 (us)"});
-    double cpu_max = sweep(false, true, t, "CPU", "cpu");
-    double rpu_split = sweep(true, true, t, "RPU w/ split", "rpu_split");
-    double rpu_nosplit =
-        sweep(true, false, t, "RPU w/o split", "rpu_nosplit");
-    t.print();
+    Plan plan;
+    for (const SystemSweep &sweep : systems)
+        for (double kqps : sweep.loadsKqps)
+            plan.work.push_back(
+                LoadPoint{sweep.rpu, sweep.split, kqps, scale.seed});
+    plan.print = [systems](const Results &results) {
+        Table t("Figure 22: end-to-end latency vs offered load "
+                "(User scenario)");
+        t.header({"system", "load (kQPS)", "avg (us)", "p99 (us)"});
+        std::string json_configs;
+        std::vector<double> max_ok(systems.size(), 0.0);
+        size_t k = 0;
+        for (size_t s = 0; s < systems.size(); ++s) {
+            const SystemSweep &sweep = systems[s];
+            std::string points;
+            for (size_t i = 0; i < sweep.loadsKqps.size(); ++i) {
+                const auto &r = results.get<sys::SysResult>(k++);
+                double kqps = sweep.loadsKqps[i];
+                t.row({sweep.label, Table::num(kqps, 0),
+                       Table::num(r.meanUs(), 0),
+                       Table::num(r.p99Us(), 0)});
+                // QoS: tail within ~1.5x the storage-path latency.
+                if (r.p99Us() < 2500)
+                    max_ok[s] = kqps;
+                char pt[160];
+                std::snprintf(pt, sizeof(pt),
+                              "%s{\"kqps\": %g, \"mean_us\": %.2f, "
+                              "\"p99_us\": %.2f}",
+                              i ? ", " : "", kqps, r.meanUs(), r.p99Us());
+                points += pt;
+            }
+            char cfg_json[256];
+            std::snprintf(cfg_json, sizeof(cfg_json),
+                          "%s\"%s\": {\"max_ok_kqps\": %g, \"points\": [",
+                          json_configs.empty() ? "" : ", ", sweep.key,
+                          max_ok[s]);
+            json_configs += cfg_json + points + "]}";
+        }
+        t.print();
 
-    Table s("Figure 22 summary: max throughput at acceptable QoS");
-    s.header({"system", "max kQPS", "vs CPU"});
-    s.row({"CPU", Table::num(cpu_max, 0), "1.00x"});
-    s.row({"RPU w/ split", Table::num(rpu_split, 0),
-           Table::mult(rpu_split / cpu_max)});
-    s.row({"RPU w/o split", Table::num(rpu_nosplit, 0),
-           Table::mult(rpu_nosplit / cpu_max)});
-    s.print();
+        Table sum("Figure 22 summary: max throughput at acceptable QoS");
+        sum.header({"system", "max kQPS", "vs CPU"});
+        for (size_t s = 0; s < systems.size(); ++s)
+            sum.row({systems[s].label, Table::num(max_ok[s], 0),
+                     s ? Table::mult(max_ok[s] / max_ok[0]) : "1.00x"});
+        sum.print();
 
-    std::printf("paper: RPU ~4x max throughput (60 vs 15 kQPS) at "
-                "similar tail; w/o split the average latency rises to "
-                "the storage latency but tail stays acceptable\n");
+        std::printf("paper: RPU ~4x max throughput (60 vs 15 kQPS) at "
+                    "similar tail; w/o split the average latency rises to "
+                    "the storage latency but tail stays acceptable\n");
 
-    std::string json = std::string("{\"bench\": \"fig22\", ") +
-        "\"configs\": {" + json_configs + "}}";
-    std::printf("BENCH_fig22.json: %s\n", json.c_str());
-    if (FILE *f = std::fopen("BENCH_fig22.json", "w")) {
-        std::fprintf(f, "%s\n", json.c_str());
-        std::fclose(f);
-    }
+        std::string json = std::string("{\"bench\": \"fig22\", ") +
+            "\"configs\": {" + json_configs + "}}";
+        std::printf("BENCH_fig22.json: %s\n", json.c_str());
+        if (FILE *f = std::fopen("BENCH_fig22.json", "w")) {
+            std::fprintf(f, "%s\n", json.c_str());
+            std::fclose(f);
+        }
+    };
+    return plan;
 }
 
 /**
  * Table IV: the simulated configurations. Prints the key rows of every
  * core flavour so runs are auditable against the paper.
  */
-void
-tab04(const RunScale &, CellMemo &)
+Plan
+tab04(const RunScale &)
 {
-    Table t("Table IV: simulated configurations");
-    t.header({"metric", "CPU", "CPU-SMT8", "RPU", "GPU-like"});
+    return {{}, [](const Results &) {
+        Table t("Table IV: simulated configurations");
+        t.header({"metric", "CPU", "CPU-SMT8", "RPU", "GPU-like"});
 
-    auto cpu = core::makeCpuConfig();
-    auto smt = core::makeSmt8Config();
-    auto rpu = core::makeRpuConfig();
-    auto gpu = core::makeGpuConfig();
-    auto row = [&](const char *name, auto get) {
-        t.row({name, get(cpu), get(smt), get(rpu), get(gpu)});
-    };
+        auto cpu = core::makeCpuConfig();
+        auto smt = core::makeSmt8Config();
+        auto rpu = core::makeRpuConfig();
+        auto gpu = core::makeGpuConfig();
+        auto row = [&](const char *name, auto get) {
+            t.row({name, get(cpu), get(smt), get(rpu), get(gpu)});
+        };
 
-    row("cores", [](const core::CoreConfig &c) {
-        return std::to_string(c.chipCores);
-    });
-    row("threads/core", [](const core::CoreConfig &c) {
-        return std::to_string(c.smtThreads * c.batchWidth);
-    });
-    row("SIMT lanes", [](const core::CoreConfig &c) {
-        return std::to_string(c.lanes);
-    });
-    row("issue width", [](const core::CoreConfig &c) {
-        return std::to_string(c.issueWidth);
-    });
-    row("ROB entries", [](const core::CoreConfig &c) {
-        return std::to_string(c.robEntries);
-    });
-    row("in-order", [](const core::CoreConfig &c) {
-        return std::string(c.inOrder ? "yes" : "no");
-    });
-    row("freq (GHz)", [](const core::CoreConfig &c) {
-        return Table::num(c.freqGhz, 1);
-    });
-    row("ALU latency", [](const core::CoreConfig &c) {
-        return std::to_string(c.aluLat);
-    });
-    row("L1D", [](const core::CoreConfig &c) {
-        return kb(c.mem.l1.sizeBytes) + " x" +
-            std::to_string(c.mem.l1.banks) + "b " +
-            std::to_string(c.mem.l1HitLatency) + "cyc";
-    });
-    row("L1 TLB entries", [](const core::CoreConfig &c) {
-        return std::to_string(c.mem.tlb.entries);
-    });
-    row("L2", [](const core::CoreConfig &c) {
-        return kb(c.mem.l2.sizeBytes) + " " +
-            std::to_string(c.mem.l2HitLatency) + "cyc";
-    });
-    row("interconnect", [](const core::CoreConfig &c) {
-        return std::string(c.mem.noc.kind == mem::NocKind::Mesh ?
-                           "mesh" : "crossbar");
-    });
-    row("atomics", [](const core::CoreConfig &c) {
-        return std::string(c.mem.atomicsAtL3 ? "at L3" : "in L1");
-    });
-    row("DRAM B/cyc/core", [](const core::CoreConfig &c) {
-        return Table::num(c.mem.dram.bytesPerCycle *
-                          c.mem.dram.channels, 1);
-    });
-    t.print();
+        row("cores", [](const core::CoreConfig &c) {
+            return std::to_string(c.chipCores);
+        });
+        row("threads/core", [](const core::CoreConfig &c) {
+            return std::to_string(c.smtThreads * c.batchWidth);
+        });
+        row("SIMT lanes", [](const core::CoreConfig &c) {
+            return std::to_string(c.lanes);
+        });
+        row("issue width", [](const core::CoreConfig &c) {
+            return std::to_string(c.issueWidth);
+        });
+        row("ROB entries", [](const core::CoreConfig &c) {
+            return std::to_string(c.robEntries);
+        });
+        row("in-order", [](const core::CoreConfig &c) {
+            return std::string(c.inOrder ? "yes" : "no");
+        });
+        row("freq (GHz)", [](const core::CoreConfig &c) {
+            return Table::num(c.freqGhz, 1);
+        });
+        row("ALU latency", [](const core::CoreConfig &c) {
+            return std::to_string(c.aluLat);
+        });
+        row("L1D", [](const core::CoreConfig &c) {
+            return kb(c.mem.l1.sizeBytes) + " x" +
+                std::to_string(c.mem.l1.banks) + "b " +
+                std::to_string(c.mem.l1HitLatency) + "cyc";
+        });
+        row("L1 TLB entries", [](const core::CoreConfig &c) {
+            return std::to_string(c.mem.tlb.entries);
+        });
+        row("L2", [](const core::CoreConfig &c) {
+            return kb(c.mem.l2.sizeBytes) + " " +
+                std::to_string(c.mem.l2HitLatency) + "cyc";
+        });
+        row("interconnect", [](const core::CoreConfig &c) {
+            return std::string(c.mem.noc.kind == mem::NocKind::Mesh ?
+                               "mesh" : "crossbar");
+        });
+        row("atomics", [](const core::CoreConfig &c) {
+            return std::string(c.mem.atomicsAtL3 ? "at L3" : "in L1");
+        });
+        row("DRAM B/cyc/core", [](const core::CoreConfig &c) {
+            return Table::num(c.mem.dram.bytesPerCycle *
+                              c.mem.dram.channels, 1);
+        });
+        t.print();
+    }};
 }
 
 /**
@@ -720,65 +776,67 @@ tab04(const RunScale &, CellMemo &)
  * the threads; RPU-only structures cost ~11.8% of the core; thread
  * density improves ~5.2x at the chip level.
  */
-void
-tab05(const RunScale &, CellMemo &)
+Plan
+tab05(const RunScale &)
 {
-    auto cpu_cfg = core::makeCpuConfig();
-    auto rpu_cfg = core::makeRpuConfig();
-    auto cpu = energy::estimateCore(cpu_cfg);
-    auto rpu = energy::estimateCore(rpu_cfg);
+    return {{}, [](const Results &) {
+        auto cpu_cfg = core::makeCpuConfig();
+        auto rpu_cfg = core::makeRpuConfig();
+        auto cpu = energy::estimateCore(cpu_cfg);
+        auto rpu = energy::estimateCore(rpu_cfg);
 
-    Table t("Table V: per-component area and peak power (7nm)");
-    t.header({"component", "CPU mm2", "CPU %", "CPU W", "RPU mm2",
-              "RPU %", "RPU W"});
-    double ca = cpu.coreAreaMm2(), ra = rpu.coreAreaMm2();
-    for (const auto &rc : rpu.comps) {
-        const energy::ComponentAP *cc = nullptr;
-        for (const auto &c : cpu.comps)
-            if (c.name == rc.name)
-                cc = &c;
-        t.row({rc.name,
-               cc ? Table::num(cc->areaMm2, 2) : "-",
-               cc ? Table::pct(cc->areaMm2 / ca) : "-",
-               cc ? Table::num(cc->peakWatts, 2) : "-",
-               Table::num(rc.areaMm2, 2),
-               Table::pct(rc.areaMm2 / ra),
-               Table::num(rc.peakWatts, 2)});
-    }
-    t.row({"TOTAL core", Table::num(ca, 2), "100.0%",
-           Table::num(cpu.corePeakWatts(), 2), Table::num(ra, 2),
-           "100.0%", Table::num(rpu.corePeakWatts(), 2)});
-    t.print();
+        Table t("Table V: per-component area and peak power (7nm)");
+        t.header({"component", "CPU mm2", "CPU %", "CPU W", "RPU mm2",
+                  "RPU %", "RPU W"});
+        double ca = cpu.coreAreaMm2(), ra = rpu.coreAreaMm2();
+        for (const auto &rc : rpu.comps) {
+            const energy::ComponentAP *cc = nullptr;
+            for (const auto &c : cpu.comps)
+                if (c.name == rc.name)
+                    cc = &c;
+            t.row({rc.name,
+                   cc ? Table::num(cc->areaMm2, 2) : "-",
+                   cc ? Table::pct(cc->areaMm2 / ca) : "-",
+                   cc ? Table::num(cc->peakWatts, 2) : "-",
+                   Table::num(rc.areaMm2, 2),
+                   Table::pct(rc.areaMm2 / ra),
+                   Table::num(rc.peakWatts, 2)});
+        }
+        t.row({"TOTAL core", Table::num(ca, 2), "100.0%",
+               Table::num(cpu.corePeakWatts(), 2), Table::num(ra, 2),
+               "100.0%", Table::num(rpu.corePeakWatts(), 2)});
+        t.print();
 
-    auto cpu_chip = energy::estimateChip(cpu_cfg);
-    auto rpu_chip = energy::estimateChip(rpu_cfg);
-    Table c("Table V (chip level)");
-    c.header({"metric", "CPU chip", "RPU chip", "ratio"});
-    c.row({"cores", std::to_string(cpu_chip.cores),
-           std::to_string(rpu_chip.cores), ""});
-    c.row({"threads", std::to_string(cpu_chip.cores),
-           std::to_string(rpu_chip.cores * rpu_cfg.batchWidth),
-           Table::mult(rpu_chip.cores * rpu_cfg.batchWidth /
-                       static_cast<double>(cpu_chip.cores))});
-    c.row({"area (mm2)", Table::num(cpu_chip.chipAreaMm2(), 1),
-           Table::num(rpu_chip.chipAreaMm2(), 1),
-           Table::mult(rpu_chip.chipAreaMm2() /
-                       cpu_chip.chipAreaMm2())});
-    c.row({"peak power (W)", Table::num(cpu_chip.chipPeakWatts(), 1),
-           Table::num(rpu_chip.chipPeakWatts(), 1),
-           Table::mult(rpu_chip.chipPeakWatts() /
-                       cpu_chip.chipPeakWatts())});
-    double cpu_density = cpu_chip.cores / cpu_chip.chipAreaMm2();
-    double rpu_density = rpu_chip.cores * rpu_cfg.batchWidth /
-        rpu_chip.chipAreaMm2();
-    c.row({"threads/mm2", Table::num(cpu_density, 3),
-           Table::num(rpu_density, 3),
-           Table::mult(rpu_density / cpu_density)});
-    c.print();
+        auto cpu_chip = energy::estimateChip(cpu_cfg);
+        auto rpu_chip = energy::estimateChip(rpu_cfg);
+        Table c("Table V (chip level)");
+        c.header({"metric", "CPU chip", "RPU chip", "ratio"});
+        c.row({"cores", std::to_string(cpu_chip.cores),
+               std::to_string(rpu_chip.cores), ""});
+        c.row({"threads", std::to_string(cpu_chip.cores),
+               std::to_string(rpu_chip.cores * rpu_cfg.batchWidth),
+               Table::mult(rpu_chip.cores * rpu_cfg.batchWidth /
+                           static_cast<double>(cpu_chip.cores))});
+        c.row({"area (mm2)", Table::num(cpu_chip.chipAreaMm2(), 1),
+               Table::num(rpu_chip.chipAreaMm2(), 1),
+               Table::mult(rpu_chip.chipAreaMm2() /
+                           cpu_chip.chipAreaMm2())});
+        c.row({"peak power (W)", Table::num(cpu_chip.chipPeakWatts(), 1),
+               Table::num(rpu_chip.chipPeakWatts(), 1),
+               Table::mult(rpu_chip.chipPeakWatts() /
+                           cpu_chip.chipPeakWatts())});
+        double cpu_density = cpu_chip.cores / cpu_chip.chipAreaMm2();
+        double rpu_density = rpu_chip.cores * rpu_cfg.batchWidth /
+            rpu_chip.chipAreaMm2();
+        c.row({"threads/mm2", Table::num(cpu_density, 3),
+               Table::num(rpu_density, 3),
+               Table::mult(rpu_density / cpu_density)});
+        c.print();
 
-    std::printf("paper: RPU core ~6.3x area / ~4.5x power for 32x "
-                "threads; RPU-only structures ~11.8%% of core; ~5.2x "
-                "thread density\n");
+        std::printf("paper: RPU core ~6.3x area / ~4.5x power for 32x "
+                    "threads; RPU-only structures ~11.8%% of core; ~5.2x "
+                    "thread density\n");
+    }};
 }
 
 /**
@@ -788,41 +846,19 @@ tab05(const RunScale &, CellMemo &)
  * high-IPC UniqueID -- because data-center IPC/thread is low and OoO
  * scheduling fills the gaps.
  */
-void
-sensSubbatch(const RunScale &scale, CellMemo &memo)
+Plan
+sensSubbatch(const RunScale &scale)
 {
-    TimingOptions opt = timingOptions(scale);
-
-    Table t("Sub-batch interleaving: 8 SIMT lanes vs 32 full-width");
-    t.header({"service", "cycles @32 lanes", "cycles @8 lanes",
-              "slowdown"});
     auto cfg8 = core::makeRpuConfig();
     cfg8.lanes = 8;
     auto cfg32 = core::makeRpuConfig();
     cfg32.lanes = 32;
-    const auto &names = svc::serviceNames();
-    std::vector<Cell> cells;
-    for (const auto &name : names) {
-        cells.push_back({name, cfg8, opt});
-        cells.push_back({name, cfg32, opt});
-    }
-    auto runs = memo.run(cells);
-
-    std::vector<double> slow;
-    for (size_t i = 0; i < names.size(); ++i) {
-        const auto &r8 = runs[2 * i];
-        const auto &r32 = runs[2 * i + 1];
-        double s = static_cast<double>(r8.core.cycles) /
-            static_cast<double>(r32.core.cycles);
-        slow.push_back(s);
-        t.row({names[i], std::to_string(r32.core.cycles),
-               std::to_string(r8.core.cycles), Table::mult(s)});
-    }
-    t.row({"AVERAGE", "", "", Table::mult(geomean(slow))});
-    t.print();
-
-    std::printf("paper: ~4%% average loss, up to ~10%% (uniqueid), for a "
-                "4x narrower (cheaper) backend\n");
+    return rpuSlowdown(
+        scale, cfg32, cfg8,
+        "Sub-batch interleaving: 8 SIMT lanes vs 32 full-width",
+        {"service", "cycles @32 lanes", "cycles @8 lanes", "slowdown"},
+        "paper: ~4% average loss, up to ~10% (uniqueid), for a 4x "
+        "narrower (cheaper) backend\n");
 }
 
 /**
@@ -832,40 +868,17 @@ sensSubbatch(const RunScale &scale, CellMemo &memo)
  * execute few atomics per instruction (fine-grained locks, mostly
  * uncontended).
  */
-void
-sensAtomicsL3(const RunScale &scale, CellMemo &memo)
+Plan
+sensAtomicsL3(const RunScale &scale)
 {
-    TimingOptions opt = timingOptions(scale);
-
-    Table t("Atomics at L3 vs in private L1 (RPU)");
-    t.header({"service", "cycles atomics@L1", "cycles atomics@L3",
-              "slowdown"});
-    auto l3_cfg = core::makeRpuConfig();
     auto l1_cfg = core::makeRpuConfig();
     l1_cfg.mem.atomicsAtL3 = false;
-    const auto &names = svc::serviceNames();
-    std::vector<Cell> cells;
-    for (const auto &name : names) {
-        cells.push_back({name, l1_cfg, opt});
-        cells.push_back({name, l3_cfg, opt});
-    }
-    auto runs = memo.run(cells);
-
-    std::vector<double> slow;
-    for (size_t i = 0; i < names.size(); ++i) {
-        const auto &r_l1 = runs[2 * i];
-        const auto &r_l3 = runs[2 * i + 1];
-        double s = static_cast<double>(r_l3.core.cycles) /
-            static_cast<double>(r_l1.core.cycles);
-        slow.push_back(s);
-        t.row({names[i], std::to_string(r_l1.core.cycles),
-               std::to_string(r_l3.core.cycles), Table::mult(s)});
-    }
-    t.row({"AVERAGE", "", "", Table::mult(geomean(slow))});
-    t.print();
-
-    std::printf("paper: no slowdown from moving atomics to L3 (few "
-                "atomic locks per instruction)\n");
+    return rpuSlowdown(
+        scale, l1_cfg, core::makeRpuConfig(),
+        "Atomics at L3 vs in private L1 (RPU)",
+        {"service", "cycles atomics@L1", "cycles atomics@L3", "slowdown"},
+        "paper: no slowdown from moving atomics to L3 (few atomic locks "
+        "per instruction)\n");
 }
 
 /**
@@ -875,14 +888,10 @@ sensAtomicsL3(const RunScale &scale, CellMemo &memo)
  * consecutive per-thread heap accesses conflict-free. Paper result:
  * ~1.8x higher L1 throughput on the divergent-heap HDSearch.
  */
-void
-sensAllocator(const RunScale &scale, CellMemo &memo)
+Plan
+sensAllocator(const RunScale &scale)
 {
     TimingOptions opt = timingOptions(scale);
-
-    Table t("SIMR-aware vs glibc-like heap allocation (RPU, banked L1)");
-    t.header({"service", "conflict cyc (glibc)", "conflict cyc (simr)",
-              "cycles (glibc)", "cycles (simr)", "speedup"});
     // Full 32-wide batches make the bank pressure visible (the tuned
     // batch of 8 hides it behind the compute chains).
     TimingOptions agn = opt;
@@ -894,31 +903,36 @@ sensAllocator(const RunScale &scale, CellMemo &memo)
     const std::vector<std::string> names = {"hdsearch-leaf", "search-leaf",
                                             "recommender-leaf",
                                             "hdsearch-mid"};
-    std::vector<Cell> cells;
+    Plan plan;
     for (const auto &name : names) {
-        cells.push_back({name, core::makeRpuConfig(), agn});
-        cells.push_back({name, core::makeRpuConfig(), aware});
+        plan.work.push_back(cell(name, core::makeRpuConfig(), agn));
+        plan.work.push_back(cell(name, core::makeRpuConfig(), aware));
     }
-    auto runs = memo.run(cells);
+    plan.print = [names](const Results &runs) {
+        Table t("SIMR-aware vs glibc-like heap allocation (RPU, banked "
+                "L1)");
+        t.header({"service", "conflict cyc (glibc)", "conflict cyc (simr)",
+                  "cycles (glibc)", "cycles (simr)", "speedup"});
+        std::vector<double> speedups;
+        for (size_t i = 0; i < names.size(); ++i) {
+            const auto &r_agn = runs.get<TimingRun>(2 * i);
+            const auto &r_aw = runs.get<TimingRun>(2 * i + 1);
+            double s = static_cast<double>(r_agn.core.cycles) /
+                static_cast<double>(r_aw.core.cycles);
+            speedups.push_back(s);
+            t.row({names[i],
+                   std::to_string(r_agn.core.hierStats.l1BankConflictCycles),
+                   std::to_string(r_aw.core.hierStats.l1BankConflictCycles),
+                   std::to_string(r_agn.core.cycles),
+                   std::to_string(r_aw.core.cycles), Table::mult(s)});
+        }
+        t.row({"AVERAGE", "", "", "", "", Table::mult(geomean(speedups))});
+        t.print();
 
-    std::vector<double> speedups;
-    for (size_t i = 0; i < names.size(); ++i) {
-        const auto &r_agn = runs[2 * i];
-        const auto &r_aw = runs[2 * i + 1];
-        double s = static_cast<double>(r_agn.core.cycles) /
-            static_cast<double>(r_aw.core.cycles);
-        speedups.push_back(s);
-        t.row({names[i],
-               std::to_string(r_agn.core.hierStats.l1BankConflictCycles),
-               std::to_string(r_aw.core.hierStats.l1BankConflictCycles),
-               std::to_string(r_agn.core.cycles),
-               std::to_string(r_aw.core.cycles), Table::mult(s)});
-    }
-    t.row({"AVERAGE", "", "", "", "", Table::mult(geomean(speedups))});
-    t.print();
-
-    std::printf("paper: ~1.8x higher L1 throughput on divergent-heap "
-                "HDSearch with the SIMR-aware allocator\n");
+        std::printf("paper: ~1.8x higher L1 throughput on divergent-heap "
+                    "HDSearch with the SIMR-aware allocator\n");
+    };
+    return plan;
 }
 
 /**
@@ -929,42 +943,42 @@ sensAllocator(const RunScale &scale, CellMemo &memo)
  * fetches) but barely changes performance, since divergent branches
  * visit both paths regardless.
  */
-void
-sensMajorityVoting(const RunScale &scale, CellMemo &memo)
+Plan
+sensMajorityVoting(const RunScale &scale)
 {
     TimingOptions opt = timingOptions(scale);
-
-    Table t("Majority-voting BP vs single-lane BP (RPU)");
-    t.header({"service", "mispredicts (vote)", "mispredicts (lane0)",
-              "cycles (vote)", "cycles (lane0)", "perf delta"});
     auto vote_cfg = core::makeRpuConfig();
     auto lane_cfg = core::makeRpuConfig();
     lane_cfg.majorityVoteBp = false;
-    const auto &names = svc::serviceNames();
-    std::vector<Cell> cells;
-    for (const auto &name : names) {
-        cells.push_back({name, vote_cfg, opt});
-        cells.push_back({name, lane_cfg, opt});
+    Plan plan;
+    for (const auto &name : svc::serviceNames()) {
+        plan.work.push_back(cell(name, vote_cfg, opt));
+        plan.work.push_back(cell(name, lane_cfg, opt));
     }
-    auto runs = memo.run(cells);
+    plan.print = [](const Results &runs) {
+        Table t("Majority-voting BP vs single-lane BP (RPU)");
+        t.header({"service", "mispredicts (vote)", "mispredicts (lane0)",
+                  "cycles (vote)", "cycles (lane0)", "perf delta"});
+        const auto &names = svc::serviceNames();
+        std::vector<double> deltas;
+        for (size_t i = 0; i < names.size(); ++i) {
+            const auto &rv = runs.get<TimingRun>(2 * i);
+            const auto &rl = runs.get<TimingRun>(2 * i + 1);
+            double d = static_cast<double>(rl.core.cycles) /
+                static_cast<double>(rv.core.cycles);
+            deltas.push_back(d);
+            t.row({names[i], std::to_string(rv.core.bpStats.mispredicts),
+                   std::to_string(rl.core.bpStats.mispredicts),
+                   std::to_string(rv.core.cycles),
+                   std::to_string(rl.core.cycles), Table::mult(d)});
+        }
+        t.row({"AVERAGE", "", "", "", "", Table::mult(geomean(deltas))});
+        t.print();
 
-    std::vector<double> deltas;
-    for (size_t i = 0; i < names.size(); ++i) {
-        const auto &rv = runs[2 * i];
-        const auto &rl = runs[2 * i + 1];
-        double d = static_cast<double>(rl.core.cycles) /
-            static_cast<double>(rv.core.cycles);
-        deltas.push_back(d);
-        t.row({names[i], std::to_string(rv.core.bpStats.mispredicts),
-               std::to_string(rl.core.bpStats.mispredicts),
-               std::to_string(rv.core.cycles),
-               std::to_string(rl.core.cycles), Table::mult(d)});
-    }
-    t.row({"AVERAGE", "", "", "", "", Table::mult(geomean(deltas))});
-    t.print();
-
-    std::printf("paper: voting mitigates flushes from inevitable "
-                "minority mispredictions; little performance impact\n");
+        std::printf("paper: voting mitigates flushes from inevitable "
+                    "minority mispredictions; little performance impact\n");
+    };
+    return plan;
 }
 
 /**
@@ -975,36 +989,41 @@ sensMajorityVoting(const RunScale &scale, CellMemo &memo)
  * service latency -- unacceptable for QoS-bound services, which is the
  * motivation for the RPU's OoO SIMT middle ground.
  */
-void
-gpuComparison(const RunScale &scale, CellMemo &memo)
+Plan
+gpuComparison(const RunScale &scale)
 {
     TimingOptions opt = timingOptions(scale);
-    auto gpu_runs = runAllServices(memo, core::makeGpuConfig(), opt);
-    auto rpu_runs = runAllServices(memo, core::makeRpuConfig(), opt);
+    Plan plan;
+    size_t gpu = planVsCpu(plan.work, core::makeGpuConfig(), opt);
+    size_t rpu = planVsCpu(plan.work, core::makeRpuConfig(), opt);
+    plan.print = [gpu, rpu](const Results &runs) {
+        Table t("GPU vs RPU vs CPU (energy efficiency and latency)");
+        t.header({"service", "GPU req/J", "GPU latency", "RPU req/J",
+                  "RPU latency"});
+        const auto &names = svc::serviceNames();
+        std::vector<double> ge, gl, re, rl;
+        for (size_t i = 0; i < names.size(); ++i) {
+            ChipRun g = vsCpu(runs, gpu, i);
+            ChipRun r = vsCpu(runs, rpu, i);
+            ge.push_back(g.energyRatio());
+            gl.push_back(g.latencyRatio());
+            re.push_back(r.energyRatio());
+            rl.push_back(r.latencyRatio());
+            t.row({names[i], Table::mult(g.energyRatio()),
+                   Table::mult(g.latencyRatio()),
+                   Table::mult(r.energyRatio()),
+                   Table::mult(r.latencyRatio())});
+        }
+        t.row({"AVERAGE", Table::mult(geomean(ge)),
+               Table::mult(geomean(gl)), Table::mult(geomean(re)),
+               Table::mult(geomean(rl))});
+        t.print();
 
-    Table t("GPU vs RPU vs CPU (energy efficiency and latency)");
-    t.header({"service", "GPU req/J", "GPU latency", "RPU req/J",
-              "RPU latency"});
-    std::vector<double> ge, gl, re, rl;
-    for (const auto &name : svc::serviceNames()) {
-        const auto &g = gpu_runs.at(name);
-        const auto &r = rpu_runs.at(name);
-        ge.push_back(g.energyRatio());
-        gl.push_back(g.latencyRatio());
-        re.push_back(r.energyRatio());
-        rl.push_back(r.latencyRatio());
-        t.row({name, Table::mult(g.energyRatio()),
-               Table::mult(g.latencyRatio()),
-               Table::mult(r.energyRatio()),
-               Table::mult(r.latencyRatio())});
-    }
-    t.row({"AVERAGE", Table::mult(geomean(ge)), Table::mult(geomean(gl)),
-           Table::mult(geomean(re)), Table::mult(geomean(rl))});
-    t.print();
-
-    std::printf("paper: GPU ~28x energy efficiency at ~79x latency; "
-                "RPU ~5.7x at ~1.44x -- the only point inside the 2x "
-                "QoS envelope\n");
+        std::printf("paper: GPU ~28x energy efficiency at ~79x latency; "
+                    "RPU ~5.7x at ~1.44x -- the only point inside the 2x "
+                    "QoS envelope\n");
+    };
+    return plan;
 }
 
 /**
@@ -1013,37 +1032,54 @@ gpuComparison(const RunScale &scale, CellMemo &memo)
  * re-derives the Fig. 15 rule -- batch 32 for most services, batch 8
  * for the data-intensive leaves -- without hand configuration).
  */
-void
-extTuner(const RunScale &scale, CellMemo &)
+Plan
+extTuner(const RunScale &scale)
 {
-    Table t("Extension: offline batch-size tuner vs hand-tuned traits");
-    t.header({"service", "tuner choice", "traits (hand)", "mpki@32",
-              "mpki@choice", "eff@choice"});
-    int agree = 0;
-    for (const auto &name : svc::serviceNames()) {
-        auto svc = svc::buildService(name);
-        tune::TunerConfig cfg;
-        cfg.seed = scale.seed;
-        auto r = tune::tuneBatchSize(*svc, cfg);
-
-        double mpki32 = 0, mpki_c = 0, eff_c = 0;
-        for (const auto &p : r.points) {
-            if (p.batchSize == 32)
-                mpki32 = p.mpki;
-            if (p.batchSize == r.chosenBatch) {
-                mpki_c = p.mpki;
-                eff_c = p.efficiency;
+    tune::TunerConfig cfg;
+    cfg.seed = scale.seed;
+    // Each candidate is an ordinary cache study; the print step picks
+    // with the tuner's own rule.
+    Plan plan;
+    for (const auto &name : svc::serviceNames())
+        for (int bs : cfg.candidates)
+            plan.work.push_back(
+                Study{name, bs, tune::profileOptions(cfg)});
+    plan.print = [cfg](const Results &studies) {
+        Table t("Extension: offline batch-size tuner vs hand-tuned "
+                "traits");
+        t.header({"service", "tuner choice", "traits (hand)", "mpki@32",
+                  "mpki@choice", "eff@choice"});
+        const auto &names = svc::serviceNames();
+        int agree = 0;
+        size_t k = 0;
+        for (size_t i = 0; i < names.size(); ++i) {
+            std::vector<tune::TunePoint> points;
+            for (int bs : cfg.candidates) {
+                const auto &st = studies.get<CacheStudyResult>(k++);
+                points.push_back({bs, st.mpki(), st.simt.efficiency()});
             }
+            auto r = tune::choose(std::move(points), cfg);
+
+            double mpki32 = 0, mpki_c = 0, eff_c = 0;
+            for (const auto &p : r.points) {
+                if (p.batchSize == 32)
+                    mpki32 = p.mpki;
+                if (p.batchSize == r.chosenBatch) {
+                    mpki_c = p.mpki;
+                    eff_c = p.efficiency;
+                }
+            }
+            int hand = svc::buildService(names[i])->traits().tunedBatch;
+            agree += r.chosenBatch == hand ? 1 : 0;
+            t.row({names[i], std::to_string(r.chosenBatch),
+                   std::to_string(hand), Table::num(mpki32, 1),
+                   Table::num(mpki_c, 1), Table::pct(eff_c)});
         }
-        agree += r.chosenBatch == svc->traits().tunedBatch ? 1 : 0;
-        t.row({name, std::to_string(r.chosenBatch),
-               std::to_string(svc->traits().tunedBatch),
-               Table::num(mpki32, 1), Table::num(mpki_c, 1),
-               Table::pct(eff_c)});
-    }
-    t.print();
-    std::printf("tuner agrees with the hand-tuned configuration on "
-                "%d/14 services\n", agree);
+        t.print();
+        std::printf("tuner agrees with the hand-tuned configuration on "
+                    "%d/14 services\n", agree);
+    };
+    return plan;
 }
 
 /**
@@ -1053,44 +1089,49 @@ extTuner(const RunScale &scale, CellMemo &)
  * runs the RPU with 1, 2 and 4 concurrent hardware batch contexts and
  * reports per-request latency and core throughput: throughput rises as
  * idle memory-stall slots get filled, while per-batch latency degrades
- * gracefully -- the trade the paper anticipates.
- *
- * Its runs use the master seed, not a cell seed, so they are direct
- * runTiming calls rather than memo cells.
+ * gracefully -- the trade the paper anticipates. Its runs use the
+ * master seed, not a cell seed.
  */
-void
-extMultibatch(const RunScale &scale, CellMemo &)
+Plan
+extMultibatch(const RunScale &scale)
 {
     TimingOptions opt = timingOptions(scale);
-
-    Table t("Extension: RPU multi-batch interleaving (1/2/4 contexts)");
-    t.header({"service", "thr x1 (req/s)", "thr x2", "thr x4",
-              "lat x1 (us)", "lat x2", "lat x4"});
-    std::vector<double> gain2, gain4;
+    Plan plan;
     for (const auto &name : svc::serviceNames()) {
-        auto svc = svc::buildService(name);
-        double thr[3], lat[3];
-        int i = 0;
         for (int contexts : {1, 2, 4}) {
             auto cfg = core::makeRpuConfig();
             cfg.smtThreads = contexts;
-            auto run = runTiming(*svc, cfg, opt);
-            thr[i] = run.core.throughputPerCore();
-            lat[i] = run.core.meanLatencyUs();
-            ++i;
+            plan.work.push_back(Cell{name, cfg, opt});
         }
-        gain2.push_back(thr[1] / thr[0]);
-        gain4.push_back(thr[2] / thr[0]);
-        t.row({name, Table::num(thr[0], 0), Table::num(thr[1], 0),
-               Table::num(thr[2], 0), Table::num(lat[0], 2),
-               Table::num(lat[1], 2), Table::num(lat[2], 2)});
     }
-    t.row({"AVERAGE gain", "", Table::mult(geomean(gain2)),
-           Table::mult(geomean(gain4)), "", "", ""});
-    t.print();
+    plan.print = [](const Results &runs) {
+        Table t("Extension: RPU multi-batch interleaving (1/2/4 "
+                "contexts)");
+        t.header({"service", "thr x1 (req/s)", "thr x2", "thr x4",
+                  "lat x1 (us)", "lat x2", "lat x4"});
+        std::vector<double> gain2, gain4;
+        size_t k = 0;
+        for (const auto &name : svc::serviceNames()) {
+            double thr[3], lat[3];
+            for (int i = 0; i < 3; ++i) {
+                const auto &run = runs.get<TimingRun>(k++);
+                thr[i] = run.core.throughputPerCore();
+                lat[i] = run.core.meanLatencyUs();
+            }
+            gain2.push_back(thr[1] / thr[0]);
+            gain4.push_back(thr[2] / thr[0]);
+            t.row({name, Table::num(thr[0], 0), Table::num(thr[1], 0),
+                   Table::num(thr[2], 0), Table::num(lat[0], 2),
+                   Table::num(lat[1], 2), Table::num(lat[2], 2)});
+        }
+        t.row({"AVERAGE gain", "", Table::mult(geomean(gain2)),
+               Table::mult(geomean(gain4)), "", "", ""});
+        t.print();
 
-    std::printf("future-work direction from the paper: multi-batch "
-                "scheduling fills stall cycles at a latency cost\n");
+        std::printf("future-work direction from the paper: multi-batch "
+                    "scheduling fills stall cycles at a latency cost\n");
+    };
+    return plan;
 }
 
 /**
@@ -1101,42 +1142,76 @@ extMultibatch(const RunScale &scale, CellMemo &)
  * most energy efficient for GPGPU workloads, but we claim RPUs will
  * not be far behind." This study runs a saxpy-like SPMD kernel on all
  * three design points and reports requests/joule and latency relative
- * to the CPU. Like extMultibatch it runs on the master seed, directly.
+ * to the CPU. Like extMultibatch it runs on the master seed.
  */
-void
-extGpgpu(const RunScale &scale, CellMemo &memo)
+Plan
+extGpgpu(const RunScale &scale)
 {
     TimingOptions opt = timingOptions(scale);
-
-    auto svc = svc::buildService("gpgpu-saxpy");
-    auto cpu = runTiming(*svc, core::makeCpuConfig(), opt);
-    auto rpu = runTiming(*svc, core::makeRpuConfig(), opt);
-    auto gpu = runTiming(*svc, core::makeGpuConfig(), opt);
-
-    auto eff = memo.run(std::vector<Probe>{
-        {"gpgpu-saxpy", batch::Policy::PerApiArgSize,
-         simt::ReconvPolicy::MinSpPc, 32,
-         static_cast<int>(scale.timingRequests), scale.seed}})[0];
-    std::printf("SPMD kernel SIMT efficiency: %.1f%%\n\n",
-                eff.efficiency() * 100);
-
-    Table t("Extension: SPMD saxpy kernel across design points");
-    t.header({"design point", "req/joule", "vs CPU", "latency (us)",
-              "vs CPU"});
-    auto row = [&](const char *name, const TimingRun &r) {
-        t.row({name, Table::num(r.reqPerJoule(), 0),
-               Table::mult(r.reqPerJoule() / cpu.reqPerJoule()),
-               Table::num(r.core.meanLatencyUs(), 2),
-               Table::mult(r.core.meanLatencyUs() /
-                           cpu.core.meanLatencyUs())});
+    const std::string name = "gpgpu-saxpy";
+    Plan plan;
+    plan.work = {
+        Cell{name, core::makeCpuConfig(), opt},
+        Cell{name, core::makeRpuConfig(), opt},
+        Cell{name, core::makeGpuConfig(), opt},
+        Probe{name, batch::Policy::PerApiArgSize,
+              simt::ReconvPolicy::MinSpPc, 32, opt.requests, scale.seed},
     };
-    row("CPU", cpu);
-    row("RPU", rpu);
-    row("GPU-like", gpu);
-    t.print();
+    plan.print = [](const Results &r) {
+        const auto &cpu = r.get<TimingRun>(0);
+        std::printf("SPMD kernel SIMT efficiency: %.1f%%\n\n",
+                    r.get<EfficiencyResult>(3).efficiency() * 100);
 
-    std::printf("paper VI-D: on SPMD code the RPU should close most of "
-                "the CPU-GPU efficiency gap while keeping OoO latency\n");
+        Table t("Extension: SPMD saxpy kernel across design points");
+        t.header({"design point", "req/joule", "vs CPU", "latency (us)",
+                  "vs CPU"});
+        auto row = [&](const char *label, const TimingRun &run) {
+            t.row({label, Table::num(run.reqPerJoule(), 0),
+                   Table::mult(run.reqPerJoule() / cpu.reqPerJoule()),
+                   Table::num(run.core.meanLatencyUs(), 2),
+                   Table::mult(run.core.meanLatencyUs() /
+                               cpu.core.meanLatencyUs())});
+        };
+        row("CPU", cpu);
+        row("RPU", r.get<TimingRun>(1));
+        row("GPU-like", r.get<TimingRun>(2));
+        t.print();
+
+        std::printf("paper VI-D: on SPMD code the RPU should close most of "
+                    "the CPU-GPU efficiency gap while keeping OoO "
+                    "latency\n");
+    };
+    return plan;
+}
+
+} // namespace
+
+const std::vector<NamedFigure> &
+figures()
+{
+    static const std::vector<NamedFigure> all = {
+        {"fig04", fig04},
+        {"fig05", fig05},
+        {"fig10", fig10},
+        {"fig11", fig11},
+        {"fig14", fig14},
+        {"fig15", fig15},
+        {"fig19", fig19},
+        {"fig20", fig20},
+        {"fig21", fig21},
+        {"fig22", fig22},
+        {"tab04", tab04},
+        {"tab05", tab05},
+        {"sens_subbatch", sensSubbatch},
+        {"sens_atomics_l3", sensAtomicsL3},
+        {"sens_allocator", sensAllocator},
+        {"sens_majority_voting", sensMajorityVoting},
+        {"gpu_comparison", gpuComparison},
+        {"ext_tuner", extTuner},
+        {"ext_multibatch", extMultibatch},
+        {"ext_gpgpu", extGpgpu},
+    };
+    return all;
 }
 
 } // namespace simr::bench

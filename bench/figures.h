@@ -1,19 +1,24 @@
 /**
  * @file
- * The paper's tables and figures, one function each, and the memo
- * they share. The reproduce driver (reproduce.cpp) maps a name to each
- * function and hands every figure of one run the same memo.
+ * The paper's tables and figures. A figure does not run the simulator:
+ * it returns a Plan, the work it needs and a print step that reads the
+ * results. The reproduce driver (reproduce.cpp) collects the plans of
+ * one run, runs each distinct piece of work once through runWork, then
+ * prints the figures in order.
  */
 
 #ifndef SIMR_BENCH_FIGURES_H
 #define SIMR_BENCH_FIGURES_H
 
+#include <functional>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "common/config.h"
 #include "simr/cachestudy.h"
 #include "simr/runner.h"
+#include "sys/cluster.h"
 
 namespace simr::bench
 {
@@ -42,67 +47,75 @@ struct Study
 };
 
 /**
- * The result of every piece of work run so far, found by identity: a
- * timing cell (Cell's operator==: the service, the CoreConfig and every
- * TimingOptions field), an efficiency probe or a cache study (every
- * argument). A result depends only on that identity -- cellSeed
- * derives from it, the trace caches are bit-identical to live runs,
- * and probes and studies always run live -- so a figure handed a
- * memoized result prints what a fresh run would, and each distinct
- * piece of work of a reproduction runs once.
+ * One Fig. 22 load point: the User scenario at one server per tier
+ * (sys::oneReplica, one shard on one worker), 30000 requests at `kqps`
+ * thousand requests per second.
  */
-class CellMemo
+struct LoadPoint
 {
-  public:
-    /**
-     * Results in input order. The work this memo has not run yet goes
-     * to one fan-out: runCells for cells, one parallelMap for probes
-     * or studies.
-     */
-    std::vector<TimingRun> run(const std::vector<Cell> &cells);
-    std::vector<EfficiencyResult> run(const std::vector<Probe> &probes);
-    std::vector<CacheStudyResult> run(const std::vector<Study> &studies);
+    bool rpu;
+    bool split;               ///< batch splitting (RPU systems)
+    double kqps;
+    uint64_t seed;
 
-  private:
-    /** Work of one kind run so far: results[i] is the run of work[i]. */
-    template <typename Work, typename Result>
-    struct Seen
-    {
-        std::vector<Work> work;
-        std::vector<Result> results;
-    };
-
-    Seen<Cell, TimingRun> cells_;
-    Seen<Probe, EfficiencyResult> probes_;
-    Seen<Study, CacheStudyResult> studies_;
+    bool operator==(const LoadPoint &) const = default;
 };
 
-/** One table or figure: prints its tables to stdout. */
-using Figure = void (*)(const RunScale &scale, CellMemo &memo);
+/**
+ * One piece of work a figure needs: a timing run (a Cell that runTiming
+ * runs as given, so opt.seed is the run's seed), a probe, a study or a
+ * load point. Its result depends only on its identity (`==`: every
+ * field) -- it runs live -- so equal work in two plans runs once.
+ */
+using Work = std::variant<Cell, Probe, Study, LoadPoint>;
 
-/** @name The figures, in the order a full reproduction prints them */
-/// @{
-void fig04(const RunScale &scale, CellMemo &memo);
-void fig05(const RunScale &scale, CellMemo &memo);
-void fig10(const RunScale &scale, CellMemo &memo);
-void fig11(const RunScale &scale, CellMemo &memo);
-void fig14(const RunScale &scale, CellMemo &memo);
-void fig15(const RunScale &scale, CellMemo &memo);
-void fig19(const RunScale &scale, CellMemo &memo);
-void fig20(const RunScale &scale, CellMemo &memo);
-void fig21(const RunScale &scale, CellMemo &memo);
-void fig22(const RunScale &scale, CellMemo &memo);
-void tab04(const RunScale &scale, CellMemo &memo);
-void tab05(const RunScale &scale, CellMemo &memo);
-void sensSubbatch(const RunScale &scale, CellMemo &memo);
-void sensAtomicsL3(const RunScale &scale, CellMemo &memo);
-void sensAllocator(const RunScale &scale, CellMemo &memo);
-void sensMajorityVoting(const RunScale &scale, CellMemo &memo);
-void gpuComparison(const RunScale &scale, CellMemo &memo);
-void extTuner(const RunScale &scale, CellMemo &memo);
-void extMultibatch(const RunScale &scale, CellMemo &memo);
-void extGpgpu(const RunScale &scale, CellMemo &memo);
-/// @}
+/** The result of one Work, of the kind at the same index. */
+using Result = std::variant<TimingRun, EfficiencyResult, CacheStudyResult,
+                            sys::SysResult>;
+
+/** Run one piece of work, wholly on the calling thread. */
+Result runWork(const Work &work);
+
+/** Estimated cost of one piece of work, from its fields (DESIGN.md). */
+double workCost(const Work &work);
+
+/** The results of one plan, in the order of its work list. */
+struct Results
+{
+    std::vector<const Result *> at;
+
+    /** The result of the plan's i-th piece of work, of kind R. */
+    template <typename R>
+    const R &
+    get(size_t i) const
+    {
+        return std::get<R>(*at[i]);
+    }
+};
+
+/**
+ * One table or figure: the work it needs (the same work may appear
+ * twice) and the step that prints it from the results, which calls no
+ * simulation entry point.
+ */
+struct Plan
+{
+    std::vector<Work> work;
+    std::function<void(const Results &)> print;
+};
+
+/** One table or figure, planned at a run scale. */
+using Figure = Plan (*)(const RunScale &scale);
+
+/** A figure and the name `reproduce` knows it by. */
+struct NamedFigure
+{
+    const char *name;
+    Figure plan;
+};
+
+/** Every table and figure, in the order a full reproduction prints them. */
+const std::vector<NamedFigure> &figures();
 
 } // namespace simr::bench
 

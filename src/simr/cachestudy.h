@@ -1,12 +1,15 @@
 /**
  * @file
- * Functional cache studies for Figs. 14 and 15: run the address stream
- * (after batching / MCU coalescing / stack interleaving) through an L1
- * model without full pipeline timing, to measure generated traffic and
- * MPKI quickly and in isolation. The runner (runner.cc) builds a
- * study's front end with the same builder as every other chip-level
- * run, gated like them by analysis::gateAndProve, and always live: a
- * study consults no process-wide cache.
+ * Functional cache studies for Figs. 14 and 15 and the batch tuner:
+ * run the address stream (after batching / MCU coalescing / stack
+ * interleaving) through an L1 model without full pipeline timing, to
+ * measure generated traffic and MPKI quickly and in isolation. An RPU
+ * study also keeps its lockstep engine's SIMT stats, so the tuner reads
+ * a candidate's MPKI and efficiency from one drain. The runner
+ * (runner.cc) builds a study's front end with the same builder as
+ * every other chip-level run, gated like them by
+ * analysis::gateAndProve, and always live: a study consults no
+ * process-wide cache.
  */
 
 #ifndef SIMR_SIMR_CACHESTUDY_H
@@ -29,6 +32,8 @@ struct CacheStudyResult
     uint64_t l1Accesses = 0;    ///< L1 accesses after the MCU
     uint64_t l1Misses = 0;
     mem::McuStats mcu;
+    /** The lockstep engine's SIMT stats (RPU studies; zero for the CPU). */
+    simt::SimtStats simt;
 
     /** Misses per kilo (scalar) instruction. */
     double

@@ -364,6 +364,7 @@ studyL1(const svc::Service &svc, FrontEndShape shape,
         }
     });
     res.mcu = mcu.stats();
+    res.simt = run.simt;
     return res;
 }
 
@@ -579,29 +580,27 @@ void
 recordTraceCacheStats()
 {
     obs::Registry *reg = obs::Scope::registry();
-    if (trace::TraceCache *cache = trace::TraceCache::process()) {
-        reg->counter("trace.cache_hits")->inc(cache->hits());
-        reg->counter("trace.cache_misses")->inc(cache->misses());
-        reg->counter("trace.dedup_requests")->inc(cache->dedupRequests());
-        reg->gauge("trace.bytes_resident")->set(
-            static_cast<double>(cache->bytesResident()));
-        reg->gauge("trace.entries")->set(
-            static_cast<double>(cache->entries()));
-        reg->gauge("trace.evictions")->set(
-            static_cast<double>(cache->evictions()));
-    }
-    if (StreamCache *scache = StreamCache::process()) {
-        reg->counter("trace.stream_hits")->inc(scache->hits());
-        reg->counter("trace.stream_misses")->inc(scache->misses());
-        reg->gauge("trace.stream_bytes_resident")->set(
-            static_cast<double>(scache->bytesResident()));
-        reg->gauge("trace.stream_ops")->set(
-            static_cast<double>(scache->opsResident()));
-        reg->gauge("trace.stream_entries")->set(
-            static_cast<double>(scache->entries()));
-        reg->gauge("trace.stream_evictions")->set(
-            static_cast<double>(scache->evictions()));
-    }
+    const trace::TraceCache &cache = *trace::TraceCache::process();
+    reg->counter("trace.cache_hits")->inc(cache.hits());
+    reg->counter("trace.cache_misses")->inc(cache.misses());
+    reg->counter("trace.dedup_requests")->inc(cache.dedupRequests());
+    reg->gauge("trace.bytes_resident")->set(
+        static_cast<double>(cache.bytesResident()));
+    reg->gauge("trace.entries")->set(static_cast<double>(cache.entries()));
+    reg->gauge("trace.evictions")->set(
+        static_cast<double>(cache.evictions()));
+
+    const StreamCache &scache = *StreamCache::process();
+    reg->counter("trace.stream_hits")->inc(scache.hits());
+    reg->counter("trace.stream_misses")->inc(scache.misses());
+    reg->gauge("trace.stream_bytes_resident")->set(
+        static_cast<double>(scache.bytesResident()));
+    reg->gauge("trace.stream_ops")->set(
+        static_cast<double>(scache.opsResident()));
+    reg->gauge("trace.stream_entries")->set(
+        static_cast<double>(scache.entries()));
+    reg->gauge("trace.stream_evictions")->set(
+        static_cast<double>(scache.evictions()));
 }
 
 void

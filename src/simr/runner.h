@@ -104,9 +104,8 @@ struct TimingOptions
      * DynOp streams from simr::StreamCache when an identical cell
      * already ran. Replay is bit-identical to live execution (gated by
      * trace_replay_gate), so this only changes wall-clock time; set
-     * false to force live interpretation (efficiency probes and cache
-     * studies always run so). Ignored when caching is disabled
-     * process-wide via SIMR_TRACE_CACHE=0.
+     * false to force live interpretation (efficiency probes, cache
+     * studies and every timing run of `reproduce` run so).
      */
     bool useTraceCache = true;
 
@@ -214,7 +213,6 @@ std::vector<TimingRun> runCells(const std::vector<Cell> &cells,
  * right before exposition; runCells deliberately does not -- cache
  * hit/miss totals depend on cross-thread scheduling, and the per-cell
  * registries it merges must stay bit-identical at any thread count.
- * No-op when the cache is disabled (SIMR_TRACE_CACHE=0).
  */
 void recordTraceCacheStats();
 

@@ -1,6 +1,5 @@
 #include "simr/streamcache.h"
 
-#include "common/config.h"
 #include "common/logging.h"
 
 namespace simr
@@ -129,11 +128,8 @@ StreamCache::process()
 {
     // Leaked singleton, same lifetime story as TraceCache::process():
     // worker threads may consult the cache during teardown, so it is
-    // never destructed. SIMR_TRACE_CACHE=0 disables all trace reuse,
-    // stream level included.
-    static StreamCache *cache = envInt("SIMR_TRACE_CACHE", 1) == 0
-        ? nullptr
-        : new StreamCache();
+    // never destructed.
+    static StreamCache *cache = new StreamCache();
     return cache;
 }
 

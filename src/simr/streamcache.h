@@ -88,10 +88,7 @@ class StreamCache
     uint64_t hits() const;
     uint64_t misses() const;
 
-    /**
-     * The process-wide cache with the default budget, or nullptr when
-     * trace reuse is disabled via SIMR_TRACE_CACHE=0.
-     */
+    /** The process-wide cache, with the default budget. */
     static StreamCache *process();
 
     static constexpr size_t kDefaultBudget = size_t(2048) << 20;

@@ -3,43 +3,27 @@
 #include <algorithm>
 
 #include "common/logging.h"
-#include "common/parallel.h"
-#include "simr/cachestudy.h"
-#include "simr/runner.h"
 
 namespace simr::tune
 {
 
-TuneResult
-tuneBatchSize(const svc::Service &svc, const TunerConfig &cfg)
+CacheStudyOptions
+profileOptions(const TunerConfig &cfg)
 {
-    simr_assert(!cfg.candidates.empty(), "no candidate batch sizes");
+    return {.requests = cfg.profileRequests, .seed = cfg.seed,
+            .l1KB = cfg.l1KB};
+}
 
+TuneResult
+choose(std::vector<TunePoint> points, const TunerConfig &cfg)
+{
+    simr_assert(!points.empty(), "no candidate batch sizes");
+
+    // The smallest batch establishes the MPKI floor the thrash test
+    // compares against.
+    std::ranges::sort(points, {}, &TunePoint::batchSize);
     TuneResult res;
-    std::vector<int> sizes = cfg.candidates;
-    std::sort(sizes.begin(), sizes.end());
-
-    // Candidate profiles are independent, so fan them out; the
-    // acceptability pass below is serial because the smallest batch
-    // establishes the MPKI floor the thrash test compares against.
-    res.points = parallelMap(sizes, [&](int bs) {
-        CacheStudyOptions copt;
-        copt.requests = cfg.profileRequests;
-        copt.seed = cfg.seed;
-        copt.l1KB = cfg.l1KB;
-        auto cache = studyRpuCache(svc, bs, copt);
-
-        auto eff = measureEfficiency(svc, batch::Policy::PerApiArgSize,
-                                     simt::ReconvPolicy::MinSpPc, bs,
-                                     cfg.profileRequests, cfg.seed);
-
-        TunePoint p;
-        p.batchSize = bs;
-        p.mpki = cache.mpki();
-        p.efficiency = eff.efficiency();
-        return p;
-    });
-
+    res.points = std::move(points);
     double floor_mpki = res.points.front().mpki;
     for (auto &p : res.points) {
         p.acceptable =
@@ -52,8 +36,19 @@ tuneBatchSize(const svc::Service &svc, const TunerConfig &cfg)
     }
     // Nothing fit the budget: fall back to the smallest candidate.
     if (res.chosenBatch == 0)
-        res.chosenBatch = sizes.front();
+        res.chosenBatch = res.points.front().batchSize;
     return res;
+}
+
+TuneResult
+tuneBatchSize(const svc::Service &svc, const TunerConfig &cfg)
+{
+    std::vector<TunePoint> points;
+    for (int bs : cfg.candidates) {
+        auto st = studyRpuCache(svc, bs, profileOptions(cfg));
+        points.push_back({bs, st.mpki(), st.simt.efficiency()});
+    }
+    return choose(std::move(points), cfg);
 }
 
 } // namespace simr::tune

@@ -4,11 +4,12 @@
  *
  * "As widely practiced by data center providers, an offline
  * configuration can be applied to tune the batch size for a particular
- * microservice." This is that configuration pass: sweep candidate
- * batch sizes, measure L1 MPKI and SIMT efficiency on a profiling
- * request sample, and pick the largest batch whose MPKI stays within a
- * budget -- the Fig. 15 rule (32 for most services, 8 for the
- * data-intensive leaves) derived automatically instead of by hand.
+ * microservice." This is that configuration pass: profile each
+ * candidate batch size with one RPU cache study on a request sample
+ * (its L1 MPKI and SIMT efficiency), and pick the largest batch whose
+ * MPKI stays within a budget -- the Fig. 15 rule (32 for most services,
+ * 8 for the data-intensive leaves) derived automatically instead of by
+ * hand. A caller that runs the studies itself picks with choose().
  */
 
 #ifndef SIMR_SIMR_TUNER_H
@@ -16,8 +17,8 @@
 
 #include <vector>
 
-#include "batching/policy.h"
 #include "services/service.h"
+#include "simr/cachestudy.h"
 
 namespace simr::tune
 {
@@ -53,10 +54,21 @@ struct TunePoint
 struct TuneResult
 {
     int chosenBatch = 0;
-    std::vector<TunePoint> points;
+    std::vector<TunePoint> points;   ///< ascending batch size
 };
 
-/** Run the offline tuning pass for one service. */
+/** Options of each candidate's study (studyRpuCache at its size). */
+CacheStudyOptions profileOptions(const TunerConfig &cfg);
+
+/**
+ * The acceptability pass over the candidates' points, in any order:
+ * MPKI within thrashFactor x the smallest candidate's plus mpkiSlack,
+ * and efficiency at least minEfficiency. The largest acceptable batch
+ * wins, else the smallest; the points come back by ascending size.
+ */
+TuneResult choose(std::vector<TunePoint> points, const TunerConfig &cfg);
+
+/** Profile every candidate of one service, then choose. */
 TuneResult tuneBatchSize(const svc::Service &svc,
                          const TunerConfig &cfg = TunerConfig());
 

@@ -2,7 +2,6 @@
 
 #include <new>
 
-#include "common/config.h"
 #include "common/logging.h"
 #include "common/rng.h"
 #include "isa/builder.h"
@@ -491,13 +490,8 @@ TraceCache::process()
     // threads torn down after main exits. Built in static storage
     // rather than leaked from `new`, which gcc -fanalyzer (tools/lint.sh)
     // reports as a possibly-null argument and a leak.
-    // SIMR_TRACE_CACHE=0 disables reuse process-wide.
-    static TraceCache *cache = []() -> TraceCache * {
-        if (envInt("SIMR_TRACE_CACHE", 1) == 0)
-            return nullptr;
-        alignas(TraceCache) static unsigned char storage[sizeof(TraceCache)];
-        return ::new (storage) TraceCache();
-    }();
+    alignas(TraceCache) static unsigned char storage[sizeof(TraceCache)];
+    static TraceCache *cache = ::new (storage) TraceCache();
     return cache;
 }
 

@@ -368,10 +368,7 @@ class TraceCache
     uint64_t dedupRequests() const;
     /// @}
 
-    /**
-     * The process-wide cache with the default budget, or nullptr when
-     * disabled via SIMR_TRACE_CACHE=0.
-     */
+    /** The process-wide cache, with the default budget. */
     static TraceCache *process();
 
     static constexpr size_t kDefaultBudget = size_t(1024) << 20;

@@ -14,8 +14,6 @@
 #include "common/rng.h"
 #include "common/stats.h"
 #include "common/table.h"
-#include "simr/streamcache.h"
-#include "trace/capture.h"
 
 using namespace simr;
 
@@ -367,20 +365,6 @@ TEST(ConfigDeath, ThreadCountMustBeAWholeNonNegativeInteger)
     setenv("SIMR_THREADS", "3", 1);
     EXPECT_EQ(defaultThreads(), 3);
     unsetenv("SIMR_THREADS");
-}
-
-TEST(ConfigDeath, TraceCacheToggleRejectsTypos)
-{
-    // The caches read their environment once, in a process-wide
-    // singleton: re-execute for each death test so every child starts
-    // with the singletons unbuilt.
-    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
-    setenv("SIMR_TRACE_CACHE", "on", 1);
-    EXPECT_EXIT(trace::TraceCache::process(), ::testing::ExitedWithCode(1),
-                "SIMR_TRACE_CACHE=on: expected a base-10 integer");
-    EXPECT_EXIT(StreamCache::process(), ::testing::ExitedWithCode(1),
-                "SIMR_TRACE_CACHE=on: expected a base-10 integer");
-    unsetenv("SIMR_TRACE_CACHE");
 }
 
 TEST(Config, RunScaleFromEnv)

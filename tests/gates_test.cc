@@ -102,7 +102,7 @@ TEST(Gates, TraceReplay)
     // request and replays every later request that hits a captured
     // trace through its lane's ReplayCursor; no stream replays.
     trace::TraceCache *cache = trace::TraceCache::process();
-    ASSERT_NE(cache, nullptr) << "cache DISABLED (SIMR_TRACE_CACHE=0)";
+    ASSERT_NE(cache, nullptr);
     const auto live_cells = sweepCells(gateOptions(false));
     const auto cells = sweepCells(gateOptions(true));
 
@@ -133,7 +133,7 @@ TEST(Gates, ReplayCompile)
     // stream cache (it shares stream keys with the timing sweep and
     // skips the timing core), then a warm pass replays every cell.
     StreamCache *scache = StreamCache::process();
-    ASSERT_NE(scache, nullptr) << "cache DISABLED (SIMR_TRACE_CACHE=0)";
+    ASSERT_NE(scache, nullptr);
     const auto live_cells = sweepCells(gateOptions(false));
     const auto cells = sweepCells(gateOptions(true));
 

@@ -216,6 +216,64 @@ TEST(Tuner, FallsBackToSmallestWhenNothingFits)
         EXPECT_FALSE(p.acceptable);
 }
 
+// The tuner reads a candidate's efficiency from its cache study: an RPU
+// study's SimtStats are the efficiency probe's at the same width,
+// requests and seed (PerApiArgSize, MinSP-PC: one lockstep front end).
+TEST(Tuner, StudySimtStatsEqualTheProbe)
+{
+    tune::TunerConfig cfg;
+    for (const auto &name : svc::serviceNames()) {
+        auto svc = svc::buildService(name);
+        for (int bs : {4, 8, 16, 32}) {
+            auto study = studyRpuCache(*svc, bs, tune::profileOptions(cfg));
+            auto probe = measureEfficiency(
+                *svc, batch::Policy::PerApiArgSize,
+                simt::ReconvPolicy::MinSpPc, bs, cfg.profileRequests,
+                cfg.seed);
+            EXPECT_EQ(study.simt, probe.stats) << name << " batch " << bs;
+        }
+    }
+}
+
+TEST(TunerChoose, ThrashFloorIsTheSmallestCandidate)
+{
+    // Points in any order; the floor is the smallest batch's MPKI
+    // (2.0), so the bar is 2.5 * 2.0 + 1.0 = 6.0.
+    tune::TunerConfig cfg;
+    auto r = tune::choose({{32, 6.5, 0.9}, {4, 2.0, 0.9}, {16, 6.0, 0.9},
+                           {8, 3.0, 0.9}},
+                          cfg);
+    EXPECT_EQ(r.chosenBatch, 16);
+    ASSERT_EQ(r.points.size(), 4u);
+    const int order[] = {4, 8, 16, 32};
+    const bool ok[] = {true, true, true, false};
+    for (size_t i = 0; i < 4; ++i) {
+        EXPECT_EQ(r.points[i].batchSize, order[i]);
+        EXPECT_EQ(r.points[i].acceptable, ok[i]) << order[i];
+    }
+}
+
+TEST(TunerChoose, EfficiencyBarRejectsALowEfficiencyBatch)
+{
+    tune::TunerConfig cfg;
+    auto r = tune::choose({{4, 1.0, 0.9}, {8, 1.0, 0.9}, {16, 1.0, 0.6},
+                           {32, 1.0, 0.49}},
+                          cfg);
+    EXPECT_EQ(r.chosenBatch, 16);
+    EXPECT_FALSE(r.points.back().acceptable);
+}
+
+TEST(TunerChoose, FallsBackToTheSmallestCandidate)
+{
+    // Every point below the efficiency bar: nothing is acceptable.
+    tune::TunerConfig cfg;
+    auto r = tune::choose({{16, 1.0, 0.2}, {8, 1.0, 0.2}, {32, 1.0, 0.2}},
+                          cfg);
+    EXPECT_EQ(r.chosenBatch, 8);
+    for (const auto &p : r.points)
+        EXPECT_FALSE(p.acceptable);
+}
+
 TEST(GpgpuExtension, SpmdKernelIsSimtPerfect)
 {
     auto svc = svc::buildService("gpgpu-saxpy");
